@@ -217,14 +217,15 @@ def digits(s: str, lexicon: NumberLexicon | None = None) -> str:
 def decimal(int_part: str, frac_part: str, lexicon: NumberLexicon | None = None) -> str:
     """Spell a decimal written with a comma ("3", "14" -> "kolm koma neliteist").
 
-    A fractional part longer than two digits is read digit by digit.
+    A fractional part longer than two digits, and an integer part above
+    ``MAX_CARDINAL``, are read digit by digit.
     """
     if not int_part or not all(ch in "0123456789" for ch in int_part):
         raise ValueError(f"malformed integer part {int_part!r}")
     if not frac_part or not all(ch in "0123456789" for ch in frac_part):
         raise ValueError(f"malformed fractional part {frac_part!r}")
     lex = lexicon or default_lexicon()
-    head = cardinal(int(int_part), NOMINATIVE, lex)
+    head = digits(int_part, lex) if int(int_part) > MAX_CARDINAL else cardinal(int(int_part), NOMINATIVE, lex)
     if len(frac_part) <= 2:
         tail = cardinal(int(frac_part), NOMINATIVE, lex)
     else:

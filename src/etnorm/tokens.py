@@ -1,11 +1,17 @@
 """Tokenization of raw text into classified spans.
 
-A single left-to-right longest-match pass over the input. Structural
-shapes (URLs, emails, phone numbers, dates, times, decimals, grouped
-digits, ordinal dots, plain numbers) are matched by priority-ordered
-patterns; letter runs are matched as one shape and classified afterwards
-(case-suffixed acronym, Roman candidate, uppercase sequence, mixed case,
-lowercase consonant cluster, plain word).
+One left-to-right pass whose cost is linear in the length of the line.
+URLs and e-mail addresses are found anchor-first: the line is scanned
+once for the positions where one can start (``https://`` or ``www.``, a
+run of domain labels with a top-level-domain dot still ahead, a run of
+address characters that ends at ``@`` and a valid domain), and their
+patterns are tried only there. Every other shape (phone numbers, dates,
+times, decimals, grouped digits, ordinal dots, plain numbers, acronyms
+with a case ending, letter runs) is one named group of a master regex,
+in priority order; when a Python post-check rejects a group, the groups
+after it are tried at the same position. Letter runs are classified
+afterwards (case-suffixed acronym, Roman candidate, uppercase sequence,
+mixed case, lowercase consonant cluster, plain word).
 
 Tokenization is lossless: every non-whitespace character lands in exactly
 one token, each token records the whitespace that follows it, and
@@ -73,25 +79,92 @@ CASE_SUFFIXES = frozenset(
 
 _SENTENCE_PUNCT = frozenset(".,!?;:()[]{}\"'«»‘’“”…–—-·")
 
-_WS_RE = re.compile(r"\s+")
+_WS_RE = re.compile(r"\s*")
 
-_URL_RE = re.compile(
-    r"(?:https?://|www\.)[^\s<>\"]+"
-    r"|[A-Za-z0-9-]+(?:\.[A-Za-z0-9-]+)*\.(?:ee|com|org|net|eu|fi|lv|lt|gl|io)(?:/[^\s<>\"]*)?",
-)
-_EMAIL_RE = re.compile(r"[A-Za-z0-9_.+-]+@[A-Za-z0-9-]+(?:\.[A-Za-z0-9-]+)+")
+# URL and e-mail grammar; the pieces also locate where a match can start
+_URL_PREFIX = r"https?://|www\."
+_LABEL = "[A-Za-z0-9-]"  # one character of a domain label
+_DOMAIN_RUN = rf"{_LABEL}+(?:\.{_LABEL}+)*"
+_TLD_DOT = r"\.(?:ee|com|org|net|eu|fi|lv|lt|gl|io)"
+_ADDRESS = "[A-Za-z0-9_.+-]"  # one character before the "@" of an address
+_EMAIL_DOMAIN = rf"@{_LABEL}+(?:\.{_LABEL}+)+"
+_URL_RE = re.compile(rf"(?:{_URL_PREFIX})[^\s<>\"]+|{_DOMAIN_RUN}{_TLD_DOT}(?:/[^\s<>\"]*)?")
+_EMAIL_RE = re.compile(rf"{_ADDRESS}+{_EMAIL_DOMAIN}")
+_URL_PREFIX_RE = re.compile(_URL_PREFIX)
+_TLD_DOT_RE = re.compile(_TLD_DOT)
+# A maximal run of domain labels (the lookbehinds pin it to the start of
+# its run), cut at its last top-level-domain dot: a bare domain can start
+# at any label character before that dot.
+_DOMAIN_HEAD_RE = re.compile(rf"(?<!{_LABEL})(?<!{_LABEL}\.){_DOMAIN_RUN}(?={_TLD_DOT})")
+# A maximal run of address characters that ends at "@" and a valid domain.
+_ADDRESS_HEAD_RE = re.compile(rf"(?<!{_ADDRESS}){_ADDRESS}+(?={_EMAIL_DOMAIN})")
+
 _D = "[0-9]"  # ASCII digits only; \d would also match other scripts' digits
-_PHONE_PLUS_RE = re.compile(rf"\+{_D}(?:[  -]?{_D}){{6,14}}(?!{_D})")
-_PHONE_GROUPED_RE = re.compile(rf"{_D}{{2,4}}(?:[  -]{_D}{{2,4}}){{2,}}(?!{_D})")
-_THOUSANDS_SHAPE_RE = re.compile(rf"^{_D}{{1,3}}(?:([  .]){_D}{{3}})+$")
-_DATE_RE = re.compile(rf"{_D}{{1,2}}\.{_D}{{1,2}}\.{_D}{{4}}(?!{_D})")
-_TIME_RE = re.compile(rf"{_D}{{1,2}}:{_D}{{2}}(?::{_D}{{2}})?(?!{_D})")
-_DECIMAL_RE = re.compile(rf"{_D}+(?:,{_D}+|\.{_D}{{1,2}})(?!{_D})")
-_GROUPED_RE = re.compile(rf"{_D}{{1,3}}(?:([  .]){_D}{{3}})+(?!{_D})|{_D}{{7,}}(?!{_D})")
-_ORDINAL_DOT_RE = re.compile(rf"{_D}{{1,6}}\.(?=[–-]|\s+[{_LC}])")
-_CARDINAL_RE = re.compile(rf"{_D}{{1,6}}(?!{_D})")
-_SUFFIXED_ACRONYM_RE = re.compile(rf"[{_UC}]{{2,}}-[{_LC}]{{1,5}}(?![^\W\d_])")
-_WORD_RUN_RE = re.compile(r"[^\W\d_](?:[^\W\d_]|[0-9])*")
+_THOUSANDS_SHAPE_RE = re.compile(rf"^{_D}{{1,3}}(?:([ \xa0.]){_D}{{3}})+$")
+
+
+def _letters_below(stop: int) -> str:
+    """Regex class body of the letters below code point ``stop``, as
+    str.isalpha (and so the running Python's Unicode tables) decides."""
+    ranges, first = [], None
+    for cp in range(stop + 1):
+        if cp < stop and chr(cp).isalpha():
+            first = cp if first is None else first
+        elif first is not None:
+            ranges.append(f"\\u{first:04x}-\\u{cp - 1:04x}")
+            first = None
+    return "".join(ranges)
+
+
+# the letters a word run matches in one regex step
+_LATIN_LETTERS = _letters_below(0x0250)
+_LETTER_OR_DIGIT_RUN_RE = re.compile(f"[0-9{_LATIN_LETTERS}]*")
+
+# Every shape but URLs and e-mail addresses, in priority order, as (group
+# name, pattern, led by a digit or "+"). A group is named after its
+# TokenKind value. A "word_run" is classified afterwards, a "letter" starts
+# a word run that the "word_run" group cannot take, and "other" is one
+# punctuation or symbol character. The digit-led shapes come first.
+_SHAPES = (
+    # at most 8 groups: 8 or more hold at least 16 digits, which the
+    # post-check rejects, so the cap changes no token and keeps each try
+    # from scanning the rest of a long run of groups
+    ("phone", rf"(?:\+{_D}(?:[ \xa0-]?{_D}){{6,14}}|{_D}{{2,4}}(?:[ \xa0-]{_D}{{2,4}}){{2,7}})(?!{_D})", True),
+    ("date_like", rf"{_D}{{1,2}}\.{_D}{{1,2}}\.{_D}{{4}}(?!{_D})", True),
+    ("time_like", rf"{_D}{{1,2}}:{_D}{{2}}(?::{_D}{{2}})?(?!{_D})", True),
+    ("decimal_number", rf"{_D}+(?:,{_D}+|\.{_D}{{1,2}})(?!{_D})", True),
+    ("digit_group_seq", rf"(?:{_D}{{1,3}}(?:[ \xa0.]{_D}{{3}})+|{_D}{{7,}})(?!{_D})", True),
+    ("ordinal_dot", rf"{_D}{{1,6}}\.(?=[–-]|\s+[{_LC}])", True),
+    ("cardinal_number", rf"{_D}{{1,6}}(?!{_D})", True),
+    ("case_suffixed_acronym", rf"[{_UC}]{{2,}}-[{_LC}]{{1,5}}(?![^\W\d_])", False),
+    # A word run is letters plus ASCII digits, led by a letter. One made of
+    # Latin letters matches here whole. Any other character that \w-based
+    # classes admit (a rarer letter, or a non-decimal numeric such as "²"
+    # or "Ⅻ", which ends the run) is left to "letter", whose post-check
+    # extends the run in Python: no rescan of the rest of a long run.
+    ("word_run", rf"[{_LATIN_LETTERS}][0-9{_LATIN_LETTERS}]*(?![^\W\d_]|{_D})", False),
+    ("letter", r"[^\W\d_]", False),
+    ("other", r"(?s:.)", False),
+)
+_POST_CHECKED = frozenset({"phone", "case_suffixed_acronym", "letter"})
+
+
+def _alternation(shapes) -> re.Pattern:
+    """One regex trying ``shapes`` in order, then eating trailing whitespace.
+    The digit-led shapes share one guard: none starts right after a digit,
+    and any other character skips them all in one test."""
+    digit_led = "|".join(f"(?P<{name}>{body})" for name, body, led in shapes if led)
+    rest = [f"(?P<{name}>{body})" for name, body, led in shapes if not led]
+    guarded = [rf"(?=[+0-9])(?<!{_D})(?:{digit_led})"] if digit_led else []
+    return re.compile("(?:" + "|".join(guarded + rest) + r")\s*")
+
+
+_MASTER_RE = _alternation(_SHAPES)
+# where to resume when a post-check rejects the group of that name
+_RESUME_RE = {
+    name: _alternation(_SHAPES[i + 1:]) for i, (name, _, _) in enumerate(_SHAPES) if name in _POST_CHECKED
+}
+_KIND_OF_GROUP = {kind.value: kind for kind in TokenKind}
 
 _ATTACHED_SUFFIX_RE = re.compile(rf"^([{_UC}]{{2,}})-?([{_LC}]{{1,5}})$")
 _ROMAN_SHAPE_RE = re.compile(r"^[IVXLCDM]+$")
@@ -99,21 +172,18 @@ _HAS_LOWER_UPPER_RE = re.compile(rf"[{_LC}][{_UC}]")
 _TRAILING_PUNCT = ".,;:!?)]}\"'»’”"
 
 
-def _not_after_digit(text: str, pos: int) -> bool:
-    return pos == 0 or text[pos - 1] not in "0123456789"
-
-
 def _classify_word_run(surface: str) -> TokenKind:
-    match = _ATTACHED_SUFFIX_RE.match(surface)
-    if match and match.group(2) in CASE_SUFFIXES:
-        return TokenKind.CASE_SUFFIXED_ACRONYM
-    if _ROMAN_SHAPE_RE.match(surface):
-        return TokenKind.ROMAN_CANDIDATE
+    if not surface[0].islower():  # both shapes below start with a capital
+        match = _ATTACHED_SUFFIX_RE.match(surface)
+        if match and match.group(2) in CASE_SUFFIXES:
+            return TokenKind.CASE_SUFFIXED_ACRONYM
+        if _ROMAN_SHAPE_RE.match(surface):
+            return TokenKind.ROMAN_CANDIDATE
     if surface.isalpha():
         if surface.isupper():
             return TokenKind.UPPERCASE_SEQ
         if surface.islower():
-            if len(surface) >= 2 and not any(ch in _VOWELS for ch in surface):
+            if len(surface) >= 2 and _VOWELS.isdisjoint(surface):
                 return TokenKind.LOWERCASE_CONSONANTS
             return TokenKind.WORD
         if _HAS_LOWER_UPPER_RE.search(surface):
@@ -156,107 +226,117 @@ def _match_email(text: str, pos: int):
     return _trim_trailing_punct(text, pos, match.end())
 
 
-def _match_phone(text: str, pos: int):
-    if not _not_after_digit(text, pos):
-        return None
-    match = _PHONE_PLUS_RE.match(text, pos)
-    if match:
-        return match.end()
-    match = _PHONE_GROUPED_RE.match(text, pos)
-    if match:
-        surface = match.group(0)
+def _url_starts(text: str) -> list[tuple[int, int]]:
+    """[start, stop) ranges holding every position where ``_URL_RE`` can
+    match, sorted by start, in reverse (see ``_in_ranges``)."""
+    ranges = [(m.start(), m.start() + 1) for m in _URL_PREFIX_RE.finditer(text)]
+    if _TLD_DOT_RE.search(text):
+        ranges += [m.span() for m in _DOMAIN_HEAD_RE.finditer(text)]
+        ranges.sort()
+    ranges.reverse()
+    return ranges
+
+
+def _email_starts(text: str) -> list[tuple[int, int]]:
+    """Like ``_url_starts`` for ``_EMAIL_RE``: the address runs that end at
+    an "@" and a valid domain."""
+    if "@" not in text:
+        return []
+    return [m.span() for m in _ADDRESS_HEAD_RE.finditer(text)][::-1]
+
+
+def _in_ranges(ranges: list[tuple[int, int]], pos: int) -> bool:
+    """Whether ``pos`` lies in one of ``ranges`` (reverse-sorted by start).
+    Ranges that end at or before ``pos`` are dropped, so ``pos`` must not
+    decrease from one call to the next."""
+    while ranges and ranges[-1][1] <= pos:
+        ranges.pop()
+    return bool(ranges) and ranges[-1][0] <= pos
+
+
+def _accepts(name: str, surface: str) -> bool:
+    """The post-check of a phone number or of a case-suffixed acronym."""
+    if name == "phone":
+        if surface[0] == "+":
+            return True
         digit_count = sum(ch.isdigit() for ch in surface)
-        if 7 <= digit_count <= 15 and not _THOUSANDS_SHAPE_RE.match(surface):
-            return match.end()
-    return None
+        return 7 <= digit_count <= 15 and not _THOUSANDS_SHAPE_RE.match(surface)
+    return surface.rsplit("-", 1)[1] in CASE_SUFFIXES
 
 
-def _match_simple(regex, digit_guard: bool = False):
-    def matcher(text: str, pos: int):
-        if digit_guard and not _not_after_digit(text, pos):
-            return None
-        match = regex.match(text, pos)
-        return match.end() if match else None
-
-    return matcher
-
-
-def _match_suffixed_acronym(text: str, pos: int):
-    match = _SUFFIXED_ACRONYM_RE.match(text, pos)
-    if match and match.group(0).rsplit("-", 1)[1] in CASE_SUFFIXES:
-        return match.end()
-    return None
-
-
-def _match_word_run(text: str, pos: int):
-    # letters plus ASCII digits only; \w-based classes would also admit
-    # non-decimal numerics (circled digits, Roman numeral glyphs, ...)
-    match = _WORD_RUN_RE.match(text, pos)
-    if not match:
-        return None
+def _word_end(text: str, pos: int) -> int:
+    """End of the run of letters and ASCII digits that starts at ``pos``."""
     end = pos
-    for ch in match.group(0):
-        if ch.isalpha() or ch in "0123456789":
-            end += 1
-        else:
+    while end < len(text) and (text[end].isalpha() or text[end] in "0123456789"):
+        end = _LETTER_OR_DIGIT_RUN_RE.match(text, end + 1).end()
+    return end
+
+
+def _post_check(name: str, text: str, pos: int, end: int, ws_end: int) -> tuple[str, int, int]:
+    """Run the post-check of group ``name`` on text[pos:end]; while one
+    rejects, try the groups after it at ``pos``. Returns the group name, the
+    token end and the end of the whitespace after the token."""
+    while name in _POST_CHECKED:
+        if name == "letter":
+            if text[pos].isalpha():
+                end = _word_end(text, pos)
+                return "word_run", end, _WS_RE.match(text, end).end()
+        elif _accepts(name, text[pos:end]):
             break
-    return end if end > pos else None
-
-
-_MATCHERS: list[tuple[TokenKind | None, object]] = [
-    (TokenKind.URL, _match_url),
-    (TokenKind.EMAIL, _match_email),
-    (TokenKind.PHONE, _match_phone),
-    (TokenKind.DATE_LIKE, _match_simple(_DATE_RE, digit_guard=True)),
-    (TokenKind.TIME_LIKE, _match_simple(_TIME_RE, digit_guard=True)),
-    (TokenKind.DECIMAL_NUMBER, _match_simple(_DECIMAL_RE, digit_guard=True)),
-    (TokenKind.DIGIT_GROUP_SEQ, _match_simple(_GROUPED_RE, digit_guard=True)),
-    (TokenKind.ORDINAL_DOT, _match_simple(_ORDINAL_DOT_RE, digit_guard=True)),
-    (TokenKind.CARDINAL_NUMBER, _match_simple(_CARDINAL_RE, digit_guard=True)),
-    (TokenKind.CASE_SUFFIXED_ACRONYM, _match_suffixed_acronym),
-    (None, _match_word_run),  # kind decided by _classify_word_run
-]
+        match = _RESUME_RE[name].match(text, pos)
+        name = match.lastgroup
+        end, ws_end = match.end(name), match.end()
+    return name, end, ws_end
 
 
 def tokenize(text: str) -> TokenList:
     """Split text into classified tokens; whitespace is recorded, not emitted."""
     tokens = TokenList()
-    tokens.leading = ""
-    pos = 0
-    byte_pos = 0
+    tokens.leading = _WS_RE.match(text).group()
+    pos = len(tokens.leading)
     length = len(text)
-
-    ws = _WS_RE.match(text, pos)
-    if ws:
-        tokens.leading = ws.group(0)
-        byte_pos += len(tokens.leading.encode("utf-8"))
-        pos = ws.end()
+    ascii_text = text.isascii()
+    # UTF-8 bytes beyond one per character so far: byte offset = pos + extra
+    extra = 0 if ascii_text else len(tokens.leading.encode("utf-8")) - pos
+    url_starts = _url_starts(text)
+    email_starts = _email_starts(text)
 
     while pos < length:
         end = None
-        kind = None
-        for candidate_kind, matcher in _MATCHERS:
-            end = matcher(text, pos)
-            if end is not None:
-                kind = candidate_kind
-                break
-        if end is None:
-            ch = text[pos]
-            end = pos + 1
-            kind = TokenKind.PUNCT if ch in _SENTENCE_PUNCT else TokenKind.SYMBOL
+        if url_starts and _in_ranges(url_starts, pos):
+            end = _match_url(text, pos)
+            kind = TokenKind.URL
+        if end is None and email_starts and _in_ranges(email_starts, pos):
+            end = _match_email(text, pos)
+            kind = TokenKind.EMAIL
+        if end is not None:
+            ws_end = _WS_RE.match(text, end).end()
+        else:
+            match = _MASTER_RE.match(text, pos)
+            name = match.lastgroup
+            end = match.end(name)
+            ws_end = match.end()
+            if name in _POST_CHECKED:
+                name, end, ws_end = _post_check(name, text, pos, end, ws_end)
+            kind = _KIND_OF_GROUP.get(name)
         surface = text[pos:end]
         if kind is None:
-            kind = _classify_word_run(surface)
-        surface_bytes = len(surface.encode("utf-8"))
-        token = Token(surface, kind, (byte_pos, byte_pos + surface_bytes))
-        byte_pos += surface_bytes
-        pos = end
-        ws = _WS_RE.match(text, pos)
-        if ws:
-            token.ws_after = ws.group(0)
-            byte_pos += len(token.ws_after.encode("utf-8"))
-            pos = ws.end()
-        tokens.append(token)
+            if name == "word_run":
+                kind = _classify_word_run(surface)
+            else:
+                kind = TokenKind.PUNCT if surface in _SENTENCE_PUNCT else TokenKind.SYMBOL
+        ws_after = text[end:ws_end]
+        if ascii_text:
+            span = (pos, end)
+        else:
+            start = pos + extra
+            if not surface.isascii():
+                extra += len(surface.encode("utf-8")) - len(surface)
+            span = (start, end + extra)
+            if not ws_after.isascii():
+                extra += len(ws_after.encode("utf-8")) - len(ws_after)
+        tokens.append(Token(surface, kind, span, ws_after))
+        pos = ws_end
     return tokens
 
 

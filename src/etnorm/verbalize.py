@@ -19,14 +19,9 @@ from .folding import fold_diacritics
 from .lexicon import AbbreviationEntry, RuleConfig, default_config
 from .numwords import NOMINATIVE, cardinal, decimal, digits, ordinal
 from .romans import roman_value
-from .tokens import CASE_SUFFIXES, Token, TokenKind, tokenize
+from .tokens import _ATTACHED_SUFFIX_RE, _LC, _UC, _VOWELS, CASE_SUFFIXES, Token, TokenKind, tokenize
 
-_UC = "A-ZÕÄÖÜŠŽ"
-_LC = "a-zõäöüšž"
-
-_SUFFIX_SPLIT_RE = re.compile(rf"^([{_UC}]{{2,}})-?([{_LC}]{{1,5}})$")
 _SEGMENT_RE = re.compile(rf"[{_UC}]+(?![{_LC}])|[{_UC}][{_LC}]+|[{_LC}]+|\d+|[^\W\d_]+")
-_VOWELS = frozenset("aeiouõäöüy")
 
 _WORDISH_KINDS = frozenset(
     {
@@ -200,10 +195,7 @@ def verbalize_mixed_case(token: str, config: RuleConfig | None = None) -> str:
     rendered: list[tuple[str, str]] = []
     for segment in _SEGMENT_RE.findall(token):
         if segment.isdigit():
-            if segment[0] == "0" and len(segment) > 1:
-                rendered.append(("number", digits(segment, config.numbers)))
-            else:
-                rendered.append(("number", cardinal(int(segment), NOMINATIVE, config.numbers)))
+            rendered.append(("number", _render_cardinal_text(segment, config)))
         elif len(segment) == 1:
             rendered.append(("spell", _safe_spell(segment, config)))
         elif segment.isupper():
@@ -250,7 +242,8 @@ def _render_uppercase(surface: str, config: RuleConfig, suffix: str | None = Non
 
 
 def _render_cardinal_text(text: str, config: RuleConfig) -> str:
-    if text[0] == "0" and len(text) > 1:
+    # zero-led strings and numbers too large to name are read digit by digit
+    if (text[0] == "0" and len(text) > 1) or int(text) > numwords.MAX_CARDINAL:
         return digits(text, config.numbers)
     return cardinal(int(text), NOMINATIVE, config.numbers)
 
@@ -287,7 +280,11 @@ def _render_time(text: str, config: RuleConfig) -> str:
 
 def _render_grouped(text: str, config: RuleConfig) -> str:
     digits_only = re.sub(r"[  .]", "", text)
-    if len(digits_only) >= config.digit_group_threshold or digits_only[0] == "0":
+    if (
+        len(digits_only) >= config.digit_group_threshold
+        or digits_only[0] == "0"
+        or int(digits_only) > numwords.MAX_CARDINAL
+    ):
         return verbalize_digit_sequence(text, config)
     return cardinal(int(digits_only), NOMINATIVE, config.numbers)
 
@@ -474,7 +471,7 @@ def _render_single(t: Token, config: RuleConfig, sentence_words) -> str | None:
     if kind == TokenKind.ORDINAL_DOT:
         return _render_ordinal_dot(t.text, config)
     if kind == TokenKind.CASE_SUFFIXED_ACRONYM:
-        match = _SUFFIX_SPLIT_RE.match(t.text)
+        match = _ATTACHED_SUFFIX_RE.match(t.text)
         if match:
             stem, suffix = match.groups()
             rendered = _render_uppercase(stem, config, suffix)

@@ -1,4 +1,7 @@
 import random
+import time
+
+import pytest
 
 from etnorm.tokens import Token, TokenKind, detokenize, tokenize
 
@@ -71,6 +74,14 @@ class TestClassification:
         assert kinds("https://goo.gl/forms/abc")[0][1] == TokenKind.URL
         assert kinds("info@neurokone.ee")[0][1] == TokenKind.EMAIL
         assert kinds("+372 555 0101")[0][1] == TokenKind.PHONE
+        W, P = TokenKind.WORD, TokenKind.PUNCT
+        assert kinds("www.err.ee.") == [("www.err.ee", TokenKind.URL), (".", P)]
+        assert kinds("err.123") == [("err", W), (".", P), ("123", TokenKind.CARDINAL_NUMBER)]
+        assert kinds("a.b.c") == [("a", W), (".", P), ("b", W), (".", P), ("c", W)]
+        assert kinds("mari.tamm@ut.ee.") == [("mari.tamm@ut.ee", TokenKind.EMAIL), (".", P)]
+        assert kinds("x-x-x-..ee") == [
+            ("x", W), ("-", P), ("x", W), ("-", P), ("x", W), ("-", P), (".", P), (".", P), ("ee", W),
+        ]
 
     def test_adjacent_years_are_not_a_phone(self):
         got = kinds("2020 2021")
@@ -146,3 +157,35 @@ class TestStability:
                 again = tokenize(pair)
                 assert again, (text, token.text)
                 assert again[0].kind == token.kind, (text, token.text, pair)
+
+
+def _repeated(unit, length):
+    return (unit * (length // len(unit) + 1))[:length]
+
+
+class TestLinearCost:
+    BUDGET_S = 5.0  # a linear pass takes well under a second; a quadratic one, minutes
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            _repeated("x-", 65536),
+            _repeated("a.", 65536),
+            _repeated("1.", 65536),
+            _repeated("sõna ", 65536),
+            # one long run that is a URL or an e-mail address only at its end
+            _repeated("x-", 65536 - 4) + "a.ee",
+            _repeated("a.", 65536 - 6) + "@ut.ee",
+            # digit groups too long for a phone number; a letter run cut
+            # short by a numeric character at every other position
+            _repeated("12 ", 65536),
+            _repeated("a²", 65536),
+        ],
+        ids=["hyphen", "dot_letter", "dot_digit", "words", "run_then_tld", "run_then_at", "digit_groups", "cut_letters"],
+    )
+    def test_64k_line_within_budget(self, line):
+        started = time.perf_counter()
+        tokens = tokenize(line)
+        elapsed = time.perf_counter() - started
+        assert detokenize(tokens) == line
+        assert elapsed < self.BUDGET_S, f"{elapsed:.2f}s for {len(line)} chars"

@@ -244,6 +244,19 @@ class TestVerbalizeEndToEnd:
         assert verbalize("15-ks", config) == "viieteistkümneks"
         assert verbalize("20ks", config) == "kahekümneks"
 
+    @pytest.mark.parametrize(
+        "text, options",
+        [
+            ("C20236028428", {}),  # mixed case with an over-limit digit run
+            ("12345678901234567890,5", {}),  # decimal with an over-limit integer part
+            ("5 000 000 000", {"digit_group_threshold": 11}),  # grouped, below the threshold
+        ],
+    )
+    def test_numbers_above_max_cardinal_read_digit_by_digit(self, config, text, options):
+        out = verbalize(text, with_options(config, **options) if options else config)
+        assert out
+        assert not any(ch.isdigit() for ch in out), out
+
     def test_output_never_contains_digits(self, config):
         rng = random.Random(0xACCE)
         pool = "abc ÕÄÖÜ šž 0123456789 .,!?%€/+-–:;()\"' MTÜle EAS-i DVD spp eCoop 3,14"
