@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import inspect
 import json
 import sys
 
@@ -37,6 +38,12 @@ class CliError(Exception):
     """Fatal diagnostic carrying the message to print on stderr."""
 
 
+# config file key -> load_config parameter: "letter_names" sets letter_names_path
+_CONFIG_KEYS = {
+    name.removesuffix("_path"): name for name in inspect.signature(load_config).parameters
+}
+
+
 def _load_cli_config(path):
     if path is None:
         return default_config()
@@ -49,62 +56,57 @@ def _load_cli_config(path):
         raise CliError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from None
     if not isinstance(payload, dict):
         raise CliError(f"{path}: config must be a JSON object")
-    known = {
-        "letter_names",
-        "abbreviations",
-        "roman_stoplist",
-        "spoken_acronyms",
-        "symbols",
-        "roman_context",
-        "number_lexicon",
-        "folding_protected",
-        "title_min_length",
-        "digit_group_threshold",
-    }
-    unknown = set(payload) - known
+    unknown = set(payload) - set(_CONFIG_KEYS)
     if unknown:
         raise CliError(f"{path}: unknown config keys: {', '.join(sorted(unknown))}")
     try:
-        return load_config(
-            letter_names_path=payload.get("letter_names"),
-            abbreviations_path=payload.get("abbreviations"),
-            roman_stoplist_path=payload.get("roman_stoplist"),
-            spoken_acronyms_path=payload.get("spoken_acronyms"),
-            symbols_path=payload.get("symbols"),
-            roman_context_path=payload.get("roman_context"),
-            number_lexicon_path=payload.get("number_lexicon"),
-            folding_protected_path=payload.get("folding_protected"),
-            title_min_length=payload.get("title_min_length", 6),
-            digit_group_threshold=payload.get("digit_group_threshold", 7),
-        )
+        return load_config(**{_CONFIG_KEYS[key]: value for key, value in payload.items()})
     except (ConfigError, OSError, ValueError) as exc:
         raise CliError(str(exc)) from None
 
 
-def _open_input(path):
+def _open_input(path, errors="strict"):
     if path is None or path == "-":
         return sys.stdin
     try:
-        return open(path, encoding="utf-8", errors="strict")
+        return open(path, encoding="utf-8", errors=errors)
     except OSError as exc:
         raise CliError(f"{path}: {exc.strerror}") from None
 
 
 def _cmd_normalize(args) -> int:
+    """Verbalize line by line. A line that fails, or is not valid UTF-8, is
+    reported as ``etnorm: INPUT:LINE: ...`` on stderr and written as an
+    empty line, so output lines stay aligned with input lines; the rest of
+    the stream is still read, and the exit code is 1."""
     config = _load_cli_config(args.config)
-    stream = _open_input(args.input)
+    # bytes that are not UTF-8 come through as lone surrogates, so one bad
+    # line is reported by number instead of ending the stream
+    stream = _open_input(args.input, errors="surrogateescape")
+    if stream is sys.stdin and hasattr(stream, "reconfigure"):
+        stream.reconfigure(encoding="utf-8", errors="surrogateescape")
+    name = "<stdin>" if stream is sys.stdin else args.input
     out = sys.stdout if args.output is None else open(args.output, "w", encoding="utf-8")
+    status = 0
     try:
-        for line in stream:
-            print(verbalize(line.rstrip("\n"), config), file=out)
-    except UnicodeDecodeError as exc:
-        raise CliError(f"input is not valid UTF-8: {exc}") from None
+        for lineno, line in enumerate(stream, start=1):
+            try:
+                if not line.isascii():  # raise the decode error surrogateescape held back
+                    line.encode("utf-8", "surrogateescape").decode("utf-8")
+                spoken = verbalize(line.rstrip("\n"), config)
+            except UnicodeDecodeError as exc:
+                spoken, status = "", 1
+                print(f"etnorm: {name}:{lineno}: input is not valid UTF-8: {exc}", file=sys.stderr)
+            except Exception as exc:  # one bad line must not end the stream
+                spoken, status = "", 1
+                print(f"etnorm: {name}:{lineno}: {type(exc).__name__}: {exc}", file=sys.stderr)
+            print(spoken, file=out)
     finally:
         if stream is not sys.stdin:
             stream.close()
         if out is not sys.stdout:
             out.close()
-    return 0
+    return status
 
 
 def _cmd_score(args) -> int:

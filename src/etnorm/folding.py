@@ -9,7 +9,7 @@ never sees them. Letters that belong to the alphabet (õ, ä, ö, ü,
 from __future__ import annotations
 
 import unicodedata
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 _EXTRA = "õäöüšž"
 DEFAULT_PROTECTED = frozenset(
@@ -36,7 +36,6 @@ class FoldingTable:
     """Codepoint-to-base-letter mapping with a protected letter set."""
 
     protected: frozenset[str] = DEFAULT_PROTECTED
-    overrides: dict[str, str] = field(default_factory=dict)
 
     @classmethod
     def from_protected_file(cls, path) -> "FoldingTable":
@@ -59,8 +58,6 @@ class FoldingTable:
     def fold_char(self, ch: str) -> str:
         if ch in self.protected:
             return ch
-        if ch in self.overrides:
-            return self.overrides[ch]
         if not ch.isalpha():
             return ch
         return _base_letter(ch)

@@ -8,9 +8,6 @@ import warnings
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-from scipy.stats import f as f_dist
-
 VOICE_TYPES = ("Kõnekorpus", "DeepVoice3", "DeepVoice3-vana", "HTS", "Google")
 DOMAINS = ("uudised", "ilukirjandus")
 TEXT_KINDS = ("uudis", "ilukirjandus")
@@ -216,25 +213,24 @@ def likert_summary(records) -> list[LikertSummary]:
 def icc2k(matrix) -> IccResult:
     """ICC(2,k): two-way random effects, absolute agreement, average measures.
 
-    ``matrix`` is a complete targets x raters grid. Mean squares come from
-    the two-way ANOVA decomposition; the F test is MSR/MSE on
-    (n-1, (n-1)(k-1)) degrees of freedom.
+    ``matrix`` is a complete targets x raters grid: any 2-D sequence of
+    numbers. Mean squares come from the two-way ANOVA decomposition; the F
+    test is MSR/MSE on (n-1, (n-1)(k-1)) degrees of freedom (Shrout & Fleiss
+    1979; McGraw & Wong 1996).
     """
-    data = np.asarray(matrix, dtype=float)
-    if data.ndim != 2:
-        raise ValueError("expected a 2-dimensional ratings matrix")
-    n, k = data.shape
+    rows = _ratings_grid(matrix)
+    n, k = len(rows), len(rows[0])
     if n < 2 or k < 2:
         raise ValueError("need at least 2 targets and 2 raters")
-    if not np.all(np.isfinite(data)):
+    if not all(math.isfinite(x) for row in rows for x in row):
         raise ValueError("incomplete ratings matrix (missing or non-finite values)")
 
-    grand = data.mean()
-    row_means = data.mean(axis=1)
-    col_means = data.mean(axis=0)
-    ssr = k * float(((row_means - grand) ** 2).sum())
-    ssc = n * float(((col_means - grand) ** 2).sum())
-    sst = float(((data - grand) ** 2).sum())
+    grand = math.fsum(x for row in rows for x in row) / (n * k)
+    row_means = [math.fsum(row) / k for row in rows]
+    col_means = [math.fsum(col) / n for col in zip(*rows)]
+    ssr = k * math.fsum((m - grand) ** 2 for m in row_means)
+    ssc = n * math.fsum((m - grand) ** 2 for m in col_means)
+    sst = math.fsum((x - grand) ** 2 for row in rows for x in row)
     sse = max(sst - ssr - ssc, 0.0)
 
     df1 = n - 1
@@ -248,5 +244,83 @@ def icc2k(matrix) -> IccResult:
         raise ValueError("ratings matrix has no target variance; ICC undefined")
     icc = (msr - mse) / denominator
     f_value = math.inf if mse == 0.0 else msr / mse
-    p_value = 0.0 if math.isinf(f_value) else float(f_dist.sf(f_value, df1, df2))
+    p_value = _f_tail(f_value, df1, df2)
     return IccResult(icc=icc, f_value=f_value, df1=df1, df2=df2, p_value=p_value)
+
+
+def _ratings_grid(matrix) -> list[list[float]]:
+    """The rows of a rectangular 2-D grid of numbers, as floats."""
+    rows = []
+    try:
+        for row in matrix:
+            if isinstance(row, (str, bytes)):  # iterable, but one cell
+                raise TypeError
+            rows.append([float(x) for x in row])
+    except TypeError:  # a scalar, a 1-D sequence, or cells that are sequences
+        raise ValueError("expected a 2-dimensional ratings matrix") from None
+    if not rows or any(len(row) != len(rows[0]) for row in rows):
+        raise ValueError("expected a 2-dimensional ratings matrix")
+    return rows
+
+
+def _f_tail(f: float, df1: float, df2: float) -> float:
+    """P(F > f) for an F variable on (df1, df2) degrees of freedom.
+
+    The tail is the regularized incomplete beta I_x(df2/2, df1/2) at
+    x = df2 / (df2 + df1 f); x and 1 - x are each formed without
+    cancellation, and f = inf gives x = 0, so a tail of 0.
+    """
+    if f <= 0.0:
+        return 1.0
+    x = 1.0 / (1.0 + df1 * f / df2)
+    y = 1.0 / (1.0 + df2 / (df1 * f))
+    return _incomplete_beta(df2 / 2, df1 / 2, x, y)
+
+
+def _incomplete_beta(a: float, b: float, x: float, y: float) -> float:
+    """Regularized I_x(a, b) for 0 <= x <= 1 with y = 1 - x.
+
+    The continued fraction converges fast below x = (a+1)/(a+b+2); above
+    it, I_x(a, b) = 1 - I_y(b, a) (Numerical Recipes, 3rd ed., 6.4).
+    """
+    if x == 0.0:
+        return 0.0
+    if y == 0.0:
+        return 1.0
+    log_front = (
+        math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b) + a * math.log(x) + b * math.log(y)
+    )
+    if x < (a + 1.0) / (a + b + 2.0):
+        return math.exp(log_front) * _beta_fraction(a, b, x) / a
+    return 1.0 - math.exp(log_front) * _beta_fraction(b, a, y) / b
+
+
+_TINY = 1e-300  # keeps a Lentz denominator off zero
+_MAX_TERMS = 10_000  # convergence takes about sqrt(max(a, b)) terms
+
+
+def _beta_fraction(a: float, b: float, x: float) -> float:
+    """The incomplete beta continued fraction, by the modified Lentz method."""
+
+    def lentz_step(coefficient, c, d):
+        d = 1.0 + coefficient * d
+        d = 1.0 / (d if abs(d) > _TINY else _TINY)
+        c = 1.0 + coefficient / c
+        c = c if abs(c) > _TINY else _TINY
+        return c, d
+
+    c = 1.0
+    d = 1.0 - (a + b) * x / (a + 1.0)
+    d = 1.0 / (d if abs(d) > _TINY else _TINY)
+    value = d
+    for m in range(1, _MAX_TERMS):
+        even = m * (b - m) * x / ((a + 2 * m - 1.0) * (a + 2 * m))
+        c, d = lentz_step(even, c, d)
+        value *= c * d
+        odd = -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1.0))
+        c, d = lentz_step(odd, c, d)
+        step = c * d
+        value *= step
+        if abs(step - 1.0) < 1e-15:
+            return value
+    raise ArithmeticError(f"incomplete beta fraction did not converge (a={a}, b={b}, x={x})")

@@ -24,6 +24,8 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 
+from .romans import is_roman_shaped
+
 
 class TokenKind(Enum):
     WORD = "word"
@@ -167,7 +169,6 @@ _RESUME_RE = {
 _KIND_OF_GROUP = {kind.value: kind for kind in TokenKind}
 
 _ATTACHED_SUFFIX_RE = re.compile(rf"^([{_UC}]{{2,}})-?([{_LC}]{{1,5}})$")
-_ROMAN_SHAPE_RE = re.compile(r"^[IVXLCDM]+$")
 _HAS_LOWER_UPPER_RE = re.compile(rf"[{_LC}][{_UC}]")
 _TRAILING_PUNCT = ".,;:!?)]}\"'»’”"
 
@@ -177,7 +178,7 @@ def _classify_word_run(surface: str) -> TokenKind:
         match = _ATTACHED_SUFFIX_RE.match(surface)
         if match and match.group(2) in CASE_SUFFIXES:
             return TokenKind.CASE_SUFFIXED_ACRONYM
-        if _ROMAN_SHAPE_RE.match(surface):
+        if is_roman_shaped(surface):
             return TokenKind.ROMAN_CANDIDATE
     if surface.isalpha():
         if surface.isupper():

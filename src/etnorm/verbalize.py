@@ -16,12 +16,12 @@ from enum import Enum
 
 from . import numwords
 from .folding import fold_diacritics
-from .lexicon import AbbreviationEntry, RuleConfig, default_config
+from .lexicon import RuleConfig, default_config
 from .numwords import NOMINATIVE, cardinal, decimal, digits, ordinal
 from .romans import roman_value
 from .tokens import _ATTACHED_SUFFIX_RE, _LC, _UC, _VOWELS, CASE_SUFFIXES, Token, TokenKind, tokenize
 
-_SEGMENT_RE = re.compile(rf"[{_UC}]+(?![{_LC}])|[{_UC}][{_LC}]+|[{_LC}]+|\d+|[^\W\d_]+")
+_SEGMENT_RE = re.compile(rf"[{_UC}]+(?![{_LC}])|[{_UC}][{_LC}]+|[{_LC}]+|[0-9]+|[^\W\d_]+")
 
 _WORDISH_KINDS = frozenset(
     {
@@ -77,16 +77,11 @@ def classify_uppercase(token: str, config: RuleConfig) -> UppercaseClass:
 def expand_abbreviation(token: str, sentence_context, dictionary) -> str:
     """Pick the expansion whose keywords best match the sentence.
 
-    Score is weight * (1 + number of keywords present); ties go to the
-    expansion listed first.
+    ``dictionary`` maps a surface form to its AbbreviationEntry, as
+    ``RuleConfig.abbreviations`` does. Score is weight * (1 + number of
+    keywords present); ties go to the expansion listed first.
     """
-    if isinstance(dictionary, dict):
-        entry = dictionary.get(token) or dictionary.get(token.lower())
-    else:
-        entry = next(
-            (e for e in dictionary if e.surface in (token, token.lower())),
-            None,
-        )
+    entry = dictionary.get(token) or dictionary.get(token.lower())
     if entry is None:
         raise KeyError(f"no abbreviation entry for {token!r}")
     words = _context_words(sentence_context)
@@ -162,6 +157,11 @@ def _range_operand(token: Token, config: RuleConfig) -> str:
     return _render_cardinal_text(token.text, config)
 
 
+def _is_ascii_digits(text: str) -> bool:
+    """True for a non-empty run of 0-9: the only digits numbers are read from."""
+    return text.isascii() and text.isdigit()
+
+
 def verbalize_digit_sequence(token: str, config: RuleConfig | None = None) -> str:
     """Read a long digit sequence one digit at a time.
 
@@ -175,7 +175,7 @@ def verbalize_digit_sequence(token: str, config: RuleConfig | None = None) -> st
         prefix = config.symbols.get("+", "pluss") + " "
         rest = rest[1:]
     groups = [g for g in re.split(r"[  .\-]+", rest) if g]
-    if not groups or not all(g.isdigit() for g in groups):
+    if not groups or not all(_is_ascii_digits(g) for g in groups):
         raise ValueError(f"expected digits with optional grouping, got {token!r}")
     spoken = ", ".join(digits(g, config.numbers) for g in groups)
     return prefix + spoken
@@ -185,18 +185,25 @@ def verbalize_mixed_case(token: str, config: RuleConfig | None = None) -> str:
     """Read a mixed-case or digit-bearing name segment by segment.
 
     Splits at lowercase-to-uppercase and letter-digit boundaries. Single
-    letters and all-uppercase runs are spelled, digit runs become numbers,
+    letters and all-uppercase runs are spelled, runs of 0-9 become numbers,
     and word segments are lowercased (with the foreign letter c read as k);
-    adjacent word segments merge back into one word.
+    adjacent word segments merge back into one word. Other digits (other
+    scripts', superscripts) are dropped, as they are outside a name, where
+    the tokenizer makes each an unlisted symbol.
     """
     config = config or default_config()
     if token.isalpha() and token.isupper():
         return _render_uppercase(token, config)
     rendered: list[tuple[str, str]] = []
     for segment in _SEGMENT_RE.findall(token):
-        if segment.isdigit():
+        if _is_ascii_digits(segment):
             rendered.append(("number", _render_cardinal_text(segment, config)))
-        elif len(segment) == 1:
+            continue
+        if not segment.isalpha():
+            segment = "".join(ch for ch in segment if not ch.isdigit())
+            if not segment:
+                continue
+        if len(segment) == 1:
             rendered.append(("spell", _safe_spell(segment, config)))
         elif segment.isupper():
             rendered.append(("spell", _safe_spell(segment, config)))
@@ -307,7 +314,7 @@ def _render_url_body(text: str, config: RuleConfig) -> str:
                 parts.append(spoken)
         elif piece.lower() == "www":
             parts.append("vee-vee-vee")
-        elif piece.isdigit():
+        elif _is_ascii_digits(piece):
             parts.append(digits(piece, config.numbers))
         else:
             parts.append(verbalize_mixed_case(piece, config))

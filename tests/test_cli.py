@@ -1,12 +1,17 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from etnorm.cli import main
+from etnorm.verbalize import verbalize
 
 DATA_DIR = Path(__file__).parent / "data"
+SRC_DIR = Path(__file__).parent.parent / "src"
 
 
 def run(capsys, argv, stdin=None, monkeypatch=None):
@@ -103,6 +108,76 @@ class TestNormalize:
         )
         assert code == 1
         assert "nonsense" in err
+
+
+    def test_failing_line_named_and_stream_goes_on(self, capsys, monkeypatch):
+        def flaky(text, config):
+            if text == "halb":
+                raise RuntimeError("boom")
+            return verbalize(text, config)
+
+        monkeypatch.setattr("etnorm.cli.verbalize", flaky)
+        code, out, err = run(
+            capsys, ["normalize"], stdin="tere\nhalb\nEAS-i\n", monkeypatch=monkeypatch
+        )
+        assert code == 1
+        assert out == "tere\n\nee-aa-essi\n"
+        assert err == "etnorm: <stdin>:2: RuntimeError: boom\n"
+
+    def test_invalid_utf8_line_named_and_stream_goes_on(self, capsys, tmp_path):
+        src = tmp_path / "in.txt"
+        src.write_bytes(b"tere\nhalb \xff\nEAS-i\n")
+        code, out, err = run(capsys, ["normalize", "--input", str(src)])
+        assert code == 1
+        assert out == "tere\n\nee-aa-essi\n"
+        assert err.startswith(f"etnorm: {src}:2: input is not valid UTF-8: ")
+        assert err.count("\n") == 1
+
+
+def run_fresh(code, stdin=b""):
+    """Run Python ``code`` in a fresh interpreter that imports etnorm from src."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC_DIR), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", code], input=stdin, capture_output=True, env=env, timeout=60
+    )
+
+
+HEAVY_MODULES = (
+    "import sys; "
+    "print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy')), file=sys.stderr)"
+)
+
+
+class TestColdStart:
+    def test_import_loads_no_numpy_or_scipy(self):
+        proc = run_fresh("import etnorm; " + HEAVY_MODULES)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.decode().strip() == "[]"
+
+    def test_normalize_loads_no_numpy_or_scipy(self):
+        code = (
+            "import runpy, sys\n"
+            "sys.argv = ['etnorm', 'normalize']\n"
+            "try:\n"
+            "    runpy.run_module('etnorm.cli', run_name='__main__', alter_sys=True)\n"
+            "except SystemExit as exc:\n"
+            "    assert exc.code == 0, exc.code\n"
+            + HEAVY_MODULES
+        )
+        proc = run_fresh(code, stdin="EAS-i 2-3 km\n".encode("utf-8"))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.decode("utf-8") == "ee-aa-essi kaks kuni kolm kilomeetrit\n"
+        assert proc.stderr.decode().strip() == "[]"
+
+    def test_invalid_utf8_on_stdin_named(self):
+        proc = run_fresh(
+            "from etnorm.cli import main; raise SystemExit(main(['normalize']))",
+            stdin=b"tere\n\xc3\n",
+        )
+        assert proc.returncode == 1
+        assert proc.stdout.decode("utf-8") == "tere\n\n"
+        assert proc.stderr.decode("utf-8").startswith("etnorm: <stdin>:2: input is not valid UTF-8: ")
 
 
 class TestScore:

@@ -202,6 +202,40 @@ ANOVA_MATRIX = [
 ]
 
 
+# 3 targets x 3 raters with a moderate F: ICC(2,k) = 3/4 and F = 4 on (2, 4)
+# degrees of freedom, where P(F(2, d) > f) = (1 + 2f/d) ** (-d/2) = 1/9.
+MODERATE_MATRIX = [
+    [3.0, 3.0, 3.0],
+    [3.0, 3.0, 3.0],
+    [3.0, 4.0, 4.0],
+]
+
+
+def matrix_with_f(n, k, f_value, rng):
+    """An n x k matrix whose two-way ANOVA has F = MSR/MSE = ``f_value``:
+    target, rater and interaction parts are centred, so their sums of
+    squares are SSR, SSC and SSE exactly."""
+    targets = [rng.gauss(0, 1) for _ in range(n)]
+    raters = [rng.gauss(0, 1) for _ in range(k)]
+    noise = [[rng.gauss(0, 1) for _ in range(k)] for _ in range(n)]
+    t_mean = sum(targets) / n
+    r_mean = sum(raters) / k
+    row_means = [sum(row) / k for row in noise]
+    col_means = [sum(col) / n for col in zip(*noise)]
+    grand = sum(row_means) / n
+    residual = [
+        [noise[i][j] - row_means[i] - col_means[j] + grand for j in range(k)] for i in range(n)
+    ]
+    sse = sum(x * x for row in residual for x in row)
+    ss_targets = sum((t - t_mean) ** 2 for t in targets)
+    df1, df2 = n - 1, (n - 1) * (k - 1)
+    scale = math.sqrt(f_value * (sse / df2) * df1 / (k * ss_targets))
+    return [
+        [3.0 + scale * (targets[i] - t_mean) + raters[j] - r_mean + residual[i][j] for j in range(k)]
+        for i in range(n)
+    ]
+
+
 class TestIcc2k:
     def test_hand_anova_oracle(self):
         result = icc2k(ANOVA_MATRIX)
@@ -216,6 +250,32 @@ class TestIcc2k:
         x = d1 * result.f_value / (d1 * result.f_value + d2)
         expected = mpmath.betainc(d1 / 2, d2 / 2, x1=x, x2=1, regularized=True)
         assert result.p_value == pytest.approx(float(expected), abs=1e-9)
+
+    def test_p_value_grid_against_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        rng = random.Random(0x1CC)
+        p_values = []
+        for n in (2, 3, 5, 10, 20, 40):
+            for k in (2, 3, 5, 8):
+                for f_value in (1e-3, 0.1, 1.0, 3.0, 30.0, 1e3):
+                    result = icc2k(matrix_with_f(n, k, f_value, rng))
+                    assert result.f_value == pytest.approx(f_value, rel=1e-6)
+                    d1, d2 = result.df1, result.df2
+                    with mpmath.workdps(40):
+                        x = mpmath.mpf(d2) / (d2 + d1 * mpmath.mpf(result.f_value))
+                        expected = float(mpmath.betainc(d2 / 2, d1 / 2, 0, x, regularized=True))
+                    assert result.p_value == pytest.approx(expected, rel=1e-9, abs=0), (n, k, f_value)
+                    p_values.append(result.p_value)
+        assert any(p > 0.999 for p in p_values)
+        assert any(0.45 <= p <= 0.55 for p in p_values)
+        assert any(0 < p < 1e-30 for p in p_values)
+
+    def test_moderate_matrix_p_is_one_ninth(self):
+        result = icc2k(MODERATE_MATRIX)
+        assert result.icc == pytest.approx(3 / 4, rel=1e-12)
+        assert result.f_value == pytest.approx(4.0, rel=1e-12)
+        assert (result.df1, result.df2) == (2, 4)
+        assert result.p_value == pytest.approx(1 / 9, rel=1e-9, abs=0)
 
     def test_perfect_agreement(self):
         result = icc2k([[1.0, 1.0, 1.0], [2.0, 2.0, 2.0], [3.0, 3.0, 3.0]])
@@ -248,6 +308,22 @@ class TestIcc2k:
         broken = [[1.0, 2.0], [3.0, float("nan")]]
         with pytest.raises(ValueError):
             icc2k(broken)
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            [[1.0, 2.0], [3.0]],  # ragged
+            [1.0, 2.0, 3.0],  # one-dimensional
+            ["12", "34"],  # one-dimensional, of strings
+            [[[1.0], [2.0]], [[3.0], [4.0]]],  # three-dimensional
+            [[1.0, 2.0], [3.0, "x"]],  # not a number
+            [],
+            5.0,
+        ],
+    )
+    def test_not_a_grid_of_numbers_rejected(self, matrix):
+        with pytest.raises(ValueError):
+            icc2k(matrix)
 
     def test_too_small_rejected(self):
         with pytest.raises(ValueError):

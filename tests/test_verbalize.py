@@ -116,11 +116,11 @@ class TestExpandAbbreviation:
     def test_tie_breaks_by_dictionary_order(self):
         from etnorm.lexicon import AbbreviationEntry, Expansion
 
-        entries = [
-            AbbreviationEntry(
+        entries = {
+            "xx": AbbreviationEntry(
                 "xx", (Expansion("esimene", (), 1.0), Expansion("teine", (), 1.0))
             )
-        ]
+        }
         assert expand_abbreviation("xx", [], entries) == "esimene"
 
 
@@ -256,6 +256,18 @@ class TestVerbalizeEndToEnd:
         out = verbalize(text, with_options(config, **options) if options else config)
         assert out
         assert not any(ch.isdigit() for ch in out), out
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("www.٣.ee", "vee-vee-vee punkt punkt ee"),  # another script's digit as a label
+            ("www.².ee", "vee-vee-vee punkt punkt ee"),  # a superscript as a label
+            ("www.a².ee", "vee-vee-vee punkt aa punkt ee"),  # a superscript after a letter
+            ("www.x².ee", "vee-vee-vee punkt iks punkt ee"),  # the same after a foreign letter
+        ],
+    )
+    def test_url_labels_with_non_ascii_digits(self, config, text, expected):
+        assert verbalize(text, config) == expected
 
     def test_output_never_contains_digits(self, config):
         rng = random.Random(0xACCE)
