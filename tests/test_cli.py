@@ -170,14 +170,15 @@ class TestColdStart:
         assert proc.stdout.decode("utf-8") == "ee-aa-essi kaks kuni kolm kilomeetrit\n"
         assert proc.stderr.decode().strip() == "[]"
 
-    def test_invalid_utf8_on_stdin_named(self):
-        proc = run_fresh(
-            "from etnorm.cli import main; raise SystemExit(main(['normalize']))",
-            stdin=b"tere\n\xc3\n",
-        )
-        assert proc.returncode == 1
-        assert proc.stdout.decode("utf-8") == "tere\n\n"
-        assert proc.stderr.decode("utf-8").startswith("etnorm: <stdin>:2: input is not valid UTF-8: ")
+
+def test_invalid_utf8_on_real_stdin_named():
+    proc = run_fresh(
+        "from etnorm.cli import main; raise SystemExit(main(['normalize']))",
+        stdin=b"tere\n\xc3\n",
+    )
+    assert proc.returncode == 1
+    assert proc.stdout.decode("utf-8") == "tere\n\n"
+    assert proc.stderr.decode("utf-8").startswith("etnorm: <stdin>:2: input is not valid UTF-8: ")
 
 
 class TestScore:
