@@ -65,13 +65,24 @@ def _load_cli_config(path):
         raise CliError(str(exc)) from None
 
 
-def _open_input(path, errors="strict"):
+def _open_input(path):
+    """The input stream and its name for diagnostics. Bytes that are not
+    UTF-8 come through as lone surrogates, so ``_check_utf8`` can report a
+    bad line by number instead of the read failing somewhere in the file."""
     if path is None or path == "-":
-        return sys.stdin
+        if hasattr(sys.stdin, "reconfigure"):
+            sys.stdin.reconfigure(encoding="utf-8", errors="surrogateescape")
+        return sys.stdin, "<stdin>"
     try:
-        return open(path, encoding="utf-8", errors=errors)
+        return open(path, encoding="utf-8", errors="surrogateescape"), path
     except OSError as exc:
         raise CliError(f"{path}: {exc.strerror}") from None
+
+
+def _check_utf8(line: str) -> None:
+    """Raise the UnicodeDecodeError that reading ``line`` held back, if any."""
+    if not line.isascii():
+        line.encode("utf-8", "surrogateescape").decode("utf-8")
 
 
 def _cmd_normalize(args) -> int:
@@ -80,19 +91,13 @@ def _cmd_normalize(args) -> int:
     empty line, so output lines stay aligned with input lines; the rest of
     the stream is still read, and the exit code is 1."""
     config = _load_cli_config(args.config)
-    # bytes that are not UTF-8 come through as lone surrogates, so one bad
-    # line is reported by number instead of ending the stream
-    stream = _open_input(args.input, errors="surrogateescape")
-    if stream is sys.stdin and hasattr(stream, "reconfigure"):
-        stream.reconfigure(encoding="utf-8", errors="surrogateescape")
-    name = "<stdin>" if stream is sys.stdin else args.input
+    stream, name = _open_input(args.input)
     out = sys.stdout if args.output is None else open(args.output, "w", encoding="utf-8")
     status = 0
     try:
         for lineno, line in enumerate(stream, start=1):
             try:
-                if not line.isascii():  # raise the decode error surrogateescape held back
-                    line.encode("utf-8", "surrogateescape").decode("utf-8")
+                _check_utf8(line)
                 spoken = verbalize(line.rstrip("\n"), config)
             except UnicodeDecodeError as exc:
                 spoken, status = "", 1
@@ -146,15 +151,27 @@ def _cmd_score(args) -> int:
     return 0
 
 
+def _utf8_lines(stream, name):
+    """The lines of ``stream``; the first one that is not UTF-8 ends the
+    read with a diagnostic naming its line."""
+    for lineno, line in enumerate(stream, start=1):
+        try:
+            _check_utf8(line)
+        except UnicodeDecodeError as exc:
+            raise CliError(f"{name}:{lineno}: input is not valid UTF-8: {exc}") from None
+        yield line
+
+
 def _read_table(path) -> list[dict[str, str]]:
-    stream = _open_input(path)
+    stream, name = _open_input(path)
     try:
-        sample = stream.readline()
+        lines = _utf8_lines(stream, name)
+        sample = next(lines, "")
         if not sample.strip():
             raise CliError(f"{path or 'stdin'}: empty input")
         delimiter = "\t" if "\t" in sample else ","
         header = [h.strip() for h in sample.rstrip("\n").split(delimiter)]
-        reader = csv.reader(stream, delimiter=delimiter)
+        reader = csv.reader(lines, delimiter=delimiter)
         rows = []
         for lineno, row in enumerate(reader, start=2):
             if not row or not any(cell.strip() for cell in row):
@@ -163,8 +180,6 @@ def _read_table(path) -> list[dict[str, str]]:
                 raise CliError(f"{path or 'stdin'}:{lineno}: expected {len(header)} columns")
             rows.append(dict(zip(header, (cell.strip() for cell in row))))
         return rows
-    except UnicodeDecodeError as exc:
-        raise CliError(f"input is not valid UTF-8: {exc}") from None
     finally:
         if stream is not sys.stdin:
             stream.close()

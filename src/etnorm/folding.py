@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import unicodedata
 from dataclasses import dataclass
+from functools import cached_property
 
 _EXTRA = "õäöüšž"
 DEFAULT_PROTECTED = frozenset(
@@ -62,6 +63,24 @@ class FoldingTable:
             return ch
         return _base_letter(ch)
 
+    @cached_property
+    def translation(self) -> _FoldMap:
+        """``str.translate`` map of this table, filled as code points are seen."""
+        return _FoldMap(self)
+
+
+class _FoldMap(dict):
+    """Code point -> folded character; a code point missing from the map
+    is folded by ``FoldingTable.fold_char`` once and then kept."""
+
+    def __init__(self, table: FoldingTable):
+        super().__init__()
+        self.fold_char = table.fold_char
+
+    def __missing__(self, codepoint: int) -> str:
+        folded = self[codepoint] = self.fold_char(chr(codepoint))
+        return folded
+
 
 def fold_diacritics(text: str, table: FoldingTable | None = None) -> str:
     """Replace out-of-alphabet diacritic letters with their base letters.
@@ -71,4 +90,4 @@ def fold_diacritics(text: str, table: FoldingTable | None = None) -> str:
     """
     if table is None:
         table = FoldingTable()
-    return "".join(table.fold_char(ch) for ch in text)
+    return text.translate(table.translation)

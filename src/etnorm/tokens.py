@@ -46,6 +46,10 @@ class TokenKind(Enum):
     SYMBOL = "symbol"
     PUNCT = "punct"
 
+    # members are singletons: hashing by identity keeps kind-set and
+    # kind-dict lookups in C (Enum.__hash__ is a Python-level call)
+    __hash__ = object.__hash__
+
 
 @dataclass
 class Token:

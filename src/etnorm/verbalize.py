@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import re
 from enum import Enum
+from functools import partial
 
 from . import numwords
 from .folding import fold_diacritics
@@ -34,6 +35,11 @@ _WORDISH_KINDS = frozenset(
     }
 )
 _NUMERIC_RANGE_KINDS = frozenset({TokenKind.CARDINAL_NUMBER, TokenKind.ORDINAL_DOT})
+# tokens read out as numbers, between which a joined dot is spoken
+_NUMBER_KINDS = frozenset(
+    {TokenKind.CARDINAL_NUMBER, TokenKind.DECIMAL_NUMBER, TokenKind.DIGIT_GROUP_SEQ,
+     TokenKind.DATE_LIKE, TokenKind.TIME_LIKE, TokenKind.PHONE}
+)
 
 
 class UppercaseClass(Enum):
@@ -187,9 +193,10 @@ def verbalize_mixed_case(token: str, config: RuleConfig | None = None) -> str:
     Splits at lowercase-to-uppercase and letter-digit boundaries. Single
     letters and all-uppercase runs are spelled, runs of 0-9 become numbers,
     and word segments are lowercased (with the foreign letter c read as k);
-    adjacent word segments merge back into one word. Other digits (other
-    scripts', superscripts) are dropped, as they are outside a name, where
-    the tokenizer makes each an unlisted symbol.
+    adjacent word segments merge back into one word. Other numeric
+    characters (other scripts' digits, superscripts, fractions, Roman
+    numeral signs) are dropped, as they are outside a name, where the
+    tokenizer makes each an unlisted symbol.
     """
     config = config or default_config()
     if token.isalpha() and token.isupper():
@@ -200,7 +207,7 @@ def verbalize_mixed_case(token: str, config: RuleConfig | None = None) -> str:
             rendered.append(("number", _render_cardinal_text(segment, config)))
             continue
         if not segment.isalpha():
-            segment = "".join(ch for ch in segment if not ch.isdigit())
+            segment = "".join(ch for ch in segment if ch.isalpha())
             if not segment:
                 continue
         if len(segment) == 1:
@@ -343,7 +350,6 @@ def _is_letters(token: Token) -> bool:
 
 
 def _render_tokens(tokens, config: RuleConfig) -> list[_Piece]:
-    sentence_words = _context_words(t for t in tokens if t.kind in _WORDISH_KINDS)
     pieces: list[_Piece] = []
     i = 0
     n = len(tokens)
@@ -379,6 +385,19 @@ def _render_tokens(tokens, config: RuleConfig) -> list[_Piece]:
                 emit(spoken, i, i + 2)
                 i += 3
                 continue
+
+        # a dot joined to a number on each side (1.1.10000, 3.2.5) is spoken
+        if (
+            t.text == "."
+            and 0 < i < n - 1
+            and t.joined_right
+            and tokens[i - 1].joined_right
+            and tokens[i - 1].kind in _NUMBER_KINDS
+            and tokens[i + 1].kind in _NUMBER_KINDS
+        ):
+            emit("punkt", i, i)
+            i += 1
+            continue
 
         # colon between numbers: ratio or division
         if (
@@ -448,7 +467,9 @@ def _render_tokens(tokens, config: RuleConfig) -> list[_Piece]:
             i += 1
             continue
 
-        spoken = _render_single(t, config, sentence_words)
+        # the token read on its own, by the renderer of its kind
+        render = _RENDERERS.get(t.kind)
+        spoken = None if render is None else render(t.text, config, tokens)
         if spoken is None:
             unchanged(i)
         else:
@@ -457,54 +478,56 @@ def _render_tokens(tokens, config: RuleConfig) -> list[_Piece]:
     return pieces
 
 
-def _render_single(t: Token, config: RuleConfig, sentence_words) -> str | None:
-    """Spoken form of one context-free token; None means pass through."""
-    kind = t.kind
-    if kind == TokenKind.URL:
-        return _render_url_body(t.text, config)
-    if kind == TokenKind.EMAIL:
-        return _render_email(t.text, config)
-    if kind == TokenKind.PHONE:
-        return verbalize_digit_sequence(t.text, config)
-    if kind == TokenKind.DATE_LIKE:
-        return _render_date(t.text, config)
-    if kind == TokenKind.TIME_LIKE:
-        return _render_time(t.text, config)
-    if kind == TokenKind.DECIMAL_NUMBER:
-        int_part, frac_part = re.split(r"[.,]", t.text, maxsplit=1)
-        return decimal(int_part, frac_part, config.numbers)
-    if kind == TokenKind.DIGIT_GROUP_SEQ:
-        return _render_grouped(t.text, config)
-    if kind == TokenKind.ORDINAL_DOT:
-        return _render_ordinal_dot(t.text, config)
-    if kind == TokenKind.CASE_SUFFIXED_ACRONYM:
-        match = _ATTACHED_SUFFIX_RE.match(t.text)
-        if match:
-            stem, suffix = match.groups()
-            rendered = _render_uppercase(stem, config, suffix)
-            return None if rendered == t.text else rendered
-        return None
-    if kind == TokenKind.UPPERCASE_SEQ:
-        rendered = _render_uppercase(t.text, config)
-        return None if rendered == t.text else rendered
-    if kind == TokenKind.MIXED_CASE:
-        return verbalize_mixed_case(t.text, config)
-    if kind in (TokenKind.LOWERCASE_CONSONANTS, TokenKind.WORD):
-        entry = config.abbreviations.get(t.text) or config.abbreviations.get(t.text.lower())
-        if entry is not None:
-            if entry.force_spellout:
-                return _safe_spell(t.text, config)
-            if entry.speak_as_word:
-                return None
-            return expand_abbreviation(t.text, sentence_words, config.abbreviations)
-        if kind == TokenKind.LOWERCASE_CONSONANTS:
-            return _safe_spell(t.text, config)
-        if len(t.text) == 1 and t.text.isalpha():
-            return _safe_spell(t.text, config)
-        return None
-    if kind == TokenKind.SYMBOL:
-        return config.symbols.get(t.text, "")
-    return None  # PUNCT
+def _render_decimal(text: str, config: RuleConfig) -> str:
+    int_part, frac_part = re.split(r"[.,]", text, maxsplit=1)
+    return decimal(int_part, frac_part, config.numbers)
+
+
+def _render_suffixed_acronym(text: str, config: RuleConfig) -> str | None:
+    match = _ATTACHED_SUFFIX_RE.match(text)
+    return _render_uppercase(match[1], config, match[2]) if match else None
+
+
+def _render_word(text: str, config: RuleConfig, line, spell: bool = False) -> str | None:
+    """A dictionary abbreviation, else spelled when ``spell`` is set or
+    ``text`` is a lone letter. The words of ``line`` are read only to pick
+    an abbreviation's expansion."""
+    entry = config.abbreviations.get(text) or config.abbreviations.get(text.lower())
+    if entry is not None:
+        if entry.force_spellout:
+            return _safe_spell(text, config)
+        if entry.speak_as_word:
+            return None
+        return expand_abbreviation(text, (t for t in line if t.kind in _WORDISH_KINDS), config.abbreviations)
+    if spell or (len(text) == 1 and text.isalpha()):
+        return _safe_spell(text, config)
+    return None
+
+
+def _text_only(render):
+    """A ``render(text, config)`` as a renderer of ``_RENDERERS``."""
+    return lambda text, config, line: render(text, config)
+
+
+# TokenKind -> renderer(text, config, the line's tokens) of a token read on
+# its own. None, the token's own text, or a kind not listed (PUNCT) passes
+# the token through.
+_RENDERERS = {
+    TokenKind.URL: _text_only(_render_url_body),
+    TokenKind.EMAIL: _text_only(_render_email),
+    TokenKind.PHONE: _text_only(verbalize_digit_sequence),
+    TokenKind.DATE_LIKE: _text_only(_render_date),
+    TokenKind.TIME_LIKE: _text_only(_render_time),
+    TokenKind.DECIMAL_NUMBER: _text_only(_render_decimal),
+    TokenKind.DIGIT_GROUP_SEQ: _text_only(_render_grouped),
+    TokenKind.ORDINAL_DOT: _text_only(_render_ordinal_dot),
+    TokenKind.CASE_SUFFIXED_ACRONYM: _text_only(_render_suffixed_acronym),
+    TokenKind.UPPERCASE_SEQ: _text_only(_render_uppercase),
+    TokenKind.MIXED_CASE: _text_only(verbalize_mixed_case),
+    TokenKind.LOWERCASE_CONSONANTS: partial(_render_word, spell=True),
+    TokenKind.WORD: _render_word,
+    TokenKind.SYMBOL: lambda text, config, line: config.symbols.get(text, ""),
+}
 
 
 def _join(tokens, pieces: list[_Piece]) -> str:

@@ -272,6 +272,18 @@ class TestStats:
         payload = json.loads(out)
         assert {row["domain"] for row in payload} == {"uudised", "ilukirjandus"}
 
+    def test_invalid_utf8_named_by_file_and_line(self, capsys, tmp_path):
+        path = tmp_path / "ratings.csv"
+        write_ratings(path)
+        data = path.read_bytes().split(b"\n")
+        data[2] = data[2].replace(b"Mari", b"M\xffri")
+        path.write_bytes(b"\n".join(data))
+        code, out, err = run(capsys, ["stats", "mos", str(path)])
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"etnorm: {path}:3: input is not valid UTF-8: ")
+        assert err.count("\n") == 1
+
     def test_mos_missing_column_named(self, capsys, tmp_path):
         path = tmp_path / "ratings.csv"
         path.write_text("rater,sentence,voice\nr1,s1,Mari\n", encoding="utf-8")

@@ -49,6 +49,25 @@ def test_idempotent_on_arbitrary_codepoints():
         assert len(once) == len(text)
 
 
+def test_translate_matches_per_char_fold(tmp_path):
+    # two tables in one process, used in turn: each keeps its own map
+    path = tmp_path / "protected.txt"
+    path.write_text("".join(ch + "\n" for ch in sorted(DEFAULT_PROTECTED - {"õ"})), encoding="utf-8")
+    tables = (FoldingTable(), FoldingTable.from_protected_file(path))
+    accented = "õäöüšžÕÄÖÜŠŽáàâãåçéèêëíìîïñóòôøúùûýÿÁÀÂÃÅÇÉÈÊËÍÎÏÑÓÒÔØÚÙÛÝ"
+    rng = random.Random(0xF01D)
+    for _ in range(400):
+        text = "".join(
+            rng.choice(accented) if rng.random() < 0.4 else chr(rng.randrange(0x10000))
+            for _ in range(rng.randrange(0, 40))
+        )
+        for table in tables:
+            assert fold_diacritics(text, table) == "".join(table.fold_char(ch) for ch in text)
+        assert fold_diacritics(text) == fold_diacritics(text, tables[0])
+    assert fold_diacritics("õ", tables[0]) == "õ"
+    assert fold_diacritics("õ", tables[1]) == "o"
+
+
 def test_protected_override_file(tmp_path):
     path = tmp_path / "protected.txt"
     path.write_text("# only n-tilde stays\nñ\n", encoding="utf-8")

@@ -158,6 +158,11 @@ class TestStability:
                 assert again, (text, token.text)
                 assert again[0].kind == token.kind, (text, token.text, pair)
 
+    def test_kinds_hash_by_identity(self):
+        # kind-set and kind-dict lookups on the render path stay in C
+        assert TokenKind.__hash__ is object.__hash__
+        assert len({hash(kind) for kind in TokenKind}) == len(TokenKind)
+
 
 def _repeated(unit, length):
     return (unit * (length // len(unit) + 1))[:length]

@@ -264,9 +264,23 @@ class TestVerbalizeEndToEnd:
             ("www.².ee", "vee-vee-vee punkt punkt ee"),  # a superscript as a label
             ("www.a².ee", "vee-vee-vee punkt aa punkt ee"),  # a superscript after a letter
             ("www.x².ee", "vee-vee-vee punkt iks punkt ee"),  # the same after a foreign letter
+            ("www.½.ee", "vee-vee-vee punkt punkt ee"),  # a vulgar fraction as a label
+            ("www.Ⅻkool.ee", "vee-vee-vee punkt kool punkt ee"),  # a Roman numeral sign before letters
+            ("www.²kool.ee", "vee-vee-vee punkt kool punkt ee"),  # a superscript before letters
         ],
     )
     def test_url_labels_with_non_ascii_digits(self, config, text, expected):
+        assert verbalize(text, config) == expected
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("1.1.10000", "üks koma üks punkt kümme tuhat"),
+            ("3.2.5", "kolm koma kaks punkt viis"),
+            ("1.2.", "üks koma kaks."),  # a sentence-final dot stays punctuation
+        ],
+    )
+    def test_dot_between_numbers_is_spoken(self, config, text, expected):
         assert verbalize(text, config) == expected
 
     def test_output_never_contains_digits(self, config):
