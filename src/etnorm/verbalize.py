@@ -1,19 +1,18 @@
 """The rule pipeline that rewrites text into fully spoken form.
 
-Order of operations: fold diacritics, tokenize, rewrite token by token
-(URLs/emails/phones, dates and times, ranges and ratios, Roman numerals,
-acronyms with and without case endings, uppercase sequences, mixed-case
-names, consonant clusters, dictionary abbreviations, numbers, audible
-symbols), then reassemble. Sections the rules do not touch keep their
-original spacing, so plain sentences pass through unchanged apart from
-diacritic folding.
+Text is folded (diacritics outside the Estonian alphabet), tokenized,
+rewritten token by token and reassembled. The rewriting is ``_RULES``:
+for each token kind, the named rules tried in order, the first that
+applies giving the spoken form of the tokens it covers. That table is
+the one place the order of the rules is written down. Sections the rules
+do not touch keep their original spacing, so plain sentences pass
+through unchanged apart from diacritic folding.
 """
 
 from __future__ import annotations
 
 import re
 from enum import Enum
-from functools import partial
 
 from . import numwords
 from .folding import fold_diacritics
@@ -240,19 +239,28 @@ def _safe_spell(token: str, config: RuleConfig, suffix: str | None = None) -> st
         return token + (suffix or "")
 
 
-def _render_uppercase(surface: str, config: RuleConfig, suffix: str | None = None) -> str:
+def _render_uppercase(surface: str, config: RuleConfig, suffix: str | None = None, line=()) -> str:
     entry = config.abbreviations.get(surface)
-    if entry is not None:
-        if entry.force_spellout:
-            return _safe_spell(surface, config, suffix)
-        if entry.speak_as_word:
-            return surface + (suffix or "")
-        if entry.expansions and suffix is None:
-            return entry.expansions[0].text
+    spoken = None if entry is None else _read_entry(surface, entry, config, line, suffix)
+    if spoken is not None:
+        return spoken
     cls = classify_uppercase(surface, config)
     if cls in (UppercaseClass.TITLE, UppercaseClass.SPOKEN_WORD):
         return surface + (suffix or "")
     return _safe_spell(surface, config, suffix)
+
+
+def _read_entry(surface: str, entry, config: RuleConfig, line, suffix: str | None = None) -> str | None:
+    """How a dictionary abbreviation is read: spelled, kept as written, or
+    the expansion ``expand_abbreviation`` picks with the words of ``line``
+    as context. None when a case ending is attached to an expanded entry."""
+    if entry.force_spellout:
+        return _safe_spell(surface, config, suffix)
+    if entry.speak_as_word:
+        return surface + (suffix or "")
+    if suffix is not None:
+        return None
+    return expand_abbreviation(surface, (t for t in line if t.kind in _WORDISH_KINDS), config.abbreviations)
 
 
 def _render_cardinal_text(text: str, config: RuleConfig) -> str:
@@ -272,43 +280,13 @@ def _render_ordinal_dot(text: str, config: RuleConfig) -> str:
     return cardinal(value, NOMINATIVE, config.numbers)
 
 
-def _render_date(text: str, config: RuleConfig) -> str:
-    day, month, year = text.split(".")
-    parts = []
-    for raw, upper in ((day, 31), (month, 12)):
-        value = int(raw)
-        if 1 <= value <= upper:
-            parts.append(ordinal(value, NOMINATIVE, config.numbers))
-        else:
-            parts.append(_render_cardinal_text(raw, config))
-    parts.append(_render_cardinal_text(year, config))
-    return " ".join(parts)
-
-
-def _render_time(text: str, config: RuleConfig) -> str:
-    word = "koolon"
-    return f" {word} ".join(
-        cardinal(int(part), NOMINATIVE, config.numbers) for part in text.split(":")
-    )
-
-
-def _render_grouped(text: str, config: RuleConfig) -> str:
-    digits_only = re.sub(r"[  .]", "", text)
-    if (
-        len(digits_only) >= config.digit_group_threshold
-        or digits_only[0] == "0"
-        or int(digits_only) > numwords.MAX_CARDINAL
-    ):
-        return verbalize_digit_sequence(text, config)
-    return cardinal(int(digits_only), NOMINATIVE, config.numbers)
-
-
 def _render_url_body(text: str, config: RuleConfig) -> str:
     body = re.sub(r"^https?://", "", text)
     parts: list[str] = []
     for piece in re.findall(r"[^\W_]+|.", body):
         if piece == ".":
-            parts.append("punkt")
+            if not parts or parts[-1]:  # the dot after a label read as nothing is not spoken
+                parts.append("punkt")
         elif piece == "/":
             parts.append(config.symbols.get("/", "kaldkriips"))
         elif piece == "_":
@@ -328,16 +306,205 @@ def _render_url_body(text: str, config: RuleConfig) -> str:
     return " ".join(p for p in parts if p)
 
 
-def _render_email(text: str, config: RuleConfig) -> str:
-    local, _, domain = text.partition("@")
+# The rules. Each reads ``tokens[i]``, the first token it would cover, and
+# returns ``(last, spoken)``: the spoken form of ``tokens[i..last]``. None
+# means the rule does not apply there.
+
+
+def _letter_compound(tokens, i, config):
+    """A letter-hyphen compound ("e-post", "A-rühm") stays as written."""
+    if len(tokens[i].text) == 1 and tokens[i].joined_right and i + 2 < len(tokens):
+        dash, word = tokens[i + 1], tokens[i + 2]
+        word_of_letters = word.kind in _WORDISH_KINDS and len(word.text) > 1 and word.text.isalpha()
+        if dash.text == "-" and dash.joined_right and word_of_letters:
+            return i, tokens[i].text
+    return None
+
+
+def _number_range(tokens, i, config):
+    """A number range written with a hyphen or en dash: "5-7", "5.–7."."""
+    if i + 2 < len(tokens):
+        spoken = verbalize_range(tokens[i], tokens[i + 1], tokens[i + 2], config)
+        if spoken is not None:
+            return i + 2, spoken
+    return None
+
+
+def _ratio(tokens, i, config):
+    """A colon between numbers: a ratio, or a division when joined to
+    numbers above 999."""
+    if i + 2 < len(tokens) and tokens[i + 1].text == ":" and tokens[i + 2].kind is TokenKind.CARDINAL_NUMBER:
+        a, colon, b = tokens[i], tokens[i + 1], tokens[i + 2]
+        spaced = not a.joined_right and not colon.joined_right
+        if spaced or (a.joined_right and colon.joined_right):
+            word = "koolon" if spaced or (int(a.text) <= 999 and int(b.text) <= 999) else "jagatud"
+            left, right = _render_cardinal_text(a.text, config), _render_cardinal_text(b.text, config)
+            return i + 2, f"{left} {word} {right}"
+    return None
+
+
+def _case_ending(tokens, i, config):
+    """A case ending attached to a number ("20ks", "2023-ks") follows the
+    genitive stem."""
+    if tokens[i].text[0] == "0" or not tokens[i].joined_right or i + 1 == len(tokens):
+        return None
+    last = i + 2 if tokens[i + 1].text == "-" and tokens[i + 1].joined_right else i + 1
+    if last < len(tokens) and tokens[last].text in CASE_SUFFIXES and tokens[last].text.islower():
+        return last, cardinal(int(tokens[i].text), numwords.GENITIVE, config.numbers) + tokens[last].text
+    return None
+
+
+def _cardinal(tokens, i, config):
+    return i, _render_cardinal_text(tokens[i].text, config)
+
+
+def _ordinal(tokens, i, config):
+    return i, _render_ordinal_dot(tokens[i].text, config)
+
+
+def _dot_between_numbers(tokens, i, config):
+    """A dot joined to a number on each side is spoken: "1.1.10000", and
+    "v1.2.3", whose left side is a name ending in a digit."""
+    if tokens[i].text == "." and tokens[i].joined_right and 0 < i < len(tokens) - 1:
+        left, right = tokens[i - 1], tokens[i + 1]
+        number_left = left.kind in _NUMBER_KINDS or (
+            left.kind is TokenKind.MIXED_CASE and _is_ascii_digits(left.text[-1])
+        )
+        if number_left and left.joined_right and right.kind in _NUMBER_KINDS:
+            return i, "punkt"
+    return None
+
+
+def _roman(tokens, i, config):
+    """A Roman numeral with a context cue reads as an ordinal; a joined dot
+    before a lowercase word is its ordinal mark and is read with it."""
+    t = tokens[i]
+    left = tokens[i - 1] if i > 0 else None
+    right = tokens[i + 1] if i + 1 < len(tokens) else None
+    dot_cue = (
+        right is not None
+        and right.text == "."
+        and t.joined_right
+        and i + 2 < len(tokens)
+        and tokens[i + 2].text[:1].islower()
+    )
+    if right is not None and right.text == "." and not dot_cue:
+        right = None  # a dot that is not an ordinal mark is no cue
+    spoken = expand_roman(t.text, left, right, config)
+    if spoken is None:
+        return None
+    return (i + 1 if dot_cue else i), spoken
+
+
+def _uppercase(tokens, i, config):
+    return i, _render_uppercase(tokens[i].text, config, line=tokens)
+
+
+def _suffixed_acronym(tokens, i, config):
+    match = _ATTACHED_SUFFIX_RE.match(tokens[i].text)
+    return (i, _render_uppercase(match[1], config, match[2], tokens)) if match else None
+
+
+def _abbreviation(tokens, i, config):
+    """A dictionary abbreviation, looked up as written, then lowercased."""
+    text = tokens[i].text
+    entry = config.abbreviations.get(text) or config.abbreviations.get(text.lower())
+    return None if entry is None else (i, _read_entry(text, entry, config, tokens))
+
+
+def _spelled(tokens, i, config):
+    return i, _safe_spell(tokens[i].text, config)
+
+
+def _lone_letter(tokens, i, config):
+    return _spelled(tokens, i, config) if len(tokens[i].text) == 1 else None
+
+
+def _mixed_case(tokens, i, config):
+    return i, verbalize_mixed_case(tokens[i].text, config)
+
+
+def _decimal(tokens, i, config):
+    int_part, frac_part = re.split(r"[.,]", tokens[i].text, maxsplit=1)
+    return i, decimal(int_part, frac_part, config.numbers)
+
+
+def _grouped(tokens, i, config):
+    text = tokens[i].text
+    digits_only = re.sub(r"[  .]", "", text)
+    if (
+        len(digits_only) >= config.digit_group_threshold
+        or digits_only[0] == "0"
+        or int(digits_only) > numwords.MAX_CARDINAL
+    ):
+        return i, verbalize_digit_sequence(text, config)
+    return i, cardinal(int(digits_only), NOMINATIVE, config.numbers)
+
+
+def _phone(tokens, i, config):
+    return i, verbalize_digit_sequence(tokens[i].text, config)
+
+
+def _date(tokens, i, config):
+    day, month, year = tokens[i].text.split(".")
+    parts = []
+    for raw, upper in ((day, 31), (month, 12)):
+        value = int(raw)
+        if 1 <= value <= upper:
+            parts.append(ordinal(value, NOMINATIVE, config.numbers))
+        else:
+            parts.append(_render_cardinal_text(raw, config))
+    parts.append(_render_cardinal_text(year, config))
+    return i, " ".join(parts)
+
+
+def _time(tokens, i, config):
+    parts = tokens[i].text.split(":")
+    return i, " koolon ".join(cardinal(int(part), NOMINATIVE, config.numbers) for part in parts)
+
+
+def _url(tokens, i, config):
+    return i, _render_url_body(tokens[i].text, config)
+
+
+def _email(tokens, i, config):
+    local, _, domain = tokens[i].text.partition("@")
     att = config.symbols.get("@", "ätt")
-    return f"{_render_url_body(local, config)} {att} {_render_url_body(domain, config)}"
+    return i, f"{_render_url_body(local, config)} {att} {_render_url_body(domain, config)}"
+
+
+def _symbol(tokens, i, config):
+    """An audible symbol is spoken; any other is dropped."""
+    return i, config.symbols.get(tokens[i].text, "")
+
+
+# TokenKind -> the rules tried in order on a token of that kind; the first
+# that applies is used. A token no rule applies to passes through.
+_RULES = {
+    TokenKind.WORD: (_letter_compound, _abbreviation, _lone_letter),
+    TokenKind.UPPERCASE_SEQ: (_letter_compound, _uppercase),
+    TokenKind.ROMAN_CANDIDATE: (_letter_compound, _roman, _uppercase),
+    TokenKind.CARDINAL_NUMBER: (_number_range, _ratio, _case_ending, _cardinal),
+    TokenKind.ORDINAL_DOT: (_number_range, _ordinal),
+    TokenKind.PUNCT: (_dot_between_numbers,),
+    TokenKind.LOWERCASE_CONSONANTS: (_abbreviation, _spelled),
+    TokenKind.CASE_SUFFIXED_ACRONYM: (_suffixed_acronym,),
+    TokenKind.MIXED_CASE: (_mixed_case,),
+    TokenKind.DECIMAL_NUMBER: (_decimal,),
+    TokenKind.DIGIT_GROUP_SEQ: (_grouped,),
+    TokenKind.PHONE: (_phone,),
+    TokenKind.DATE_LIKE: (_date,),
+    TokenKind.TIME_LIKE: (_time,),
+    TokenKind.URL: (_url,),
+    TokenKind.EMAIL: (_email,),
+    TokenKind.SYMBOL: (_symbol,),
+}
 
 
 class _Piece:
     __slots__ = ("text", "modified", "first", "last", "is_punct")
 
-    def __init__(self, text, modified, first, last, is_punct=False):
+    def __init__(self, text, modified, first, last, is_punct):
         self.text = text
         self.modified = modified
         self.first = first
@@ -345,189 +512,23 @@ class _Piece:
         self.is_punct = is_punct
 
 
-def _is_letters(token: Token) -> bool:
-    return token.kind in _WORDISH_KINDS and token.text.isalpha()
-
-
 def _render_tokens(tokens, config: RuleConfig) -> list[_Piece]:
     pieces: list[_Piece] = []
     i = 0
-    n = len(tokens)
-
-    def unchanged(idx):
-        pieces.append(_Piece(tokens[idx].text, False, idx, idx, tokens[idx].kind == TokenKind.PUNCT))
-
-    def emit(text, first, last):
-        pieces.append(_Piece(text, text != tokens[first].text or first != last, first, last))
-
-    while i < n:
+    while i < len(tokens):
         t = tokens[i]
-
-        # letter-hyphen compounds like "e-post" stay as written
-        if (
-            len(t.text) == 1
-            and _is_letters(t)
-            and t.joined_right
-            and i + 2 < n
-            and tokens[i + 1].text == "-"
-            and tokens[i + 1].joined_right
-            and _is_letters(tokens[i + 2])
-            and len(tokens[i + 2].text) > 1
-        ):
-            unchanged(i)
-            i += 1
-            continue
-
-        # number ranges written with a hyphen or en dash
-        if t.kind in _NUMERIC_RANGE_KINDS and i + 2 < n:
-            spoken = verbalize_range(t, tokens[i + 1], tokens[i + 2], config)
-            if spoken is not None:
-                emit(spoken, i, i + 2)
-                i += 3
-                continue
-
-        # a dot joined to a number on each side (1.1.10000, 3.2.5) is spoken
-        if (
-            t.text == "."
-            and 0 < i < n - 1
-            and t.joined_right
-            and tokens[i - 1].joined_right
-            and tokens[i - 1].kind in _NUMBER_KINDS
-            and tokens[i + 1].kind in _NUMBER_KINDS
-        ):
-            emit("punkt", i, i)
-            i += 1
-            continue
-
-        # colon between numbers: ratio or division
-        if (
-            t.kind == TokenKind.CARDINAL_NUMBER
-            and i + 2 < n
-            and tokens[i + 1].text == ":"
-            and tokens[i + 2].kind == TokenKind.CARDINAL_NUMBER
-        ):
-            spaced = not t.joined_right and not tokens[i + 1].joined_right
-            joined = t.joined_right and tokens[i + 1].joined_right
-            if spaced or joined:
-                a, b = int(t.text), int(tokens[i + 2].text)
-                word = "koolon" if spaced or (a <= 999 and b <= 999) else "jagatud"
-                left = _render_cardinal_text(t.text, config)
-                right = _render_cardinal_text(tokens[i + 2].text, config)
-                emit(f"{left} {word} {right}", i, i + 2)
-                i += 3
-                continue
-
-        if t.kind == TokenKind.ROMAN_CANDIDATE:
-            left = tokens[i - 1] if i > 0 else None
-            right = tokens[i + 1] if i + 1 < n else None
-            dot_cue = (
-                right is not None
-                and right.text == "."
-                and t.joined_right
-                and i + 2 < n
-                and tokens[i + 2].text[:1].islower()
-            )
-            spoken = expand_roman(t.text, left, right if dot_cue or right is None or right.text != "." else None, config)
-            if spoken is not None:
-                if dot_cue:
-                    emit(spoken, i, i + 1)
-                    i += 2
-                else:
-                    emit(spoken, i, i)
-                    i += 1
-                continue
-            emit(_render_uppercase(t.text, config), i, i)
-            i += 1
-            continue
-
-        if t.kind == TokenKind.CARDINAL_NUMBER:
-            # attached case ending: 20ks / 2023-ks -> genitive stem + ending
-            suffix = None
-            last = i
-            if i + 1 < n and t.joined_right:
-                nxt = tokens[i + 1]
-                if nxt.text in CASE_SUFFIXES and nxt.text.islower():
-                    suffix, last = nxt.text, i + 1
-                elif (
-                    nxt.text == "-"
-                    and nxt.joined_right
-                    and i + 2 < n
-                    and tokens[i + 2].text in CASE_SUFFIXES
-                    and tokens[i + 2].text.islower()
-                ):
-                    suffix, last = tokens[i + 2].text, i + 2
-            if suffix is not None and t.text[0] != "0":
-                stem = cardinal(int(t.text), numwords.GENITIVE, config.numbers)
-                head, _, tail = stem.rpartition(" ")
-                joined = (head + " " if head else "") + tail + suffix
-                emit(joined, i, last)
-                i = last + 1
-                continue
-            emit(_render_cardinal_text(t.text, config), i, i)
-            i += 1
-            continue
-
-        # the token read on its own, by the renderer of its kind
-        render = _RENDERERS.get(t.kind)
-        spoken = None if render is None else render(t.text, config, tokens)
-        if spoken is None:
-            unchanged(i)
+        for rule in _RULES.get(t.kind, ()):
+            hit = rule(tokens, i, config)
+            if hit is not None:
+                last, spoken = hit
+                break
         else:
-            emit(spoken, i, i)
-        i += 1
+            last, spoken = i, t.text
+        modified = spoken != t.text or last != i
+        # a spoken dot ("punkt") is spaced as a word, not as punctuation
+        pieces.append(_Piece(spoken, modified, i, last, not modified and t.kind is TokenKind.PUNCT))
+        i = last + 1
     return pieces
-
-
-def _render_decimal(text: str, config: RuleConfig) -> str:
-    int_part, frac_part = re.split(r"[.,]", text, maxsplit=1)
-    return decimal(int_part, frac_part, config.numbers)
-
-
-def _render_suffixed_acronym(text: str, config: RuleConfig) -> str | None:
-    match = _ATTACHED_SUFFIX_RE.match(text)
-    return _render_uppercase(match[1], config, match[2]) if match else None
-
-
-def _render_word(text: str, config: RuleConfig, line, spell: bool = False) -> str | None:
-    """A dictionary abbreviation, else spelled when ``spell`` is set or
-    ``text`` is a lone letter. The words of ``line`` are read only to pick
-    an abbreviation's expansion."""
-    entry = config.abbreviations.get(text) or config.abbreviations.get(text.lower())
-    if entry is not None:
-        if entry.force_spellout:
-            return _safe_spell(text, config)
-        if entry.speak_as_word:
-            return None
-        return expand_abbreviation(text, (t for t in line if t.kind in _WORDISH_KINDS), config.abbreviations)
-    if spell or (len(text) == 1 and text.isalpha()):
-        return _safe_spell(text, config)
-    return None
-
-
-def _text_only(render):
-    """A ``render(text, config)`` as a renderer of ``_RENDERERS``."""
-    return lambda text, config, line: render(text, config)
-
-
-# TokenKind -> renderer(text, config, the line's tokens) of a token read on
-# its own. None, the token's own text, or a kind not listed (PUNCT) passes
-# the token through.
-_RENDERERS = {
-    TokenKind.URL: _text_only(_render_url_body),
-    TokenKind.EMAIL: _text_only(_render_email),
-    TokenKind.PHONE: _text_only(verbalize_digit_sequence),
-    TokenKind.DATE_LIKE: _text_only(_render_date),
-    TokenKind.TIME_LIKE: _text_only(_render_time),
-    TokenKind.DECIMAL_NUMBER: _text_only(_render_decimal),
-    TokenKind.DIGIT_GROUP_SEQ: _text_only(_render_grouped),
-    TokenKind.ORDINAL_DOT: _text_only(_render_ordinal_dot),
-    TokenKind.CASE_SUFFIXED_ACRONYM: _text_only(_render_suffixed_acronym),
-    TokenKind.UPPERCASE_SEQ: _text_only(_render_uppercase),
-    TokenKind.MIXED_CASE: _text_only(verbalize_mixed_case),
-    TokenKind.LOWERCASE_CONSONANTS: partial(_render_word, spell=True),
-    TokenKind.WORD: _render_word,
-    TokenKind.SYMBOL: lambda text, config, line: config.symbols.get(text, ""),
-}
 
 
 def _join(tokens, pieces: list[_Piece]) -> str:

@@ -1,17 +1,21 @@
 """Property tests: ``verbalize`` is total on digit-heavy text under every
-legal ``title_min_length`` and ``digit_group_threshold``.
+legal ``title_min_length`` and ``digit_group_threshold``, and under data
+tables and folding sets that pass validation.
 
 Each property checks that the call does not raise, that no ASCII digit is
-left in the output, and that a second call gives the same output.
-Examples are derandomized, so a run is reproducible.
+left in the output (unless a table value the output may quote holds one),
+and that a second call gives the same output. Examples are derandomized,
+so a run is reproducible.
 """
 
 import re
+from dataclasses import replace
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from etnorm.lexicon import with_options
+from etnorm.folding import DEFAULT_PROTECTED, FoldingTable
+from etnorm.lexicon import AbbreviationEntry, Expansion, default_config, with_options
 from etnorm.verbalize import verbalize
 
 ASCII_DIGIT = re.compile("[0-9]")
@@ -51,3 +55,61 @@ def test_digit_heavy_characters(config, text, options):
 @given(pieces=st.lists(PIECES, max_size=12), options=st.fixed_dictionaries(OPTIONS))
 def test_digit_heavy_pieces(config, pieces, options):
     check(config, "".join(pieces), options)
+
+
+# ------------------------------------------------- data tables and folding
+
+LETTERS = "abeikmstxyAEIKMSTXYÕÜ"
+# surfaces that the pieces below write, so the entries are looked up
+SURFACES = ["km", "KM", "ks", "sh", "xy", "XY", "MTÜ", "EAS", "XII", "IV", "a", "B", "Karl"]
+CONFIG_PIECES = st.one_of(PIECES, st.sampled_from(SURFACES + ["EAS-ile", "KM-i", "saj", "klass"]))
+DEFAULT_NAMES = default_config().letter_names
+
+EXPANSIONS = st.builds(
+    Expansion,
+    text=st.text(alphabet=LETTERS + " -7", min_size=1, max_size=10),
+    keywords=st.lists(st.sampled_from(["maks", "km", "eurot", "a", "karl", "saj"]), max_size=2).map(tuple),
+    weight=st.floats(min_value=0.001, max_value=10.0),
+)
+
+
+@st.composite
+def abbreviation_tables(draw):
+    table = {}
+    for surface in draw(st.lists(st.sampled_from(SURFACES), unique=True, max_size=5)):
+        table[surface] = AbbreviationEntry(
+            surface,
+            tuple(draw(st.lists(EXPANSIONS, min_size=1, max_size=3))),
+            speak_as_word=draw(st.booleans()),
+            force_spellout=draw(st.booleans()),
+        )
+    return table
+
+
+TABLES = {
+    "abbreviations": abbreviation_tables(),
+    "spoken_acronyms": st.frozensets(st.sampled_from(SURFACES + ["ABC", "NATO"]).map(str.upper)),
+    "roman_stoplist": st.frozensets(st.sampled_from(["I", "V", "X", "IV", "XII", "MI", "CD", "DI"])),
+    "roman_context_stems": st.lists(st.text(alphabet="aeijklmsu", min_size=1, max_size=4), max_size=4).map(tuple),
+    "letter_names": st.sets(st.sampled_from(sorted(DEFAULT_NAMES))).map(
+        lambda kept: {letter: DEFAULT_NAMES[letter] for letter in kept}
+    ),
+    "folding": st.sets(st.sampled_from(sorted(DEFAULT_PROTECTED) + list("éñç"))).map(
+        lambda kept: FoldingTable(frozenset(kept))
+    ),
+    **OPTIONS,
+}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    text=st.one_of(st.text(alphabet=DIGIT_HEAVY, max_size=40), st.lists(CONFIG_PIECES, max_size=12).map("".join)),
+    tables=st.fixed_dictionaries(TABLES),
+)
+def test_data_tables_and_folding(config, text, tables):
+    configured = replace(config, **tables)
+    out = verbalize(text, configured)
+    quoted = (exp.text for entry in configured.abbreviations.values() for exp in entry.expansions)
+    if not any(ASCII_DIGIT.search(value) for value in quoted):
+        assert not ASCII_DIGIT.search(out), (text, tables, out)
+    assert verbalize(text, configured) == out

@@ -260,11 +260,11 @@ class TestVerbalizeEndToEnd:
     @pytest.mark.parametrize(
         "text, expected",
         [
-            ("www.٣.ee", "vee-vee-vee punkt punkt ee"),  # another script's digit as a label
-            ("www.².ee", "vee-vee-vee punkt punkt ee"),  # a superscript as a label
+            ("www.٣.ee", "vee-vee-vee punkt ee"),  # another script's digit as a label
+            ("www.².ee", "vee-vee-vee punkt ee"),  # a superscript as a label
             ("www.a².ee", "vee-vee-vee punkt aa punkt ee"),  # a superscript after a letter
             ("www.x².ee", "vee-vee-vee punkt iks punkt ee"),  # the same after a foreign letter
-            ("www.½.ee", "vee-vee-vee punkt punkt ee"),  # a vulgar fraction as a label
+            ("www.½.ee", "vee-vee-vee punkt ee"),  # a vulgar fraction as a label
             ("www.Ⅻkool.ee", "vee-vee-vee punkt kool punkt ee"),  # a Roman numeral sign before letters
             ("www.²kool.ee", "vee-vee-vee punkt kool punkt ee"),  # a superscript before letters
         ],
@@ -278,10 +278,40 @@ class TestVerbalizeEndToEnd:
             ("1.1.10000", "üks koma üks punkt kümme tuhat"),
             ("3.2.5", "kolm koma kaks punkt viis"),
             ("1.2.", "üks koma kaks."),  # a sentence-final dot stays punctuation
+            ("v1.2.3", "vee üks punkt kaks koma kolm"),  # a name ending in a digit on the left
+            ("Python3.11", "python kolm punkt üksteist"),
         ],
     )
     def test_dot_between_numbers_is_spoken(self, config, text, expected):
         assert verbalize(text, config) == expected
+
+    # Each input below reads differently if a rule of the table moves ahead
+    # of, or loses, the rule that must win on it.
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("X-kiired", "X-kiired"),  # the letter compound before the Roman rule
+            ("V-klass", "V-klass"),
+            ("Kooli V-klass", "Kooli V-klass"),  # a Roman cue on the left does not break a compound
+            ("A-rühm", "A-rühm"),  # the letter compound before the uppercase rule
+            ("5.-7. mail", "viies kuni seitsmes mail"),  # the range before the ordinal rule
+            ("3.–5. klass", "kolmas kuni viies klass"),
+        ],
+    )
+    def test_rule_order(self, config, text, expected):
+        assert verbalize(text, config) == expected
+
+    def test_uppercase_and_lowercase_entries_share_one_policy(self, config):
+        from dataclasses import replace
+
+        from etnorm.lexicon import AbbreviationEntry, Expansion
+
+        expansions = (Expansion("esimene", ("maks",), 1.0), Expansion("teine", (), 2.0))
+        table = {surface: AbbreviationEntry(surface, expansions) for surface in ("KM", "xy")}
+        custom = replace(config, abbreviations=table)
+        for surface in ("KM", "xy"):
+            assert verbalize(surface, custom) == "teine"  # by weight, not by listing order
+            assert verbalize(f"{surface} maks", custom) == "esimene maks"  # by the line's words
 
     def test_output_never_contains_digits(self, config):
         rng = random.Random(0xACCE)
