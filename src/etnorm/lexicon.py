@@ -8,12 +8,14 @@ module parses them into an immutable RuleConfig.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from importlib import resources
 
 from .folding import FoldingTable
 from .numwords import NumberLexicon, default_lexicon, load_lexicon
+from .tokens import _LC, _VOWELS
 
 
 class ConfigError(ValueError):
@@ -67,6 +69,18 @@ class RuleConfig:
         for letter, name in self.letter_names.items():
             if not name:
                 raise ConfigError(f"empty letter name for {letter!r}")
+
+    @cached_property
+    def rule_word_re(self) -> re.Pattern:
+        """Finds a word that a word rule may rewrite, in lowercased text of
+        letters, whitespace and punctuation that starts with a space: one
+        letter, a word with no vowel, or an abbreviation surface. Built on
+        first use, so ``abbreviations`` must not be changed in place after
+        that; derive a new config instead."""
+        surfaces = "".join(f"|{re.escape(surface.lower())}" for surface in self.abbreviations)
+        vowels = "".join(sorted(_VOWELS))
+        # led by the character before the word, so a search skips to word starts
+        return re.compile(rf"[^{_LC}](?:[{_LC}]|[^\W\d_{vowels}]+{surfaces})(?![{_LC}])")
 
 
 def _read_lines(text: str):

@@ -7,6 +7,25 @@ applies giving the spoken form of the tokens it covers. That table is
 the one place the order of the rules is written down. Sections the rules
 do not touch keep their original spacing, so plain sentences pass
 through unchanged apart from diacritic folding.
+
+Pass-through contract: a folded line that no rule can rewrite is
+returned as it is, without tokenizing. ``_passes_through`` decides that
+from the tokenizer's own classes and the config. A line passes only when
+it holds nothing but the letters of ``_UC`` and ``_LC``, whitespace and
+``_SENTENCE_PUNCT``; no capital that is not followed by a lowercase
+letter or that follows one; no top-level-domain dot; and no word of one
+letter, with no vowel, or that lowercases to an abbreviation surface.
+Such a line tokenizes to WORD and PUNCT tokens only: every other kind
+needs a digit, a symbol, a run of capitals, a case change inside a word
+or a domain. Of their rules, the letter compound and the lone letter
+need a one-letter word, the abbreviation rule a surface, and the spoken
+dot a number. The tokenizer is lossless, so the reassembled line is the
+folded line, byte for byte. The gate may send a line nothing would
+rewrite (a title, ``Krt``) down the full path, which reads it the same.
+
+What is derived from the config is cached on the ``RuleConfig`` on first
+use: changing ``config.abbreviations`` in place after that is not
+supported; build a new config with ``load_config`` or ``with_options``.
 """
 
 from __future__ import annotations
@@ -19,7 +38,8 @@ from .folding import fold_diacritics
 from .lexicon import RuleConfig, default_config
 from .numwords import NOMINATIVE, cardinal, decimal, digits, ordinal
 from .romans import roman_value
-from .tokens import _ATTACHED_SUFFIX_RE, _LC, _UC, _VOWELS, CASE_SUFFIXES, Token, TokenKind, tokenize
+from .tokens import _ATTACHED_SUFFIX_RE, _LC, _SENTENCE_PUNCT, _TLD_DOT_RE, _UC, _VOWELS, CASE_SUFFIXES
+from .tokens import Token, TokenKind, TokenList, tokenize
 
 _SEGMENT_RE = re.compile(rf"[{_UC}]+(?![{_LC}])|[{_UC}][{_LC}]+|[{_LC}]+|[0-9]+|[^\W\d_]+")
 
@@ -89,7 +109,10 @@ def expand_abbreviation(token: str, sentence_context, dictionary) -> str:
     entry = dictionary.get(token) or dictionary.get(token.lower())
     if entry is None:
         raise KeyError(f"no abbreviation entry for {token!r}")
-    words = _context_words(sentence_context)
+    return _pick_expansion(token, entry, _context_words(sentence_context))
+
+
+def _pick_expansion(token: str, entry, words: frozenset[str]) -> str:
     best_text = None
     best_score = float("-inf")
     for expansion in entry.expansions:
@@ -109,6 +132,19 @@ def _context_words(sentence_context) -> frozenset[str]:
         text = item.text if isinstance(item, Token) else str(item)
         words.add(text.lower())
     return frozenset(words)
+
+
+def _line_words(line) -> frozenset[str]:
+    """The lowered words of ``line``'s word-like tokens, the context an
+    expansion is picked in. Built on the first expanded abbreviation and
+    kept on the token list, so a line costs one pass over its words however
+    many abbreviations it holds."""
+    words = getattr(line, "abbreviation_context", None)
+    if words is None:
+        words = _context_words(t for t in line if t.kind in _WORDISH_KINDS)
+        if isinstance(line, TokenList):
+            line.abbreviation_context = words
+    return words
 
 
 def expand_roman(
@@ -252,15 +288,16 @@ def _render_uppercase(surface: str, config: RuleConfig, suffix: str | None = Non
 
 def _read_entry(surface: str, entry, config: RuleConfig, line, suffix: str | None = None) -> str | None:
     """How a dictionary abbreviation is read: spelled, kept as written, or
-    the expansion ``expand_abbreviation`` picks with the words of ``line``
-    as context. None when a case ending is attached to an expanded entry."""
+    the expansion ``expand_abbreviation`` would pick with the words of
+    ``line`` as context. None when a case ending is attached to an expanded
+    entry."""
     if entry.force_spellout:
         return _safe_spell(surface, config, suffix)
     if entry.speak_as_word:
         return surface + (suffix or "")
     if suffix is not None:
         return None
-    return expand_abbreviation(surface, (t for t in line if t.kind in _WORDISH_KINDS), config.abbreviations)
+    return _pick_expansion(surface, entry, _line_words(line))
 
 
 def _render_cardinal_text(text: str, config: RuleConfig) -> str:
@@ -554,10 +591,31 @@ def _join(tokens, pieces: list[_Piece]) -> str:
     return "".join(out)
 
 
+# The pass-through gate (see the module docstring), built from the
+# tokenizer's classes: a character outside them, and a capital that does
+# not start a lowercase word
+_NOT_PLAIN_CHAR_RE = re.compile(rf"[^{_UC}{_LC}\s{re.escape(''.join(sorted(_SENTENCE_PUNCT)))}]")
+_CASE_CHANGE_RE = re.compile(rf"[{_UC}](?:(?![{_LC}])|(?<=[{_LC}].))")
+
+
+def _passes_through(folded: str, config: RuleConfig) -> bool:
+    """True when no rule can rewrite any token of ``folded``. The cheapest
+    checks come first. It may say False for a line that no rule would
+    touch, never True for one that a rule would."""
+    return not (
+        _NOT_PLAIN_CHAR_RE.search(folded)
+        or _TLD_DOT_RE.search(folded)
+        or _CASE_CHANGE_RE.search(folded)
+        or config.rule_word_re.search(" " + folded.lower())
+    )
+
+
 def verbalize(text: str, config: RuleConfig | None = None) -> str:
     """Rewrite ``text`` into fully spoken form under ``config``."""
     config = config or default_config()
     folded = fold_diacritics(text, config.folding)
+    if _passes_through(folded, config):
+        return folded
     tokens = tokenize(folded)
     pieces = _render_tokens(tokens, config)
     return _join(tokens, pieces)

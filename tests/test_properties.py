@@ -4,8 +4,10 @@ tables and folding sets that pass validation.
 
 Each property checks that the call does not raise, that no ASCII digit is
 left in the output (unless a table value the output may quote holds one),
-and that a second call gives the same output. Examples are derandomized,
-so a run is reproducible.
+and that a second call gives the same output. The last two check the
+pass-through gate on text near it: what the gate passes tokenizes to
+tokens no rule rewrites, and ``verbalize`` gives what rendering every
+token gives. Examples are derandomized, so a run is reproducible.
 """
 
 import re
@@ -14,9 +16,11 @@ from dataclasses import replace
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from etnorm.folding import DEFAULT_PROTECTED, FoldingTable
+from etnorm.folding import DEFAULT_PROTECTED, FoldingTable, fold_diacritics
 from etnorm.lexicon import AbbreviationEntry, Expansion, default_config, with_options
-from etnorm.verbalize import verbalize
+from etnorm.tokens import _SENTENCE_PUNCT, _VOWELS, TokenKind, tokenize
+from etnorm.verbalize import _passes_through, verbalize
+from test_verbalize import full_path
 
 ASCII_DIGIT = re.compile("[0-9]")
 
@@ -113,3 +117,57 @@ def test_data_tables_and_folding(config, text, tables):
     if not any(ASCII_DIGIT.search(value) for value in quoted):
         assert not ASCII_DIGIT.search(out), (text, tables, out)
     assert verbalize(text, configured) == out
+
+
+# ------------------------------------------------- the pass-through gate
+
+PLAIN_PIECES = st.one_of(
+    st.sampled_from(["Tere", "hommikust", "linnas", "Õpilane", "sügisel", "tšekk", "Žürii", "Ärge", "jää", "öö"]),
+    st.sampled_from([" ", "  ", "\t", "\n", "\xa0", "\u2028", "\u2003", "\u3000", "\x1f"]),
+    st.sampled_from(sorted(_SENTENCE_PUNCT)),
+)
+ALL_SURFACES = sorted(set(SURFACES) | set(default_config().abbreviations))
+# the shapes next to plain text that a rule may read
+NEAR_PIECES = st.one_of(
+    st.sampled_from(ALL_SURFACES).flatmap(
+        lambda s: st.sampled_from([s, s.lower(), s.upper(), s.capitalize(), s.swapcase()])
+    ),
+    st.text(alphabet=LETTERS + "õäöüšžŽ", min_size=1, max_size=1),
+    st.text(alphabet="bcdfghjklmnpqrstvwxzšžKMT", min_size=2, max_size=4),
+    st.sampled_from([".ee", ".com", ".EE", ".eesti", "www.", "iPhone", "eCoop", "TEre", "Tallinn.ee", "e-post"]),
+    st.sampled_from(["é", "ñ", "ç", "Éclair", "Łukasz", "ß", "ø", "ı", "İ", "\u0301", "ǅ"]),
+    st.sampled_from(["7", "٣", "²", "½", "%", "@", "/", "§", "¤", "+", "€", "&", "_"]),
+)
+
+
+@st.composite
+def near_gate_text(draw):
+    pieces = draw(st.lists(PLAIN_PIECES, max_size=10))
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        pieces.insert(draw(st.integers(min_value=0, max_value=len(pieces))), draw(NEAR_PIECES))
+    return "".join(pieces)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(text=near_gate_text(), tables=st.fixed_dictionaries(TABLES))
+def test_gate_passes_only_tokens_no_rule_rewrites(config, text, tables):
+    configured = replace(config, **tables)
+    folded = fold_diacritics(text, configured.folding)
+    if _passes_through(folded, configured):
+        surfaces = {surface.lower() for surface in configured.abbreviations}
+        for token in tokenize(folded):
+            assert token.kind in (TokenKind.WORD, TokenKind.PUNCT), (text, token)
+            if token.kind is TokenKind.WORD:
+                word = token.text.lower()
+                assert len(word) > 1 and not _VOWELS.isdisjoint(word) and word not in surfaces, (text, token)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(text=near_gate_text(), tables=st.fixed_dictionaries(TABLES))
+def test_gate_is_sound(config, text, tables):
+    configured = replace(config, **tables)
+    full = full_path(text, configured)
+    assert verbalize(text, configured) == full
+    folded = fold_diacritics(text, configured.folding)
+    if _passes_through(folded, configured):
+        assert full == folded, text

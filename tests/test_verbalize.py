@@ -1,13 +1,23 @@
+import importlib
 import random
 import unicodedata
 
 import pytest
 
-from etnorm.lexicon import with_options
+from etnorm.folding import fold_diacritics
+from etnorm.lexicon import load_config, with_options
 from etnorm.scoring import canonicalize
-from etnorm.tokens import Token, TokenKind, tokenize
+from etnorm.tokens import Token, TokenKind, detokenize, tokenize
 from etnorm.verbalize import (
+    _RULES,
     UppercaseClass,
+    _abbreviation,
+    _dot_between_numbers,
+    _join,
+    _letter_compound,
+    _lone_letter,
+    _passes_through,
+    _render_tokens,
     classify_uppercase,
     expand_abbreviation,
     expand_roman,
@@ -21,6 +31,17 @@ from etnorm.verbalize import (
 
 def tok(text, kind=TokenKind.WORD, ws=" "):
     return Token(text, kind, (0, len(text.encode("utf-8"))), ws)
+
+
+# the module, which the package's ``verbalize`` function shadows
+verbalize_module = importlib.import_module("etnorm.verbalize")
+
+
+def full_path(text, config):
+    """``verbalize`` without its pass-through gate: every line is tokenized
+    and every token offered to the rules."""
+    tokens = tokenize(fold_diacritics(text, config.folding))
+    return _join(tokens, _render_tokens(tokens, config))
 
 
 class TestSpellLetters:
@@ -122,6 +143,15 @@ class TestExpandAbbreviation:
             )
         }
         assert expand_abbreviation("xx", [], entries) == "esimene"
+
+    def test_context_is_built_once_per_line(self, config, monkeypatch):
+        built = []
+        original = verbalize_module._context_words
+        monkeypatch.setattr(verbalize_module, "_context_words", lambda items: built.append(1) or original(items))
+        assert verbalize("nt 5 km ja vt lk 3, sõitis km", config) == (
+            "näiteks viis kilomeetrit ja vaata lehekülg kolm, sõitis kilomeetrit"
+        )
+        assert len(built) == 1
 
 
 class TestRange:
@@ -334,3 +364,45 @@ class TestVerbalizeEndToEnd:
                     or ch == "-"
                     or unicodedata.category(ch).startswith("P")
                 ), (text, out, ch)
+
+
+class TestPassThrough:
+    def test_gate_covers_every_rule_a_plain_line_reaches(self):
+        # the gate is derived for these rules only: a rule added to either
+        # kind (or a kind a plain line can now tokenize to) needs it revisited
+        assert _RULES[TokenKind.WORD] == (_letter_compound, _abbreviation, _lone_letter)
+        assert _RULES[TokenKind.PUNCT] == (_dot_between_numbers,)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["ptk", "spp", "tv", "iPhone", "eCoop", "Tallinn.ee", "linnas.EE", "Y", "e-post", "Dr", "KM", "Łukasz"],
+    )
+    def test_rule_shapes_take_the_full_path(self, config, text):
+        for line in (text, f"Ta ütles {text} eile.", f"«{text}», vastas ta!"):
+            assert not _passes_through(fold_diacritics(line, config.folding), config), line
+            assert verbalize(line, config) == full_path(line, config)
+
+    def test_plain_lines_pass(self, config):
+        for line in ("Tere, maailm!  Kõik on hästi.", "Žürii arutas «tšeki» üle – jälle…", "Café on Ärge-tänaval."):
+            folded = fold_diacritics(line, config.folding)
+            assert _passes_through(folded, config), line
+            assert verbalize(line, config) == folded == full_path(line, config)
+
+    def test_abbreviation_table_moves_a_line_across_the_gate(self, config, tmp_path):
+        table = tmp_path / "abbreviations.tsv"
+        table.write_text("eile\teelmisel päeval\n", encoding="utf-8")
+        custom = load_config(abbreviations_path=table)
+        line = "Ta tuli eile koju. Eile sadas."
+        assert _passes_through(line, config)
+        assert verbalize(line, config) == line
+        assert not _passes_through(line, custom)
+        assert verbalize(line, custom) == "Ta tuli eelmisel päeval koju. eelmisel päeval sadas."
+
+    @pytest.mark.parametrize(
+        "text",
+        ["", " ", "\t", "  \t \n", "\xa0", "\u2028", "  Tere ", "\tTere,\u2028maailm!\xa0 ", "Tere\t\tkõik", "\u3000õun\u2003"],
+    )
+    def test_whitespace_is_kept_byte_exact(self, config, text):
+        folded = fold_diacritics(text, config.folding)
+        assert _passes_through(folded, config)
+        assert verbalize(text, config) == text == detokenize(tokenize(folded)) == full_path(text, config)

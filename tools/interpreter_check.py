@@ -2,8 +2,13 @@
 
 Before printing, it checks that ``TokenKind`` hashes by identity (the
 verbalizer's kind-set and kind-dict lookups rely on it) and exits 1 if
-not. Each gold line is printed as ``ID<TAB>spoken form``. Run it under
-two interpreters and compare the outputs; they must be identical:
+not. Each gold line is printed as ``ID<TAB>spoken form``. Then the
+pass-through gate's decision (``pass`` or ``full``) is printed for each
+gold line, as ``gate<TAB>ID<TAB>decision``, and for a fixed list of
+boundary strings, as ``gate<TAB>repr<TAB>decision``: the gate reads
+``str.lower`` and the regex classes ``\s`` and ``[^\W\d_]``, whose
+Unicode tables differ between Python versions. Run it under two
+interpreters and compare the outputs; they must be identical:
 
     PYENV_VERSION=3.10.13 python tools/interpreter_check.py > a.txt
     PYENV_VERSION=3.13.0 python tools/interpreter_check.py > b.txt
@@ -21,8 +26,23 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src"
 sys.path.insert(0, str(SRC))
 
+from etnorm.folding import fold_diacritics  # noqa: E402
+from etnorm.lexicon import default_config  # noqa: E402
 from etnorm.tokens import TokenKind  # noqa: E402
-from etnorm.verbalize import verbalize  # noqa: E402
+from etnorm.verbalize import _passes_through, verbalize  # noqa: E402
+
+# shapes on either side of the gate: rule shapes that must take the full
+# path, plain lines, and whitespace the gate must keep as written
+BOUNDARY = (
+    "ptk", "spp", "tv", "iPhone", "eCoop", "Tallinn.ee", "linnas.EE", "Y", "e-post", "Dr", "KM", "Łukasz",
+    "Krt", "Tere, maailm!", "Žürii arutas «tšeki» üle – jälle…", "Café", "", " \t", "\xa0tere\u2028öö\u3000",
+    "ǅžungel", "ıkool", "İsa", "Straße", "tere\u0301", "\x1ctere\x1f",
+)
+
+
+def gate(text: str) -> str:
+    config = default_config()
+    return "pass" if _passes_through(fold_diacritics(text, config.folding), config) else "full"
 
 
 def main() -> int:
@@ -31,10 +51,13 @@ def main() -> int:
         print(f"TokenKind does not hash by identity on Python {sys.version.split()[0]}", file=sys.stderr)
         return 1
     with open(SRC / "etnorm" / "data" / "gold_corpus.jsonl", encoding="utf-8") as handle:
-        for line in handle:
-            if line.strip():
-                row = json.loads(line)
-                print(f"{row['id']}\t{verbalize(row['raw'])}")
+        rows = [json.loads(line) for line in handle if line.strip()]
+    for row in rows:
+        print(f"{row['id']}\t{verbalize(row['raw'])}")
+    for row in rows:
+        print(f"gate\t{row['id']}\t{gate(row['raw'])}")
+    for text in BOUNDARY:
+        print(f"gate\t{text!r}\t{gate(text)}")
     return 0
 
 
