@@ -345,3 +345,19 @@ class TestStats:
         code, _, err = run(capsys, ["stats", "icc", str(path)])
         assert code == 1
         assert "incomplete" in err
+
+
+def pinned_runs():
+    """(argv, stdout) pairs from ``data/cli_expected.txt``: each block is a
+    ``$ etnorm ...`` line whose words name files under ``data/``, followed
+    by the output it must give."""
+    text = (DATA_DIR / "cli_expected.txt").read_text(encoding="utf-8")
+    for block in text.split("$ etnorm ")[1:]:
+        command, _, expected = block.partition("\n")
+        argv = [str(DATA_DIR / w) if (DATA_DIR / w).is_file() else w for w in command.split()]
+        yield pytest.param(argv, expected, id=command)
+
+
+@pytest.mark.parametrize("argv, expected", pinned_runs())
+def test_valid_inputs_give_pinned_outputs(capsys, argv, expected):
+    assert run(capsys, argv) == (0, expected, "")
