@@ -3,11 +3,20 @@
 Subcommands:
   normalize            read text lines, write verbalized lines
   score GOLD HYP       score hypotheses against a gold corpus
-  stats {mos,errors,likert,icc} INPUT
-                       listening-test statistics from CSV/TSV records
+  stats WHICH INPUT    listening-test statistics from a table with a header
+                       row, tab-separated if that row holds a tab, else CSV
 
-All file I/O is strict UTF-8; any diagnostics go to stderr and flip the
-exit code to nonzero, data goes to stdout.
+The columns each stats table needs (others are ignored):
+  mos     rater, sentence, voice, voice_type, domain, score (1 to 5 by 0.5)
+  errors  annotator, sentence, voice, flags (``;``-separated ErrorCategory
+          values, such as ``word_skipping;volume_problems``)
+  likert  rater, voice, text_kind, score (an integer 1 to 7)
+  icc     a finite rating in every column but ``target``, one per rater
+
+All file I/O is strict UTF-8. Data goes to stdout; a diagnostic goes to
+stderr as ``etnorm: <input>:<line>: ...`` (``<stdin>`` for standard input)
+and makes the exit code 1. Repeated header columns, repeated ids in a score
+input and a table with no data rows (``<input>: no data rows``) are errors.
 """
 
 from __future__ import annotations
@@ -17,9 +26,9 @@ import csv
 import dataclasses
 import inspect
 import json
+import math
 import sys
 
-from . import stats as statsmod
 from .lexicon import ConfigError, default_config, load_config
 from .scoring import improvement, load_gold, load_hypotheses, score_corpus
 from .stats import (
@@ -27,6 +36,7 @@ from .stats import (
     ErrorCategory,
     LikertRecord,
     RatingRecord,
+    error_rates,
     icc2k,
     likert_summary,
     mos,
@@ -54,15 +64,20 @@ def _load_cli_config(path):
         raise CliError(f"{path}: {exc.strerror}") from None
     except json.JSONDecodeError as exc:
         raise CliError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from None
+    except ValueError as exc:  # not UTF-8, or a number too long to read
+        raise CliError(f"{path}: {exc}") from None
     if not isinstance(payload, dict):
         raise CliError(f"{path}: config must be a JSON object")
     unknown = set(payload) - set(_CONFIG_KEYS)
     if unknown:
         raise CliError(f"{path}: unknown config keys: {', '.join(sorted(unknown))}")
+    for key, value in payload.items():
+        if _CONFIG_KEYS[key] != key and not isinstance(value, (str, type(None))):
+            raise CliError(f"{path}: {key}: expected a file path")
     try:
         return load_config(**{_CONFIG_KEYS[key]: value for key, value in payload.items()})
     except (ConfigError, OSError, ValueError) as exc:
-        raise CliError(str(exc)) from None
+        raise CliError(f"{path}: {exc}") from None
 
 
 def _open_input(path):
@@ -117,27 +132,12 @@ def _cmd_normalize(args) -> int:
 def _cmd_score(args) -> int:
     try:
         gold = load_gold(args.gold)
-        hypotheses = load_hypotheses(args.hypotheses)
-        report = score_corpus(gold, hypotheses)
+        report = score_corpus(gold, load_hypotheses(args.hypotheses))
+        base = score_corpus(gold, load_hypotheses(args.baseline)) if args.baseline else None
     except (OSError, ValueError) as exc:
         raise CliError(str(exc)) from None
-    if args.baseline:
-        try:
-            base_hyp = load_hypotheses(args.baseline)
-            base = score_corpus(gold, base_hyp)
-        except (OSError, ValueError) as exc:
-            raise CliError(str(exc)) from None
-    else:
-        base = None
     if args.format == "json":
-        payload = {
-            "total": report.total,
-            "matched": report.matched,
-            "percent": report.percent,
-            "minus_points": report.minus_points,
-            "plus_points": report.plus_points,
-            "per_sentence": [dataclasses.asdict(s) for s in report.per_sentence],
-        }
+        payload = dataclasses.asdict(report)
         if base is not None:
             payload["baseline_percent"] = base.percent
             payload["improvement"] = improvement(base, report)
@@ -162,101 +162,61 @@ def _utf8_lines(stream, name):
         yield line
 
 
-def _read_table(path) -> list[dict[str, str]]:
+def _read_records(path, columns, make) -> list:
+    """``make(**cells)`` for each data row of the table at ``path`` (stdin for
+    None or ``-``). ``columns`` maps each column a row needs to the parser of
+    its cells; None takes every column but ``target`` as a rating."""
     stream, name = _open_input(path)
+    lineno, records = 2, []
     try:
         lines = _utf8_lines(stream, name)
-        sample = next(lines, "")
-        if not sample.strip():
-            raise CliError(f"{path or 'stdin'}: empty input")
-        delimiter = "\t" if "\t" in sample else ","
-        header = [h.strip() for h in sample.rstrip("\n").split(delimiter)]
+        first = next(lines, "")
+        if not first.strip():
+            raise CliError(f"{name}: empty input")
+        delimiter = "\t" if "\t" in first else ","
+        header = [h.strip() for h in first.rstrip("\n").split(delimiter)]
+        for i, column in enumerate(header):
+            if column in header[:i]:
+                raise CliError(f"{name}:1: repeated column {column!r}")
+        for column in columns or ():
+            if column not in header:
+                raise CliError(f"{name}:1: missing column {column!r}")
+        parsers = columns or {column: _rating for column in header if column != "target"}
         reader = csv.reader(lines, delimiter=delimiter)
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row or not any(cell.strip() for cell in row):
-                continue
-            if len(row) != len(header):
-                raise CliError(f"{path or 'stdin'}:{lineno}: expected {len(header)} columns")
-            rows.append(dict(zip(header, (cell.strip() for cell in row))))
-        return rows
+        for row in reader:
+            if any(cell.strip() for cell in row):
+                if len(row) != len(header):
+                    raise ValueError(f"expected {len(header)} columns")
+                cells = dict(zip(header, row))
+                records.append(make(**{c: parse(cells[c].strip()) for c, parse in parsers.items()}))
+            # the next row's first line: a quoted cell may hold line breaks
+            lineno = reader.line_num + 2
+    except (ValueError, csv.Error) as exc:
+        raise CliError(f"{name}:{lineno}: {exc}") from None
     finally:
         if stream is not sys.stdin:
             stream.close()
+    if not records:
+        raise CliError(f"{name}: no data rows")
+    return records
 
 
-def _field(row: dict[str, str], name: str, path) -> str:
-    if name not in row:
-        raise CliError(f"{path or 'stdin'}: missing column {name!r}")
-    return row[name]
-
-
-def _load_ratings(path) -> list[RatingRecord]:
-    records = []
-    for row in _read_table(path):
+def _categories(cell: str) -> frozenset[ErrorCategory]:
+    """The error categories named in a ``;``-separated ``flags`` cell."""
+    flags = set()
+    for label in (f.strip() for f in cell.split(";") if f.strip()):
         try:
-            records.append(
-                RatingRecord(
-                    rater=_field(row, "rater", path),
-                    sentence=_field(row, "sentence", path),
-                    voice=_field(row, "voice", path),
-                    voice_type=_field(row, "voice_type", path),
-                    domain=_field(row, "domain", path),
-                    score=float(_field(row, "score", path)),
-                )
-            )
-        except ValueError as exc:
-            raise CliError(str(exc)) from None
-    return records
+            flags.add(ErrorCategory(label))
+        except ValueError:
+            raise ValueError(f"unknown error category {label!r}") from None
+    return frozenset(flags)
 
 
-def _load_annotations(path) -> list[AnnotationRecord]:
-    records = []
-    for row in _read_table(path):
-        raw_flags = _field(row, "flags", path)
-        flags = set()
-        for label in (f.strip() for f in raw_flags.split(";") if f.strip()):
-            try:
-                flags.add(ErrorCategory(label))
-            except ValueError:
-                raise CliError(f"unknown error category {label!r}") from None
-        records.append(
-            AnnotationRecord(
-                annotator=_field(row, "annotator", path),
-                sentence=_field(row, "sentence", path),
-                voice=_field(row, "voice", path),
-                flags=frozenset(flags),
-            )
-        )
-    return records
-
-
-def _load_likert(path) -> list[LikertRecord]:
-    records = []
-    for row in _read_table(path):
-        try:
-            records.append(
-                LikertRecord(
-                    rater=_field(row, "rater", path),
-                    voice=_field(row, "voice", path),
-                    text_kind=_field(row, "text_kind", path),
-                    score=int(_field(row, "score", path)),
-                )
-            )
-        except ValueError as exc:
-            raise CliError(str(exc)) from None
-    return records
-
-
-def _load_matrix(path):
-    rows = _read_table(path)
-    if not rows:
-        raise CliError(f"{path or 'stdin'}: no data rows")
-    rater_columns = [c for c in rows[0] if c != "target"]
-    try:
-        return [[float(row[c]) for c in rater_columns] for row in rows]
-    except (KeyError, ValueError) as exc:
-        raise CliError(f"bad ratings matrix: {exc}") from None
+def _rating(cell: str) -> float:
+    value = float(cell)
+    if not math.isfinite(value):
+        raise ValueError(f"incomplete ratings matrix: {cell!r} is not a finite rating")
+    return value
 
 
 def _print_table(header, rows, fmt: str) -> None:
@@ -264,60 +224,70 @@ def _print_table(header, rows, fmt: str) -> None:
         print(json.dumps([dict(zip(header, row)) for row in rows], ensure_ascii=False, indent=2))
         return
     sep = "\t" if fmt == "tsv" else "  "
-    print(sep.join(header))
-    for row in rows:
+    for row in [header, *rows]:
         print(sep.join(str(cell) for cell in row))
 
 
+def _print_mos(records, args) -> None:
+    """mean opinion scores with confidence intervals"""
+    by = tuple(k.strip() for k in args.by.split(",") if k.strip())
+    results = mos(records, by=by, ci_multiplier=args.ci_multiplier)
+    rows = [[r.voice, r.domain or "", r.n, f"{r.mos:.2f}", f"{r.ci_half_width:.3f}"] for r in results]
+    _print_table(["voice", "domain", "n", "mos", "ci_half_width"], rows, args.format)
+
+
+def _print_errors(records, args) -> None:
+    """error-category percentages per voice"""
+    table = error_rates(records, policy=args.policy)
+    rows = [[voice] + [f"{table[voice][c]:.1f}" for c in ErrorCategory] for voice in sorted(table)]
+    _print_table(["voice"] + [c.value for c in ErrorCategory], rows, args.format)
+
+
+def _print_likert(records, args) -> None:
+    """Likert suitability means and deviations"""
+    rows = [[r.voice, r.text_kind, r.n, f"{r.mean:.2f}", f"{r.sd:.2f}"] for r in likert_summary(records)]
+    _print_table(["voice", "text_kind", "n", "mean", "sd"], rows, args.format)
+
+
+def _print_icc(matrix, args) -> None:
+    """inter-rater agreement ICC(2,k)"""
+    payload = dataclasses.asdict(icc2k(matrix))
+    if args.format == "json":
+        print(json.dumps(payload, ensure_ascii=False, indent=2))
+    else:
+        for key, value in payload.items():
+            print(f"{key}\t{value}")
+
+
+# stats subcommand -> (each column a row needs with its parser, the record
+# built from them, the report printed from the records; its docstring is help)
+_STATS = {
+    "mos": (
+        dict(rater=str, sentence=str, voice=str, voice_type=str, domain=str, score=float),
+        RatingRecord,
+        _print_mos,
+    ),
+    "errors": (
+        dict(annotator=str, sentence=str, voice=str, flags=_categories),
+        AnnotationRecord,
+        _print_errors,
+    ),
+    "likert": (
+        dict(rater=str, voice=str, text_kind=str, score=int),
+        LikertRecord,
+        _print_likert,
+    ),
+    "icc": (None, lambda **ratings: list(ratings.values()), _print_icc),
+}
+
+
 def _cmd_stats(args) -> int:
-    if args.which == "mos":
-        records = _load_ratings(args.input)
-        by = tuple(k.strip() for k in args.by.split(",") if k.strip())
-        try:
-            results = mos(records, by=by, ci_multiplier=args.ci_multiplier)
-        except ValueError as exc:
-            raise CliError(str(exc)) from None
-        header = ["voice", "domain", "n", "mos", "ci_half_width"]
-        rows = [
-            [r.voice, r.domain or "", r.n, f"{r.mos:.2f}", f"{r.ci_half_width:.3f}"]
-            for r in results
-        ]
-        _print_table(header, rows, args.format)
-    elif args.which == "errors":
-        records = _load_annotations(args.input)
-        try:
-            table = statsmod.error_rates(records, policy=args.policy)
-        except ValueError as exc:
-            raise CliError(str(exc)) from None
-        header = ["voice"] + [c.value for c in ErrorCategory]
-        rows = [
-            [voice] + [f"{table[voice][c]:.1f}" for c in ErrorCategory]
-            for voice in sorted(table)
-        ]
-        _print_table(header, rows, args.format)
-    elif args.which == "likert":
-        records = _load_likert(args.input)
-        try:
-            results = likert_summary(records)
-        except ValueError as exc:
-            raise CliError(str(exc)) from None
-        header = ["voice", "text_kind", "n", "mean", "sd"]
-        rows = [
-            [r.voice, r.text_kind, r.n, f"{r.mean:.2f}", f"{r.sd:.2f}"] for r in results
-        ]
-        _print_table(header, rows, args.format)
-    else:  # icc
-        matrix = _load_matrix(args.input)
-        try:
-            result = icc2k(matrix)
-        except ValueError as exc:
-            raise CliError(str(exc)) from None
-        payload = dataclasses.asdict(result)
-        if args.format == "json":
-            print(json.dumps(payload, ensure_ascii=False, indent=2))
-        else:
-            for key, value in payload.items():
-                print(f"{key}\t{value}")
+    columns, make, report = _STATS[args.which]
+    records = _read_records(args.input, columns, make)
+    try:
+        report(records, args)
+    except ValueError as exc:
+        raise CliError(str(exc)) from None
     return 0
 
 
@@ -343,13 +313,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_stats = sub.add_parser("stats", help="listening-test statistics")
     stats_sub = p_stats.add_subparsers(dest="which", required=True)
-    for which, helptext in (
-        ("mos", "mean opinion scores with confidence intervals"),
-        ("errors", "error-category percentages per voice"),
-        ("likert", "Likert suitability means and deviations"),
-        ("icc", "inter-rater agreement ICC(2,k)"),
-    ):
-        p = stats_sub.add_parser(which, help=helptext)
+    for which, (_, _, report) in _STATS.items():
+        p = stats_sub.add_parser(which, help=report.__doc__)
         p.add_argument("input", nargs="?", help="CSV/TSV input (default: stdin)")
         p.add_argument("--format", choices=("text", "tsv", "json"), default="text")
         if which == "mos":
@@ -363,8 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except CliError as exc:

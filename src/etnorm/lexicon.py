@@ -62,10 +62,10 @@ class RuleConfig:
     numbers: NumberLexicon = field(default_factory=default_lexicon)
 
     def __post_init__(self):
-        if self.title_min_length < 4:
-            raise ConfigError("title_min_length must be >= 4")
-        if self.digit_group_threshold < 5:
-            raise ConfigError("digit_group_threshold must be >= 5")
+        for name, least in (("title_min_length", 4), ("digit_group_threshold", 5)):
+            value = getattr(self, name)
+            if type(value) is not int or value < least:  # a bool or a float is refused too
+                raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
         for letter, name in self.letter_names.items():
             if not name:
                 raise ConfigError(f"empty letter name for {letter!r}")

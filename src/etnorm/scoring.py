@@ -22,6 +22,8 @@ class AbbrevSpan:
     def __post_init__(self):
         if self.expected_mode not in ("word", "spellout"):
             raise ValueError(f"expected_mode must be word|spellout, got {self.expected_mode!r}")
+        if not all(isinstance(reading, str) for reading in self.acceptable):
+            raise ValueError(f"span {self.surface!r}: acceptable readings must be strings")
 
 
 @dataclass(frozen=True)
@@ -186,50 +188,83 @@ def improvement(before: ScoreReport, after: ScoreReport) -> int:
     return after.percent - before.percent
 
 
-def parse_gold_record(payload: dict) -> GoldRecord:
+def _member(obj, key: str, kind: type, default=None):
+    """``obj[key]`` from a decoded JSON object; it must be a ``kind``, and
+    ``default``, when given, stands in for a missing key."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
+    value = obj.get(key, default)
+    if value is None:
+        raise ValueError(f"missing key {key!r}")
+    if not isinstance(value, kind):
+        raise ValueError(f"{key!r} must be a {kind.__name__}")
+    return value
+
+
+def parse_gold_record(payload) -> GoldRecord:
+    """The GoldRecord of one decoded JSON line; a missing or mistyped key
+    is a ValueError."""
     spans = tuple(
         AbbrevSpan(
-            surface=s["surface"],
-            expected_mode=s["expected_mode"],
-            acceptable=tuple(s.get("acceptable", ())),
+            surface=_member(s, "surface", str),
+            expected_mode=_member(s, "expected_mode", str),
+            acceptable=tuple(_member(s, "acceptable", list, [])),
         )
-        for s in payload.get("abbrev_spans", ())
+        for s in _member(payload, "abbrev_spans", list, [])
     )
     return GoldRecord(
-        id=payload["id"],
-        raw=payload["raw"],
-        gold=payload["gold"],
+        id=_member(payload, "id", str),
+        raw=_member(payload, "raw", str),
+        gold=_member(payload, "gold", str),
         abbrev_spans=spans,
-        category=payload.get("category", ""),
+        category=_member(payload, "category", str, ""),
     )
+
+
+def _records_by_id(path, parse) -> dict:
+    """``parse(line) -> (id, record)`` over the non-blank lines of the UTF-8
+    file at ``path``, as a dict in file order. A line that is not UTF-8 or
+    does not parse, and a repeated id, is a ValueError led by ``path:line:``."""
+    records, first_line = {}, {}
+    with open(path, encoding="utf-8", errors="surrogateescape") as handle:
+        for lineno, line in enumerate(handle, start=1):
+            if not line.strip():
+                continue
+            try:
+                # reading held back bytes that are not UTF-8 as lone surrogates
+                line.encode("utf-8", "surrogateescape").decode("utf-8")
+                key, record = parse(line)
+                if key in first_line:
+                    raise ValueError(f"repeated id {key!r} (first on line {first_line[key]})")
+            except UnicodeDecodeError as exc:
+                raise ValueError(f"{path}:{lineno}: input is not valid UTF-8: {exc}") from None
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+            records[key], first_line[key] = record, lineno
+    return records
+
+
+def _gold_line(line: str) -> tuple[str, GoldRecord]:
+    try:
+        payload = json.loads(line)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise ValueError(f"invalid JSON: {exc}") from None
+    record = parse_gold_record(payload)
+    return record.id, record
 
 
 def load_gold(path) -> list[GoldRecord]:
     """Read a JSON-lines gold corpus, one record per line."""
-    records = []
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                payload = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{lineno}: invalid JSON: {exc}") from None
-            records.append(parse_gold_record(payload))
-    return records
+    return list(_records_by_id(path, _gold_line).values())
+
+
+def _hypothesis_line(line: str) -> tuple[str, str]:
+    key, tab, text = line.rstrip("\n").partition("\t")
+    if not tab:
+        raise ValueError("expected id<TAB>text")
+    return key.strip(), text
 
 
 def load_hypotheses(path) -> dict[str, str]:
     """Read hypotheses as TSV lines of id<TAB>text."""
-    hypotheses: dict[str, str] = {}
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            if "\t" not in line:
-                raise ValueError(f"{path}:{lineno}: expected id<TAB>text")
-            key, _, text = line.partition("\t")
-            hypotheses[key.strip()] = text
-    return hypotheses
+    return _records_by_id(path, _hypothesis_line)

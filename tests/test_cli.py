@@ -1,11 +1,15 @@
+import contextlib
 import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from etnorm.cli import main
 from etnorm.verbalize import verbalize
@@ -361,3 +365,297 @@ def pinned_runs():
 @pytest.mark.parametrize("argv, expected", pinned_runs())
 def test_valid_inputs_give_pinned_outputs(capsys, argv, expected):
     assert run(capsys, argv) == (0, expected, "")
+
+
+RATINGS_HEADER = "rater,sentence,voice,voice_type,domain,score\n"
+GOLD_LINE = '{"id": "a", "raw": "Ta sõitis kaks km.", "gold": "Ta sõitis kaks kilomeetrit."}\n'
+
+# (files written to the working directory, argv, the start of the one stderr line)
+DIAGNOSTICS = {
+    "mos_unknown_domain": (
+        {"r.csv": RATINGS_HEADER + "r1,s1,Mari,HTS,uudised,4\nr2,s1,Mari,HTS,n,4\n"},
+        ["stats", "mos", "r.csv"],
+        "r.csv:3: unknown domain 'n'",
+    ),
+    "mos_score_not_a_number": (
+        {"r2.csv": RATINGS_HEADER + "r1,s1,Mari,HTS,uudised,x\n"},
+        ["stats", "mos", "r2.csv"],
+        "r2.csv:2: could not convert string to float: 'x'",
+    ),
+    "icc_cell_not_a_number": (
+        {"m.csv": "target,r1,r2\nt1,x,2\nt2,2,2\n"},
+        ["stats", "icc", "m.csv"],
+        "m.csv:2: could not convert string to float: 'x'",
+    ),
+    "icc_cell_nan": (
+        {"m2.csv": "target,r1,r2\nt1,nan,2\nt2,2,2\n"},
+        ["stats", "icc", "m2.csv"],
+        "m2.csv:2: incomplete ratings matrix: 'nan'",
+    ),
+    "errors_unknown_flag": (
+        {"a.csv": "annotator,sentence,voice,flags\na,s1,Mari,word_skipping;bogus\n"},
+        ["stats", "errors", "a.csv"],
+        "a.csv:2: unknown error category 'bogus'",
+    ),
+    "errors_header_checked_before_rows": (
+        {"a.csv": "annotator,sentence,flags\na,s1,bogus\n"},
+        ["stats", "errors", "a.csv"],
+        "a.csv:1: missing column 'voice'",
+    ),
+    "likert_score_out_of_range": (
+        {"l.csv": "rater,voice,text_kind,score\nr1,Mari,uudis,9\n"},
+        ["stats", "likert", "l.csv"],
+        "l.csv:2: Likert score must be an integer in 1..7, got 9",
+    ),
+    "likert_score_not_an_integer": (
+        {"l.csv": "rater,voice,text_kind,score\nr1,Mari,uudis,4.5\n"},
+        ["stats", "likert", "l.csv"],
+        "l.csv:2: invalid literal for int() with base 10: '4.5'",
+    ),
+    "repeated_column": (
+        {"l.csv": "rater,voice,text_kind,score,rater\nr1,Mari,uudis,4,r2\n"},
+        ["stats", "likert", "l.csv"],
+        "l.csv:1: repeated column 'rater'",
+    ),
+    "row_after_quoted_line_break": (
+        {"q.csv": RATINGS_HEADER + 'r1,"s1\nteine rida",Mari,HTS,uudised,4\nr2,s1,Mari,HTS,uudised\n'},
+        ["stats", "mos", "q.csv"],
+        "q.csv:4: expected 6 columns",
+    ),
+    "score_gold_without_id": (
+        {"g.jsonl": '{"raw": "x", "gold": "y"}\n', "h.tsv": "a\ty\n"},
+        ["score", "g.jsonl", "h.tsv"],
+        "g.jsonl:1: missing key 'id'",
+    ),
+    "score_gold_line_not_an_object": (
+        {"g.jsonl": '["a", "x", "y"]\n', "h.tsv": "a\ty\n"},
+        ["score", "g.jsonl", "h.tsv"],
+        "g.jsonl:1: expected a JSON object, got list",
+    ),
+    "score_empty_gold": (
+        {"g.jsonl": '{"id": "a", "raw": "x", "gold": ""}\n', "h.tsv": "a\ty\n"},
+        ["score", "g.jsonl", "h.tsv"],
+        "g.jsonl:1: record 'a': empty gold text",
+    ),
+    "score_span_not_in_raw": (
+        {
+            "g.jsonl": '{"id": "a", "raw": "x", "gold": "y", '
+            '"abbrev_spans": [{"surface": "km", "expected_mode": "word"}]}\n',
+            "h.tsv": "a\ty\n",
+        },
+        ["score", "g.jsonl", "h.tsv"],
+        "g.jsonl:1: record 'a': span surface 'km' not found in raw text",
+    ),
+    "score_hypothesis_not_utf8": (
+        {"g.jsonl": GOLD_LINE, "h.tsv": "a\tTa s\udcffitis\n"},
+        ["score", "g.jsonl", "h.tsv"],
+        "h.tsv:1: input is not valid UTF-8: ",
+    ),
+    "score_gold_repeated_id": (
+        {"g.jsonl": GOLD_LINE * 2, "h.tsv": "a\ty\n"},
+        ["score", "g.jsonl", "h.tsv"],
+        "g.jsonl:2: repeated id 'a' (first on line 1)",
+    ),
+    "score_hypothesis_repeated_id": (
+        {"g.jsonl": GOLD_LINE, "h.tsv": "a\ty\n\na\tz\n"},
+        ["score", "g.jsonl", "h.tsv"],
+        "h.tsv:3: repeated id 'a' (first on line 1)",
+    ),
+}
+
+
+@pytest.mark.parametrize("files, argv, message", DIAGNOSTICS.values(), ids=DIAGNOSTICS)
+def test_diagnostic_names_input_and_line(capsys, tmp_path, monkeypatch, files, argv, message):
+    monkeypatch.chdir(tmp_path)
+    for name, text in files.items():
+        (tmp_path / name).write_bytes(text.encode("utf-8", "surrogateescape"))
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"etnorm: {message}") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("which", ["mos", "errors", "likert", "icc"])
+def test_header_only_table_has_no_data_rows(capsys, monkeypatch, which):
+    header = "rater,sentence,voice,voice_type,domain,score,annotator,flags,text_kind\n\n"
+    code, out, err = run(capsys, ["stats", which], stdin=header, monkeypatch=monkeypatch)
+    assert (code, out, err) == (1, "", "etnorm: <stdin>: no data rows\n")
+
+
+def test_empty_table_named_as_stdin(capsys, monkeypatch):
+    code, out, err = run(capsys, ["stats", "likert", "-"], stdin="", monkeypatch=monkeypatch)
+    assert (code, out, err) == (1, "", "etnorm: <stdin>: empty input\n")
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ({"title_min_length": "x"}, "title_min_length must be an integer >= 4, got 'x'"),
+        ({"digit_group_threshold": None}, "digit_group_threshold must be an integer >= 5, got None"),
+        ({"abbreviations": ["a"]}, "abbreviations: expected a file path"),
+        # an integer path would be opened as a file descriptor
+        ({"letter_names": 5}, "letter_names: expected a file path"),
+        ({"title_min_length": 4.5}, "title_min_length must be an integer >= 4, got 4.5"),
+        ({"title_min_length": True}, "title_min_length must be an integer >= 4, got True"),
+    ],
+    ids=["string", "null", "list_path", "integer_path", "float", "bool"],
+)
+def test_mistyped_config_value_named(capsys, tmp_path, monkeypatch, payload, message):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(payload), encoding="utf-8")
+    code, out, err = run(
+        capsys, ["normalize", "--config", str(config)], stdin="tere\n", monkeypatch=monkeypatch
+    )
+    assert (code, out, err) == (1, "", f"etnorm: {config}: {message}\n")
+
+
+SCORES = [f"{half / 2:.1f}" for half in range(2, 11)]
+# each list leads with one of every kind of fault, as Hypothesis draws
+# the leading values most
+RATINGS = ["nan", "x", "inf", "", "-inf", "4,5", "½", "NaN", "1e"]
+# subcommand -> column -> (valid cells, cells its parser or record rejects)
+TABLES = {
+    "mos": {
+        "rater": (["r1", "r2"], []),
+        "sentence": (["s1", "s2"], []),
+        "voice": (["Mari", "Tõnu"], []),
+        "voice_type": (["HTS", "DeepVoice3", "Kõnekorpus"], ["hts", "Vocoder"]),
+        "domain": (["uudised", "ilukirjandus"], ["n", "Uudised"]),
+        "score": (SCORES, ["5.5", "nan", "x", "4.2", "inf", "0", "", "-1", "Infinity"]),
+    },
+    "errors": {
+        "annotator": (["a", "b"], []),
+        "sentence": (["s1", "s2"], []),
+        "voice": (["Mari", "Tõnu"], []),
+        "flags": (
+            ["", "word_skipping", "volume_problems; abrupt_start_end"],
+            ["bogus", "word_skipping;bogus", "Word_Skipping", "word skipping"],
+        ),
+    },
+    "likert": {
+        "rater": (["r1", "r2"], []),
+        "voice": (["Mari", "Tõnu"], []),
+        "text_kind": (["uudis", "ilukirjandus"], ["uudised", "x"]),
+        "score": ([str(s) for s in range(1, 8)], ["8", "4.5", "x", "nan", "0", "", "-1", "1e3"]),
+    },
+    "icc": {
+        "target": (["t1", "t2"], []),
+        "r1": (SCORES, RATINGS),
+        "r2": (SCORES, RATINGS),
+        "r3": (SCORES, RATINGS),
+    },
+}
+
+DELETE = object()
+# (key, value) put into one gold record; DELETE removes the key
+GOLD_FAULTS = [
+    ("id", DELETE), ("raw", DELETE), ("gold", DELETE),
+    ("id", 5), ("id", None), ("raw", None), ("gold", ""), ("gold", ["x"]), ("category", 1),
+    ("abbrev_spans", "km"), ("abbrev_spans", [5]), ("abbrev_spans", [{"expected_mode": "word"}]),
+    ("abbrev_spans", [{"surface": "zzz", "expected_mode": "word"}]),
+    ("abbrev_spans", [{"surface": "Ta", "expected_mode": "maybe"}]),
+    ("abbrev_spans", [{"surface": "Ta", "expected_mode": "word", "acceptable": "x"}]),
+    ("abbrev_spans", [{"surface": "Ta", "expected_mode": "word", "acceptable": [1]}]),
+]
+GOLD_RECORDS = [
+    {
+        "raw": "Ta sõitis kaks km.",
+        "gold": "Ta sõitis kaks kilomeetrit.",
+        "abbrev_spans": [{"surface": "km", "expected_mode": "word", "acceptable": ["kilomeetrit"]}],
+    },
+    {"raw": "Ta küsis EKI nõu.", "gold": "Ta küsis ee-kaa-ii nõu.", "category": "abbr"},
+    {"raw": "Täna on ilus ilm.", "gold": "Täna on ilus ilm."},
+]
+
+
+def table_lines(draw, kind, bad, fault):
+    columns = TABLES[kind]
+    header = list(columns)
+    rows = [header] + [
+        [draw(st.sampled_from(columns[c][0])) for c in header]
+        for _ in range(draw(st.integers(max(bad, 2), 7)))
+    ]
+    if fault == "value":
+        column = draw(st.sampled_from([c for c in header if columns[c][1]]))
+        rows[bad][header.index(column)] = draw(st.sampled_from(columns[column][1]))
+    elif fault == "line":  # a cell too few
+        del rows[bad][draw(st.integers(0, len(header) - 1))]
+    sep = draw(st.sampled_from([",", "\t"]))
+    return [sep.join(row) for row in rows]
+
+
+def gold_lines(draw, records, bad, fault):
+    if fault == "value":
+        key, value = draw(st.sampled_from(GOLD_FAULTS))
+        if value is DELETE:
+            del records[bad][key]
+        else:
+            records[bad][key] = value
+    elif fault == "line" and bad > 0:  # a repeated id
+        records[bad]["id"] = records[draw(st.integers(0, bad - 1))]["id"]
+    lines = [json.dumps(record, ensure_ascii=False) for record in records]
+    if fault == "line" and bad == 0:
+        lines[0] = draw(st.sampled_from(["[1]", "5", '"x"', "null", lines[0][:-1]]))
+    return lines
+
+
+def hypothesis_lines(draw, lines, bad, fault):
+    lines = list(lines)
+    if fault == "line" and bad > 0:  # a repeated id
+        lines[bad] = lines[draw(st.integers(0, bad - 1))]
+    elif fault != "byte":
+        lines[bad] = lines[bad].replace("\t", " ")
+    return lines
+
+
+@st.composite
+def corrupted_inputs(draw, kind):
+    """(files, argv, name, line): a valid input for ``kind`` (a stats
+    subcommand, ``gold`` or ``hypotheses``) whose line ``line`` of file
+    ``name`` was made bad by a value, a whole line or a 0xff byte."""
+    fault = draw(st.sampled_from(["value", "line", "byte"]))
+    if kind in TABLES:  # line 0 is the header
+        bad = draw(st.integers(1, 6))
+        files, argv = {}, ["stats", kind, "table.csv"]
+        name, lines = "table.csv", table_lines(draw, kind, bad, fault)
+    else:
+        bad = draw(st.integers(0, 5))
+        records = [
+            dict(draw(st.sampled_from(GOLD_RECORDS)), id=f"g{i}")
+            for i in range(draw(st.integers(max(bad + 1, 2), 7)))
+        ]
+        valid = {
+            "gold.jsonl": [json.dumps(record, ensure_ascii=False) for record in records],
+            "hyp.tsv": [f"{record['id']}\t{record['gold']}" for record in records],
+        }
+        files = {k: "".join(line + "\n" for line in v).encode("utf-8") for k, v in valid.items()}
+        argv = ["score", "gold.jsonl", "hyp.tsv"]
+        if kind == "gold":
+            name, lines = "gold.jsonl", gold_lines(draw, records, bad, fault)
+        else:
+            name, lines = "hyp.tsv", hypothesis_lines(draw, valid["hyp.tsv"], bad, fault)
+    data = [line.encode("utf-8") for line in lines]
+    if fault == "byte":
+        at = draw(st.integers(0, len(data[bad])))
+        data[bad] = data[bad][:at] + b"\xff" + data[bad][at:]
+    # blank lines are skipped but counted
+    blank = [i > 0 and draw(st.booleans()) for i in range(len(data))]
+    files[name] = b"".join(b"\n" * skip + line + b"\n" for skip, line in zip(blank, data))
+    return files, argv, name, bad + 1 + sum(blank[: bad + 1])
+
+
+@pytest.mark.parametrize("kind", [*TABLES, "gold", "hypotheses"])
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_one_bad_line_gives_one_located_diagnostic(kind, data):
+    files, argv, bad_name, bad_line = data.draw(corrupted_inputs(kind))
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {name: os.path.join(tmp, name) for name in files}
+        for name, content in files.items():
+            with open(paths[name], "wb") as handle:
+                handle.write(content)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([paths.get(word, word) for word in argv])
+    assert (code, out.getvalue()) == (1, "")
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"etnorm: {paths[bad_name]}:{bad_line}: "), lines

@@ -52,6 +52,12 @@ class TestValidation:
         with pytest.raises(ConfigError):
             with_options(config, digit_group_threshold=4)
 
+    @pytest.mark.parametrize("value", [6.0, 4.5, True, "6", None])
+    @pytest.mark.parametrize("option", ["title_min_length", "digit_group_threshold"])
+    def test_thresholds_must_be_integers(self, config, option, value):
+        with pytest.raises(ConfigError, match=f"{option} must be an integer"):
+            with_options(config, **{option: value})
+
 
 class TestFileParsing:
     def test_duplicate_surfaces_merge_in_order(self, tmp_path):
