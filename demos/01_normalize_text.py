@@ -30,6 +30,7 @@ show("Letter sequences that look Roman are not always Roman", [
     "MM toimub järgmisel aastal.",     # stoplisted, spelled
     "XX sajand tõi suured muutused.",  # real ordinal: century context
     "Karl XII valitses Rootsit.",      # real ordinal: name context
+    "XIX-XX sajand oli muutuste aeg.", # a Roman range, licensed as a whole
 ])
 
 show("Case endings survive acronym spell-out", [
@@ -51,6 +52,7 @@ show("Numbers: cardinals, decimals, dates, ranges, ratios", [
     "Pilet maksab 3,14 eurot.",
     "Üritus toimus 11/12/2020 õhtul.",   # never merged into one number
     "Kohtume 2-3 sõbraga.",              # hyphen range -> kuni
+    "Pood on avatud 10:30-11:00.",       # a range of times reads the same
     "Võit tuli seisuga 6:2 koju.",       # ratio -> koolon
 ])
 

@@ -17,6 +17,8 @@ All file I/O is strict UTF-8. Data goes to stdout; a diagnostic goes to
 stderr as ``etnorm: <input>:<line>: ...`` (``<stdin>`` for standard input)
 and makes the exit code 1. Repeated header columns, repeated ids in a score
 input and a table with no data rows (``<input>: no data rows``) are errors.
+A fault of a whole table is ``etnorm: <input>: ...``; a warning of the
+statistics is ``etnorm: <input>: warning: ...`` and keeps the exit code 0.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import inspect
 import json
 import math
 import sys
+import warnings
 
 from .lexicon import ConfigError, default_config, load_config
 from .scoring import improvement, load_gold, load_hypotheses, score_corpus
@@ -58,10 +61,8 @@ def _load_cli_config(path):
     if path is None:
         return default_config()
     try:
-        with open(path, encoding="utf-8") as handle:
+        with _open(path, "r") as handle:
             payload = json.load(handle)
-    except OSError as exc:
-        raise CliError(f"{path}: {exc.strerror}") from None
     except json.JSONDecodeError as exc:
         raise CliError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from None
     except ValueError as exc:  # not UTF-8, or a number too long to read
@@ -80,6 +81,14 @@ def _load_cli_config(path):
         raise CliError(f"{path}: {exc}") from None
 
 
+def _open(path, mode, errors="strict"):
+    """``path`` opened as UTF-8 text; a failure to open it is a diagnostic."""
+    try:
+        return open(path, mode, encoding="utf-8", errors=errors)
+    except OSError as exc:
+        raise CliError(f"{path}: {exc.strerror}") from None
+
+
 def _open_input(path):
     """The input stream and its name for diagnostics. Bytes that are not
     UTF-8 come through as lone surrogates, so ``_check_utf8`` can report a
@@ -88,10 +97,7 @@ def _open_input(path):
         if hasattr(sys.stdin, "reconfigure"):
             sys.stdin.reconfigure(encoding="utf-8", errors="surrogateescape")
         return sys.stdin, "<stdin>"
-    try:
-        return open(path, encoding="utf-8", errors="surrogateescape"), path
-    except OSError as exc:
-        raise CliError(f"{path}: {exc.strerror}") from None
+    return _open(path, "r", "surrogateescape"), path
 
 
 def _check_utf8(line: str) -> None:
@@ -107,9 +113,10 @@ def _cmd_normalize(args) -> int:
     the stream is still read, and the exit code is 1."""
     config = _load_cli_config(args.config)
     stream, name = _open_input(args.input)
-    out = sys.stdout if args.output is None else open(args.output, "w", encoding="utf-8")
-    status = 0
+    out, status = sys.stdout, 0
     try:
+        if args.output is not None:
+            out = _open(args.output, "w")
         for lineno, line in enumerate(stream, start=1):
             try:
                 _check_utf8(line)
@@ -162,10 +169,11 @@ def _utf8_lines(stream, name):
         yield line
 
 
-def _read_records(path, columns, make) -> list:
+def _read_records(path, columns, make) -> tuple[list, str]:
     """``make(**cells)`` for each data row of the table at ``path`` (stdin for
-    None or ``-``). ``columns`` maps each column a row needs to the parser of
-    its cells; None takes every column but ``target`` as a rating."""
+    None or ``-``), and the table's name for diagnostics. ``columns`` maps
+    each column a row needs to the parser of its cells; None takes every
+    column but ``target`` as a rating."""
     stream, name = _open_input(path)
     lineno, records = 2, []
     try:
@@ -198,7 +206,7 @@ def _read_records(path, columns, make) -> list:
             stream.close()
     if not records:
         raise CliError(f"{name}: no data rows")
-    return records
+    return records, name
 
 
 def _categories(cell: str) -> frozenset[ErrorCategory]:
@@ -282,12 +290,18 @@ _STATS = {
 
 
 def _cmd_stats(args) -> int:
+    """Print the report on the table; a fault of the whole table, and a
+    warning the statistics give, name the table."""
     columns, make, report = _STATS[args.which]
-    records = _read_records(args.input, columns, make)
-    try:
-        report(records, args)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    records, name = _read_records(args.input, columns, make)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            report(records, args)
+        except ValueError as exc:
+            raise CliError(f"{name}: {exc}") from None
+    for warning in caught:
+        print(f"etnorm: {name}: warning: {warning.message}", file=sys.stderr)
     return 0
 
 

@@ -260,12 +260,14 @@ def _in_ranges(ranges: list[tuple[int, int]], pos: int) -> bool:
 
 
 def _accepts(name: str, surface: str) -> bool:
-    """The post-check of a phone number or of a case-suffixed acronym."""
+    """The post-check of a phone number or of a case-suffixed acronym. One
+    without "+" mixes no dash with spaces: "100 000-200 000" is a range."""
     if name == "phone":
         if surface[0] == "+":
             return True
         digit_count = sum(ch.isdigit() for ch in surface)
-        return 7 <= digit_count <= 15 and not _THOUSANDS_SHAPE_RE.match(surface)
+        mixed = "-" in surface and (" " in surface or "\xa0" in surface)
+        return 7 <= digit_count <= 15 and not mixed and not _THOUSANDS_SHAPE_RE.match(surface)
     return surface.rsplit("-", 1)[1] in CASE_SUFFIXES
 
 

@@ -53,7 +53,6 @@ _WORDISH_KINDS = frozenset(
         TokenKind.ROMAN_CANDIDATE,
     }
 )
-_NUMERIC_RANGE_KINDS = frozenset({TokenKind.CARDINAL_NUMBER, TokenKind.ORDINAL_DOT})
 # tokens read out as numbers, between which a joined dot is spoken
 _NUMBER_KINDS = frozenset(
     {TokenKind.CARDINAL_NUMBER, TokenKind.DECIMAL_NUMBER, TokenKind.DIGIT_GROUP_SEQ,
@@ -183,19 +182,10 @@ def expand_roman(
 
 
 def verbalize_range(a: Token, dash: Token, b: Token, config: RuleConfig | None = None) -> str | None:
-    """Read "a-b" between plain numbers as "a kuni b"; None when not a range."""
-    config = config or default_config()
-    if dash.text not in ("-", "–") or not a.joined_right or not dash.joined_right:
-        return None
-    if a.kind not in _NUMERIC_RANGE_KINDS or b.kind not in _NUMERIC_RANGE_KINDS:
-        return None
-    return f"{_range_operand(a, config)} kuni {_range_operand(b, config)}"
-
-
-def _range_operand(token: Token, config: RuleConfig) -> str:
-    if token.kind == TokenKind.ORDINAL_DOT:
-        return _render_ordinal_dot(token.text, config)
-    return _render_cardinal_text(token.text, config)
+    """Read "a-b" as "a kuni b" by the range rule (``_number_range``) on the
+    three tokens alone; None when they are not a range."""
+    hit = _number_range([a, dash, b], 0, config or default_config())
+    return None if hit is None else hit[1]
 
 
 def _is_ascii_digits(text: str) -> bool:
@@ -307,16 +297,6 @@ def _render_cardinal_text(text: str, config: RuleConfig) -> str:
     return cardinal(int(text), NOMINATIVE, config.numbers)
 
 
-def _render_ordinal_dot(text: str, config: RuleConfig) -> str:
-    body = text[:-1]
-    if body[0] == "0" and len(body) > 1:
-        return digits(body, config.numbers)
-    value = int(body)
-    if 1 <= value <= numwords.MAX_ORDINAL:
-        return ordinal(value, NOMINATIVE, config.numbers)
-    return cardinal(value, NOMINATIVE, config.numbers)
-
-
 def _render_url_body(text: str, config: RuleConfig) -> str:
     body = re.sub(r"^https?://", "", text)
     parts: list[str] = []
@@ -359,12 +339,19 @@ def _letter_compound(tokens, i, config):
 
 
 def _number_range(tokens, i, config):
-    """A number range written with a hyphen or en dash: "5-7", "5.–7."."""
-    if i + 2 < len(tokens):
-        spoken = verbalize_range(tokens[i], tokens[i + 1], tokens[i + 2], config)
-        if spoken is not None:
-            return i + 2, spoken
-    return None
+    """A hyphen or en dash joined to two numbers of ``_RANGE_KINDS`` reads
+    "a kuni b": "5-7", "5.–7.", "10:30-11:00". Each number is read by the
+    last rule of its kind, two Roman numerals ("XIX-XX sajand") by ``_roman``
+    as one span; a Roman and an Arabic numeral are no range."""
+    if not tokens[i].joined_right or i + 2 >= len(tokens):
+        return None
+    a, dash, b = tokens[i], tokens[i + 1], tokens[i + 2]
+    if dash.text not in ("-", "–") or not dash.joined_right or not {a.kind, b.kind} <= _RANGE_KINDS:
+        return None
+    if TokenKind.ROMAN_CANDIDATE in (a.kind, b.kind):
+        return _roman(tokens, i, config, i + 2) if a.kind is b.kind else None
+    left = _RULES[a.kind][-1](tokens, i, config)[1]
+    return i + 2, f"{left} kuni {_RULES[b.kind][-1](tokens, i + 2, config)[1]}"
 
 
 def _ratio(tokens, i, config):
@@ -396,7 +383,10 @@ def _cardinal(tokens, i, config):
 
 
 def _ordinal(tokens, i, config):
-    return i, _render_ordinal_dot(tokens[i].text, config)
+    body = tokens[i].text[:-1]
+    if body[0] != "0" and int(body) <= numwords.MAX_ORDINAL:
+        return i, ordinal(int(body), NOMINATIVE, config.numbers)
+    return i, _render_cardinal_text(body, config)
 
 
 def _dot_between_numbers(tokens, i, config):
@@ -412,25 +402,27 @@ def _dot_between_numbers(tokens, i, config):
     return None
 
 
-def _roman(tokens, i, config):
+def _roman(tokens, i, config, last=None):
     """A Roman numeral with a context cue reads as an ordinal; a joined dot
-    before a lowercase word is its ordinal mark and is read with it."""
-    t = tokens[i]
+    before a lowercase word is its ordinal mark and is read with it. With
+    ``last``, the numerals at ``i`` and ``last`` are a range, which the cues
+    around the whole span license or refuse as one."""
+    last = i if last is None else last
     left = tokens[i - 1] if i > 0 else None
-    right = tokens[i + 1] if i + 1 < len(tokens) else None
+    right = tokens[last + 1] if last + 1 < len(tokens) else None
     dot_cue = (
         right is not None
         and right.text == "."
-        and t.joined_right
-        and i + 2 < len(tokens)
-        and tokens[i + 2].text[:1].islower()
+        and tokens[last].joined_right
+        and last + 2 < len(tokens)
+        and tokens[last + 2].text[:1].islower()
     )
     if right is not None and right.text == "." and not dot_cue:
         right = None  # a dot that is not an ordinal mark is no cue
-    spoken = expand_roman(t.text, left, right, config)
-    if spoken is None:
+    spoken = [expand_roman(tokens[j].text, left, right, config) for j in sorted({i, last})]
+    if None in spoken:
         return None
-    return (i + 1 if dot_cue else i), spoken
+    return (last + 1 if dot_cue else last), " kuni ".join(spoken)
 
 
 def _uppercase(tokens, i, config):
@@ -468,7 +460,7 @@ def _decimal(tokens, i, config):
 
 def _grouped(tokens, i, config):
     text = tokens[i].text
-    digits_only = re.sub(r"[  .]", "", text)
+    digits_only = re.sub(r"[ \xa0.]", "", text)
     if (
         len(digits_only) >= config.digit_group_threshold
         or digits_only[0] == "0"
@@ -520,22 +512,24 @@ def _symbol(tokens, i, config):
 _RULES = {
     TokenKind.WORD: (_letter_compound, _abbreviation, _lone_letter),
     TokenKind.UPPERCASE_SEQ: (_letter_compound, _uppercase),
-    TokenKind.ROMAN_CANDIDATE: (_letter_compound, _roman, _uppercase),
+    TokenKind.ROMAN_CANDIDATE: (_number_range, _letter_compound, _roman, _uppercase),
     TokenKind.CARDINAL_NUMBER: (_number_range, _ratio, _case_ending, _cardinal),
     TokenKind.ORDINAL_DOT: (_number_range, _ordinal),
     TokenKind.PUNCT: (_dot_between_numbers,),
     TokenKind.LOWERCASE_CONSONANTS: (_abbreviation, _spelled),
     TokenKind.CASE_SUFFIXED_ACRONYM: (_suffixed_acronym,),
     TokenKind.MIXED_CASE: (_mixed_case,),
-    TokenKind.DECIMAL_NUMBER: (_decimal,),
-    TokenKind.DIGIT_GROUP_SEQ: (_grouped,),
-    TokenKind.PHONE: (_phone,),
-    TokenKind.DATE_LIKE: (_date,),
-    TokenKind.TIME_LIKE: (_time,),
+    TokenKind.DECIMAL_NUMBER: (_number_range, _decimal),
+    TokenKind.DIGIT_GROUP_SEQ: (_number_range, _grouped),
+    TokenKind.PHONE: (_number_range, _phone),
+    TokenKind.DATE_LIKE: (_number_range, _date),
+    TokenKind.TIME_LIKE: (_number_range, _time),
     TokenKind.URL: (_url,),
     TokenKind.EMAIL: (_email,),
     TokenKind.SYMBOL: (_symbol,),
 }
+# the kinds a range joins; of each but the Roman kind, the last rule never declines
+_RANGE_KINDS = frozenset(kind for kind, rules in _RULES.items() if _number_range in rules)
 
 
 class _Piece:

@@ -11,7 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from etnorm import cli
 from etnorm.cli import main
+from etnorm.stats import ErrorCategory
 from etnorm.verbalize import verbalize
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -127,6 +129,17 @@ class TestNormalize:
         assert code == 1
         assert out == "tere\n\nee-aa-essi\n"
         assert err == "etnorm: <stdin>:2: RuntimeError: boom\n"
+
+    def test_output_that_cannot_be_opened(self, capsys, tmp_path, monkeypatch):
+        src = tmp_path / "in.txt"
+        src.write_text("tere\n", encoding="utf-8")
+        opened = []
+        original = cli._open_input
+        monkeypatch.setattr(cli, "_open_input", lambda path: opened.append(original(path)) or opened[-1])
+        for dst, reason in ((tmp_path / "no" / "out.txt", "No such file or directory"), (tmp_path, "Is a directory")):
+            code, out, err = run(capsys, ["normalize", "--input", str(src), "--output", str(dst)])
+            assert (code, out, err) == (1, "", f"etnorm: {dst}: {reason}\n")
+            assert opened[-1][0].closed
 
     def test_invalid_utf8_line_named_and_stream_goes_on(self, capsys, tmp_path):
         src = tmp_path / "in.txt"
@@ -349,6 +362,48 @@ class TestStats:
         code, _, err = run(capsys, ["stats", "icc", str(path)])
         assert code == 1
         assert "incomplete" in err
+
+    @pytest.mark.parametrize(
+        "which, table, message",
+        [
+            ("likert", "rater,voice,text_kind,score\nr1,N,uudis,4\n", "group ('N', 'uudis') needs at least 2 ratings"),
+            ("icc", "target,r1\nt1,3\nt2,4\n", "need at least 2 targets and 2 raters"),
+        ],
+        ids=["likert", "icc"],
+    )
+    def test_whole_table_fault_names_input(self, capsys, tmp_path, monkeypatch, which, table, message):
+        path = tmp_path / "table.csv"
+        path.write_text(table, encoding="utf-8")
+        assert run(capsys, ["stats", which, str(path)]) == (1, "", f"etnorm: {path}: {message}\n")
+        assert run(capsys, ["stats", which], stdin=table, monkeypatch=monkeypatch) == (
+            1, "", f"etnorm: <stdin>: {message}\n"
+        )
+
+    @pytest.mark.parametrize(
+        "which, table, out, message",
+        [
+            (
+                "mos",
+                "rater,sentence,voice,voice_type,domain,score\n"
+                "r1,s1,Mari,HTS,uudised,4\nr1,s1,Kalev,HTS,uudised,4\nr2,s1,Kalev,HTS,uudised,5\n",
+                "voice\tdomain\tn\tmos\tci_half_width\nKalev\t\t2\t4.50\t0.980\nMari\t\t1\t4.00\t0.000\n",
+                "group ('Mari',) has a single rating; CI degenerate",
+            ),
+            (
+                "errors",
+                "annotator,sentence,voice,flags\na1,s1,Mari,word_skipping\na1,s2,Mari,\na2,s2,Mari,\n",
+                "voice\t" + "\t".join(c.value for c in ErrorCategory) + "\nMari\t50.0" + "\t0.0" * 8 + "\n",
+                "1 sentence(s) have fewer than two annotators",
+            ),
+        ],
+        ids=["mos", "errors"],
+    )
+    def test_statistics_warning_names_input(self, capsys, tmp_path, which, table, out, message):
+        path = tmp_path / "table.csv"
+        path.write_text(table, encoding="utf-8")
+        assert run(capsys, ["stats", which, str(path), "--format", "tsv"]) == (
+            0, out, f"etnorm: {path}: warning: {message}\n"
+        )
 
 
 def pinned_runs():

@@ -171,3 +171,29 @@ def test_gate_is_sound(config, text, tables):
     folded = fold_diacritics(text, configured.folding)
     if _passes_through(folded, configured):
         assert full == folded, text
+
+
+# ------------------------------------------------- ranges
+
+DIGITS = "0123456789"
+# cardinals, decimals with a comma or a dot, times, dates and space-grouped
+# numbers: each a range operand that reads the same inside a range as alone
+RANGE_OPERANDS = st.one_of(
+    st.integers(min_value=0, max_value=999_999).map(str),
+    st.builds("{},{}".format, st.integers(0, 99_999), st.text(DIGITS, min_size=1, max_size=4)),
+    st.builds("{}.{}".format, st.integers(0, 99_999), st.text(DIGITS, min_size=1, max_size=2)),
+    st.builds("{}:{:02}".format, st.integers(0, 23), st.integers(0, 59)),
+    st.builds("{}:{:02}:{:02}".format, st.integers(0, 23), st.integers(0, 59), st.integers(0, 59)),
+    st.builds("{}.{}.{}".format, st.integers(1, 31), st.integers(1, 12), st.integers(1000, 2999)),
+    st.builds(
+        lambda lead, groups: " ".join([str(lead), *groups]),
+        st.integers(1, 999),
+        st.lists(st.text(DIGITS, min_size=3, max_size=3), min_size=1, max_size=2),
+    ),
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(x=RANGE_OPERANDS, dash=st.sampled_from(["-", "–"]), y=RANGE_OPERANDS)
+def test_range_reads_each_operand_as_alone(config, x, dash, y):
+    assert verbalize(f"{x}{dash}{y}", config) == f"{verbalize(x, config)} kuni {verbalize(y, config)}"

@@ -83,6 +83,22 @@ class TestClassification:
             ("x", W), ("-", P), ("x", W), ("-", P), ("x", W), ("-", P), (".", P), (".", P), ("ee", W),
         ]
 
+    @pytest.mark.parametrize("text", ["+372 555 0101", "+372-555 0101", "53-12-34-56", "555 12 34", "555\xa012\xa034"])
+    def test_phone_numbers(self, text):
+        assert kinds(text) == [(text, TokenKind.PHONE)]
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("100 000-200 000", "100 000/digit_group_seq -/punct 200 000/digit_group_seq"),
+            ("100\xa0000-200\xa0000", "100\xa0000/digit_group_seq -/punct 200\xa0000/digit_group_seq"),
+            ("238 925-21:58", "238 925/digit_group_seq -/punct 21:58/time_like"),
+            ("46-204 98", "46/cardinal_number -/punct 204/cardinal_number 98/cardinal_number"),
+        ],
+    )
+    def test_phone_without_plus_mixes_no_dash_with_spaces(self, text, expected):
+        assert " ".join(f"{t}/{k.value}" for t, k in kinds(text)) == expected
+
     def test_adjacent_years_are_not_a_phone(self):
         got = kinds("2020 2021")
         assert [k for _, k in got] == [TokenKind.CARDINAL_NUMBER, TokenKind.CARDINAL_NUMBER]

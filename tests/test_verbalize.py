@@ -179,6 +179,45 @@ class TestRange:
         b = tok("3", TokenKind.CARDINAL_NUMBER, "")
         assert verbalize_range(a, dash, b, config) is None
 
+    def test_public_reader_takes_every_number_kind(self, config):
+        assert verbalize_range(*tokenize("10:30–11:00"), config) == "kümme koolon kolmkümmend kuni üksteist koolon null"
+        assert verbalize_range(*tokenize("XX-5"), config) is None
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("10:30-11:00", "kümme koolon kolmkümmend kuni üksteist koolon null"),
+            ("3,5-4,5 km", "kolm koma viis kuni neli koma viis kilomeetrit"),
+            ("XIX-XX sajand", "üheksateistkümnes kuni kahekümnes sajand"),
+            ("I-II osa", "esimene kuni teine osa"),  # the range before the letter compound
+            ("100 000-200 000", "sada tuhat kuni kakssada tuhat"),  # not one phone number
+            ("10\xa0000-20\xa0000", "kümme tuhat kuni kakskümmend tuhat"),
+            ("1.1.2020-2.2.2020", "esimene esimene kaks tuhat kakskümmend kuni teine teine kaks tuhat kakskümmend"),
+            ("12-15:00", "kaksteist kuni viisteist koolon null"),
+            ("Karl XI-XII", "Karl üheteistkümnes kuni kaheteistkümnes"),  # a name before the span
+            ("XIX-XX. sajandil", "üheksateistkümnes kuni kahekümnes sajandil"),  # an ordinal dot after it
+        ],
+    )
+    def test_every_number_kind(self, config, text, expected):
+        assert verbalize(text, config) == expected
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("e-post", "e-post"),
+            ("A-rühm", "A-rühm"),
+            ("C-vitamiin", "C-vitamiin"),
+            ("2 - 3", "kaks - kolm"),
+            ("MM-XX sajand", "emm-emm-kahekümnes sajand"),  # MM is on the stoplist
+            ("XIX-XX", "iks-ii-iks-iks-iks"),  # no cue licenses the pair
+            ("XX-5 sajand", "iks-iks-viis sajand"),  # a Roman and an Arabic numeral
+            ("2023-ks", "kahe tuhande kahekümne kolmeks"),
+            ("5.-7. mail", "viies kuni seitsmes mail"),
+        ],
+    )
+    def test_readings_that_are_not_new_ranges(self, config, text, expected):
+        assert verbalize(text, config) == expected
+
 
 class TestDigitSequence:
     def test_plain_run(self, config):
