@@ -3,7 +3,10 @@
 Cardinals up to (but excluding) one billion, decimal numbers with the
 spoken comma, ordinals up to 3999 for Roman-numeral readings, and
 digit-by-digit spelling. The language facts live in a key=value lexicon
-file; this module is only the composition engine.
+file. Each ``NumberLexicon`` compiles its word tables once, on first use:
+per case the phrases of 0-999 and the ordinals of 1-999, and the word of
+each digit. A number is then read with a few ``divmod`` calls and table
+lookups.
 
 Two grammatical cases are supported: nominative (the default reading)
 and genitive (needed inside compound ordinals and before case endings).
@@ -12,7 +15,7 @@ and genitive (needed inside compound ordinals and before case endings).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from importlib import resources
 
 NOMINATIVE = "nominative"
@@ -21,6 +24,7 @@ _CASES = (NOMINATIVE, GENITIVE)
 
 MAX_CARDINAL = 10**9 - 1
 MAX_ORDINAL = 3999
+_CARDINAL_DIGITS = len(str(MAX_CARDINAL))  # a longer digit string without leading zeros is too large
 
 
 class LexiconError(ValueError):
@@ -62,6 +66,39 @@ class NumberLexicon:
 
     def unit(self, n: int, case: str) -> str:
         return self.units[n] if case == NOMINATIVE else self.units_gen[n]
+
+    # The tables of a case are built on its first use and kept on the
+    # instance; a lexicon made with ``dataclasses.replace`` builds its own.
+
+    @cached_property
+    def cardinal_tables(self) -> dict[str, tuple]:
+        """Case -> (phrase-initial words of 0-999, inner words of 0-999,
+        the million after one, the millions after 2-999, the thousand)."""
+        return _ByCase(self, _cardinal_table)
+
+    @cached_property
+    def ordinal_tables(self) -> dict[str, tuple]:
+        """Case -> (ordinals of 0-999, ordinals of the whole thousands,
+        the genitive thousands that lead a longer ordinal)."""
+        return _ByCase(self, _ordinal_table)
+
+    @cached_property
+    def digit_words(self) -> dict[str, str]:
+        """Each digit character -> its word."""
+        return {str(d): word for d, word in enumerate(self.units)}
+
+
+class _ByCase(dict):
+    """Case -> the tables ``build(lexicon, case)`` returns, built on first use."""
+
+    def __init__(self, lexicon: NumberLexicon, build):
+        super().__init__()
+        self._source = lexicon, build
+
+    def __missing__(self, case: str) -> tuple:
+        lexicon, build = self._source
+        tables = self[case] = build(lexicon, case)
+        return tables
 
 
 def _parse_kv(path_or_text, source: str) -> dict[str, str]:
@@ -139,43 +176,66 @@ def _check_case(case: str) -> None:
         raise ValueError(f"unsupported case {case!r}; expected one of {_CASES}")
 
 
-def _block_words(n: int, case: str, lex: NumberLexicon) -> list[str]:
-    """Words for 1..999. Hundreds keep their explicit multiplier (ükssada);
-    the phrase-initial cleanup happens in cardinal()."""
-    words: list[str] = []
-    hundreds, rest = divmod(n, 100)
-    if hundreds:
-        hundred = lex.hundred if case == NOMINATIVE else lex.hundred_gen
-        words.append(lex.unit(hundreds, case) + hundred)
-    if rest == 0:
-        return words
-    if rest == 10:
-        words.append(lex.ten if case == NOMINATIVE else lex.ten_gen)
-    elif 11 <= rest <= 19:
-        if case == NOMINATIVE:
-            words.append(lex.units[rest - 10] + lex.teen_suffix)
-        else:
-            words.append(lex.units_gen[rest - 10] + lex.teen_suffix_gen)
-    elif rest < 10:
-        words.append(lex.unit(rest, case))
-    else:
-        tens, unit = divmod(rest, 10)
-        suffix = lex.tens_suffix if case == NOMINATIVE else lex.tens_suffix_gen
-        words.append(lex.unit(tens, case) + suffix)
-        if unit:
-            words.append(lex.unit(unit, case))
-    return words
+def _is_ascii_digits(text) -> bool:
+    """True for a non-empty str of 0-9: the only digits numbers are read from."""
+    return isinstance(text, str) and text.isascii() and text.isdigit()
 
 
-def _strip_leading_one(words: list[str], case: str, lex: NumberLexicon) -> list[str]:
-    # 1000 is "tuhat", 100 is "sada"; the explicit "üks" only survives alone.
-    one = lex.unit(1, case)
-    hundred = lex.hundred if case == NOMINATIVE else lex.hundred_gen
-    if words[0] == one + hundred:
-        return [hundred] + words[1:]
-    if words[0] == one and len(words) > 1:
-        return words[1:]
-    return words
+def _in_case(lex: NumberLexicon, case: str):
+    """Field name -> the lexicon's word for ``case`` (``name`` or ``name_gen``)."""
+    suffix = "" if case == NOMINATIVE else "_gen"
+    return lambda name: getattr(lex, name + suffix)
+
+
+def _cardinal_below_hundred(lex: NumberLexicon, case: str) -> list[str]:
+    """The cardinals of 0-99 in ``case``; 0 is the empty phrase."""
+    word = _in_case(lex, case)
+    units = word("units")
+    phrases = ["", *units[1:], word("ten"), *(unit + word("teen_suffix") for unit in units[1:])]
+    for stem in (unit + word("tens_suffix") for unit in units[2:]):
+        phrases += [stem, *(f"{stem} {unit}" for unit in units[1:])]
+    return phrases
+
+
+def _cardinal_table(lex: NumberLexicon, case: str) -> tuple:
+    word = _in_case(lex, case)
+    below = _cardinal_below_hundred(lex, case)
+    hundred = word("hundred")
+    inner = below.copy()
+    for unit in word("units")[1:]:
+        head = unit + hundred
+        inner += [head, *(f"{head} {rest}" for rest in below[1:])]
+    # a phrase starts "sada" (100), not "ükssada"; the "üks" of 1 only
+    # stands alone, cardinal() leaves it out before a scale word
+    first = inner.copy()
+    first[0] = word("units")[0]
+    first[100:200] = [hundred, *(f"{hundred} {rest}" for rest in below[1:])]
+    millions = lex.million_many if case == NOMINATIVE else lex.million_gen
+    return tuple(first), tuple(inner), word("million"), millions, word("thousand")
+
+
+def _ordinal_table(lex: NumberLexicon, case: str) -> tuple:
+    """Every word before the last is a genitive cardinal; only the last
+    takes the ordinal ending ("kahekümne esimene")."""
+    word = _in_case(lex, case)
+    gen = lex.units_gen
+    ordinals = word("ordinals")
+    table = ["", *ordinals, word("ordinal_ten"), *(unit + word("ordinal_teen_suffix") for unit in gen[1:])]
+    for unit in gen[2:]:
+        stem = unit + lex.tens_suffix_gen
+        table += [unit + word("ordinal_tens_suffix"), *(f"{stem} {last}" for last in ordinals)]
+    below = table.copy()
+    ordinal_hundred = word("ordinal_hundred")
+    for h, unit in enumerate(gen[1:], start=1):
+        multiplier = "" if h == 1 else unit  # "sajas", "saja esimene"; "kahesajas"
+        stem = multiplier + lex.hundred_gen
+        table += [multiplier + ordinal_hundred, *(f"{stem} {rest}" for rest in below[1:])]
+    leads = ["", lex.thousand_gen]
+    thousands = ["", word("ordinal_thousand")]
+    for unit in gen[2:MAX_ORDINAL // 1000 + 1]:
+        leads.append(f"{unit} {lex.thousand_gen}")
+        thousands.append(f"{unit} {word('ordinal_thousand')}")
+    return tuple(table), tuple(thousands), tuple(leads)
 
 
 def cardinal(n: int, case: str = NOMINATIVE, lexicon: NumberLexicon | None = None) -> str:
@@ -185,33 +245,26 @@ def cardinal(n: int, case: str = NOMINATIVE, lexicon: NumberLexicon | None = Non
         raise ValueError(f"expected an integer, got {n!r}")
     if n < 0 or n > MAX_CARDINAL:
         raise ValueError(f"cardinal out of range [0, {MAX_CARDINAL}]: {n}")
-    lex = lexicon or default_lexicon()
-    if n == 0:
-        return lex.unit(0, case)
-
-    words: list[str] = []
-    millions, rest = divmod(n, 10**6)
-    thousands, block = divmod(rest, 1000)
-    if millions:
-        words += _block_words(millions, case, lex)
-        if case == NOMINATIVE:
-            words.append(lex.million if millions == 1 else lex.million_many)
-        else:
-            words.append(lex.million_gen)
-    if thousands:
-        words += _block_words(thousands, case, lex)
-        words.append(lex.thousand if case == NOMINATIVE else lex.thousand_gen)
-    if block:
-        words += _block_words(block, case, lex)
-    return " ".join(_strip_leading_one(words, case, lex))
+    first, inner, million, millions, thousand = (lexicon or default_lexicon()).cardinal_tables[case]
+    if n < 1000:
+        return first[n]
+    high, block = divmod(n, 1000)
+    m, k = divmod(high, 1000)
+    if m:
+        words = million if m == 1 else f"{first[m]} {millions}"
+        if k:
+            words = f"{words} {inner[k]} {thousand}"
+    else:
+        words = thousand if k == 1 else f"{first[k]} {thousand}"
+    return f"{words} {inner[block]}" if block else words
 
 
 def digits(s: str, lexicon: NumberLexicon | None = None) -> str:
     """Read a digit string one digit at a time ("101" -> "üks null üks")."""
-    if not s or not all(ch in "0123456789" for ch in s):
+    if not _is_ascii_digits(s):
         raise ValueError(f"expected a string of digits, got {s!r}")
-    lex = lexicon or default_lexicon()
-    return " ".join(lex.units[int(ch)] for ch in s)
+    words = (lexicon or default_lexicon()).digit_words
+    return " ".join([words[ch] for ch in s])
 
 
 def decimal(int_part: str, frac_part: str, lexicon: NumberLexicon | None = None) -> str:
@@ -220,78 +273,18 @@ def decimal(int_part: str, frac_part: str, lexicon: NumberLexicon | None = None)
     A fractional part longer than two digits, and an integer part above
     ``MAX_CARDINAL``, are read digit by digit.
     """
-    if not int_part or not all(ch in "0123456789" for ch in int_part):
+    if not _is_ascii_digits(int_part):
         raise ValueError(f"malformed integer part {int_part!r}")
-    if not frac_part or not all(ch in "0123456789" for ch in frac_part):
+    if not _is_ascii_digits(frac_part):
         raise ValueError(f"malformed fractional part {frac_part!r}")
     lex = lexicon or default_lexicon()
-    head = digits(int_part, lex) if int(int_part) > MAX_CARDINAL else cardinal(int(int_part), NOMINATIVE, lex)
-    if len(frac_part) <= 2:
-        tail = cardinal(int(frac_part), NOMINATIVE, lex)
+    significant = int_part.lstrip("0")
+    if len(significant) > _CARDINAL_DIGITS:
+        head = digits(int_part, lex)
     else:
-        tail = digits(frac_part, lex)
+        head = cardinal(int(significant or "0"), NOMINATIVE, lex)
+    tail = cardinal(int(frac_part), NOMINATIVE, lex) if len(frac_part) <= 2 else digits(frac_part, lex)
     return f"{head} {lex.decimal_separator} {tail}"
-
-
-def _ordinal_last_word(kind: str, value: int, case: str, lex: NumberLexicon) -> str:
-    nominative = case == NOMINATIVE
-    if kind == "unit":
-        return lex.ordinals[value - 1] if nominative else lex.ordinals_gen[value - 1]
-    if kind == "ten":
-        return lex.ordinal_ten if nominative else lex.ordinal_ten_gen
-    if kind == "teen":
-        suffix = lex.ordinal_teen_suffix if nominative else lex.ordinal_teen_suffix_gen
-        return lex.units_gen[value] + suffix
-    if kind == "tens":
-        suffix = lex.ordinal_tens_suffix if nominative else lex.ordinal_tens_suffix_gen
-        return lex.units_gen[value] + suffix
-    if kind == "hundred":
-        stem = lex.ordinal_hundred if nominative else lex.ordinal_hundred_gen
-        return stem if value == 1 else lex.units_gen[value] + stem
-    if kind == "thousand":
-        return lex.ordinal_thousand if nominative else lex.ordinal_thousand_gen
-    raise AssertionError(kind)
-
-
-def _ordinal_parts(n: int) -> list[tuple[str, int]]:
-    """Structural components of n in [1, 3999], most significant first."""
-    parts: list[tuple[str, int]] = []
-    thousands, rest = divmod(n, 1000)
-    if thousands:
-        if thousands > 1:
-            parts.append(("unit", thousands))
-        parts.append(("thousand", thousands))
-    hundreds, rest = divmod(rest, 100)
-    if hundreds:
-        parts.append(("hundred", hundreds))
-    if rest == 10:
-        parts.append(("ten", 10))
-    elif 11 <= rest <= 19:
-        parts.append(("teen", rest - 10))
-    elif 1 <= rest <= 9:
-        parts.append(("unit", rest))
-    elif rest >= 20:
-        tens, unit = divmod(rest, 10)
-        parts.append(("tens", tens))
-        if unit:
-            parts.append(("unit", unit))
-    return parts
-
-
-def _genitive_word(kind: str, value: int, lex: NumberLexicon) -> str:
-    if kind == "unit":
-        return lex.units_gen[value]
-    if kind == "ten":
-        return lex.ten_gen
-    if kind == "teen":
-        return lex.units_gen[value] + lex.teen_suffix_gen
-    if kind == "tens":
-        return lex.units_gen[value] + lex.tens_suffix_gen
-    if kind == "hundred":
-        return lex.hundred_gen if value == 1 else lex.units_gen[value] + lex.hundred_gen
-    if kind == "thousand":
-        return lex.thousand_gen
-    raise AssertionError(kind)
 
 
 def ordinal(n: int, case: str = NOMINATIVE, lexicon: NumberLexicon | None = None) -> str:
@@ -305,9 +298,8 @@ def ordinal(n: int, case: str = NOMINATIVE, lexicon: NumberLexicon | None = None
         raise ValueError(f"expected an integer, got {n!r}")
     if n < 1 or n > MAX_ORDINAL:
         raise ValueError(f"ordinal out of range [1, {MAX_ORDINAL}]: {n}")
-    lex = lexicon or default_lexicon()
-    parts = _ordinal_parts(n)
-    words = [_genitive_word(kind, value, lex) for kind, value in parts[:-1]]
-    kind, value = parts[-1]
-    words.append(_ordinal_last_word(kind, value, case, lex))
-    return " ".join(words)
+    below, thousands, leads = (lexicon or default_lexicon()).ordinal_tables[case]
+    k, rest = divmod(n, 1000)
+    if not k:
+        return below[rest]
+    return f"{leads[k]} {below[rest]}" if rest else thousands[k]

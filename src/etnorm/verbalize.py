@@ -36,12 +36,16 @@ from enum import Enum
 from . import numwords
 from .folding import fold_diacritics
 from .lexicon import RuleConfig, default_config
-from .numwords import NOMINATIVE, cardinal, decimal, digits, ordinal
+from .numwords import _CARDINAL_DIGITS, NOMINATIVE, _is_ascii_digits, cardinal, decimal, digits, ordinal
 from .romans import roman_value
 from .tokens import _ATTACHED_SUFFIX_RE, _LC, _SENTENCE_PUNCT, _TLD_DOT_RE, _UC, _VOWELS, CASE_SUFFIXES
 from .tokens import Token, TokenKind, TokenList, tokenize
 
 _SEGMENT_RE = re.compile(rf"[{_UC}]+(?![{_LC}])|[{_UC}][{_LC}]+|[{_LC}]+|[0-9]+|[^\W\d_]+")
+_DIGIT_GROUP_SEP_RE = re.compile(r"[ \xa0.\-]+")  # between the digit groups of a phone number or ID
+_DECIMAL_MARK_RE = re.compile(r"[.,]")
+_URL_SCHEME_RE = re.compile(r"^https?://")
+_URL_PIECE_RE = re.compile(r"[^\W_]+|.")  # a label or one character
 
 _WORDISH_KINDS = frozenset(
     {
@@ -168,8 +172,7 @@ def expand_roman(
         if right_context.text == ".":
             cue = True
         elif right_context.kind in _WORDISH_KINDS:
-            word = right_context.text.lower()
-            if any(word.startswith(stem) for stem in config.roman_context_stems):
+            if right_context.text.lower().startswith(config.roman_context_stems):
                 cue = True
             elif right_context.text[:1].isupper() and right_context.kind == TokenKind.WORD:
                 cue = True
@@ -188,11 +191,6 @@ def verbalize_range(a: Token, dash: Token, b: Token, config: RuleConfig | None =
     return None if hit is None else hit[1]
 
 
-def _is_ascii_digits(text: str) -> bool:
-    """True for a non-empty run of 0-9: the only digits numbers are read from."""
-    return text.isascii() and text.isdigit()
-
-
 def verbalize_digit_sequence(token: str, config: RuleConfig | None = None) -> str:
     """Read a long digit sequence one digit at a time.
 
@@ -205,7 +203,7 @@ def verbalize_digit_sequence(token: str, config: RuleConfig | None = None) -> st
     if rest.startswith("+"):
         prefix = config.symbols.get("+", "pluss") + " "
         rest = rest[1:]
-    groups = [g for g in re.split(r"[  .\-]+", rest) if g]
+    groups = [g for g in _DIGIT_GROUP_SEP_RE.split(rest) if g]
     if not groups or not all(_is_ascii_digits(g) for g in groups):
         raise ValueError(f"expected digits with optional grouping, got {token!r}")
     spoken = ", ".join(digits(g, config.numbers) for g in groups)
@@ -290,17 +288,19 @@ def _read_entry(surface: str, entry, config: RuleConfig, line, suffix: str | Non
     return _pick_expansion(surface, entry, _line_words(line))
 
 
-def _render_cardinal_text(text: str, config: RuleConfig) -> str:
-    # zero-led strings and numbers too large to name are read digit by digit
-    if (text[0] == "0" and len(text) > 1) or int(text) > numwords.MAX_CARDINAL:
+def _render_cardinal_text(text: str, config: RuleConfig, value: int | None = None) -> str:
+    """A run of 0-9 read as a cardinal, with ``value`` its value when the
+    caller has parsed it. Zero-led runs and numbers too large to name are
+    read digit by digit."""
+    if (text[0] == "0" and len(text) > 1) or len(text) > _CARDINAL_DIGITS:
         return digits(text, config.numbers)
-    return cardinal(int(text), NOMINATIVE, config.numbers)
+    return cardinal(int(text) if value is None else value, NOMINATIVE, config.numbers)
 
 
 def _render_url_body(text: str, config: RuleConfig) -> str:
-    body = re.sub(r"^https?://", "", text)
+    body = _URL_SCHEME_RE.sub("", text)
     parts: list[str] = []
-    for piece in re.findall(r"[^\W_]+|.", body):
+    for piece in _URL_PIECE_RE.findall(body):
         if piece == ".":
             if not parts or parts[-1]:  # the dot after a label read as nothing is not spoken
                 parts.append("punkt")
@@ -361,9 +361,10 @@ def _ratio(tokens, i, config):
         a, colon, b = tokens[i], tokens[i + 1], tokens[i + 2]
         spaced = not a.joined_right and not colon.joined_right
         if spaced or (a.joined_right and colon.joined_right):
-            word = "koolon" if spaced or (int(a.text) <= 999 and int(b.text) <= 999) else "jagatud"
-            left, right = _render_cardinal_text(a.text, config), _render_cardinal_text(b.text, config)
-            return i + 2, f"{left} {word} {right}"
+            left, right = int(a.text), int(b.text)
+            word = "koolon" if spaced or (left <= 999 and right <= 999) else "jagatud"
+            left_text, right_text = _render_cardinal_text(a.text, config, left), _render_cardinal_text(b.text, config, right)
+            return i + 2, f"{left_text} {word} {right_text}"
     return None
 
 
@@ -384,9 +385,10 @@ def _cardinal(tokens, i, config):
 
 def _ordinal(tokens, i, config):
     body = tokens[i].text[:-1]
-    if body[0] != "0" and int(body) <= numwords.MAX_ORDINAL:
-        return i, ordinal(int(body), NOMINATIVE, config.numbers)
-    return i, _render_cardinal_text(body, config)
+    value = int(body)
+    if body[0] != "0" and value <= numwords.MAX_ORDINAL:
+        return i, ordinal(value, NOMINATIVE, config.numbers)
+    return i, _render_cardinal_text(body, config, value)
 
 
 def _dot_between_numbers(tokens, i, config):
@@ -454,17 +456,17 @@ def _mixed_case(tokens, i, config):
 
 
 def _decimal(tokens, i, config):
-    int_part, frac_part = re.split(r"[.,]", tokens[i].text, maxsplit=1)
+    int_part, frac_part = _DECIMAL_MARK_RE.split(tokens[i].text, maxsplit=1)
     return i, decimal(int_part, frac_part, config.numbers)
 
 
 def _grouped(tokens, i, config):
     text = tokens[i].text
-    digits_only = re.sub(r"[ \xa0.]", "", text)
+    digits_only = _DIGIT_GROUP_SEP_RE.sub("", text)
     if (
         len(digits_only) >= config.digit_group_threshold
         or digits_only[0] == "0"
-        or int(digits_only) > numwords.MAX_CARDINAL
+        or len(digits_only) > _CARDINAL_DIGITS
     ):
         return i, verbalize_digit_sequence(text, config)
     return i, cardinal(int(digits_only), NOMINATIVE, config.numbers)
@@ -482,7 +484,7 @@ def _date(tokens, i, config):
         if 1 <= value <= upper:
             parts.append(ordinal(value, NOMINATIVE, config.numbers))
         else:
-            parts.append(_render_cardinal_text(raw, config))
+            parts.append(_render_cardinal_text(raw, config, value))
     parts.append(_render_cardinal_text(year, config))
     return i, " ".join(parts)
 
