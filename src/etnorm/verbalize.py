@@ -18,10 +18,11 @@ letter, with no vowel, or that lowercases to an abbreviation surface.
 Such a line tokenizes to WORD and PUNCT tokens only: every other kind
 needs a digit, a symbol, a run of capitals, a case change inside a word
 or a domain. Of their rules, the letter compound and the lone letter
-need a one-letter word, the abbreviation rule a surface, and the spoken
-dot a number. The tokenizer is lossless, so the reassembled line is the
-folded line, byte for byte. The gate may send a line nothing would
-rewrite (a title, ``Krt``) down the full path, which reads it the same.
+need a one-letter word, the abbreviation rule a surface, and the rule
+of a dot, comma or hyphen a number. The tokenizer is lossless, so the
+reassembled line is the folded line, byte for byte. The gate may send a
+line nothing would rewrite (a title, ``Krt``) down the full path, which
+reads it the same.
 
 What is derived from the config is cached on the ``RuleConfig`` on first
 use: changing ``config.abbreviations`` in place after that is not
@@ -57,11 +58,14 @@ _WORDISH_KINDS = frozenset(
         TokenKind.ROMAN_CANDIDATE,
     }
 )
-# tokens read out as numbers, between which a joined dot is spoken
+# tokens read out as numbers, between which a joined dot or comma is spoken
 _NUMBER_KINDS = frozenset(
     {TokenKind.CARDINAL_NUMBER, TokenKind.DECIMAL_NUMBER, TokenKind.DIGIT_GROUP_SEQ,
      TokenKind.DATE_LIKE, TokenKind.TIME_LIKE, TokenKind.PHONE}
 )
+# numbers a minus sign may open
+_SIGNED_KINDS = frozenset({TokenKind.CARDINAL_NUMBER, TokenKind.DECIMAL_NUMBER, TokenKind.DIGIT_GROUP_SEQ})
+_MARK_KINDS = frozenset({TokenKind.PUNCT, TokenKind.SYMBOL})
 
 
 class UppercaseClass(Enum):
@@ -361,10 +365,10 @@ def _ratio(tokens, i, config):
         a, colon, b = tokens[i], tokens[i + 1], tokens[i + 2]
         spaced = not a.joined_right and not colon.joined_right
         if spaced or (a.joined_right and colon.joined_right):
-            left, right = int(a.text), int(b.text)
-            word = "koolon" if spaced or (left <= 999 and right <= 999) else "jagatud"
-            left_text, right_text = _render_cardinal_text(a.text, config, left), _render_cardinal_text(b.text, config, right)
-            return i + 2, f"{left_text} {word} {right_text}"
+            a_value, b_value = int(a.text), int(b.text)
+            word = "koolon" if spaced or (a_value <= 999 and b_value <= 999) else "jagatud"
+            left = _render_cardinal_text(a.text, config, a_value)
+            return i + 2, f"{left} {word} {_render_cardinal_text(b.text, config, b_value)}"
     return None
 
 
@@ -391,16 +395,36 @@ def _ordinal(tokens, i, config):
     return i, _render_cardinal_text(body, config, value)
 
 
-def _dot_between_numbers(tokens, i, config):
-    """A dot joined to a number on each side is spoken: "1.1.10000", and
-    "v1.2.3", whose left side is a name ending in a digit."""
-    if tokens[i].text == "." and tokens[i].joined_right and 0 < i < len(tokens) - 1:
-        left, right = tokens[i - 1], tokens[i + 1]
-        number_left = left.kind in _NUMBER_KINDS or (
-            left.kind is TokenKind.MIXED_CASE and _is_ascii_digits(left.text[-1])
-        )
-        if number_left and left.joined_right and right.kind in _NUMBER_KINDS:
-            return i, "punkt"
+def _mark_at_number(tokens, i, config):
+    """A dot, comma or hyphen joined before a number, read by what is
+    joined before it.
+
+    After a number, or a name ending in a digit, a dot is spoken "punkt" and
+    a comma as the lexicon's decimal separator: "1.1.10000", "1,5,7",
+    "v1.2.3", "A3,5". After nothing, or a mark other than a dot, comma or
+    dash, the mark opens the number: a hyphen is a minus sign, read by the
+    symbol table's entry for "−" ("-5 kraadi", "(-5)"), and a dot or a comma
+    before a run of digits is a decimal mark after 0 (".5" reads as "0,5";
+    a run that starts a range, ".5-7", is left to the range). After a word
+    or a run of marks, the mark stays as written."""
+    if i + 1 == len(tokens) or tokens[i + 1].kind not in _NUMBER_KINDS:
+        return None
+    mark, right = tokens[i], tokens[i + 1]
+    if mark.text not in ("-", ".", ",") or not mark.joined_right:
+        return None
+    left = tokens[i - 1] if i and tokens[i - 1].joined_right else None  # joined before the mark
+    if left is None or (left.kind in _MARK_KINDS and left.text not in ".,-–—"):
+        if mark.text == "-":
+            spoken = config.symbols.get("−")
+            return (i, spoken) if spoken and right.kind in _SIGNED_KINDS else None
+        if _is_ascii_digits(right.text) and not _number_range(tokens, i + 1, config):
+            return i + 1, decimal("0", right.text, config.numbers)
+        return None
+    number_left = left.kind in _NUMBER_KINDS or (
+        left.kind is TokenKind.MIXED_CASE and _is_ascii_digits(left.text[-1])
+    )
+    if mark.text != "-" and number_left:
+        return i, "punkt" if mark.text == "." else config.numbers.decimal_separator
     return None
 
 
@@ -517,7 +541,7 @@ _RULES = {
     TokenKind.ROMAN_CANDIDATE: (_number_range, _letter_compound, _roman, _uppercase),
     TokenKind.CARDINAL_NUMBER: (_number_range, _ratio, _case_ending, _cardinal),
     TokenKind.ORDINAL_DOT: (_number_range, _ordinal),
-    TokenKind.PUNCT: (_dot_between_numbers,),
+    TokenKind.PUNCT: (_mark_at_number,),
     TokenKind.LOWERCASE_CONSONANTS: (_abbreviation, _spelled),
     TokenKind.CASE_SUFFIXED_ACRONYM: (_suffixed_acronym,),
     TokenKind.MIXED_CASE: (_mixed_case,),

@@ -1,3 +1,7 @@
+import dataclasses
+import random
+from importlib import resources
+
 import pytest
 
 from etnorm.numwords import (
@@ -69,6 +73,95 @@ def oracle_cardinal(n):
     return " ".join(words)
 
 
+# A second oracle, for both cases and up to MAX_CARDINAL: each number is
+# composed word by word from literal tables, then the phrase-initial rule
+# is applied ("ükssada" -> "sada", "üks" dropped before a scale word).
+_CASE_WORDS = {
+    NOMINATIVE: {
+        "units": _UNITS, "ten": "kümme", "teen": "teist", "tens": "kümmend", "hundred": "sada",
+        "thousand": "tuhat", "million": "miljon", "millions": "miljonit",
+    },
+    GENITIVE: {
+        "units": ["nulli", "ühe", "kahe", "kolme", "nelja", "viie", "kuue", "seitsme", "kaheksa", "üheksa"],
+        "ten": "kümne", "teen": "teistkümne", "tens": "kümne", "hundred": "saja",
+        "thousand": "tuhande", "million": "miljoni", "millions": "miljoni",
+    },
+}
+
+
+def _oracle_block(n, words):
+    units = words["units"]
+    hundreds, rest = divmod(n, 100)
+    out = [units[hundreds] + words["hundred"]] if hundreds else []
+    if rest == 10:
+        out.append(words["ten"])
+    elif 10 < rest < 20:
+        out.append(units[rest - 10] + words["teen"])
+    elif rest:
+        tens, unit = divmod(rest, 10)
+        out += [units[tens] + words["tens"]] if tens else []
+        out += [units[unit]] if unit else []
+    return out
+
+
+def oracle_cardinal_in_case(n, case):
+    words = _CASE_WORDS[case]
+    if n == 0:
+        return words["units"][0]
+    millions, rest = divmod(n, 10**6)
+    thousands, block = divmod(rest, 1000)
+    out = []
+    if millions:
+        out += _oracle_block(millions, words) + [words["million"] if millions == 1 else words["millions"]]
+    if thousands:
+        out += _oracle_block(thousands, words) + [words["thousand"]]
+    out += _oracle_block(block, words)
+    one = words["units"][1]
+    if out[0] == one + words["hundred"]:
+        out[0] = words["hundred"]
+    elif out[0] == one and len(out) > 1:
+        del out[0]
+    return " ".join(out)
+
+
+# Ordinal oracle: each written part of the number (thousands, hundreds,
+# tens, units) is a genitive word, but the last one takes the ordinal form.
+# A hundred or a thousand of one has no "ühe" before it.
+_ORDINAL_WORDS = {
+    NOMINATIVE: {
+        "units": ["", "esimene", "teine", "kolmas", "neljas", "viies", "kuues", "seitsmes", "kaheksas", "üheksas"],
+        "ten": "kümnes", "teen": "teistkümnes", "tens": "kümnes", "hundred": "sajas", "thousand": "tuhandes",
+    },
+    GENITIVE: {
+        "units": ["", "esimese", "teise", "kolmanda", "neljanda", "viienda", "kuuenda", "seitsmenda",
+                  "kaheksanda", "üheksanda"],
+        "ten": "kümnenda", "teen": "teistkümnenda", "tens": "kümnenda", "hundred": "sajanda",
+        "thousand": "tuhandenda",
+    },
+}
+
+
+def oracle_ordinal(n, case):
+    words, gen = _ORDINAL_WORDS[case], _CASE_WORDS[GENITIVE]["units"]
+    thousands, hundreds, tens, units = n // 1000, n // 100 % 10, n // 10 % 10, n % 10
+    parts = []  # (genitive word, ordinal word) of each written part
+    if thousands > 1:
+        parts.append((gen[thousands], None))
+    if thousands:
+        parts.append(("tuhande", words["thousand"]))
+    if hundreds:
+        stem = "" if hundreds == 1 else gen[hundreds]
+        parts.append((stem + "saja", stem + words["hundred"]))
+    if tens == 1:
+        parts.append((None, words["ten"] if units == 0 else gen[units] + words["teen"]))
+    else:
+        if tens:
+            parts.append((gen[tens] + "kümne", gen[tens] + words["tens"]))
+        if units:
+            parts.append((gen[units], words["units"][units]))
+    return " ".join([genitive for genitive, _ in parts[:-1]] + [parts[-1][1]])
+
+
 class TestCardinal:
     def test_zero(self):
         assert cardinal(0) == "null"
@@ -117,6 +210,18 @@ class TestCardinal:
         seen = {cardinal(n) for n in range(10001)}
         assert len(seen) == 10001
 
+    def test_genitive_matches_oracle_to_ten_thousand(self):
+        for n in range(10001):
+            assert cardinal(n, GENITIVE) == oracle_cardinal_in_case(n, GENITIVE), n
+
+    @pytest.mark.parametrize("case", [NOMINATIVE, GENITIVE])
+    def test_millions_match_oracle(self, case):
+        rng = random.Random(20201006)
+        sample = [rng.randrange(10**6, MAX_CARDINAL + 1) for _ in range(3000)]
+        edges = [10**6, 10**6 + 1, 1_001_000, 1_100_000, 1_100_100, 2 * 10**6, 101_101_101, MAX_CARDINAL]
+        for n in edges + sample:
+            assert cardinal(n, case) == oracle_cardinal_in_case(n, case), n
+
     def test_thousands_compositionality(self):
         # cardinal(1000a + b) is the scale composition of its two halves
         for a in range(1, 1000):
@@ -159,6 +264,11 @@ class TestOrdinal:
         assert ordinal(3, GENITIVE) == "kolmanda"
         assert ordinal(12, GENITIVE) == "kaheteistkümnenda"
 
+    @pytest.mark.parametrize("case", [NOMINATIVE, GENITIVE])
+    def test_matches_oracle(self, case):
+        for n in range(1, 4000):
+            assert ordinal(n, case) == oracle_ordinal(n, case), n
+
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             ordinal(0)
@@ -200,3 +310,47 @@ class TestLexiconLoading:
         path.write_text("unit.0=null\nno equals sign\n", encoding="utf-8")
         with pytest.raises(LexiconError, match="bad.txt:2"):
             load_lexicon(path)
+
+
+class TestTablesFollowTheLexicon:
+    """The word tables are built from the lexicon they belong to, so a
+    lexicon with other words reads numbers with those words."""
+
+    CHANGES = {
+        "unit.5": "FIVE", "unit.gen.2": "TWO-GEN", "scale.3": "THOUSAND", "hundred": "HUNDRED",
+        "ordinal.1": "FIRST", "decimal.separator": "POINT",
+    }
+
+    def _check(self, lex):
+        assert cardinal(5, lexicon=lex) == "FIVE"
+        assert cardinal(105, lexicon=lex) == "HUNDRED FIVE"
+        assert cardinal(5105, lexicon=lex) == "FIVE THOUSAND üksHUNDRED FIVE"
+        assert cardinal(2, GENITIVE, lex) == "TWO-GEN"
+        assert ordinal(21, lexicon=lex) == "TWO-GENkümne FIRST"
+        assert digits("55", lex) == "FIVE FIVE"
+        assert decimal("5", "5", lex) == "FIVE POINT FIVE"
+
+    def _assert_default_unchanged(self):
+        assert cardinal(5105) == "viis tuhat ükssada viis"
+        assert ordinal(21) == "kahekümne esimene"
+        assert digits("55") == "viis viis"
+
+    def test_lexicon_loaded_from_file(self, tmp_path):
+        self._assert_default_unchanged()  # the default tables exist before the other lexicon
+        text = resources.files("etnorm.data").joinpath("number_lexicon.txt").read_text("utf-8")
+        path = tmp_path / "lexicon.txt"  # a key given again takes its last value
+        path.write_text(text + "".join(f"{key}={word}\n" for key, word in self.CHANGES.items()), encoding="utf-8")
+        self._check(load_lexicon(path))
+        self._assert_default_unchanged()
+
+    def test_lexicon_made_with_replace(self):
+        self._assert_default_unchanged()
+        base = default_lexicon()
+        units, units_gen = list(base.units), list(base.units_gen)
+        units[5], units_gen[2] = "FIVE", "TWO-GEN"
+        lex = dataclasses.replace(
+            base, units=tuple(units), units_gen=tuple(units_gen), thousand="THOUSAND", hundred="HUNDRED",
+            ordinals=("FIRST",) + base.ordinals[1:], decimal_separator="POINT",
+        )
+        self._check(lex)
+        self._assert_default_unchanged()

@@ -12,10 +12,10 @@ from etnorm.verbalize import (
     _RULES,
     UppercaseClass,
     _abbreviation,
-    _dot_between_numbers,
     _join,
     _letter_compound,
     _lone_letter,
+    _mark_at_number,
     _passes_through,
     _render_tokens,
     classify_uppercase,
@@ -319,6 +319,10 @@ class TestVerbalizeEndToEnd:
             ("C20236028428", {}),  # mixed case with an over-limit digit run
             ("12345678901234567890,5", {}),  # decimal with an over-limit integer part
             ("5 000 000 000", {"digit_group_threshold": 11}),  # grouped, below the threshold
+            # too long for int(): read without being parsed
+            pytest.param("a" + "1" * 5000, {}, id="mixed-case-5000-digits"),
+            pytest.param("0" * 5000 + "1,5", {}, id="decimal-5000-leading-zeros"),
+            pytest.param("1" * 5000 + ",5", {}, id="decimal-5000-digits"),
         ],
     )
     def test_numbers_above_max_cardinal_read_digit_by_digit(self, config, text, options):
@@ -352,6 +356,70 @@ class TestVerbalizeEndToEnd:
         ],
     )
     def test_dot_between_numbers_is_spoken(self, config, text, expected):
+        assert verbalize(text, config) == expected
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("A3,5 m", "aa kolm koma viis emm"),  # a name ending in a digit on the left
+            ("v2,5", "vee kaks koma viis"),
+            ("1,5,7", "üks koma viis koma seitse"),  # a decimal on the left
+            ("1, 2 ja 3", "üks, kaks ja kolm"),  # a spaced comma stays punctuation
+            ("1,2.", "üks koma kaks."),
+        ],
+    )
+    def test_comma_between_numbers_is_spoken(self, config, text, expected):
+        assert verbalize(text, config) == expected
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("−5 kraadi", "miinus viis kraadi"),  # U+2212, the minus sign
+            ("-5 kraadi", "miinus viis kraadi"),  # a hyphen that opens a number
+            ("(-5)", "(miinus viis)"),
+            ("x=-5", "iks võrdub miinus viis"),
+            ("-1,5 kraadi", "miinus üks koma viis kraadi"),
+            ("5−3", "viis miinus kolm"),
+            # a hyphen joined to a word or a number, or spaced after, is no minus
+            ("2-3", "kaks kuni kolm"),
+            ("5 - 3", "viis - kolm"),
+            ("e-post", "e-post"),
+            ("A-rühm", "A-rühm"),
+            ("- 5 õuna", "- viis õuna"),
+            ("x-5", "iks-viis"),
+            ("--5", "--viis"),
+        ],
+    )
+    def test_minus_sign(self, config, text, expected):
+        assert verbalize(text, config) == expected
+
+    def test_minus_is_read_through_the_symbol_table(self, config):
+        from dataclasses import replace
+
+        table = dict(config.symbols)
+        del table["−"]
+        unlisted = replace(config, symbols=table)
+        assert verbalize("-5 kraadi", unlisted) == "-viis kraadi"
+        table["−"] = "MINUS"
+        assert verbalize("-5 ja −5", replace(config, symbols=table)) == "MINUS viis ja MINUS viis"
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            (".5 liitrit", "null koma viis liitrit"),
+            (",5 liitrit", "null koma viis liitrit"),
+            ("(.25)", "(null koma kakskümmend viis)"),
+            (".125", "null koma üks kaks viis"),  # a long fraction digit by digit
+            # a dot joined to a word or a number, or in a run of marks, is no decimal mark
+            ("x.5", "iks.viis"),
+            ("1.5", "üks koma viis"),
+            ("v1.2.3", "vee üks punkt kaks koma kolm"),
+            ("…5", "…viis"),
+            ("...5", "...viis"),
+            (".5-7", ".viis kuni seitse"),  # the range keeps its number
+        ],
+    )
+    def test_leading_dot_decimal(self, config, text, expected):
         assert verbalize(text, config) == expected
 
     # Each input below reads differently if a rule of the table moves ahead
@@ -410,7 +478,7 @@ class TestPassThrough:
         # the gate is derived for these rules only: a rule added to either
         # kind (or a kind a plain line can now tokenize to) needs it revisited
         assert _RULES[TokenKind.WORD] == (_letter_compound, _abbreviation, _lone_letter)
-        assert _RULES[TokenKind.PUNCT] == (_dot_between_numbers,)
+        assert _RULES[TokenKind.PUNCT] == (_mark_at_number,)
 
     @pytest.mark.parametrize(
         "text",
