@@ -15,7 +15,9 @@ The columns each stats table needs (others are ignored):
 
 All file I/O is strict UTF-8. Data goes to stdout; a diagnostic goes to
 stderr as ``etnorm: <input>:<line>: ...`` (``<stdin>`` for standard input)
-and makes the exit code 1. Repeated header columns, repeated ids in a score
+and makes the exit code 1; a file that cannot be opened is ``etnorm:
+<path>: <reason>``, and a fault of a file a ``--config`` names is ``etnorm:
+<config>: <file>:<line>: ...``. Repeated header columns, repeated ids in a score
 input and a table with no data rows (``<input>: no data rows``) are errors.
 A fault of a whole table is ``etnorm: <input>: ...``; a warning of the
 statistics is ``etnorm: <input>: warning: ...`` and keeps the exit code 0.
@@ -32,7 +34,7 @@ import math
 import sys
 import warnings
 
-from .lexicon import ConfigError, default_config, load_config
+from .lexicon import default_config, load_config
 from .scoring import improvement, load_gold, load_hypotheses, score_corpus
 from .stats import (
     AnnotationRecord,
@@ -44,6 +46,7 @@ from .stats import (
     likert_summary,
     mos,
 )
+from .textfiles import check_utf8, open_text
 from .verbalize import verbalize
 
 
@@ -61,8 +64,8 @@ def _load_cli_config(path):
     if path is None:
         return default_config()
     try:
-        with _open(path, "r") as handle:
-            payload = json.load(handle)
+        with open_text(path) as handle:
+            payload = json.loads(check_utf8(handle.read()))
     except json.JSONDecodeError as exc:
         raise CliError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from None
     except ValueError as exc:  # not UTF-8, or a number too long to read
@@ -77,33 +80,18 @@ def _load_cli_config(path):
             raise CliError(f"{path}: {key}: expected a file path")
     try:
         return load_config(**{_CONFIG_KEYS[key]: value for key, value in payload.items()})
-    except (ConfigError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # a data file's fault, ConfigError among them
         raise CliError(f"{path}: {exc}") from None
 
 
-def _open(path, mode, errors="strict"):
-    """``path`` opened as UTF-8 text; a failure to open it is a diagnostic."""
-    try:
-        return open(path, mode, encoding="utf-8", errors=errors)
-    except OSError as exc:
-        raise CliError(f"{path}: {exc.strerror}") from None
-
-
 def _open_input(path):
-    """The input stream and its name for diagnostics. Bytes that are not
-    UTF-8 come through as lone surrogates, so ``_check_utf8`` can report a
-    bad line by number instead of the read failing somewhere in the file."""
+    """The input stream, read as ``open_text`` reads a file, and its name
+    for diagnostics."""
     if path is None or path == "-":
         if hasattr(sys.stdin, "reconfigure"):
             sys.stdin.reconfigure(encoding="utf-8", errors="surrogateescape")
         return sys.stdin, "<stdin>"
-    return _open(path, "r", "surrogateescape"), path
-
-
-def _check_utf8(line: str) -> None:
-    """Raise the UnicodeDecodeError that reading ``line`` held back, if any."""
-    if not line.isascii():
-        line.encode("utf-8", "surrogateescape").decode("utf-8")
+    return open_text(path), path
 
 
 def _cmd_normalize(args) -> int:
@@ -116,14 +104,13 @@ def _cmd_normalize(args) -> int:
     out, status = sys.stdout, 0
     try:
         if args.output is not None:
-            out = _open(args.output, "w")
+            out = open_text(args.output, "w")
         for lineno, line in enumerate(stream, start=1):
             try:
-                _check_utf8(line)
-                spoken = verbalize(line.rstrip("\n"), config)
-            except UnicodeDecodeError as exc:
+                spoken = verbalize(check_utf8(line).rstrip("\n"), config)
+            except UnicodeError as exc:
                 spoken, status = "", 1
-                print(f"etnorm: {name}:{lineno}: input is not valid UTF-8: {exc}", file=sys.stderr)
+                print(f"etnorm: {name}:{lineno}: {exc}", file=sys.stderr)
             except Exception as exc:  # one bad line must not end the stream
                 spoken, status = "", 1
                 print(f"etnorm: {name}:{lineno}: {type(exc).__name__}: {exc}", file=sys.stderr)
@@ -141,7 +128,7 @@ def _cmd_score(args) -> int:
         gold = load_gold(args.gold)
         report = score_corpus(gold, load_hypotheses(args.hypotheses))
         base = score_corpus(gold, load_hypotheses(args.baseline)) if args.baseline else None
-    except (OSError, ValueError) as exc:
+    except ValueError as exc:
         raise CliError(str(exc)) from None
     if args.format == "json":
         payload = dataclasses.asdict(report)
@@ -158,26 +145,16 @@ def _cmd_score(args) -> int:
     return 0
 
 
-def _utf8_lines(stream, name):
-    """The lines of ``stream``; the first one that is not UTF-8 ends the
-    read with a diagnostic naming its line."""
-    for lineno, line in enumerate(stream, start=1):
-        try:
-            _check_utf8(line)
-        except UnicodeDecodeError as exc:
-            raise CliError(f"{name}:{lineno}: input is not valid UTF-8: {exc}") from None
-        yield line
-
-
 def _read_records(path, columns, make) -> tuple[list, str]:
     """``make(**cells)`` for each data row of the table at ``path`` (stdin for
     None or ``-``), and the table's name for diagnostics. ``columns`` maps
     each column a row needs to the parser of its cells; None takes every
-    column but ``target`` as a rating."""
+    column but ``target`` as a rating. A fault is named by the line its
+    row starts on."""
     stream, name = _open_input(path)
-    lineno, records = 2, []
+    lines = map(check_utf8, stream)
+    lineno, records = 1, []
     try:
-        lines = _utf8_lines(stream, name)
         first = next(lines, "")
         if not first.strip():
             raise CliError(f"{name}: empty input")
@@ -185,12 +162,12 @@ def _read_records(path, columns, make) -> tuple[list, str]:
         header = [h.strip() for h in first.rstrip("\n").split(delimiter)]
         for i, column in enumerate(header):
             if column in header[:i]:
-                raise CliError(f"{name}:1: repeated column {column!r}")
+                raise ValueError(f"repeated column {column!r}")
         for column in columns or ():
             if column not in header:
-                raise CliError(f"{name}:1: missing column {column!r}")
+                raise ValueError(f"missing column {column!r}")
         parsers = columns or {column: _rating for column in header if column != "target"}
-        reader = csv.reader(lines, delimiter=delimiter)
+        lineno, reader = 2, csv.reader(lines, delimiter=delimiter)
         for row in reader:
             if any(cell.strip() for cell in row):
                 if len(row) != len(header):
@@ -345,7 +322,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
+    except (CliError, OSError) as exc:  # an OSError of open_text reads "<path>: <reason>"
         print(f"etnorm: {exc}", file=sys.stderr)
         return 1
 

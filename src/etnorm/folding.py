@@ -12,10 +12,19 @@ import unicodedata
 from dataclasses import dataclass
 from functools import cached_property
 
+from .textfiles import read_data
+
 _EXTRA = "õäöüšž"
 DEFAULT_PROTECTED = frozenset(
     "abcdefghijklmnopqrstuvwxyz" + _EXTRA + ("abcdefghijklmnopqrstuvwxyz" + _EXTRA).upper()
 )
+
+
+def _one_character(line: str) -> str:
+    entry = line.strip()
+    if len(entry) != 1:
+        raise ValueError(f"expected a single character, got {entry!r}")
+    return entry
 
 
 def _base_letter(ch: str) -> str:
@@ -45,16 +54,7 @@ class FoldingTable:
         The file lists one protected character per line; blank lines and
         lines starting with ``#`` are ignored.
         """
-        chars = set()
-        with open(path, encoding="utf-8") as handle:
-            for lineno, line in enumerate(handle, start=1):
-                entry = line.strip()
-                if not entry or entry.startswith("#"):
-                    continue
-                if len(entry) != 1:
-                    raise ValueError(f"{path}:{lineno}: expected a single character, got {entry!r}")
-                chars.add(entry)
-        return cls(protected=frozenset(chars))
+        return cls(protected=frozenset(read_data(path, _one_character)))
 
     def fold_char(self, ch: str) -> str:
         if ch in self.protected:

@@ -11,15 +11,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
-from importlib import resources
 
 from .folding import FoldingTable
 from .numwords import NumberLexicon, default_lexicon, load_lexicon
+from .textfiles import ConfigError, read_data
 from .tokens import _LC, _VOWELS
-
-
-class ConfigError(ValueError):
-    """Raised when a data or configuration file fails to parse."""
 
 
 @dataclass(frozen=True)
@@ -83,98 +79,86 @@ class RuleConfig:
         return re.compile(rf"[^{_LC}](?:[{_LC}]|[^\W\d_{vowels}]+{surfaces})(?![{_LC}])")
 
 
-def _read_lines(text: str):
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if stripped and not stripped.startswith("#"):
-            yield lineno, line.rstrip("\n")
+def _load_pairs(bundled: str, path, shape: str):
+    """The lines of a two-column data file, each ``shape``: a key of one
+    character, a tab and its value. Every lookup in these tables is by one
+    character, so a longer key could never be found."""
 
+    def pair(line: str) -> tuple[str, str]:
+        parts = line.strip().split("\t")
+        if len(parts) != 2 or not parts[0] or not parts[1]:
+            raise ValueError(f"expected {shape}")
+        if len(parts[0]) != 1:
+            raise ValueError(f"expected one character before the tab, got {parts[0]!r}")
+        return parts[0], parts[1]
 
-def _data_text(name: str, path) -> tuple[str, str]:
-    if path is None:
-        return resources.files("etnorm.data").joinpath(name).read_text("utf-8"), name
-    with open(path, encoding="utf-8") as handle:
-        return handle.read(), str(path)
+    return read_data(path, pair, bundled)
 
 
 def load_letter_names(path=None) -> dict[str, str]:
     """Letter-name table keyed by uppercase letter; lowercase shares the name."""
-    text, source = _data_text("letter_names.txt", path)
-    names: dict[str, str] = {}
-    for lineno, line in _read_lines(text):
-        parts = line.strip().split("\t")
-        if len(parts) != 2 or not parts[0] or not parts[1]:
-            raise ConfigError(f"{source}:{lineno}: expected LETTER<TAB>name")
-        names[parts[0].upper()] = parts[1]
-    return names
-
-
-def load_abbreviations(path=None) -> dict[str, AbbreviationEntry]:
-    text, source = _data_text("abbreviations.tsv", path)
-    expansions: dict[str, list[Expansion]] = {}
-    flags: dict[str, set[str]] = {}
-    order: list[str] = []
-    for lineno, line in _read_lines(text):
-        parts = line.split("\t")
-        if len(parts) < 2:
-            raise ConfigError(f"{source}:{lineno}: expected at least surface<TAB>expansion")
-        parts += [""] * (5 - len(parts))
-        surface, expansion, keywords, weight, flag_field = (p.strip() for p in parts[:5])
-        if not surface:
-            raise ConfigError(f"{source}:{lineno}: empty surface")
-        if surface not in expansions:
-            expansions[surface] = []
-            flags[surface] = set()
-            order.append(surface)
-        if expansion:
-            try:
-                parsed_weight = float(weight) if weight else 1.0
-            except ValueError:
-                raise ConfigError(f"{source}:{lineno}: bad weight {weight!r}") from None
-            kw = tuple(k.strip().lower() for k in keywords.split(",") if k.strip())
-            expansions[surface].append(Expansion(expansion, kw, parsed_weight))
-        for flag in (f.strip() for f in flag_field.split(",") if f.strip()):
-            if flag not in ("word", "spellout"):
-                raise ConfigError(f"{source}:{lineno}: unknown flag {flag!r}")
-            flags[surface].add(flag)
     return {
-        surface: AbbreviationEntry(
-            surface,
-            tuple(expansions[surface]),
-            speak_as_word="word" in flags[surface],
-            force_spellout="spellout" in flags[surface],
-        )
-        for surface in order
+        letter.upper(): name
+        for letter, name in _load_pairs("letter_names.txt", path, "LETTER<TAB>name")
     }
 
 
-def _load_wordset(name: str, path=None) -> frozenset[str]:
-    text, _ = _data_text(name, path)
-    return frozenset(line.strip() for _, line in _read_lines(text))
+def _abbreviation_line(line: str) -> tuple[str, Expansion | None, list[str]]:
+    """(surface, its expansion or None, its flags) of one dictionary line."""
+    parts = line.split("\t")
+    if len(parts) < 2:
+        raise ValueError("expected at least surface<TAB>expansion")
+    parts += [""] * (5 - len(parts))
+    surface, expansion, keywords, weight, flag_field = (p.strip() for p in parts[:5])
+    if not surface:
+        raise ValueError("empty surface")
+    entry = None
+    if expansion:
+        try:
+            parsed_weight = float(weight) if weight else 1.0
+        except ValueError:
+            raise ValueError(f"bad weight {weight!r}") from None
+        kw = tuple(k.strip().lower() for k in keywords.split(",") if k.strip())
+        entry = Expansion(expansion, kw, parsed_weight)
+    flags = [f.strip() for f in flag_field.split(",") if f.strip()]
+    for flag in flags:
+        if flag not in ("word", "spellout"):
+            raise ValueError(f"unknown flag {flag!r}")
+    return surface, entry, flags
+
+
+def load_abbreviations(path=None) -> dict[str, AbbreviationEntry]:
+    entries: dict[str, tuple[list[Expansion], set[str]]] = {}
+    for surface, expansion, flags in read_data(path, _abbreviation_line, "abbreviations.tsv"):
+        expansions, surface_flags = entries.setdefault(surface, ([], set()))
+        if expansion is not None:
+            expansions.append(expansion)
+        surface_flags.update(flags)
+    return {
+        surface: AbbreviationEntry(
+            surface,
+            tuple(expansions),
+            speak_as_word="word" in flags,
+            force_spellout="spellout" in flags,
+        )
+        for surface, (expansions, flags) in entries.items()
+    }
 
 
 def load_roman_stoplist(path=None) -> frozenset[str]:
-    return _load_wordset("roman_stoplist.txt", path)
+    return frozenset(read_data(path, str.strip, "roman_stoplist.txt"))
 
 
 def load_spoken_acronyms(path=None) -> frozenset[str]:
-    return _load_wordset("spoken_acronyms.txt", path)
+    return frozenset(read_data(path, str.strip, "spoken_acronyms.txt"))
 
 
 def load_symbols(path=None) -> dict[str, str]:
-    text, source = _data_text("symbols.txt", path)
-    table: dict[str, str] = {}
-    for lineno, line in _read_lines(text):
-        parts = line.strip().split("\t")
-        if len(parts) != 2 or not parts[0] or not parts[1]:
-            raise ConfigError(f"{source}:{lineno}: expected SYMBOL<TAB>spoken form")
-        table[parts[0]] = parts[1]
-    return table
+    return dict(_load_pairs("symbols.txt", path, "SYMBOL<TAB>spoken form"))
 
 
 def load_roman_context(path=None) -> tuple[str, ...]:
-    text, _ = _data_text("roman_context.txt", path)
-    return tuple(line.strip().lower() for _, line in _read_lines(text))
+    return tuple(read_data(path, lambda line: line.strip().lower(), "roman_context.txt"))
 
 
 def load_config(

@@ -16,7 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from importlib import resources
+
+from .textfiles import ConfigError, read_data
 
 NOMINATIVE = "nominative"
 GENITIVE = "genitive"
@@ -25,10 +26,6 @@ _CASES = (NOMINATIVE, GENITIVE)
 MAX_CARDINAL = 10**9 - 1
 MAX_ORDINAL = 3999
 _CARDINAL_DIGITS = len(str(MAX_CARDINAL))  # a longer digit string without leading zeros is too large
-
-
-class LexiconError(ValueError):
-    """Raised when a number lexicon file is malformed or incomplete."""
 
 
 @dataclass(frozen=True)
@@ -64,9 +61,6 @@ class NumberLexicon:
     ordinal_thousand: str
     ordinal_thousand_gen: str
 
-    def unit(self, n: int, case: str) -> str:
-        return self.units[n] if case == NOMINATIVE else self.units_gen[n]
-
     # The tables of a case are built on its first use and kept on the
     # instance; a lexicon made with ``dataclasses.replace`` builds its own.
 
@@ -101,38 +95,25 @@ class _ByCase(dict):
         return tables
 
 
-def _parse_kv(path_or_text, source: str) -> dict[str, str]:
-    entries: dict[str, str] = {}
-    for lineno, line in enumerate(path_or_text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if "=" not in stripped:
-            raise LexiconError(f"{source}:{lineno}: expected key=value, got {stripped!r}")
-        key, _, value = stripped.partition("=")
-        key, value = key.strip(), value.strip()
-        if not value:
-            raise LexiconError(f"{source}:{lineno}: empty value for {key!r}")
-        entries[key] = value
-    return entries
+def _key_value(line: str) -> tuple[str, str]:
+    key, equals, value = line.strip().partition("=")
+    if not equals:
+        raise ValueError(f"expected key=value, got {line.strip()!r}")
+    key, value = key.strip(), value.strip()
+    if not value:
+        raise ValueError(f"empty value for {key!r}")
+    return key, value
 
 
 def load_lexicon(path=None) -> NumberLexicon:
     """Load a number lexicon from a key=value file (bundled one by default)."""
-    if path is None:
-        text = resources.files("etnorm.data").joinpath("number_lexicon.txt").read_text("utf-8")
-        source = "number_lexicon.txt"
-    else:
-        with open(path, encoding="utf-8") as handle:
-            text = handle.read()
-        source = str(path)
-    kv = _parse_kv(text, source)
+    kv = dict(read_data(path, _key_value, "number_lexicon.txt"))
 
     def need(key: str) -> str:
         try:
             return kv[key]
         except KeyError:
-            raise LexiconError(f"{source}: missing key {key!r}") from None
+            raise ConfigError(f"{path or 'number_lexicon.txt'}: missing key {key!r}") from None
 
     return NumberLexicon(
         units=tuple(need(f"unit.{i}") for i in range(10)),

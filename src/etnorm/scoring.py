@@ -12,6 +12,8 @@ import json
 import re
 from dataclasses import dataclass, field
 
+from .textfiles import check_utf8, open_text
+
 
 @dataclass(frozen=True)
 class AbbrevSpan:
@@ -226,18 +228,14 @@ def _records_by_id(path, parse) -> dict:
     file at ``path``, as a dict in file order. A line that is not UTF-8 or
     does not parse, and a repeated id, is a ValueError led by ``path:line:``."""
     records, first_line = {}, {}
-    with open(path, encoding="utf-8", errors="surrogateescape") as handle:
+    with open_text(path) as handle:
         for lineno, line in enumerate(handle, start=1):
             if not line.strip():
                 continue
             try:
-                # reading held back bytes that are not UTF-8 as lone surrogates
-                line.encode("utf-8", "surrogateescape").decode("utf-8")
-                key, record = parse(line)
+                key, record = parse(check_utf8(line))
                 if key in first_line:
                     raise ValueError(f"repeated id {key!r} (first on line {first_line[key]})")
-            except UnicodeDecodeError as exc:
-                raise ValueError(f"{path}:{lineno}: input is not valid UTF-8: {exc}") from None
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
             records[key], first_line[key] = record, lineno

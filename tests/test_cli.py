@@ -563,6 +563,53 @@ def test_mistyped_config_value_named(capsys, tmp_path, monkeypatch, payload, mes
     assert (code, out, err) == (1, "", f"etnorm: {config}: {message}\n")
 
 
+# every data file a --config may name; each is read through one reader
+DATA_FILE_KEYS = [
+    "letter_names", "abbreviations", "roman_stoplist", "spoken_acronyms",
+    "symbols", "roman_context", "number_lexicon", "folding_protected",
+]
+
+
+def test_data_file_keys_are_every_path_option():
+    assert DATA_FILE_KEYS == [key for key, param in cli._CONFIG_KEYS.items() if param != key]
+
+
+@pytest.mark.parametrize("key", DATA_FILE_KEYS)
+def test_bad_byte_in_data_file_named_by_file_and_line(capsys, tmp_path, monkeypatch, key):
+    data = tmp_path / f"{key}.txt"
+    data.write_bytes(b"# line 1 is fine\nx\xff\n")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({key: str(data)}), encoding="utf-8")
+    code, out, err = run(capsys, ["normalize", "--config", str(config)], stdin="tere\n", monkeypatch=monkeypatch)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"etnorm: {config}: {data}:2: input is not valid UTF-8: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize(
+    "argv, missing",
+    [
+        (["score", "nope.jsonl", str(DATA_DIR / "score_hyp.tsv")], "nope.jsonl"),
+        (["score", str(DATA_DIR / "score_gold.jsonl"), "nope.tsv"], "nope.tsv"),
+        (["score", str(DATA_DIR / "score_gold.jsonl"), str(DATA_DIR / "score_hyp.tsv"), "--baseline", "nope.tsv"], "nope.tsv"),
+        (["stats", "mos", "nope.csv"], "nope.csv"),
+        (["normalize", "--input", "nope.txt"], "nope.txt"),
+        (["normalize", "--config", "nope.json"], "nope.json"),
+    ],
+    ids=["score_gold", "score_hypotheses", "score_baseline", "stats", "normalize_input", "config"],
+)
+def test_missing_input_named(capsys, tmp_path, monkeypatch, argv, missing):
+    monkeypatch.chdir(tmp_path)
+    assert run(capsys, argv) == (1, "", f"etnorm: {missing}: No such file or directory\n")
+
+
+def test_missing_data_file_named_by_config(capsys, tmp_path, monkeypatch):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"symbols": "nope.txt"}), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, ["normalize", "--config", str(config)], stdin="tere\n", monkeypatch=monkeypatch)
+    assert (code, out, err) == (1, "", f"etnorm: {config}: nope.txt: No such file or directory\n")
+
+
 SCORES = [f"{half / 2:.1f}" for half in range(2, 11)]
 # each list leads with one of every kind of fault, as Hypothesis draws
 # the leading values most

@@ -97,3 +97,15 @@ class TestFileParsing:
         path = tmp_path / "symbols.txt"
         path.write_text("%\tprotsenti\n", encoding="utf-8")
         assert load_symbols(path) == {"%": "protsenti"}
+
+    @pytest.mark.parametrize(
+        "load, line",
+        [(load_letter_names, "A\taa\nAB\tzz\n"), (load_symbols, "%\tprotsenti\n->\tnool\n")],
+        ids=["letter_names", "symbols"],
+    )
+    def test_pair_key_of_more_than_one_character_rejected(self, tmp_path, load, line):
+        # every lookup in these tables is by one character, so "AB" could never be found
+        path = tmp_path / "pairs.txt"
+        path.write_text(line, encoding="utf-8")
+        with pytest.raises(ConfigError, match="pairs.txt:2: expected one character before the tab"):
+            load(path)

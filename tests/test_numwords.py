@@ -4,11 +4,11 @@ from importlib import resources
 
 import pytest
 
+from etnorm.lexicon import ConfigError
 from etnorm.numwords import (
     GENITIVE,
     MAX_CARDINAL,
     NOMINATIVE,
-    LexiconError,
     cardinal,
     decimal,
     default_lexicon,
@@ -302,13 +302,13 @@ class TestLexiconLoading:
     def test_missing_key_reported(self, tmp_path):
         path = tmp_path / "partial.txt"
         path.write_text("unit.0=null\n", encoding="utf-8")
-        with pytest.raises(LexiconError):
+        with pytest.raises(ConfigError):
             load_lexicon(path)
 
     def test_bad_line_reported_with_location(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("unit.0=null\nno equals sign\n", encoding="utf-8")
-        with pytest.raises(LexiconError, match="bad.txt:2"):
+        with pytest.raises(ConfigError, match="bad.txt:2"):
             load_lexicon(path)
 
 
