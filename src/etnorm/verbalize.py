@@ -396,25 +396,25 @@ def _ordinal(tokens, i, config):
 
 
 def _mark_at_number(tokens, i, config):
-    """A dot, comma or hyphen joined before a number, read by what is
-    joined before it.
+    """A dot, comma, hyphen or en dash joined before a number, read by what
+    is joined before it.
 
     After a number, or a name ending in a digit, a dot is spoken "punkt" and
     a comma as the lexicon's decimal separator: "1.1.10000", "1,5,7",
     "v1.2.3", "A3,5". After nothing, or a mark other than a dot, comma or
-    dash, the mark opens the number: a hyphen is a minus sign, read by the
-    symbol table's entry for "−" ("-5 kraadi", "(-5)"), and a dot or a comma
-    before a run of digits is a decimal mark after 0 (".5" reads as "0,5";
-    a run that starts a range, ".5-7", is left to the range). After a word
-    or a run of marks, the mark stays as written."""
+    dash, the mark opens the number: a hyphen or an en dash is a minus sign,
+    read by the symbol table's entry for "−" ("-5 kraadi", "(–5)"), and a
+    dot or a comma before a run of digits is a decimal mark after 0 (".5"
+    reads as "0,5"; a run that starts a range, ".5-7", is left to the
+    range). After a word or a run of marks, the mark stays as written."""
     if i + 1 == len(tokens) or tokens[i + 1].kind not in _NUMBER_KINDS:
         return None
     mark, right = tokens[i], tokens[i + 1]
-    if mark.text not in ("-", ".", ",") or not mark.joined_right:
+    if mark.text not in ("-", "–", ".", ",") or not mark.joined_right:
         return None
     left = tokens[i - 1] if i and tokens[i - 1].joined_right else None  # joined before the mark
     if left is None or (left.kind in _MARK_KINDS and left.text not in ".,-–—"):
-        if mark.text == "-":
+        if mark.text in "-–":
             spoken = config.symbols.get("−")
             return (i, spoken) if spoken and right.kind in _SIGNED_KINDS else None
         if _is_ascii_digits(right.text) and not _number_range(tokens, i + 1, config):
@@ -423,7 +423,7 @@ def _mark_at_number(tokens, i, config):
     number_left = left.kind in _NUMBER_KINDS or (
         left.kind is TokenKind.MIXED_CASE and _is_ascii_digits(left.text[-1])
     )
-    if mark.text != "-" and number_left:
+    if mark.text in ".," and number_left:
         return i, "punkt" if mark.text == "." else config.numbers.decimal_separator
     return None
 

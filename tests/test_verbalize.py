@@ -380,6 +380,10 @@ class TestVerbalizeEndToEnd:
             ("x=-5", "iks võrdub miinus viis"),
             ("-1,5 kraadi", "miinus üks koma viis kraadi"),
             ("5−3", "viis miinus kolm"),
+            # an en dash used as a minus sign
+            ("temperatuur –5 kraadi", "temperatuur miinus viis kraadi"),
+            ("(–5)", "(miinus viis)"),
+            ("–5,5 kraadi", "miinus viis koma viis kraadi"),
             # a hyphen joined to a word or a number, or spaced after, is no minus
             ("2-3", "kaks kuni kolm"),
             ("5 - 3", "viis - kolm"),
@@ -388,6 +392,11 @@ class TestVerbalizeEndToEnd:
             ("- 5 õuna", "- viis õuna"),
             ("x-5", "iks-viis"),
             ("--5", "--viis"),
+            # nor is an en dash in a range or spaced after
+            ("5–7", "viis kuni seitse"),
+            ("10–12 minutit", "kümme kuni kaksteist minutit"),
+            ("3.–5. klass", "kolmas kuni viies klass"),
+            ("– 5 õuna", "– viis õuna"),
         ],
     )
     def test_minus_sign(self, config, text, expected):
@@ -400,6 +409,7 @@ class TestVerbalizeEndToEnd:
         del table["−"]
         unlisted = replace(config, symbols=table)
         assert verbalize("-5 kraadi", unlisted) == "-viis kraadi"
+        assert verbalize("–5 kraadi", unlisted) == "–viis kraadi"
         table["−"] = "MINUS"
         assert verbalize("-5 ja −5", replace(config, symbols=table)) == "MINUS viis ja MINUS viis"
 
