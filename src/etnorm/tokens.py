@@ -106,7 +106,8 @@ _DOMAIN_HEAD_RE = re.compile(rf"(?<!{_LABEL})(?<!{_LABEL}\.){_DOMAIN_RUN}(?={_TL
 _ADDRESS_HEAD_RE = re.compile(rf"(?<!{_ADDRESS}){_ADDRESS}+(?={_EMAIL_DOMAIN})")
 
 _D = "[0-9]"  # ASCII digits only; \d would also match other scripts' digits
-_THOUSANDS_SHAPE_RE = re.compile(rf"^{_D}{{1,3}}(?:([ \xa0.]){_D}{{3}})+$")
+_THOUSANDS = rf"{_D}{{1,3}}(?:[ \xa0.]{_D}{{3}})+"  # digits grouped by thousands
+_THOUSANDS_SHAPE_RE = re.compile(rf"{_THOUSANDS}$")
 
 
 def _letters_below(stop: int) -> str:
@@ -139,7 +140,7 @@ _SHAPES = (
     ("date_like", rf"{_D}{{1,2}}\.{_D}{{1,2}}\.{_D}{{4}}(?!{_D})", True),
     ("time_like", rf"{_D}{{1,2}}:{_D}{{2}}(?::{_D}{{2}})?(?!{_D})", True),
     ("decimal_number", rf"{_D}+(?:,{_D}+|\.{_D}{{1,2}})(?!{_D})", True),
-    ("digit_group_seq", rf"(?:{_D}{{1,3}}(?:[ \xa0.]{_D}{{3}})+|{_D}{{7,}})(?!{_D})", True),
+    ("digit_group_seq", rf"(?:{_THOUSANDS}|{_D}{{7,}})(?!{_D})", True),
     ("ordinal_dot", rf"{_D}{{1,6}}\.(?=[–-]|\s+[{_LC}])", True),
     ("cardinal_number", rf"{_D}{{1,6}}(?!{_D})", True),
     ("case_suffixed_acronym", rf"[{_UC}]{{2,}}-[{_LC}]{{1,5}}(?![^\W\d_])", False),
