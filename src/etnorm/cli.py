@@ -85,8 +85,7 @@ def _load_cli_config(path):
 
 
 def _open_input(path):
-    """The input stream, read as ``open_text`` reads a file, and its name
-    for diagnostics."""
+    """The input stream, read as ``open_text`` reads a file, and its name."""
     if path is None or path == "-":
         if hasattr(sys.stdin, "reconfigure"):
             sys.stdin.reconfigure(encoding="utf-8", errors="surrogateescape")

@@ -97,14 +97,12 @@ def _load_pairs(bundled: str, path, shape: str):
 
 def load_letter_names(path=None) -> dict[str, str]:
     """Letter-name table keyed by uppercase letter; lowercase shares the name."""
-    return {
-        letter.upper(): name
-        for letter, name in _load_pairs("letter_names.txt", path, "LETTER<TAB>name")
-    }
+    pairs = _load_pairs("letter_names.txt", path, "LETTER<TAB>name")
+    return {letter.upper(): name for letter, name in pairs}
 
 
-def _abbreviation_line(line: str) -> tuple[str, Expansion | None, list[str]]:
-    """(surface, its expansion or None, its flags) of one dictionary line."""
+def _abbreviation_line(line: str) -> tuple[str, tuple[Expansion, ...], list[str]]:
+    """(surface, its expansions, its flags) of one dictionary line."""
     parts = line.split("\t")
     if len(parts) < 2:
         raise ValueError("expected at least surface<TAB>expansion")
@@ -112,28 +110,27 @@ def _abbreviation_line(line: str) -> tuple[str, Expansion | None, list[str]]:
     surface, expansion, keywords, weight, flag_field = (p.strip() for p in parts[:5])
     if not surface:
         raise ValueError("empty surface")
-    entry = None
+    expansions = ()
     if expansion:
         try:
             parsed_weight = float(weight) if weight else 1.0
         except ValueError:
             raise ValueError(f"bad weight {weight!r}") from None
         kw = tuple(k.strip().lower() for k in keywords.split(",") if k.strip())
-        entry = Expansion(expansion, kw, parsed_weight)
+        expansions = (Expansion(expansion, kw, parsed_weight),)
     flags = [f.strip() for f in flag_field.split(",") if f.strip()]
     for flag in flags:
         if flag not in ("word", "spellout"):
             raise ValueError(f"unknown flag {flag!r}")
-    return surface, entry, flags
+    return surface, expansions, flags
 
 
 def load_abbreviations(path=None) -> dict[str, AbbreviationEntry]:
     entries: dict[str, tuple[list[Expansion], set[str]]] = {}
-    for surface, expansion, flags in read_data(path, _abbreviation_line, "abbreviations.tsv"):
-        expansions, surface_flags = entries.setdefault(surface, ([], set()))
-        if expansion is not None:
-            expansions.append(expansion)
-        surface_flags.update(flags)
+    for surface, expansions, flags in read_data(path, _abbreviation_line, "abbreviations.tsv"):
+        known_expansions, known_flags = entries.setdefault(surface, ([], set()))
+        known_expansions.extend(expansions)
+        known_flags.update(flags)
     return {
         surface: AbbreviationEntry(
             surface,
