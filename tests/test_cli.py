@@ -563,7 +563,7 @@ def test_mistyped_config_value_named(capsys, tmp_path, monkeypatch, payload, mes
     assert (code, out, err) == (1, "", f"etnorm: {config}: {message}\n")
 
 
-# every data file a --config may name; each is read through one reader
+# every data file a --config may name
 DATA_FILE_KEYS = [
     "letter_names", "abbreviations", "roman_stoplist", "spoken_acronyms",
     "symbols", "roman_context", "number_lexicon", "folding_protected",
@@ -580,17 +580,22 @@ def test_bad_byte_in_data_file_named_by_file_and_line(capsys, tmp_path, monkeypa
     data.write_bytes(b"# line 1 is fine\nx\xff\n")
     config = tmp_path / "config.json"
     config.write_text(json.dumps({key: str(data)}), encoding="utf-8")
-    code, out, err = run(capsys, ["normalize", "--config", str(config)], stdin="tere\n", monkeypatch=monkeypatch)
+    argv = ["normalize", "--config", str(config)]
+    code, out, err = run(capsys, argv, stdin="tere\n", monkeypatch=monkeypatch)
     assert (code, out) == (1, "")
-    assert err.startswith(f"etnorm: {config}: {data}:2: input is not valid UTF-8: ") and err.count("\n") == 1, err
+    assert err.startswith(f"etnorm: {config}: {data}:2: input is not valid UTF-8: "), err
+    assert err.count("\n") == 1
+
+
+GOLD, HYPOTHESES = str(DATA_DIR / "score_gold.jsonl"), str(DATA_DIR / "score_hyp.tsv")
 
 
 @pytest.mark.parametrize(
     "argv, missing",
     [
-        (["score", "nope.jsonl", str(DATA_DIR / "score_hyp.tsv")], "nope.jsonl"),
-        (["score", str(DATA_DIR / "score_gold.jsonl"), "nope.tsv"], "nope.tsv"),
-        (["score", str(DATA_DIR / "score_gold.jsonl"), str(DATA_DIR / "score_hyp.tsv"), "--baseline", "nope.tsv"], "nope.tsv"),
+        (["score", "nope.jsonl", HYPOTHESES], "nope.jsonl"),
+        (["score", GOLD, "nope.tsv"], "nope.tsv"),
+        (["score", GOLD, HYPOTHESES, "--baseline", "nope.tsv"], "nope.tsv"),
         (["stats", "mos", "nope.csv"], "nope.csv"),
         (["normalize", "--input", "nope.txt"], "nope.txt"),
         (["normalize", "--config", "nope.json"], "nope.json"),
@@ -606,7 +611,8 @@ def test_missing_data_file_named_by_config(capsys, tmp_path, monkeypatch):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"symbols": "nope.txt"}), encoding="utf-8")
     monkeypatch.chdir(tmp_path)
-    code, out, err = run(capsys, ["normalize", "--config", str(config)], stdin="tere\n", monkeypatch=monkeypatch)
+    argv = ["normalize", "--config", str(config)]
+    code, out, err = run(capsys, argv, stdin="tere\n", monkeypatch=monkeypatch)
     assert (code, out, err) == (1, "", f"etnorm: {config}: nope.txt: No such file or directory\n")
 
 
