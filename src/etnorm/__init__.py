@@ -28,15 +28,10 @@ from .stats import (
 )
 from .tokens import Token, TokenKind, detokenize, tokenize
 from .verbalize import (
-    UppercaseClass,
-    classify_uppercase,
-    expand_abbreviation,
-    expand_roman,
     spell_letters,
     verbalize,
     verbalize_digit_sequence,
     verbalize_mixed_case,
-    verbalize_range,
 )
 
 __version__ = "0.1.0"
@@ -58,17 +53,13 @@ __all__ = [
     "ScoreReport",
     "Token",
     "TokenKind",
-    "UppercaseClass",
     "canonicalize",
     "cardinal",
-    "classify_uppercase",
     "decimal",
     "default_config",
     "detokenize",
     "digits",
     "error_rates",
-    "expand_abbreviation",
-    "expand_roman",
     "fold_diacritics",
     "icc2k",
     "improvement",
@@ -84,5 +75,4 @@ __all__ = [
     "verbalize",
     "verbalize_digit_sequence",
     "verbalize_mixed_case",
-    "verbalize_range",
 ]

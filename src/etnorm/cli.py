@@ -88,7 +88,7 @@ def _open_input(path):
     """The input stream, read as ``open_text`` reads a file, and its name."""
     if path is None or path == "-":
         if hasattr(sys.stdin, "reconfigure"):
-            sys.stdin.reconfigure(encoding="utf-8", errors="surrogateescape")
+            sys.stdin.reconfigure(encoding="utf-8-sig", errors="surrogateescape")
         return sys.stdin, "<stdin>"
     return open_text(path), path
 
@@ -308,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("input", nargs="?", help="CSV/TSV input (default: stdin)")
         p.add_argument("--format", choices=("text", "tsv", "json"), default="text")
         if which == "mos":
-            p.add_argument("--by", default="voice", help="grouping fields, e.g. voice,domain")
+            p.add_argument("--by", default="voice", help="grouping fields: voice or voice,domain")
             p.add_argument("--ci-multiplier", type=float, default=1.96)
         if which == "errors":
             p.add_argument("--policy", choices=("any", "majority"), default="any")

@@ -9,7 +9,7 @@ module parses them into an immutable RuleConfig.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 from .folding import FoldingTable
@@ -38,7 +38,7 @@ class AbbreviationEntry:
         if not self.expansions and not self.force_spellout and not self.speak_as_word:
             raise ConfigError(f"abbreviation {self.surface!r} has no expansion and no flag")
         for exp in self.expansions:
-            if exp.weight <= 0:
+            if not exp.weight > 0:  # NaN is refused too
                 raise ConfigError(f"abbreviation {self.surface!r}: weight must be > 0")
 
 
@@ -194,8 +194,3 @@ def load_config(
 @lru_cache(maxsize=1)
 def default_config() -> RuleConfig:
     return load_config()
-
-
-def with_options(config: RuleConfig, **overrides) -> RuleConfig:
-    """A copy of ``config`` with some scalar options replaced."""
-    return replace(config, **overrides)

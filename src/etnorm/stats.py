@@ -104,16 +104,18 @@ class IccResult:
 def mos(records, by=("voice",), ci_multiplier: float = 1.96) -> list[MosResult]:
     """Mean opinion score per group with a normal-approximation 95% CI.
 
-    ``by`` selects the grouping key ("voice" alone or "voice" and "domain").
-    The half-width is ci_multiplier * s / sqrt(n) with the sample standard
-    deviation; a single-rating group gets width 0 and a warning.
+    ``by`` selects the grouping key, ("voice",) or ("voice", "domain"), the
+    fields a ``MosResult`` holds. The half-width is ci_multiplier * s /
+    sqrt(n) with the sample standard deviation, and ``ci_multiplier`` must
+    be finite and above 0; a single-rating group gets width 0 and a warning.
     """
+    if tuple(by) not in (("voice",), ("voice", "domain")):
+        raise ValueError(f"cannot group by {','.join(by)!r}: use voice or voice,domain")
+    if not (math.isfinite(ci_multiplier) and ci_multiplier > 0):
+        raise ValueError(f"ci_multiplier must be a finite number > 0, got {ci_multiplier!r}")
     records = list(records)
     if not records:
         raise ValueError("no rating records")
-    for key in by:
-        if key not in ("voice", "domain", "voice_type"):
-            raise ValueError(f"cannot group by {key!r}")
     groups: dict[tuple, list[float]] = {}
     for record in records:
         key = tuple(getattr(record, field) for field in by)
@@ -131,7 +133,7 @@ def mos(records, by=("voice",), ci_multiplier: float = 1.96) -> list[MosResult]:
         fields = dict(zip(by, key))
         results.append(
             MosResult(
-                voice=fields.get("voice", ""),
+                voice=fields["voice"],
                 n=n,
                 mos=mean,
                 ci_half_width=half,

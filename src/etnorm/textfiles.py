@@ -3,7 +3,8 @@ and the form of every fault.
 
 ``open_text`` opens every file as UTF-8 and reads a byte that is not UTF-8
 as a lone surrogate, so ``check_utf8`` can name the line that holds it
-instead of the read failing somewhere in the file. A file that cannot be
+instead of the read failing somewhere in the file. A byte-order mark that
+starts a file is skipped; none is written. A file that cannot be
 opened is an OSError that reads ``<path>: <reason>``; a fault in a line
 reads ``<file>:<line>: <fault>``.
 """
@@ -20,8 +21,9 @@ class ConfigError(ValueError):
 def open_text(path, mode: str = "r"):
     """``path`` opened as UTF-8 text. An OSError raised here keeps the type
     of the failure and reads ``<path>: <reason>``."""
+    encoding = "utf-8-sig" if "r" in mode else "utf-8"
     try:
-        return open(path, mode, encoding="utf-8", errors="surrogateescape")
+        return open(path, mode, encoding=encoding, errors="surrogateescape")
     except OSError as exc:
         raise type(exc)(f"{path}: {exc.strerror or exc}") from None
 

@@ -26,13 +26,12 @@ reads it the same.
 
 What is derived from the config is cached on the ``RuleConfig`` on first
 use: changing ``config.abbreviations`` in place after that is not
-supported; build a new config with ``load_config`` or ``with_options``.
+supported; build a new config with ``load_config`` or ``dataclasses.replace``.
 """
 
 from __future__ import annotations
 
 import re
-from enum import Enum
 
 from . import numwords
 from .folding import fold_diacritics
@@ -40,7 +39,7 @@ from .lexicon import RuleConfig, default_config
 from .numwords import _CARDINAL_DIGITS, NOMINATIVE, _is_ascii_digits, cardinal, decimal, digits, ordinal
 from .romans import roman_value
 from .tokens import _ATTACHED_SUFFIX_RE, _LC, _SENTENCE_PUNCT, _TLD_DOT_RE, _UC, _VOWELS, CASE_SUFFIXES
-from .tokens import Token, TokenKind, TokenList, tokenize
+from .tokens import TokenKind, TokenList, tokenize
 
 _SEGMENT_RE = re.compile(rf"[{_UC}]+(?![{_LC}])|[{_UC}][{_LC}]+|[{_LC}]+|[0-9]+|[^\W\d_]+")
 _DIGIT_GROUP_SEP_RE = re.compile(r"[ \xa0.\-]+")  # between the digit groups of a phone number or ID
@@ -68,12 +67,6 @@ _SIGNED_KINDS = frozenset({TokenKind.CARDINAL_NUMBER, TokenKind.DECIMAL_NUMBER, 
 _MARK_KINDS = frozenset({TokenKind.PUNCT, TokenKind.SYMBOL})
 
 
-class UppercaseClass(Enum):
-    TITLE = "title"
-    SPOKEN_WORD = "spoken_word"
-    SPELL_OUT = "spell_out"
-
-
 def spell_letters(token: str, names: dict[str, str], case_suffix: str | None = None) -> str:
     """Spell a token letter by letter, names joined with hyphens.
 
@@ -93,52 +86,11 @@ def spell_letters(token: str, names: dict[str, str], case_suffix: str | None = N
     return "-".join(parts)
 
 
-def classify_uppercase(token: str, config: RuleConfig) -> UppercaseClass:
-    """Decide how an all-uppercase token is read.
-
-    Long sequences are titles set in capitals, not abbreviations; a known
-    word-like acronym is read as a word; everything else is spelled.
-    """
-    if len(token) >= config.title_min_length:
-        return UppercaseClass.TITLE
-    if token in config.spoken_acronyms:
-        return UppercaseClass.SPOKEN_WORD
-    return UppercaseClass.SPELL_OUT
-
-
-def expand_abbreviation(token: str, sentence_context, dictionary) -> str:
-    """Pick the expansion whose keywords best match the sentence.
-
-    ``dictionary`` maps a surface form to its AbbreviationEntry, as
-    ``RuleConfig.abbreviations`` does. Score is weight * (1 + number of
-    keywords present); ties go to the expansion listed first.
-    """
-    entry = dictionary.get(token) or dictionary.get(token.lower())
-    if entry is None:
-        raise KeyError(f"no abbreviation entry for {token!r}")
-    return _pick_expansion(token, entry, _context_words(sentence_context))
-
-
-def _pick_expansion(token: str, entry, words: frozenset[str]) -> str:
-    best_text = None
-    best_score = float("-inf")
-    for expansion in entry.expansions:
-        hits = sum(1 for kw in expansion.keywords if kw in words)
-        score = expansion.weight * (1 + hits)
-        if score > best_score:
-            best_score = score
-            best_text = expansion.text
-    if best_text is None:
-        raise ValueError(f"abbreviation {token!r} has no expansions")
-    return best_text
-
-
-def _context_words(sentence_context) -> frozenset[str]:
-    words = set()
-    for item in sentence_context:
-        text = item.text if isinstance(item, Token) else str(item)
-        words.add(text.lower())
-    return frozenset(words)
+def _pick_expansion(entry, words: frozenset[str]) -> str:
+    """The expansion of ``entry`` that scores highest in the context
+    ``words``: weight * (1 + its keywords among them); ties go to the
+    expansion listed first."""
+    return max(entry.expansions, key=lambda e: e.weight * (1 + sum(kw in words for kw in e.keywords))).text
 
 
 def _line_words(line) -> frozenset[str]:
@@ -148,51 +100,10 @@ def _line_words(line) -> frozenset[str]:
     many abbreviations it holds."""
     words = getattr(line, "abbreviation_context", None)
     if words is None:
-        words = _context_words(t for t in line if t.kind in _WORDISH_KINDS)
+        words = frozenset(t.text.lower() for t in line if t.kind in _WORDISH_KINDS)
         if isinstance(line, TokenList):
             line.abbreviation_context = words
     return words
-
-
-def expand_roman(
-    token: str,
-    left_context: Token | None,
-    right_context: Token | None,
-    config: RuleConfig,
-) -> str | None:
-    """Ordinal reading of a Roman numeral, or None when it must not get one.
-
-    Requires strict well-formedness, absence from the stoplist, and a
-    context cue: an ordinal dot, a neighbouring capitalized name, or an
-    era/part keyword to the right.
-    """
-    value = roman_value(token)
-    if value is None or token in config.roman_stoplist:
-        return None
-    if value > numwords.MAX_ORDINAL:
-        return None
-    cue = False
-    if right_context is not None:
-        if right_context.text == ".":
-            cue = True
-        elif right_context.kind in _WORDISH_KINDS:
-            if right_context.text.lower().startswith(config.roman_context_stems):
-                cue = True
-            elif right_context.text[:1].isupper() and right_context.kind == TokenKind.WORD:
-                cue = True
-    if not cue and left_context is not None and left_context.kind == TokenKind.WORD:
-        if left_context.text[:1].isupper():
-            cue = True
-    if not cue:
-        return None
-    return ordinal(value, NOMINATIVE, config.numbers)
-
-
-def verbalize_range(a: Token, dash: Token, b: Token, config: RuleConfig | None = None) -> str | None:
-    """Read "a-b" as "a kuni b" by the range rule (``_number_range``) on the
-    three tokens alone; None when they are not a range."""
-    hit = _number_range([a, dash, b], 0, config or default_config())
-    return None if hit is None else hit[1]
 
 
 def verbalize_digit_sequence(token: str, config: RuleConfig | None = None) -> str:
@@ -272,24 +183,24 @@ def _render_uppercase(surface: str, config: RuleConfig, suffix: str | None = Non
     spoken = None if entry is None else _read_entry(surface, entry, config, line, suffix)
     if spoken is not None:
         return spoken
-    cls = classify_uppercase(surface, config)
-    if cls in (UppercaseClass.TITLE, UppercaseClass.SPOKEN_WORD):
+    # a run as long as a title is a word set in capitals, and a spoken
+    # acronym is read as a word; any other run is spelled
+    if len(surface) >= config.title_min_length or surface in config.spoken_acronyms:
         return surface + (suffix or "")
     return _safe_spell(surface, config, suffix)
 
 
 def _read_entry(surface: str, entry, config: RuleConfig, line, suffix: str | None = None) -> str | None:
     """How a dictionary abbreviation is read: spelled, kept as written, or
-    the expansion ``expand_abbreviation`` would pick with the words of
-    ``line`` as context. None when a case ending is attached to an expanded
-    entry."""
+    the expansion ``_pick_expansion`` picks with the words of ``line`` as
+    context. None when a case ending is attached to an expanded entry."""
     if entry.force_spellout:
         return _safe_spell(surface, config, suffix)
     if entry.speak_as_word:
         return surface + (suffix or "")
     if suffix is not None:
         return None
-    return _pick_expansion(surface, entry, _line_words(line))
+    return _pick_expansion(entry, _line_words(line))
 
 
 def _render_cardinal_text(text: str, config: RuleConfig, value: int | None = None) -> str:
@@ -429,10 +340,13 @@ def _mark_at_number(tokens, i, config):
 
 
 def _roman(tokens, i, config, last=None):
-    """A Roman numeral with a context cue reads as an ordinal; a joined dot
-    before a lowercase word is its ordinal mark and is read with it. With
-    ``last``, the numerals at ``i`` and ``last`` are a range, which the cues
-    around the whole span license or refuse as one."""
+    """A Roman numeral reads as an ordinal when it is well formed, at most
+    ``MAX_ORDINAL``, off the stoplist and has a context cue: a joined dot
+    before a lowercase word, which is its ordinal mark and is read with it;
+    an era or part keyword, or a capitalized word, to the right; or a
+    capitalized word to the left. With ``last``, the numerals at ``i`` and
+    ``last`` are a range, which the cues around the whole span license or
+    refuse as one."""
     last = i if last is None else last
     left = tokens[i - 1] if i > 0 else None
     right = tokens[last + 1] if last + 1 < len(tokens) else None
@@ -443,11 +357,26 @@ def _roman(tokens, i, config, last=None):
         and last + 2 < len(tokens)
         and tokens[last + 2].text[:1].islower()
     )
-    if right is not None and right.text == "." and not dot_cue:
-        right = None  # a dot that is not an ordinal mark is no cue
-    spoken = [expand_roman(tokens[j].text, left, right, config) for j in sorted({i, last})]
-    if None in spoken:
+    cue = (
+        dot_cue
+        or (
+            right is not None
+            and right.kind in _WORDISH_KINDS
+            and (
+                right.text.lower().startswith(config.roman_context_stems)
+                or (right.kind is TokenKind.WORD and right.text[:1].isupper())
+            )
+        )
+        or (left is not None and left.kind is TokenKind.WORD and left.text[:1].isupper())
+    )
+    if not cue:
         return None
+    spoken = []
+    for j in sorted({i, last}):
+        value = roman_value(tokens[j].text)
+        if value is None or value > numwords.MAX_ORDINAL or tokens[j].text in config.roman_stoplist:
+            return None
+        spoken.append(ordinal(value, NOMINATIVE, config.numbers))
     return (last + 1 if dot_cue else last), " kuni ".join(spoken)
 
 

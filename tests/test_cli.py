@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -288,6 +289,24 @@ class TestStats:
         assert code == 0
         payload = json.loads(out)
         assert {row["domain"] for row in payload} == {"uudised", "ilukirjandus"}
+
+    @pytest.mark.parametrize(
+        "option, message",
+        [
+            (["--by", ","], "cannot group by ''"),
+            (["--by", "voice_type"], "cannot group by 'voice_type'"),
+            (["--ci-multiplier", "-1"], "ci_multiplier must be a finite number > 0, got -1.0"),
+            (["--ci-multiplier", "nan"], "ci_multiplier must be a finite number > 0, got nan"),
+            (["--ci-multiplier", "inf"], "ci_multiplier must be a finite number > 0, got inf"),
+        ],
+        ids=["empty_by", "voice_type", "negative", "nan", "inf"],
+    )
+    def test_mos_option_out_of_range_named(self, capsys, tmp_path, option, message):
+        path = tmp_path / "ratings.csv"
+        write_ratings(path)
+        code, out, err = run(capsys, ["stats", "mos", str(path), *option])
+        assert (code, out) == (1, "")
+        assert err.startswith(f"etnorm: {path}: {message}") and err.count("\n") == 1, err
 
     def test_invalid_utf8_named_by_file_and_line(self, capsys, tmp_path):
         path = tmp_path / "ratings.csv"
@@ -614,6 +633,62 @@ def test_missing_data_file_named_by_config(capsys, tmp_path, monkeypatch):
     argv = ["normalize", "--config", str(config)]
     code, out, err = run(capsys, argv, stdin="tere\n", monkeypatch=monkeypatch)
     assert (code, out, err) == (1, "", f"etnorm: {config}: nope.txt: No such file or directory\n")
+
+
+def bundled_entries(name):
+    """The bundled data file ``name`` without its comments and blank lines,
+    so its first line is an entry."""
+    lines = resources.files("etnorm.data").joinpath(name).read_text("utf-8").splitlines()
+    return "".join(f"{line}\n" for line in lines if line.strip() and not line.startswith("#"))
+
+
+# a data file of each key, and a line whose reading its first entry decides
+BOM_DATA = {
+    "letter_names": (bundled_entries("letter_names.txt"), "EAS"),
+    "abbreviations": (bundled_entries("abbreviations.tsv"), "Ta sõitis 5 km."),
+    "roman_stoplist": (bundled_entries("roman_stoplist.txt"), "CD sajandil"),
+    "spoken_acronyms": (bundled_entries("spoken_acronyms.txt"), "NATO"),
+    "symbols": (bundled_entries("symbols.txt"), "5 %"),
+    "roman_context": (bundled_entries("roman_context.txt"), "XX sajand"),
+    "number_lexicon": (bundled_entries("number_lexicon.txt"), "0"),
+    "folding_protected": ("õ\nä\nö\nü\nš\nž\n", "Õun ja café"),
+}
+SCORE_FILES = {"gold.jsonl": Path(GOLD).read_text("utf-8"), "hyp.tsv": Path(HYPOTHESES).read_text("utf-8")}
+RATINGS_TABLE = "rater,sentence,voice,voice_type,domain,score\nr1,s1,Mari,HTS,uudised,4.0\nr2,s1,Mari,HTS,uudised,5.0\n"
+WITH_CONFIG = ["normalize", "--config", "config.json"]
+SCORE = ["score", "gold.jsonl", "hyp.tsv"]
+# each kind of file etnorm reads: (its files, the first of them the one
+# under test; the arguments; the standard input)
+BOM_CASES = {
+    **{
+        key: ({f"{key}.txt": text, "config.json": json.dumps({key: f"{key}.txt"})}, WITH_CONFIG, line)
+        for key, (text, line) in BOM_DATA.items()
+    },
+    "gold": (SCORE_FILES, SCORE, None),
+    "hypotheses": (dict(reversed(SCORE_FILES.items())), SCORE, None),
+    "config": ({"config.json": json.dumps({"title_min_length": 4})}, WITH_CONFIG, "PARK"),
+    "stats": ({"ratings.csv": RATINGS_TABLE}, ["stats", "mos", "ratings.csv"], None),
+}
+
+
+@pytest.mark.parametrize("files, argv, stdin", BOM_CASES.values(), ids=BOM_CASES)
+def test_byte_order_mark_is_skipped(capsys, tmp_path, monkeypatch, files, argv, stdin):
+    """A file that starts with a UTF-8 byte-order mark reads as it does without one."""
+    monkeypatch.chdir(tmp_path)
+    results = []
+    for bom in ("", "\ufeff"):
+        for i, (name, text) in enumerate(files.items()):
+            (tmp_path / name).write_text((bom if i == 0 else "") + text, encoding="utf-8")
+        results.append(run(capsys, argv, stdin, monkeypatch))
+    assert results[0][0] == 0 and results[0][2] == "", results[0]
+    assert results[1] == results[0]
+
+
+def test_byte_order_mark_on_real_stdin_is_skipped():
+    code = "from etnorm.cli import main; raise SystemExit(main(['stats', 'mos', '--format', 'tsv']))"
+    proc = run_fresh(code, stdin=("\ufeff" + RATINGS_TABLE).encode("utf-8"))
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout.decode("utf-8").splitlines()[1].split("\t")[:3] == ["Mari", "", "2"]
 
 
 SCORES = [f"{half / 2:.1f}" for half in range(2, 11)]

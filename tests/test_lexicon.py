@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from etnorm.lexicon import (
@@ -8,7 +10,6 @@ from etnorm.lexicon import (
     load_abbreviations,
     load_letter_names,
     load_symbols,
-    with_options,
 )
 
 
@@ -43,20 +44,21 @@ class TestValidation:
             AbbreviationEntry("xx")
 
     def test_weight_must_be_positive(self):
-        with pytest.raises(ConfigError):
-            AbbreviationEntry("xx", (Expansion("midagi", (), 0.0),))
+        for weight in (0.0, float("nan")):  # a data file's "nan" parses to NaN
+            with pytest.raises(ConfigError):
+                AbbreviationEntry("xx", (Expansion("midagi", (), weight),))
 
     def test_threshold_floors(self, config):
         with pytest.raises(ConfigError):
-            with_options(config, title_min_length=3)
+            replace(config, title_min_length=3)
         with pytest.raises(ConfigError):
-            with_options(config, digit_group_threshold=4)
+            replace(config, digit_group_threshold=4)
 
     @pytest.mark.parametrize("value", [6.0, 4.5, True, "6", None])
     @pytest.mark.parametrize("option", ["title_min_length", "digit_group_threshold"])
     def test_thresholds_must_be_integers(self, config, option, value):
         with pytest.raises(ConfigError, match=f"{option} must be an integer"):
-            with_options(config, **{option: value})
+            replace(config, **{option: value})
 
 
 class TestFileParsing:

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from etnorm.folding import DEFAULT_PROTECTED, FoldingTable, fold_diacritics
-from etnorm.lexicon import AbbreviationEntry, Expansion, default_config, with_options
+from etnorm.lexicon import AbbreviationEntry, Expansion, default_config
 from etnorm.tokens import _SENTENCE_PUNCT, _VOWELS, TokenKind, tokenize
 from etnorm.verbalize import _passes_through, verbalize
 from test_verbalize import full_path
@@ -43,7 +43,7 @@ OPTIONS = {
 
 
 def check(config, text, options):
-    configured = with_options(config, **options)
+    configured = replace(config, **options)
     out = verbalize(text, configured)
     assert not ASCII_DIGIT.search(out), (text, options, out)
     assert verbalize(text, configured) == out

@@ -77,6 +77,16 @@ class TestMos:
         assert len(results) == 2
         assert results[0].mos > results[1].mos  # sorted descending
 
+    @pytest.mark.parametrize("by", [(), ("voice_type",), ("domain",), ("domain", "voice"), ("voice", "voice")])
+    def test_groups_other_than_a_result_holds_rejected(self, by):
+        with pytest.raises(ValueError, match="cannot group by"):
+            mos([rating(4.0), rating(5.0, rater="r2")], by=by)
+
+    @pytest.mark.parametrize("multiplier", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_ci_multiplier_must_be_finite_and_positive(self, multiplier):
+        with pytest.raises(ValueError, match="ci_multiplier"):
+            mos([rating(4.0), rating(5.0, rater="r2")], ci_multiplier=multiplier)
+
     def test_matches_brute_force_oracle(self):
         rng = random.Random(0x5EED)
         for _ in range(200):

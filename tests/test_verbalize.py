@@ -1,16 +1,18 @@
 import importlib
 import random
 import unicodedata
+from dataclasses import replace
 
 import pytest
 
 from etnorm.folding import fold_diacritics
-from etnorm.lexicon import load_config, with_options
+from etnorm.lexicon import AbbreviationEntry, Expansion, load_config
+from etnorm.numwords import NOMINATIVE, ordinal
+from etnorm.romans import roman_value
 from etnorm.scoring import canonicalize
-from etnorm.tokens import Token, TokenKind, detokenize, tokenize
+from etnorm.tokens import TokenKind, detokenize, tokenize
 from etnorm.verbalize import (
     _RULES,
-    UppercaseClass,
     _abbreviation,
     _join,
     _letter_compound,
@@ -18,20 +20,11 @@ from etnorm.verbalize import (
     _mark_at_number,
     _passes_through,
     _render_tokens,
-    classify_uppercase,
-    expand_abbreviation,
-    expand_roman,
     spell_letters,
     verbalize,
     verbalize_digit_sequence,
     verbalize_mixed_case,
-    verbalize_range,
 )
-
-
-def tok(text, kind=TokenKind.WORD, ws=" "):
-    return Token(text, kind, (0, len(text.encode("utf-8"))), ws)
-
 
 # the module, which the package's ``verbalize`` function shadows
 verbalize_module = importlib.import_module("etnorm.verbalize")
@@ -68,120 +61,100 @@ class TestSpellLetters:
 
 class TestClassifyUppercase:
     def test_spec_examples(self, config):
-        assert classify_uppercase("PARIIS", config) == UppercaseClass.TITLE
-        assert classify_uppercase("NATO", config) == UppercaseClass.SPOKEN_WORD
-        assert classify_uppercase("EAS", config) == UppercaseClass.SPELL_OUT
+        assert verbalize("PARIIS", config) == "PARIIS"  # a title set in capitals
+        assert verbalize("NATO", config) == "NATO"  # a spoken acronym
+        assert verbalize("EAS", config) == "ee-aa-ess"  # spelled
 
     def test_length_threshold_is_configurable(self, config):
-        loose = with_options(config, title_min_length=4)
-        assert classify_uppercase("PARK", loose) == UppercaseClass.TITLE
+        assert verbalize("PARK", config) == "pee-aa-err-kaa"
+        assert verbalize("PARK", replace(config, title_min_length=4)) == "PARK"
+
+
+# a Roman numeral with nothing around it, with each kind of cue, and with
+# a word that is no cue; "{}" stands for the numeral
+ROMAN_CONTEXTS = ("{}", "{} sajandil", "{} peatükk", "Karl {}", "Maria {} osa", "{}. sajandil", "{} oli")
 
 
 class TestExpandRoman:
     def test_keyword_context(self, config):
-        right = tok("sajand")
-        assert expand_roman("XX", None, right, config) == "kahekümnes"
+        assert verbalize("XX sajand", config) == "kahekümnes sajand"
 
     def test_stoplist_members_never_roman(self, config):
-        for token in ("DVD", "MM", "CV", "CI"):
-            for left, right in (
-                (None, None),
-                (None, tok("sajand")),
-                (tok("Karl"), None),
-                (None, tok(".", TokenKind.PUNCT)),
-            ):
-                assert expand_roman(token, left, right, config) is None, token
+        # the numerals the stoplist keeps as letters read as ordinals without it
+        unlisted = replace(config, roman_stoplist=frozenset())
+        for token in ("MM", "CV", "CI"):
+            reading = ordinal(roman_value(token), NOMINATIVE, config.numbers)
+            spelled = spell_letters(token, config.letter_names)
+            for context in ("{} sajandil", "Karl {}", "{}. sajandil"):
+                line = context.format(token)
+                assert verbalize(line, unlisted) == context.replace(".", "").format(reading), line
+                assert verbalize(line, config) == context.format(spelled), line
+        assert verbalize("DVD sajandil", unlisted) == "dee-vee-dee sajandil"  # not a well-formed numeral
 
     def test_whole_stoplist_blocked_in_every_context(self, config):
-        contexts = [
-            (None, None),
-            (None, tok("sajandil")),
-            (None, tok("peatükk")),
-            (tok("Karl"), None),
-            (tok("Maria"), tok("osa")),
-            (None, tok(".", TokenKind.PUNCT)),
-        ]
         for token in config.roman_stoplist:
-            for left, right in contexts:
-                assert expand_roman(token, left, right, config) is None, token
+            spelled = spell_letters(token, config.letter_names)
+            for context in ROMAN_CONTEXTS:
+                assert verbalize(context.format(token), config) == context.format(spelled), (token, context)
 
     def test_capitalized_name_context(self, config):
-        assert expand_roman("XII", tok("Karl"), None, config) == "kaheteistkümnes"
+        assert verbalize("Karl XII", config) == "Karl kaheteistkümnes"
 
     def test_no_context_means_no_reading(self, config):
-        assert expand_roman("XIV", None, tok("oli"), config) is None
+        assert verbalize("XIV oli", config) == "iks-ii-vee oli"
 
     def test_invalid_shape_never_reads(self, config):
-        assert expand_roman("IIII", None, tok("sajand"), config) is None
+        assert verbalize("IIII sajand", config) == "ii-ii-ii-ii sajand"
 
 
 class TestExpandAbbreviation:
     def test_vat_context(self, config):
-        sentence = ["hinnale", "lisandub", "km", "eurot"]
-        assert expand_abbreviation("km", sentence, config.abbreviations) == "käibemaks"
+        assert verbalize("hinnale lisandub km eurot", config) == "hinnale lisandub käibemaks eurot"
 
     def test_distance_context(self, config):
-        sentence = ["ta", "sõitis", "kaks", "km"]
-        assert expand_abbreviation("km", sentence, config.abbreviations) == "kilomeetrit"
+        assert verbalize("ta sõitis kaks km", config) == "ta sõitis kaks kilomeetrit"
 
     def test_no_context_takes_highest_weight(self, config):
-        assert expand_abbreviation("km", [], config.abbreviations) == "kilomeetrit"
+        assert verbalize("km", config) == "kilomeetrit"
 
     def test_single_expansion_trivial(self, config):
-        assert expand_abbreviation("nt", [], config.abbreviations) == "näiteks"
+        assert verbalize("nt", config) == "näiteks"
 
-    def test_missing_entry_raises(self, config):
-        with pytest.raises(KeyError):
-            expand_abbreviation("zzz", [], config.abbreviations)
-
-    def test_tie_breaks_by_dictionary_order(self):
-        from etnorm.lexicon import AbbreviationEntry, Expansion
-
-        entries = {
-            "xx": AbbreviationEntry(
-                "xx", (Expansion("esimene", (), 1.0), Expansion("teine", (), 1.0))
-            )
-        }
-        assert expand_abbreviation("xx", [], entries) == "esimene"
+    def test_tie_breaks_by_dictionary_order(self, config):
+        entry = AbbreviationEntry("xx", (Expansion("esimene", (), 1.0), Expansion("teine", (), 1.0)))
+        assert verbalize("xx", replace(config, abbreviations={"xx": entry})) == "esimene"
 
     def test_context_is_built_once_per_line(self, config, monkeypatch):
-        built = []
-        original = verbalize_module._context_words
-        monkeypatch.setattr(verbalize_module, "_context_words", lambda items: built.append(1) or original(items))
+        built = []  # per call of ``_line_words``: whether it built the word set
+        original = verbalize_module._line_words
+
+        def counting(line):
+            built.append(getattr(line, "abbreviation_context", None) is None)
+            return original(line)
+
+        monkeypatch.setattr(verbalize_module, "_line_words", counting)
         assert verbalize("nt 5 km ja vt lk 3, sõitis km", config) == (
             "näiteks viis kilomeetrit ja vaata lehekülg kolm, sõitis kilomeetrit"
         )
-        assert len(built) == 1
+        assert len(built) > 1 and built.count(True) == 1
 
 
 class TestRange:
     def test_hyphen_range(self, config):
-        a = tok("2", TokenKind.CARDINAL_NUMBER, "")
-        dash = tok("-", TokenKind.PUNCT, "")
-        b = tok("3", TokenKind.CARDINAL_NUMBER, "")
-        assert verbalize_range(a, dash, b, config) == "kaks kuni kolm"
+        assert verbalize("2-3", config) == "kaks kuni kolm"
 
     def test_en_dash_range(self, config):
-        a = tok("10", TokenKind.CARDINAL_NUMBER, "")
-        dash = tok("–", TokenKind.PUNCT, "")
-        b = tok("12", TokenKind.CARDINAL_NUMBER, "")
-        assert verbalize_range(a, dash, b, config) == "kümme kuni kaksteist"
+        assert verbalize("10–12", config) == "kümme kuni kaksteist"
 
     def test_non_numeric_operands_rejected(self, config):
-        a = tok("e", TokenKind.WORD, "")
-        dash = tok("-", TokenKind.PUNCT, "")
-        b = tok("post", TokenKind.WORD, "")
-        assert verbalize_range(a, dash, b, config) is None
+        assert verbalize("e-post", config) == "e-post"
 
     def test_spaced_dash_is_not_a_range(self, config):
-        a = tok("2", TokenKind.CARDINAL_NUMBER, " ")
-        dash = tok("-", TokenKind.PUNCT, " ")
-        b = tok("3", TokenKind.CARDINAL_NUMBER, "")
-        assert verbalize_range(a, dash, b, config) is None
+        assert verbalize("2 - 3", config) == "kaks - kolm"
 
     def test_public_reader_takes_every_number_kind(self, config):
-        assert verbalize_range(*tokenize("10:30–11:00"), config) == "kümme koolon kolmkümmend kuni üksteist koolon null"
-        assert verbalize_range(*tokenize("XX-5"), config) is None
+        assert verbalize("10:30–11:00", config) == "kümme koolon kolmkümmend kuni üksteist koolon null"
+        assert verbalize("XX-5", config) == "iks-iks-viis"
 
     @pytest.mark.parametrize(
         "text, expected",
@@ -196,6 +169,8 @@ class TestRange:
             ("12-15:00", "kaksteist kuni viisteist koolon null"),
             ("Karl XI-XII", "Karl üheteistkümnes kuni kaheteistkümnes"),  # a name before the span
             ("XIX-XX. sajandil", "üheksateistkümnes kuni kahekümnes sajandil"),  # an ordinal dot after it
+            ("+3725550101-+3725550102", "pluss kolm seitse kaks viis viis viis null üks null üks kuni "
+             "pluss kolm seitse kaks viis viis viis null üks null kaks"),  # two phone numbers
         ],
     )
     def test_every_number_kind(self, config, text, expected):
@@ -326,7 +301,7 @@ class TestVerbalizeEndToEnd:
         ],
     )
     def test_numbers_above_max_cardinal_read_digit_by_digit(self, config, text, options):
-        out = verbalize(text, with_options(config, **options) if options else config)
+        out = verbalize(text, replace(config, **options))
         assert out
         assert not any(ch.isdigit() for ch in out), out
 
@@ -403,8 +378,6 @@ class TestVerbalizeEndToEnd:
         assert verbalize(text, config) == expected
 
     def test_minus_is_read_through_the_symbol_table(self, config):
-        from dataclasses import replace
-
         table = dict(config.symbols)
         del table["−"]
         unlisted = replace(config, symbols=table)
@@ -449,10 +422,6 @@ class TestVerbalizeEndToEnd:
         assert verbalize(text, config) == expected
 
     def test_uppercase_and_lowercase_entries_share_one_policy(self, config):
-        from dataclasses import replace
-
-        from etnorm.lexicon import AbbreviationEntry, Expansion
-
         expansions = (Expansion("esimene", ("maks",), 1.0), Expansion("teine", (), 2.0))
         table = {surface: AbbreviationEntry(surface, expansions) for surface in ("KM", "xy")}
         custom = replace(config, abbreviations=table)
@@ -523,3 +492,40 @@ class TestPassThrough:
         folded = fold_diacritics(text, config.folding)
         assert _passes_through(folded, config)
         assert verbalize(text, config) == text == detokenize(tokenize(folded)) == full_path(text, config)
+
+
+def table_lines():
+    """The text of every parametrized case in this module."""
+    tests = list(globals().values())
+    tests += [member for cls in tests if isinstance(cls, type) for member in vars(cls).values()]
+    for test in tests:
+        for mark in getattr(test, "pytestmark", ()):
+            if mark.name == "parametrize" and mark.args[0].split(",")[0] == "text":
+                for case in mark.args[1]:
+                    values = getattr(case, "values", case)  # a pytest.param or a plain case
+                    yield values if isinstance(values, str) else values[0]
+
+
+def test_every_rule_fires(config, gold_corpus, monkeypatch):
+    """Each rule of each kind rewrites at least one gold line or table line."""
+    fired = set()
+
+    def counting(kind, rule):
+        def wrapped(tokens, i, config, *args):
+            hit = rule(tokens, i, config, *args)
+            if hit is not None:
+                fired.add((kind, rule))
+            return hit
+
+        return wrapped
+
+    rules = dict(_RULES)
+    for kind, kind_rules in rules.items():
+        monkeypatch.setitem(_RULES, kind, tuple(counting(kind, rule) for rule in kind_rules))
+    lines = [record.raw for record in gold_corpus] + list(table_lines())
+    assert "XIX-XX sajand" in lines  # the tables were found
+    for line in lines:
+        verbalize(line, config)
+    idle = [f"{kind.name} {rule.__name__}" for kind, kind_rules in rules.items() for rule in kind_rules
+            if (kind, rule) not in fired]
+    assert not idle, f"rules that never fired: {', '.join(idle)}"

@@ -1,12 +1,14 @@
-"""Print the gold corpus as verbalized by the running interpreter.
+r"""Print the gold corpus as verbalized by the running interpreter.
 
 Before printing, it checks that ``TokenKind`` hashes by identity (the
 verbalizer's kind-set and kind-dict lookups rely on it) and exits 1 if
-not. Each gold line is printed as ``ID<TAB>spoken form``. Then the
-pass-through gate's decision (``pass`` or ``full``) is printed for each
-gold line, as ``gate<TAB>ID<TAB>decision``, and for a fixed list of
-boundary strings, as ``gate<TAB>repr<TAB>decision``: the gate reads
-``str.lower`` and the regex classes ``\s`` and ``[^\W\d_]``, whose
+not. Each gold line is printed as ``ID<TAB>spoken form``, then each line
+of the news, dense and longline benchmark workloads for seed 1, as built
+by ``perfbench/workloads.py``, as ``WORKLOAD:INDEX<TAB>spoken form``.
+Then the pass-through gate's decision (``pass`` or ``full``) is printed
+for each gold line, as ``gate<TAB>ID<TAB>decision``, and for a fixed
+list of boundary strings, as ``gate<TAB>repr<TAB>decision``: the gate
+reads ``str.lower`` and the regex classes ``\s`` and ``[^\W\d_]``, whose
 Unicode tables differ between Python versions. Run it under two
 interpreters and compare the outputs; they must be identical:
 
@@ -14,22 +16,31 @@ interpreters and compare the outputs; they must be identical:
     PYENV_VERSION=3.13.0 python tools/interpreter_check.py > b.txt
     diff a.txt b.txt
 
-Standard library only; etnorm is imported from ``src/`` beside this file.
+Run in a checkout of each of two commits, it shows whether a change
+altered any of these readings.
+
+Standard library only; etnorm is imported from ``src/`` and the workloads
+from ``perfbench/`` beside this file.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src"
-sys.path.insert(0, str(SRC))
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+sys.path[:0] = [str(SRC), str(ROOT / "perfbench")]
 
 from etnorm.folding import fold_diacritics  # noqa: E402
 from etnorm.lexicon import default_config  # noqa: E402
 from etnorm.tokens import TokenKind  # noqa: E402
 from etnorm.verbalize import _passes_through, verbalize  # noqa: E402
+from workloads import generate  # noqa: E402
+
+WORKLOADS = ("news", "dense", "longline")
 
 # shapes on either side of the gate: rule shapes that must take the full
 # path, plain lines, and whitespace the gate must keep as written
@@ -54,6 +65,10 @@ def main() -> int:
         rows = [json.loads(line) for line in handle if line.strip()]
     for row in rows:
         print(f"{row['id']}\t{verbalize(row['raw'])}")
+    os.chdir(ROOT)  # the workloads read the gold corpus by a path relative to the repository
+    for name in WORKLOADS:
+        for i, line in enumerate(generate(name, 1).lines):
+            print(f"{name}:{i}\t{verbalize(line)}")
     for row in rows:
         print(f"gate\t{row['id']}\t{gate(row['raw'])}")
     for text in BOUNDARY:
