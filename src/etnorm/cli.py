@@ -26,6 +26,7 @@ statistics is ``etnorm: <input>: warning: ...`` and keeps the exit code 0.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import inspect
@@ -85,11 +86,12 @@ def _load_cli_config(path):
 
 
 def _open_input(path):
-    """The input stream, read as ``open_text`` reads a file, and its name."""
+    """The input stream, read as ``open_text`` reads a file, as a context
+    manager that closes it unless it is standard input; and its name."""
     if path is None or path == "-":
         if hasattr(sys.stdin, "reconfigure"):
             sys.stdin.reconfigure(encoding="utf-8-sig", errors="surrogateescape")
-        return sys.stdin, "<stdin>"
+        return contextlib.nullcontext(sys.stdin), "<stdin>"
     return open_text(path), path
 
 
@@ -99,26 +101,19 @@ def _cmd_normalize(args) -> int:
     empty line, so output lines stay aligned with input lines; the rest of
     the stream is still read, and the exit code is 1."""
     config = _load_cli_config(args.config)
-    stream, name = _open_input(args.input)
-    out, status = sys.stdout, 0
-    try:
-        if args.output is not None:
-            out = open_text(args.output, "w")
+    source, name = _open_input(args.input)
+    status = 0
+    with source as stream, (
+        contextlib.nullcontext(sys.stdout) if args.output is None else open_text(args.output, "w")
+    ) as out:
         for lineno, line in enumerate(stream, start=1):
             try:
                 spoken = verbalize(check_utf8(line).rstrip("\n"), config)
-            except UnicodeError as exc:
-                spoken, status = "", 1
-                print(f"etnorm: {name}:{lineno}: {exc}", file=sys.stderr)
             except Exception as exc:  # one bad line must not end the stream
                 spoken, status = "", 1
-                print(f"etnorm: {name}:{lineno}: {type(exc).__name__}: {exc}", file=sys.stderr)
+                fault = exc if isinstance(exc, UnicodeError) else f"{type(exc).__name__}: {exc}"
+                print(f"etnorm: {name}:{lineno}: {fault}", file=sys.stderr)
             print(spoken, file=out)
-    finally:
-        if stream is not sys.stdin:
-            stream.close()
-        if out is not sys.stdout:
-            out.close()
     return status
 
 
@@ -150,36 +145,34 @@ def _read_records(path, columns, make) -> tuple[list, str]:
     each column a row needs to the parser of its cells; None takes every
     column but ``target`` as a rating. A fault is named by the line its
     row starts on."""
-    stream, name = _open_input(path)
-    lines = map(check_utf8, stream)
+    source, name = _open_input(path)
     lineno, records = 1, []
-    try:
-        first = next(lines, "")
-        if not first.strip():
-            raise CliError(f"{name}: empty input")
-        delimiter = "\t" if "\t" in first else ","
-        header = [h.strip() for h in first.rstrip("\n").split(delimiter)]
-        for i, column in enumerate(header):
-            if column in header[:i]:
-                raise ValueError(f"repeated column {column!r}")
-        for column in columns or ():
-            if column not in header:
-                raise ValueError(f"missing column {column!r}")
-        parsers = columns or {column: _rating for column in header if column != "target"}
-        lineno, reader = 2, csv.reader(lines, delimiter=delimiter)
-        for row in reader:
-            if any(cell.strip() for cell in row):
-                if len(row) != len(header):
-                    raise ValueError(f"expected {len(header)} columns")
-                cells = dict(zip(header, row))
-                records.append(make(**{c: parse(cells[c].strip()) for c, parse in parsers.items()}))
-            # the next row's first line: a quoted cell may hold line breaks
-            lineno = reader.line_num + 2
-    except (ValueError, csv.Error) as exc:
-        raise CliError(f"{name}:{lineno}: {exc}") from None
-    finally:
-        if stream is not sys.stdin:
-            stream.close()
+    with source as stream:
+        lines = map(check_utf8, stream)
+        try:
+            first = next(lines, "")
+            if not first.strip():
+                raise CliError(f"{name}: empty input")
+            delimiter = "\t" if "\t" in first else ","
+            header = [h.strip() for h in first.rstrip("\n").split(delimiter)]
+            for i, column in enumerate(header):
+                if column in header[:i]:
+                    raise ValueError(f"repeated column {column!r}")
+            for column in columns or ():
+                if column not in header:
+                    raise ValueError(f"missing column {column!r}")
+            parsers = columns or {column: _rating for column in header if column != "target"}
+            lineno, reader = 2, csv.reader(lines, delimiter=delimiter)
+            for row in reader:
+                if any(cell.strip() for cell in row):
+                    if len(row) != len(header):
+                        raise ValueError(f"expected {len(header)} columns")
+                    cells = dict(zip(header, row))
+                    records.append(make(**{c: parse(cells[c].strip()) for c, parse in parsers.items()}))
+                # the next row's first line: a quoted cell may hold line breaks
+                lineno = reader.line_num + 2
+        except (ValueError, csv.Error) as exc:
+            raise CliError(f"{name}:{lineno}: {exc}") from None
     if not records:
         raise CliError(f"{name}: no data rows")
     return records, name

@@ -14,10 +14,10 @@ from functools import cached_property
 
 from .textfiles import read_data
 
-_EXTRA = "õäöüšž"
-DEFAULT_PROTECTED = frozenset(
-    "abcdefghijklmnopqrstuvwxyz" + _EXTRA + ("abcdefghijklmnopqrstuvwxyz" + _EXTRA).upper()
-)
+# the lowercase letters of the Estonian alphabet, as folding and the
+# tokenizer's letter classes know it
+ALPHABET = "abcdefghijklmnopqrstuvwxyzõäöüšž"
+DEFAULT_PROTECTED = frozenset(ALPHABET + ALPHABET.upper())
 
 
 def _one_character(line: str) -> str:
@@ -82,12 +82,13 @@ class _FoldMap(dict):
         return folded
 
 
+_DEFAULT_TABLE = FoldingTable()
+
+
 def fold_diacritics(text: str, table: FoldingTable | None = None) -> str:
     """Replace out-of-alphabet diacritic letters with their base letters.
 
     The character count of the result always equals the input's; anything
     that is not a foldable letter passes through unchanged.
     """
-    if table is None:
-        table = FoldingTable()
-    return text.translate(table.translation)
+    return text.translate((table or _DEFAULT_TABLE).translation)

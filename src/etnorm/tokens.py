@@ -24,6 +24,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 
+from .folding import ALPHABET
 from .romans import is_roman_shaped
 
 
@@ -72,8 +73,8 @@ class TokenList(list):
     leading: str = ""
 
 
-_UC = "A-ZÕÄÖÜŠŽ"
-_LC = "a-zõäöüšž"
+_UC = ALPHABET.upper()
+_LC = ALPHABET
 _VOWELS = frozenset("aeiouõäöüy")
 
 # Case endings (plus the linking vowel variants) that may attach to an
@@ -82,6 +83,7 @@ CASE_SUFFIXES = frozenset(
     "i it id iks ile ilt il iga ist isse is ini ina ita ide idele "
     "le lt l ks ga st sse s ni na ta t d de dele sid te tele".split()
 )
+_SUFFIX = "|".join(sorted(CASE_SUFFIXES, key=lambda s: (-len(s), s)))  # longest first
 
 _SENTENCE_PUNCT = frozenset(".,!?;:()[]{}\"'«»‘’“”…–—-·")
 
@@ -143,7 +145,7 @@ _SHAPES = (
     ("digit_group_seq", rf"(?:{_THOUSANDS}|{_D}{{7,}})(?!{_D})", True),
     ("ordinal_dot", rf"{_D}{{1,6}}\.(?=[–-]|\s+[{_LC}])", True),
     ("cardinal_number", rf"{_D}{{1,6}}(?!{_D})", True),
-    ("case_suffixed_acronym", rf"[{_UC}]{{2,}}-[{_LC}]{{1,5}}(?![^\W\d_])", False),
+    ("case_suffixed_acronym", rf"[{_UC}]{{2,}}-(?:{_SUFFIX})(?![^\W\d_])", False),
     # A word run is letters plus ASCII digits, led by a letter. One made of
     # Latin letters matches here whole. Any other character that \w-based
     # classes admit (a rarer letter, or a non-decimal numeric such as "²"
@@ -153,7 +155,7 @@ _SHAPES = (
     ("letter", r"[^\W\d_]", False),
     ("other", r"(?s:.)", False),
 )
-_POST_CHECKED = frozenset({"phone", "case_suffixed_acronym", "letter"})
+_POST_CHECKED = frozenset({"phone", "letter"})
 
 
 def _alternation(shapes) -> re.Pattern:
@@ -173,15 +175,15 @@ _RESUME_RE = {
 }
 _KIND_OF_GROUP = {kind.value: kind for kind in TokenKind}
 
-_ATTACHED_SUFFIX_RE = re.compile(rf"^([{_UC}]{{2,}})-?([{_LC}]{{1,5}})$")
+# an acronym and its case ending, with or without a hyphen: "EAS-i", "MTÜle"
+_ATTACHED_SUFFIX_RE = re.compile(rf"([{_UC}]{{2,}})-?({_SUFFIX})")
 _HAS_LOWER_UPPER_RE = re.compile(rf"[{_LC}][{_UC}]")
 _TRAILING_PUNCT = ".,;:!?)]}\"'»’”"
 
 
 def _classify_word_run(surface: str) -> TokenKind:
     if not surface[0].islower():  # both shapes below start with a capital
-        match = _ATTACHED_SUFFIX_RE.match(surface)
-        if match and match.group(2) in CASE_SUFFIXES:
+        if _ATTACHED_SUFFIX_RE.fullmatch(surface):
             return TokenKind.CASE_SUFFIXED_ACRONYM
         if is_roman_shaped(surface):
             return TokenKind.ROMAN_CANDIDATE
@@ -215,14 +217,8 @@ def _match_url(text: str, pos: int):
         return None
     end = _trim_trailing_punct(text, pos, match.end())
     surface = text[pos:end]
-    # a bare domain needs a dot and an alphabetic last label to qualify
-    if "://" not in surface and not surface.startswith("www."):
-        if "." not in surface:
-            return None
-        last = surface.split("/", 1)[0].rsplit(".", 1)[-1]
-        if not last.isalpha():
-            return None
-    return end if end > pos else None
+    # a prefix that trimming cut to "www" (or to nothing) is no URL
+    return end if "." in surface or "://" in surface else None
 
 
 def _match_email(text: str, pos: int):
@@ -260,16 +256,14 @@ def _in_ranges(ranges: list[tuple[int, int]], pos: int) -> bool:
     return bool(ranges) and ranges[-1][0] <= pos
 
 
-def _accepts(name: str, surface: str) -> bool:
-    """The post-check of a phone number or of a case-suffixed acronym. One
-    without "+" mixes no dash with spaces: "100 000-200 000" is a range."""
-    if name == "phone":
-        if surface[0] == "+":
-            return True
-        digit_count = sum(ch.isdigit() for ch in surface)
-        mixed = "-" in surface and (" " in surface or "\xa0" in surface)
-        return 7 <= digit_count <= 15 and not mixed and not _THOUSANDS_SHAPE_RE.match(surface)
-    return surface.rsplit("-", 1)[1] in CASE_SUFFIXES
+def _is_phone(surface: str) -> bool:
+    """The post-check of a phone number. One without "+" mixes no dash with
+    spaces: "100 000-200 000" is a range."""
+    if surface[0] == "+":
+        return True
+    digit_count = sum(ch.isdigit() for ch in surface)
+    mixed = "-" in surface and (" " in surface or "\xa0" in surface)
+    return 7 <= digit_count <= 15 and not mixed and not _THOUSANDS_SHAPE_RE.match(surface)
 
 
 def _word_end(text: str, pos: int) -> int:
@@ -289,7 +283,7 @@ def _post_check(name: str, text: str, pos: int, end: int, ws_end: int) -> tuple[
             if text[pos].isalpha():
                 end = _word_end(text, pos)
                 return "word_run", end, _WS_RE.match(text, end).end()
-        elif _accepts(name, text[pos:end]):
+        elif _is_phone(text[pos:end]):
             break
         match = _RESUME_RE[name].match(text, pos)
         name = match.lastgroup

@@ -139,35 +139,24 @@ def verbalize_mixed_case(token: str, config: RuleConfig | None = None) -> str:
     config = config or default_config()
     if token.isalpha() and token.isupper():
         return _render_uppercase(token, config)
-    rendered: list[tuple[str, str]] = []
+    out, prev_glue = "", None
     for segment in _SEGMENT_RE.findall(token):
+        # glue: what joins the segment to one before it of the same kind
         if _is_ascii_digits(segment):
-            rendered.append(("number", _render_cardinal_text(segment, config)))
-            continue
-        if not segment.isalpha():
-            segment = "".join(ch for ch in segment if ch.isalpha())
-            if not segment:
-                continue
-        if len(segment) == 1:
-            rendered.append(("spell", _safe_spell(segment, config)))
-        elif segment.isupper():
-            rendered.append(("spell", _safe_spell(segment, config)))
-        elif not any(ch in _VOWELS for ch in segment.lower()):
-            rendered.append(("spell", _safe_spell(segment, config)))
+            glue, text = None, _render_cardinal_text(segment, config)
         else:
-            rendered.append(("word", segment.lower().replace("c", "k")))
-    out = ""
-    prev_kind = None
-    for kind, text in rendered:
-        if not out:
-            out = text
-        elif prev_kind == "word" and kind == "word":
-            out += text
-        elif prev_kind == "spell" and kind == "spell":
-            out += "-" + text
-        else:
-            out += " " + text
-        prev_kind = kind
+            if not segment.isalpha():
+                segment = "".join(ch for ch in segment if ch.isalpha())
+                if not segment:
+                    continue
+            if len(segment) == 1 or segment.isupper() or _VOWELS.isdisjoint(segment.lower()):
+                glue, text = "-", _safe_spell(segment, config)
+            else:
+                glue, text = "", segment.lower().replace("c", "k")
+        if out:
+            out += glue if glue is not None and glue == prev_glue else " "
+        out += text
+        prev_glue = glue
     return out
 
 
@@ -385,8 +374,8 @@ def _uppercase(tokens, i, config):
 
 
 def _suffixed_acronym(tokens, i, config):
-    match = _ATTACHED_SUFFIX_RE.match(tokens[i].text)
-    return (i, _render_uppercase(match[1], config, match[2], tokens)) if match else None
+    acronym, suffix = _ATTACHED_SUFFIX_RE.fullmatch(tokens[i].text).groups()
+    return i, _render_uppercase(acronym, config, suffix, tokens)
 
 
 def _abbreviation(tokens, i, config):
