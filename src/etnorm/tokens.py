@@ -93,7 +93,7 @@ _WS_RE = re.compile(r"\s*")
 _URL_PREFIX = r"https?://|www\."
 _LABEL = "[A-Za-z0-9-]"  # one character of a domain label
 _DOMAIN_RUN = rf"{_LABEL}+(?:\.{_LABEL}+)*"
-_TLD_DOT = r"\.(?:ee|com|org|net|eu|fi|lv|lt|gl|io)"
+_TLD_DOT = r"\.(?:ee|com|org|net|eu|fi|lv|lt|gl|io)(?![^\W\d_])"  # no letter after it
 _ADDRESS = "[A-Za-z0-9_.+-]"  # one character before the "@" of an address
 _EMAIL_DOMAIN = rf"@{_LABEL}+(?:\.{_LABEL}+)+"
 _URL_RE = re.compile(rf"(?:{_URL_PREFIX})[^\s<>\"]+|{_DOMAIN_RUN}{_TLD_DOT}(?:/[^\s<>\"]*)?")

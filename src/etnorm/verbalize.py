@@ -110,19 +110,16 @@ def verbalize_digit_sequence(token: str, config: RuleConfig | None = None) -> st
     """Read a long digit sequence one digit at a time.
 
     Grouping separators become pauses (commas); a leading plus sign is
-    spoken through the symbol table ("pluss").
+    spoken through the symbol table ("pluss"), or dropped if it is unlisted.
     """
     config = config or default_config()
-    rest = token
-    prefix = ""
-    if rest.startswith("+"):
-        prefix = config.symbols.get("+", "pluss") + " "
-        rest = rest[1:]
+    rest = token.removeprefix("+")
     groups = [g for g in _DIGIT_GROUP_SEP_RE.split(rest) if g]
     if not groups or not all(_is_ascii_digits(g) for g in groups):
         raise ValueError(f"expected digits with optional grouping, got {token!r}")
     spoken = ", ".join(digits(g, config.numbers) for g in groups)
-    return prefix + spoken
+    plus = config.symbols.get("+") if rest != token else None
+    return f"{plus} {spoken}" if plus else spoken
 
 
 def verbalize_mixed_case(token: str, config: RuleConfig | None = None) -> str:
@@ -208,8 +205,6 @@ def _render_url_body(text: str, config: RuleConfig) -> str:
         if piece == ".":
             if not parts or parts[-1]:  # the dot after a label read as nothing is not spoken
                 parts.append("punkt")
-        elif piece == "/":
-            parts.append(config.symbols.get("/", "kaldkriips"))
         elif piece == "_":
             parts.append("alakriips")
         elif piece == "-":
@@ -442,8 +437,8 @@ def _url(tokens, i, config):
 
 def _email(tokens, i, config):
     local, _, domain = tokens[i].text.partition("@")
-    att = config.symbols.get("@", "ätt")
-    return i, f"{_render_url_body(local, config)} {att} {_render_url_body(domain, config)}"
+    parts = (_render_url_body(local, config), config.symbols.get("@"), _render_url_body(domain, config))
+    return i, " ".join(part for part in parts if part)
 
 
 def _symbol(tokens, i, config):

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from etnorm import folding
 from etnorm.folding import DEFAULT_PROTECTED, FoldingTable, fold_diacritics
 
 
@@ -86,3 +87,11 @@ def test_default_protected_set_contents():
     assert "õ" in DEFAULT_PROTECTED
     assert "Ž" in DEFAULT_PROTECTED
     assert "é" not in DEFAULT_PROTECTED
+
+
+def test_default_table_folds_a_character_once(monkeypatch):
+    assert fold_diacritics("ŭ") == "u"
+    calls = []
+    monkeypatch.setattr(folding, "_base_letter", lambda ch: calls.append(ch) or ch)
+    assert fold_diacritics("ŭ") == "u"
+    assert calls == []

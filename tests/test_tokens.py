@@ -23,6 +23,21 @@ class TestClassification:
         tokens = tokenize("EAS-i")
         assert [t.kind for t in tokens] == [TokenKind.CASE_SUFFIXED_ACRONYM]
 
+    @pytest.mark.parametrize(
+        "text, tail",
+        [("EAS-kala", ("kala", TokenKind.WORD)), ("ERR-abc", ("abc", TokenKind.WORD)), ("EAS-iX", ("iX", TokenKind.MIXED_CASE))],
+    )
+    def test_rejected_case_ending_splits(self, text, tail):
+        acronym = text.split("-")[0]
+        assert kinds(text) == [(acronym, TokenKind.UPPERCASE_SEQ), ("-", TokenKind.PUNCT), tail]
+
+    def test_case_ending_boundaries(self):
+        A = TokenKind.CASE_SUFFIXED_ACRONYM
+        assert kinds("NATOx") == [("NATOx", TokenKind.MIXED_CASE)]
+        assert kinds("EAS-idele") == [("EAS-idele", A)]
+        assert kinds("RMK-ks") == [("RMK-ks", A)]
+        assert kinds("EAS-iga5") == [("EAS-iga", A), ("5", TokenKind.CARDINAL_NUMBER)]
+
     def test_slash_date_not_merged(self):
         tokens = tokenize("11/12/2020")
         assert [t.kind for t in tokens] == [
@@ -82,6 +97,14 @@ class TestClassification:
         assert kinds("x-x-x-..ee") == [
             ("x", W), ("-", P), ("x", W), ("-", P), ("x", W), ("-", P), (".", P), (".", P), ("ee", W),
         ]
+
+    def test_url_prefix_trimmed_to_nothing_is_no_url(self):
+        assert TokenKind.URL not in [k for _, k in kinds("vaata www.)")]
+
+    def test_top_level_domain_ends_before_a_letter(self):
+        W, P = TokenKind.WORD, TokenKind.PUNCT
+        assert kinds("koju.eelmisel") == [("koju", W), (".", P), ("eelmisel", W)]
+        assert kinds("err.ee-st") == [("err.ee", TokenKind.URL), ("-", P), ("st", TokenKind.LOWERCASE_CONSONANTS)]
 
     @pytest.mark.parametrize("text", ["+372 555 0101", "+372-555 0101", "53-12-34-56", "555 12 34", "555\xa012\xa034"])
     def test_phone_numbers(self, text):

@@ -139,6 +139,14 @@ class TestExpandAbbreviation:
         assert len(built) > 1 and built.count(True) == 1
 
 
+    def test_case_ending_on_an_expanded_entry_is_spelled(self, config):
+        entry = AbbreviationEntry("EL", (Expansion("Euroopa Liit"),))
+        custom = replace(config, abbreviations={**config.abbreviations, "EL": entry})
+        assert verbalize("EL", custom) == "Euroopa Liit"
+        assert verbalize("EL-i", custom) == "ee-elli"
+        assert verbalize("ELis", custom) == "ee-ellis"
+
+
 class TestRange:
     def test_hyphen_range(self, config):
         assert verbalize("2-3", config) == "kaks kuni kolm"
@@ -211,6 +219,13 @@ class TestDigitSequence:
         with pytest.raises(ValueError):
             verbalize_digit_sequence("12a4", config)
 
+    def test_unlisted_symbols_are_dropped(self, config):
+        symbols = {k: v for k, v in config.symbols.items() if k not in "+/@"}
+        bare = replace(config, symbols=symbols)
+        assert verbalize("+372 555 0101", bare) == "kolm seitse kaks, viis viis viis, null üks null üks"
+        assert verbalize("info@eki.ee", bare) == "info eki punkt ee"
+        assert verbalize("https://goo.gl/forms", bare) == "goo punkt gee-ell forms"
+
 
 class TestMixedCase:
     def test_spec_examples(self, config):
@@ -274,6 +289,21 @@ class TestVerbalizeEndToEnd:
             == "goo punkt gee-ell kaldkriips forms"
         )
         assert verbalize("info@eki.ee", config) == "info ätt eki punkt ee"
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("läksin koju.eelmisel päeval", "läksin koju.eelmisel päeval"),  # a word after a glued dot
+            ("Tallinn.eesti", "Tallinn.eesti"),
+            ("err.ee-st", "err punkt ee-see tähendab"),
+            ("Vaata err.ee.", "Vaata err punkt ee."),
+            ("y.io5", "igrek punkt io viis"),
+            ("info@eki.ee", "info ätt eki punkt ee"),
+            ("www.err.ee/uudised", "vee-vee-vee punkt err punkt ee kaldkriips uudised"),
+        ],
+    )
+    def test_top_level_domain_ends_before_a_letter(self, config, text, expected):
+        assert verbalize(text, config) == expected
 
     def test_symbols(self, config):
         assert verbalize("5 %", config) == "viis protsenti"

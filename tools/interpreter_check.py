@@ -3,14 +3,15 @@ r"""Print the gold corpus as verbalized by the running interpreter.
 Before printing, it checks that ``TokenKind`` hashes by identity (the
 verbalizer's kind-set and kind-dict lookups rely on it) and exits 1 if
 not. Each gold line is printed as ``ID<TAB>spoken form``, then each line
-of the news, dense and longline benchmark workloads for seed 1, as built
-by ``perfbench/workloads.py``, as ``WORKLOAD:INDEX<TAB>spoken form``.
-Then the pass-through gate's decision (``pass`` or ``full``) is printed
-for each gold line, as ``gate<TAB>ID<TAB>decision``, and for a fixed
-list of boundary strings, as ``gate<TAB>repr<TAB>decision``: the gate
-reads ``str.lower`` and the regex classes ``\s`` and ``[^\W\d_]``, whose
-Unicode tables differ between Python versions. Run it under two
-interpreters and compare the outputs; they must be identical:
+of the news, dense and longline benchmark workloads for seeds 1 to 3, as
+built by ``perfbench/workloads.py``, as ``WORKLOAD:SEED:INDEX<TAB>spoken
+form``. Then the pass-through gate's decision (``pass`` or ``full``) is
+printed for each gold line, as ``gate<TAB>ID<TAB>decision``, and for a
+fixed list of boundary strings, as ``gate<TAB>repr<TAB>decision``: the
+gate and the top-level-domain boundary read ``str.lower`` and the regex
+classes ``\s`` and ``[^\W\d_]``, whose Unicode tables differ between
+Python versions. Run it under two interpreters and compare the outputs;
+they must be identical:
 
     PYENV_VERSION=3.10.13 python tools/interpreter_check.py > a.txt
     PYENV_VERSION=3.13.0 python tools/interpreter_check.py > b.txt
@@ -41,13 +42,15 @@ from etnorm.verbalize import _passes_through, verbalize  # noqa: E402
 from workloads import generate  # noqa: E402
 
 WORKLOADS = ("news", "dense", "longline")
+SEEDS = (1, 2, 3)
 
 # shapes on either side of the gate: rule shapes that must take the full
 # path, plain lines, and whitespace the gate must keep as written
 BOUNDARY = (
     "ptk", "spp", "tv", "iPhone", "eCoop", "Tallinn.ee", "linnas.EE", "Y", "e-post", "Dr", "KM", "Łukasz",
     "Krt", "Tere, maailm!", "Žürii arutas «tšeki» üle – jälle…", "Café", "", " \t", "\xa0tere\u2028öö\u3000",
-    "ǅžungel", "ıkool", "İsa", "Straße", "tere\u0301", "\x1ctere\x1f",
+    "ǅžungel", "ıkool", "İsa", "Straße", "tere\u0301", "\x1ctere\x1f", "koju.eelmisel", "Tallinn.eesti",
+    "err.ee-st",
 )
 
 
@@ -66,9 +69,10 @@ def main() -> int:
     for row in rows:
         print(f"{row['id']}\t{verbalize(row['raw'])}")
     os.chdir(ROOT)  # the workloads read the gold corpus by a path relative to the repository
-    for name in WORKLOADS:
-        for i, line in enumerate(generate(name, 1).lines):
-            print(f"{name}:{i}\t{verbalize(line)}")
+    for seed in SEEDS:
+        for name in WORKLOADS:
+            for i, line in enumerate(generate(name, seed).lines):
+                print(f"{name}:{seed}:{i}\t{verbalize(line)}")
     for row in rows:
         print(f"gate\t{row['id']}\t{gate(row['raw'])}")
     for text in BOUNDARY:
