@@ -3,11 +3,13 @@
 Letters that carry a diacritic the Estonian alphabet does not know
 (é, ñ, ç, ...) are reduced to their base letter so the synthesizer
 never sees them. Letters that belong to the alphabet (õ, ä, ö, ü,
-š, ž and plain a-z) are protected and never touched.
+š, ž and plain a-z) are protected and never touched. A line of ASCII
+and protected characters only is returned as it is.
 """
 
 from __future__ import annotations
 
+import re
 import unicodedata
 from dataclasses import dataclass
 from functools import cached_property
@@ -64,6 +66,11 @@ class FoldingTable:
         return _base_letter(ch)
 
     @cached_property
+    def foldable_re(self) -> re.Pattern:
+        """Finds a character this table may fold: ASCII and protected ones fold to themselves."""
+        return re.compile(f"[^\\x00-\\x7f{re.escape(''.join(sorted(self.protected)))}]")
+
+    @cached_property
     def translation(self) -> _FoldMap:
         """``str.translate`` map of this table, filled as code points are seen."""
         return _FoldMap(self)
@@ -91,4 +98,5 @@ def fold_diacritics(text: str, table: FoldingTable | None = None) -> str:
     The character count of the result always equals the input's; anything
     that is not a foldable letter passes through unchanged.
     """
-    return text.translate((table or _DEFAULT_TABLE).translation)
+    table = table or _DEFAULT_TABLE
+    return text.translate(table.translation) if table.foldable_re.search(text) else text

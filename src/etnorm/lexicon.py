@@ -15,7 +15,7 @@ from functools import cached_property, lru_cache
 from .folding import FoldingTable
 from .numwords import NumberLexicon, default_lexicon, load_lexicon
 from .textfiles import ConfigError, read_data
-from .tokens import _LC, _VOWELS
+from .tokens import _LC, _SENTENCE_PUNCT, _TLD_DOT, _UC, _VOWELS
 
 
 @dataclass(frozen=True)
@@ -67,16 +67,20 @@ class RuleConfig:
                 raise ConfigError(f"empty letter name for {letter!r}")
 
     @cached_property
-    def rule_word_re(self) -> re.Pattern:
-        """Finds a word that a word rule may rewrite, in lowercased text of
-        letters, whitespace and punctuation that starts with a space: one
-        letter, a word with no vowel, or an abbreviation surface. Built on
-        first use, so ``abbreviations`` must not be changed in place after
-        that; derive a new config instead."""
-        surfaces = "".join(f"|{re.escape(surface.lower())}" for surface in self.abbreviations)
-        vowels = "".join(sorted(_VOWELS))
-        # led by the character before the word, so a search skips to word starts
-        return re.compile(rf"[^{_LC}](?:[{_LC}]|[^\W\d_{vowels}]+{surfaces})(?![{_LC}])")
+    def plain_line_re(self) -> re.Pattern:
+        """Matches the words and separators that open a line, the grammar
+        of the pass-through gate in ``verbalize``. Built on first use, so
+        ``abbreviations`` must not be changed in place after that; derive a
+        new config instead."""
+        vowels = "".join(sorted(_VOWELS)).upper() + "".join(sorted(_VOWELS))
+        # only a surface spelled in the alphabet with a vowel can be a word here
+        surfaces = [s for s in map(str.lower, self.abbreviations) if set(s) <= set(_LC) and not _VOWELS.isdisjoint(s)]
+        not_surface = f"(?!(?i:{'|'.join(map(re.escape, surfaces))})(?![{_LC}]))" if surfaces else ""
+        separator = rf"(?!{_TLD_DOT})[\s{re.escape(''.join(sorted(_SENTENCE_PUNCT)))}]"
+        word = rf"{not_surface}(?=[^\W\d_{vowels}]*[{vowels}])[{_UC}{_LC}][{_LC}]+(?![^\W\d_])"
+        # word and separator characters are disjoint, so a line splits one way only;
+        # at most 1000 of them a match keep the regex engine's backtracking stack small
+        return re.compile(rf"(?:{separator}|{word}){{0,1000}}")
 
 
 def _load_pairs(bundled: str, path, shape: str):

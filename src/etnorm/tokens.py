@@ -96,7 +96,7 @@ _DOMAIN_RUN = rf"{_LABEL}+(?:\.{_LABEL}+)*"
 _TLD_DOT = r"\.(?:ee|com|org|net|eu|fi|lv|lt|gl|io)(?![^\W\d_])"  # no letter after it
 _ADDRESS = "[A-Za-z0-9_.+-]"  # one character before the "@" of an address
 _EMAIL_DOMAIN = rf"@{_LABEL}+(?:\.{_LABEL}+)+"
-_URL_RE = re.compile(rf"(?:{_URL_PREFIX})[^\s<>\"]+|{_DOMAIN_RUN}{_TLD_DOT}(?:/[^\s<>\"]*)?")
+_URL_RE = re.compile(rf"(?:{_URL_PREFIX})[^\s<>\"]*|{_DOMAIN_RUN}{_TLD_DOT}(?:/[^\s<>\"]*)?")
 _EMAIL_RE = re.compile(rf"{_ADDRESS}+{_EMAIL_DOMAIN}")
 _URL_PREFIX_RE = re.compile(_URL_PREFIX)
 _TLD_DOT_RE = re.compile(_TLD_DOT)

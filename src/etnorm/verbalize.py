@@ -10,11 +10,12 @@ through unchanged apart from diacritic folding.
 
 Pass-through contract: a folded line that no rule can rewrite is
 returned as it is, without tokenizing. ``_passes_through`` decides that
-from the tokenizer's own classes and the config. A line passes only when
-it holds nothing but the letters of ``_UC`` and ``_LC``, whitespace and
-``_SENTENCE_PUNCT``; no capital that is not followed by a lowercase
-letter or that follows one; no top-level-domain dot; and no word of one
-letter, with no vowel, or that lowercases to an abbreviation surface.
+with one grammar, ``RuleConfig.plain_line_re``, built from the
+tokenizer's own classes and the config. A plain line is separators and
+words. A separator is whitespace or ``_SENTENCE_PUNCT`` that does not
+start a top-level-domain dot. A word is a letter of ``_UC`` or ``_LC``
+and one or more of ``_LC``, ending before a non-letter; it holds a
+vowel, and it is not, in either case, an abbreviation surface.
 Such a line tokenizes to WORD and PUNCT tokens only: every other kind
 needs a digit, a symbol, a run of capitals, a case change inside a word
 or a domain. Of their rules, the letter compound and the lone letter
@@ -38,7 +39,7 @@ from .folding import fold_diacritics
 from .lexicon import RuleConfig, default_config
 from .numwords import _CARDINAL_DIGITS, NOMINATIVE, _is_ascii_digits, cardinal, decimal, digits, ordinal
 from .romans import roman_value
-from .tokens import _ATTACHED_SUFFIX_RE, _LC, _SENTENCE_PUNCT, _TLD_DOT_RE, _UC, _VOWELS, CASE_SUFFIXES
+from .tokens import _ATTACHED_SUFFIX_RE, _LC, _UC, _VOWELS, CASE_SUFFIXES
 from .tokens import TokenKind, TokenList, tokenize
 
 _SEGMENT_RE = re.compile(rf"[{_UC}]+(?![{_LC}])|[{_UC}][{_LC}]+|[{_LC}]+|[0-9]+|[^\W\d_]+")
@@ -199,7 +200,7 @@ def _render_cardinal_text(text: str, config: RuleConfig, value: int | None = Non
 
 
 def _render_url_body(text: str, config: RuleConfig) -> str:
-    body = _URL_SCHEME_RE.sub("", text)
+    body = _URL_SCHEME_RE.sub("", text) or text.partition(":")[0]  # a scheme with no host reads its name
     parts: list[str] = []
     for piece in _URL_PIECE_RE.findall(body):
         if piece == ".":
@@ -524,23 +525,15 @@ def _join(tokens, pieces: list[_Piece]) -> str:
     return "".join(out)
 
 
-# The pass-through gate (see the module docstring), built from the
-# tokenizer's classes: a character outside them, and a capital that does
-# not start a lowercase word
-_NOT_PLAIN_CHAR_RE = re.compile(rf"[^{_UC}{_LC}\s{re.escape(''.join(sorted(_SENTENCE_PUNCT)))}]")
-_CASE_CHANGE_RE = re.compile(rf"[{_UC}](?:(?![{_LC}])|(?<=[{_LC}].))")
-
-
 def _passes_through(folded: str, config: RuleConfig) -> bool:
-    """True when no rule can rewrite any token of ``folded``. The cheapest
-    checks come first. It may say False for a line that no rule would
-    touch, never True for one that a rule would."""
-    return not (
-        _NOT_PLAIN_CHAR_RE.search(folded)
-        or _TLD_DOT_RE.search(folded)
-        or _CASE_CHANGE_RE.search(folded)
-        or config.rule_word_re.search(" " + folded.lower())
-    )
+    """True when no rule can rewrite any token of ``folded``: all of it is
+    a plain line (see the module docstring). It may say False for a line
+    that no rule would touch, never True for one that a rule would."""
+    # the greedy match is the only parse, and match, unlike fullmatch, is not retried on failure
+    match, start, end = config.plain_line_re.match, -1, 0
+    while start < end < len(folded):  # a match takes a bounded number of steps
+        start, end = end, match(folded, end).end()
+    return end == len(folded)
 
 
 def verbalize(text: str, config: RuleConfig | None = None) -> str:

@@ -95,3 +95,7 @@ def test_default_table_folds_a_character_once(monkeypatch):
     monkeypatch.setattr(folding, "_base_letter", lambda ch: calls.append(ch) or ch)
     assert fold_diacritics("ŭ") == "u"
     assert calls == []
+
+
+def test_table_protecting_nothing_folds_an_estonian_letter_in_ascii_text():
+    assert fold_diacritics("Tere, õun!", FoldingTable(frozenset())) == "Tere, oun!"

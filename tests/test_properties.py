@@ -4,10 +4,12 @@ tables and folding sets that pass validation.
 
 Each property checks that the call does not raise, that no ASCII digit is
 left in the output (unless a table value the output may quote holds one),
-and that a second call gives the same output. The last two check the
+and that a second call gives the same output. Three check the
 pass-through gate on text near it: what the gate passes tokenizes to
-tokens no rule rewrites, and ``verbalize`` gives what rendering every
-token gives. Examples are derandomized, so a run is reproducible.
+tokens no rule rewrites, ``verbalize`` gives what rendering every token
+gives, and the gate decides as its first definition, four searches, did.
+One checks that folding a line equals folding each of its characters.
+Examples are derandomized, so a run is reproducible.
 """
 
 import re
@@ -18,7 +20,7 @@ from hypothesis import strategies as st
 
 from etnorm.folding import DEFAULT_PROTECTED, FoldingTable, fold_diacritics
 from etnorm.lexicon import AbbreviationEntry, Expansion, default_config
-from etnorm.tokens import _SENTENCE_PUNCT, _VOWELS, TokenKind, tokenize
+from etnorm.tokens import _LC, _SENTENCE_PUNCT, _TLD_DOT_RE, _UC, _VOWELS, TokenKind, tokenize
 from etnorm.verbalize import _passes_through, verbalize
 from test_verbalize import full_path
 
@@ -78,9 +80,9 @@ EXPANSIONS = st.builds(
 
 
 @st.composite
-def abbreviation_tables(draw):
+def abbreviation_tables(draw, surfaces=SURFACES):
     table = {}
-    for surface in draw(st.lists(st.sampled_from(SURFACES), unique=True, max_size=5)):
+    for surface in draw(st.lists(st.sampled_from(surfaces), unique=True, max_size=5)):
         table[surface] = AbbreviationEntry(
             surface,
             tuple(draw(st.lists(EXPANSIONS, min_size=1, max_size=3))),
@@ -121,17 +123,22 @@ def test_data_tables_and_folding(config, text, tables):
 
 # ------------------------------------------------- the pass-through gate
 
+PLAIN_WORDS = st.sampled_from(["Tere", "hommikust", "linnas", "Õpilane", "sügisel", "tšekk", "Žürii", "Ärge", "jää", "öö"])
 PLAIN_PIECES = st.one_of(
-    st.sampled_from(["Tere", "hommikust", "linnas", "Õpilane", "sügisel", "tšekk", "Žürii", "Ärge", "jää", "öö"]),
+    PLAIN_WORDS,
     st.sampled_from([" ", "  ", "\t", "\n", "\xa0", "\u2028", "\u2003", "\u3000", "\x1f"]),
     st.sampled_from(sorted(_SENTENCE_PUNCT)),
 )
 ALL_SURFACES = sorted(set(SURFACES) | set(default_config().abbreviations))
+
+
+def casings(s):
+    return st.sampled_from([s, s.lower(), s.upper(), s.capitalize(), s.swapcase()])
+
+
 # the shapes next to plain text that a rule may read
 NEAR_PIECES = st.one_of(
-    st.sampled_from(ALL_SURFACES).flatmap(
-        lambda s: st.sampled_from([s, s.lower(), s.upper(), s.capitalize(), s.swapcase()])
-    ),
+    st.sampled_from(ALL_SURFACES).flatmap(casings),
     st.text(alphabet=LETTERS + "õäöüšžŽ", min_size=1, max_size=1),
     st.text(alphabet="bcdfghjklmnpqrstvwxzšžKMT", min_size=2, max_size=4),
     st.sampled_from([".ee", ".com", ".EE", ".eesti", "www.", "iPhone", "eCoop", "TEre", "Tallinn.ee", "e-post"]),
@@ -171,6 +178,76 @@ def test_gate_is_sound(config, text, tables):
     folded = fold_diacritics(text, configured.folding)
     if _passes_through(folded, configured):
         assert full == folded, text
+
+
+# The gate as it was first written, four searches: a character outside
+# the letters, whitespace and sentence punctuation; a top-level-domain dot;
+# a capital that does not start a lowercase word; and, in the lowercased
+# line led by a space, a word of one letter, with no vowel, or that is an
+# abbreviation surface.
+_NOT_PLAIN_CHAR_RE = re.compile(rf"[^{_UC}{_LC}\s{re.escape(''.join(sorted(_SENTENCE_PUNCT)))}]")
+_CASE_CHANGE_RE = re.compile(rf"[{_UC}](?:(?![{_LC}])|(?<=[{_LC}].))")
+
+
+def reference_gate(folded, config):
+    surfaces = "".join(f"|{re.escape(surface.lower())}" for surface in config.abbreviations)
+    vowels = "".join(sorted(_VOWELS))
+    rule_word_re = re.compile(rf"[^{_LC}](?:[{_LC}]|[^\W\d_{vowels}]+{surfaces})(?![{_LC}])")
+    return not (
+        _NOT_PLAIN_CHAR_RE.search(folded)
+        or _TLD_DOT_RE.search(folded)
+        or _CASE_CHANGE_RE.search(folded)
+        or rule_word_re.search(" " + folded.lower())
+    )
+
+
+# surfaces with a vowel, a capital or a non-letter
+GATE_SURFACES = ["Karl", "eile", "e.g", "a+b", "x*"]
+GATE_TABLES = {
+    **TABLES,
+    "abbreviations": st.one_of(st.just(default_config().abbreviations), abbreviation_tables(GATE_SURFACES + ["km", "MTÜ", "XII"])),
+}
+SEPARATORS = st.sampled_from([" ", "  ", "\t", "\xa0", "\u2028", "\x1f", ", ", ". ", "-", "–", "«", "»", "!", ".", ".ee"])
+
+
+@st.composite
+def gate_lines(draw):
+    """Tables and a line of plain words, words led by a capital vowel and
+    up to two of the tables' surfaces, in any case and alone or with a
+    letter after them, each word followed by a separator."""
+    tables = draw(st.fixed_dictionaries(GATE_TABLES))
+    words = draw(st.lists(st.one_of(PLAIN_WORDS, st.sampled_from(["Õhk", "Ah", "Üks"])), max_size=6))
+    surfaces = st.sampled_from(sorted(tables["abbreviations"]) or GATE_SURFACES).flatmap(casings)
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        words.insert(draw(st.integers(min_value=0, max_value=len(words))), draw(surfaces) + draw(st.sampled_from(["", "a"])))
+    return "".join(word + draw(SEPARATORS) for word in words), tables
+
+
+def check_gate(config, text, tables):
+    configured = replace(config, **tables)
+    for line in (text, fold_diacritics(text, configured.folding)):
+        assert _passes_through(line, configured) == reference_gate(line, configured), (line, tables)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=gate_lines())
+def test_gate_agrees_with_its_first_definition_on_plain_lines(config, case):
+    check_gate(config, *case)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(text=st.one_of(near_gate_text(), st.text()), tables=st.fixed_dictionaries(GATE_TABLES))
+def test_gate_agrees_with_its_first_definition(config, text, tables):
+    check_gate(config, text, tables)
+
+
+# ------------------------------------------------- folding
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(text=st.one_of(st.text(), st.text(alphabet="aZõäÕÄéÉñŭ .")), table=TABLES["folding"])
+def test_fold_skip_never_skips_a_fold(text, table):
+    assert fold_diacritics(text, table) == "".join(table.fold_char(ch) for ch in text)
 
 
 # ------------------------------------------------- ranges

@@ -1,5 +1,6 @@
 import importlib
 import random
+import tracemalloc
 import unicodedata
 from dataclasses import replace
 
@@ -305,6 +306,17 @@ class TestVerbalizeEndToEnd:
     def test_top_level_domain_ends_before_a_letter(self, config, text, expected):
         assert verbalize(text, config) == expected
 
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("see on https://, mitte", "see on haa-tee-tee-pee-ess, mitte"),
+            ("http:// x", "haa-tee-tee-pee iks"),
+            ("Vaata https://", "Vaata haa-tee-tee-pee-ess"),
+        ],
+    )
+    def test_url_scheme_with_no_host_reads_its_name(self, config, text, expected):
+        assert verbalize(text, config) == expected
+
     def test_symbols(self, config):
         assert verbalize("5 %", config) == "viis protsenti"
         assert verbalize("paragrahv § kehtib", config) == "paragrahv paragrahv kehtib"
@@ -513,6 +525,19 @@ class TestPassThrough:
         assert verbalize(line, config) == line
         assert not _passes_through(line, custom)
         assert verbalize(line, custom) == "Ta tuli eelmisel päeval koju. eelmisel päeval sadas."
+
+    def test_long_line_is_decided_to_its_end(self, config):
+        line = "Tere, maailm! " * 5000
+        tracemalloc.start()
+        try:
+            assert _passes_through(line, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak  # the regex engine's backtracking stack stays small
+        for word in ("ca", "Prof", "x", "krt", "EE", "err.ee", "7"):
+            assert not _passes_through(line + word, config), word
+            assert not _passes_through(line + word + " " + line, config), word
 
     @pytest.mark.parametrize(
         "text",

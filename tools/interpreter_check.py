@@ -8,10 +8,10 @@ built by ``perfbench/workloads.py``, as ``WORKLOAD:SEED:INDEX<TAB>spoken
 form``. Then the pass-through gate's decision (``pass`` or ``full``) is
 printed for each gold line, as ``gate<TAB>ID<TAB>decision``, and for a
 fixed list of boundary strings, as ``gate<TAB>repr<TAB>decision``: the
-gate and the top-level-domain boundary read ``str.lower`` and the regex
-classes ``\s`` and ``[^\W\d_]``, whose Unicode tables differ between
-Python versions. Run it under two interpreters and compare the outputs;
-they must be identical:
+gate and the top-level-domain boundary read regex case folding
+(``(?i:...)``) and the regex classes ``\s`` and ``[^\W\d_]``, whose
+Unicode tables differ between Python versions. Run it under two
+interpreters and compare the outputs; they must be identical:
 
     PYENV_VERSION=3.10.13 python tools/interpreter_check.py > a.txt
     PYENV_VERSION=3.13.0 python tools/interpreter_check.py > b.txt
@@ -50,7 +50,7 @@ BOUNDARY = (
     "ptk", "spp", "tv", "iPhone", "eCoop", "Tallinn.ee", "linnas.EE", "Y", "e-post", "Dr", "KM", "Łukasz",
     "Krt", "Tere, maailm!", "Žürii arutas «tšeki» üle – jälle…", "Café", "", " \t", "\xa0tere\u2028öö\u3000",
     "ǅžungel", "ıkool", "İsa", "Straße", "tere\u0301", "\x1ctere\x1f", "koju.eelmisel", "Tallinn.eesti",
-    "err.ee-st",
+    "err.ee-st", "Prof", "PROF", "Jne.", "ca", "Ema", "Õun", "ſ", "\u212a", "tere.Ee",
 )
 
 
