@@ -27,26 +27,13 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import dataclasses
 import inspect
-import json
 import math
 import sys
 import warnings
 
 from .lexicon import default_config, load_config
-from .scoring import improvement, load_gold, load_hypotheses, score_corpus
-from .stats import (
-    AnnotationRecord,
-    ErrorCategory,
-    LikertRecord,
-    RatingRecord,
-    error_rates,
-    icc2k,
-    likert_summary,
-    mos,
-)
 from .textfiles import check_utf8, open_text
 from .verbalize import verbalize
 
@@ -64,6 +51,7 @@ _CONFIG_KEYS = {
 def _load_cli_config(path):
     if path is None:
         return default_config()
+    import json
     try:
         with open_text(path) as handle:
             payload = json.loads(check_utf8(handle.read()))
@@ -118,6 +106,8 @@ def _cmd_normalize(args) -> int:
 
 
 def _cmd_score(args) -> int:
+    import json
+    from .scoring import improvement, load_gold, load_hypotheses, score_corpus
     try:
         gold = load_gold(args.gold)
         report = score_corpus(gold, load_hypotheses(args.hypotheses))
@@ -145,6 +135,7 @@ def _read_records(path, columns, make) -> tuple[list, str]:
     each column a row needs to the parser of its cells; None takes every
     column but ``target`` as a rating. A fault is named by the line its
     row starts on."""
+    import csv
     source, name = _open_input(path)
     lineno, records = 1, []
     with source as stream:
@@ -180,6 +171,7 @@ def _read_records(path, columns, make) -> tuple[list, str]:
 
 def _categories(cell: str) -> frozenset[ErrorCategory]:
     """The error categories named in a ``;``-separated ``flags`` cell."""
+    from .stats import ErrorCategory
     flags = set()
     for label in (f.strip() for f in cell.split(";") if f.strip()):
         try:
@@ -198,6 +190,7 @@ def _rating(cell: str) -> float:
 
 def _print_table(header, rows, fmt: str) -> None:
     if fmt == "json":
+        import json
         print(json.dumps([dict(zip(header, row)) for row in rows], ensure_ascii=False, indent=2))
         return
     sep = "\t" if fmt == "tsv" else "  "
@@ -207,6 +200,7 @@ def _print_table(header, rows, fmt: str) -> None:
 
 def _print_mos(records, args) -> None:
     """mean opinion scores with confidence intervals"""
+    from .stats import mos
     by = tuple(k.strip() for k in args.by.split(",") if k.strip())
     results = mos(records, by=by, ci_multiplier=args.ci_multiplier)
     rows = [[r.voice, r.domain or "", r.n, f"{r.mos:.2f}", f"{r.ci_half_width:.3f}"] for r in results]
@@ -215,6 +209,7 @@ def _print_mos(records, args) -> None:
 
 def _print_errors(records, args) -> None:
     """error-category percentages per voice"""
+    from .stats import ErrorCategory, error_rates
     table = error_rates(records, policy=args.policy)
     rows = [[voice] + [f"{table[voice][c]:.1f}" for c in ErrorCategory] for voice in sorted(table)]
     _print_table(["voice"] + [c.value for c in ErrorCategory], rows, args.format)
@@ -222,12 +217,15 @@ def _print_errors(records, args) -> None:
 
 def _print_likert(records, args) -> None:
     """Likert suitability means and deviations"""
+    from .stats import likert_summary
     rows = [[r.voice, r.text_kind, r.n, f"{r.mean:.2f}", f"{r.sd:.2f}"] for r in likert_summary(records)]
     _print_table(["voice", "text_kind", "n", "mean", "sd"], rows, args.format)
 
 
 def _print_icc(matrix, args) -> None:
     """inter-rater agreement ICC(2,k)"""
+    import json
+    from .stats import icc2k
     payload = dataclasses.asdict(icc2k(matrix))
     if args.format == "json":
         print(json.dumps(payload, ensure_ascii=False, indent=2))
@@ -236,32 +234,35 @@ def _print_icc(matrix, args) -> None:
             print(f"{key}\t{value}")
 
 
-# stats subcommand -> (each column a row needs with its parser, the record
-# built from them, the report printed from the records; its docstring is help)
+# stats subcommand -> (each column a row needs with its parser, the name of
+# the etnorm.stats record built from them (None: the list of ratings), the
+# report printed from the records; its docstring is help)
 _STATS = {
     "mos": (
         dict(rater=str, sentence=str, voice=str, voice_type=str, domain=str, score=float),
-        RatingRecord,
+        "RatingRecord",
         _print_mos,
     ),
     "errors": (
         dict(annotator=str, sentence=str, voice=str, flags=_categories),
-        AnnotationRecord,
+        "AnnotationRecord",
         _print_errors,
     ),
     "likert": (
         dict(rater=str, voice=str, text_kind=str, score=int),
-        LikertRecord,
+        "LikertRecord",
         _print_likert,
     ),
-    "icc": (None, lambda **ratings: list(ratings.values()), _print_icc),
+    "icc": (None, None, _print_icc),
 }
 
 
 def _cmd_stats(args) -> int:
     """Print the report on the table; a fault of the whole table, and a
     warning the statistics give, name the table."""
-    columns, make, report = _STATS[args.which]
+    from . import stats
+    columns, record, report = _STATS[args.which]
+    make = getattr(stats, record) if record else lambda **ratings: list(ratings.values())
     records, name = _read_records(args.input, columns, make)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

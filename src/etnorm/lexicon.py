@@ -15,7 +15,7 @@ from functools import cached_property, lru_cache
 from .folding import FoldingTable
 from .numwords import NumberLexicon, default_lexicon, load_lexicon
 from .textfiles import ConfigError, read_data
-from .tokens import _LC, _SENTENCE_PUNCT, _TLD_DOT, _UC, _VOWELS
+from .tokens import _LC, _PLAIN_WORD, _PUNCT, _TLD_DOT, _VOWELS
 
 
 @dataclass(frozen=True)
@@ -72,15 +72,14 @@ class RuleConfig:
         of the pass-through gate in ``verbalize``. Built on first use, so
         ``abbreviations`` must not be changed in place after that; derive a
         new config instead."""
-        vowels = "".join(sorted(_VOWELS)).upper() + "".join(sorted(_VOWELS))
         # only a surface spelled in the alphabet with a vowel can be a word here
         surfaces = [s for s in map(str.lower, self.abbreviations) if set(s) <= set(_LC) and not _VOWELS.isdisjoint(s)]
         not_surface = f"(?!(?i:{'|'.join(map(re.escape, surfaces))})(?![{_LC}]))" if surfaces else ""
-        separator = rf"(?!{_TLD_DOT})[\s{re.escape(''.join(sorted(_SENTENCE_PUNCT)))}]"
-        word = rf"{not_surface}(?=[^\W\d_{vowels}]*[{vowels}])[{_UC}{_LC}][{_LC}]+(?![^\W\d_])"
+        separator = rf"(?!{_TLD_DOT})[\s{_PUNCT}]"
+        # a word is the tokenizer's "word" token that is not a surface;
         # word and separator characters are disjoint, so a line splits one way only;
         # at most 1000 of them a match keep the regex engine's backtracking stack small
-        return re.compile(rf"(?:{separator}|{word}){{0,1000}}")
+        return re.compile(rf"(?:{separator}|{not_surface}{_PLAIN_WORD}){{0,1000}}")
 
 
 def _load_pairs(bundled: str, path, shape: str):

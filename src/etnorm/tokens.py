@@ -2,16 +2,18 @@
 
 One left-to-right pass whose cost is linear in the length of the line.
 URLs and e-mail addresses are found anchor-first: the line is scanned
-once for the positions where one can start (``https://`` or ``www.``, a
-run of domain labels with a top-level-domain dot still ahead, a run of
-address characters that ends at ``@`` and a valid domain), and their
-patterns are tried only there. Every other shape (phone numbers, dates,
-times, decimals, grouped digits, ordinal dots, plain numbers, acronyms
-with a case ending, letter runs) is one named group of a master regex,
-in priority order; when a Python post-check rejects a group, the groups
-after it are tried at the same position. Letter runs are classified
-afterwards (case-suffixed acronym, Roman candidate, uppercase sequence,
-mixed case, lowercase consonant cluster, plain word).
+once for the positions where one can start (``https://`` in any case or
+``www.``, a run of domain labels with a top-level-domain dot still
+ahead, a run of address characters that ends at ``@`` and a valid
+domain), and their patterns are tried only there. Every other shape (phone numbers, dates,
+times, decimals, grouped digits, ordinal dots, plain numbers, plain
+words, acronyms with a case ending, letter runs, sentence punctuation,
+symbols) is one named group of a master regex, in priority order; when a
+Python post-check rejects a group, the groups after it are tried at the
+same position. Each group but the letter run names its token's kind. A
+letter run that is not a plain word is classified afterwards in Python
+(case-suffixed acronym, Roman candidate, uppercase sequence, mixed case,
+lowercase consonant cluster, or a word such as ``Łukasz`` or ``a``).
 
 Tokenization is lossless: every non-whitespace character lands in exactly
 one token, each token records the whitespace that follows it, and
@@ -76,6 +78,11 @@ class TokenList(list):
 _UC = ALPHABET.upper()
 _LC = ALPHABET
 _VOWELS = frozenset("aeiouõäöüy")
+_CASED_VOWELS = "".join(sorted(_VOWELS)).upper() + "".join(sorted(_VOWELS))
+# A plain word: a letter of the alphabet and one or more lowercase ones,
+# holding a vowel, with no letter or digit after it. The tokenizer's
+# "word" group and the pass-through gate's word are this pattern.
+_PLAIN_WORD = rf"(?=[^\W\d_{_CASED_VOWELS}]*[{_CASED_VOWELS}])[{_UC}{_LC}][{_LC}]+(?![^\W_])"
 
 # Case endings (plus the linking vowel variants) that may attach to an
 # acronym: MTÜle, EAS-i, ERR-ile, NATOsse, CVsid, ...
@@ -86,11 +93,12 @@ CASE_SUFFIXES = frozenset(
 _SUFFIX = "|".join(sorted(CASE_SUFFIXES, key=lambda s: (-len(s), s)))  # longest first
 
 _SENTENCE_PUNCT = frozenset(".,!?;:()[]{}\"'«»‘’“”…–—-·")
+_PUNCT = re.escape("".join(sorted(_SENTENCE_PUNCT)))  # the body of a regex class
 
 _WS_RE = re.compile(r"\s*")
 
 # URL and e-mail grammar; the pieces also locate where a match can start
-_URL_PREFIX = r"https?://|www\."
+_URL_PREFIX = r"(?i:https?)://|www\."
 _LABEL = "[A-Za-z0-9-]"  # one character of a domain label
 _DOMAIN_RUN = rf"{_LABEL}+(?:\.{_LABEL}+)*"
 _TLD_DOT = r"\.(?:ee|com|org|net|eu|fi|lv|lt|gl|io)(?![^\W\d_])"  # no letter after it
@@ -131,9 +139,9 @@ _LETTER_OR_DIGIT_RUN_RE = re.compile(f"[0-9{_LATIN_LETTERS}]*")
 
 # Every shape but URLs and e-mail addresses, in priority order, as (group
 # name, pattern, led by a digit or "+"). A group is named after its
-# TokenKind value. A "word_run" is classified afterwards, a "letter" starts
-# a word run that the "word_run" group cannot take, and "other" is one
-# punctuation or symbol character. The digit-led shapes come first.
+# TokenKind value. A "word_run" is classified afterwards, and a "letter"
+# starts a word run that the "word_run" group cannot take. The digit-led
+# shapes come first.
 _SHAPES = (
     # at most 8 groups: 8 or more hold at least 16 digits, which the
     # post-check rejects, so the cap changes no token and keeps each try
@@ -145,6 +153,7 @@ _SHAPES = (
     ("digit_group_seq", rf"(?:{_THOUSANDS}|{_D}{{7,}})(?!{_D})", True),
     ("ordinal_dot", rf"{_D}{{1,6}}\.(?=[–-]|\s+[{_LC}])", True),
     ("cardinal_number", rf"{_D}{{1,6}}(?!{_D})", True),
+    ("word", _PLAIN_WORD, False),
     ("case_suffixed_acronym", rf"[{_UC}]{{2,}}-(?:{_SUFFIX})(?![^\W\d_])", False),
     # A word run is letters plus ASCII digits, led by a letter. One made of
     # Latin letters matches here whole. Any other character that \w-based
@@ -153,7 +162,8 @@ _SHAPES = (
     # extends the run in Python: no rescan of the rest of a long run.
     ("word_run", rf"[{_LATIN_LETTERS}][0-9{_LATIN_LETTERS}]*(?![^\W\d_]|{_D})", False),
     ("letter", r"[^\W\d_]", False),
-    ("other", r"(?s:.)", False),
+    ("punct", f"[{_PUNCT}]", False),
+    ("symbol", r"(?s:.)", False),
 )
 _POST_CHECKED = frozenset({"phone", "letter"})
 
@@ -231,7 +241,9 @@ def _match_email(text: str, pos: int):
 def _url_starts(text: str) -> list[tuple[int, int]]:
     """[start, stop) ranges holding every position where ``_URL_RE`` can
     match, sorted by start, in reverse (see ``_in_ranges``)."""
-    ranges = [(m.start(), m.start() + 1) for m in _URL_PREFIX_RE.finditer(text)]
+    ranges = []
+    if "://" in text or "www." in text:
+        ranges = [(m.start(), m.start() + 1) for m in _URL_PREFIX_RE.finditer(text)]
     if _TLD_DOT_RE.search(text):
         ranges += [m.span() for m in _DOMAIN_HEAD_RE.finditer(text)]
         ranges.sort()
@@ -322,11 +334,8 @@ def tokenize(text: str) -> TokenList:
                 name, end, ws_end = _post_check(name, text, pos, end, ws_end)
             kind = _KIND_OF_GROUP.get(name)
         surface = text[pos:end]
-        if kind is None:
-            if name == "word_run":
-                kind = _classify_word_run(surface)
-            else:
-                kind = TokenKind.PUNCT if surface in _SENTENCE_PUNCT else TokenKind.SYMBOL
+        if kind is None:  # a "word_run"
+            kind = _classify_word_run(surface)
         ws_after = text[end:ws_end]
         if ascii_text:
             span = (pos, end)

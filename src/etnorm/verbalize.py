@@ -11,11 +11,12 @@ through unchanged apart from diacritic folding.
 Pass-through contract: a folded line that no rule can rewrite is
 returned as it is, without tokenizing. ``_passes_through`` decides that
 with one grammar, ``RuleConfig.plain_line_re``, built from the
-tokenizer's own classes and the config. A plain line is separators and
+tokenizer's own patterns and the config. A plain line is separators and
 words. A separator is whitespace or ``_SENTENCE_PUNCT`` that does not
-start a top-level-domain dot. A word is a letter of ``_UC`` or ``_LC``
-and one or more of ``_LC``, ending before a non-letter; it holds a
-vowel, and it is not, in either case, an abbreviation surface.
+start a top-level-domain dot. A word is ``tokens._PLAIN_WORD`` (a letter
+of ``_UC`` or ``_LC`` and one or more of ``_LC``, holding a vowel, with
+no letter or digit after it), the tokenizer's own ``word`` token, that
+is not, in either case, an abbreviation surface.
 Such a line tokenizes to WORD and PUNCT tokens only: every other kind
 needs a digit, a symbol, a run of capitals, a case change inside a word
 or a domain. Of their rules, the letter compound and the lone letter
@@ -45,7 +46,7 @@ from .tokens import TokenKind, TokenList, tokenize
 _SEGMENT_RE = re.compile(rf"[{_UC}]+(?![{_LC}])|[{_UC}][{_LC}]+|[{_LC}]+|[0-9]+|[^\W\d_]+")
 _DIGIT_GROUP_SEP_RE = re.compile(r"[ \xa0.\-]+")  # between the digit groups of a phone number or ID
 _DECIMAL_MARK_RE = re.compile(r"[.,]")
-_URL_SCHEME_RE = re.compile(r"^https?://")
+_URL_SCHEME_RE = re.compile(r"^https?://", re.IGNORECASE)
 _URL_PIECE_RE = re.compile(r"[^\W_]+|.")  # a label or one character
 
 _WORDISH_KINDS = frozenset(

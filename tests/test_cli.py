@@ -188,6 +188,28 @@ class TestColdStart:
         assert proc.stdout.decode("utf-8") == "ee-aa-essi kaks kuni kolm kilomeetrit\n"
         assert proc.stderr.decode().strip() == "[]"
 
+    def test_normalize_loads_no_instrument(self):
+        code = (
+            "import sys\n"
+            "from etnorm.cli import main\n"
+            "assert main(['normalize']) == 0\n"
+            "print(sorted(m for m in sys.modules if m in ('etnorm.scoring', 'etnorm.stats')), file=sys.stderr)\n"
+        )
+        proc = run_fresh(code, stdin="Tere, 5 km!\n".encode("utf-8"))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.decode("utf-8") == "Tere, viis kilomeetrit!\n"
+        assert proc.stderr.decode().strip() == "[]"
+
+    def test_no_public_name_is_a_module(self):
+        # a submodule imported later must not shadow a name of the package
+        code = (
+            "import sys, types, etnorm, etnorm.cli\n"
+            "print([n for n in etnorm.__all__ if isinstance(getattr(etnorm, n), types.ModuleType)], file=sys.stderr)\n"
+        )
+        proc = run_fresh(code)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.decode().strip() == "[]"
+
 
 def test_invalid_utf8_on_real_stdin_named():
     proc = run_fresh(

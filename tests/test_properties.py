@@ -8,7 +8,9 @@ and that a second call gives the same output. Three check the
 pass-through gate on text near it: what the gate passes tokenizes to
 tokens no rule rewrites, ``verbalize`` gives what rendering every token
 gives, and the gate decides as its first definition, four searches, did.
-One checks that folding a line equals folding each of its characters.
+One checks that the tokenizer's master regex names the kind of a word,
+a punctuation mark or a symbol as the Python classification would. One
+checks that folding a line equals folding each of its characters.
 Examples are derandomized, so a run is reproducible.
 """
 
@@ -20,7 +22,7 @@ from hypothesis import strategies as st
 
 from etnorm.folding import DEFAULT_PROTECTED, FoldingTable, fold_diacritics
 from etnorm.lexicon import AbbreviationEntry, Expansion, default_config
-from etnorm.tokens import _LC, _SENTENCE_PUNCT, _TLD_DOT_RE, _UC, _VOWELS, TokenKind, tokenize
+from etnorm.tokens import _LC, _SENTENCE_PUNCT, _TLD_DOT_RE, _UC, _VOWELS, TokenKind, _classify_word_run, tokenize
 from etnorm.verbalize import _passes_through, verbalize
 from test_verbalize import full_path
 
@@ -239,6 +241,23 @@ def test_gate_agrees_with_its_first_definition_on_plain_lines(config, case):
 @given(text=st.one_of(near_gate_text(), st.text()), tables=st.fixed_dictionaries(GATE_TABLES))
 def test_gate_agrees_with_its_first_definition(config, text, tables):
     check_gate(config, text, tables)
+
+
+# ------------------------------------------------- kinds named by the master regex
+
+# letters of both cases, with and without a vowel, ASCII and other digits,
+# a numeric that ends a word run and combining marks
+WORD_RUN_CHARS = "aeikpslõüEKIPLÕÜzĲé" + "0123456789" + "٣²" + "\u0301\u0308"
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(text=st.one_of(near_gate_text(), st.text(), st.text(alphabet=WORD_RUN_CHARS, max_size=12)))
+def test_regex_names_the_kind_the_classifier_would(text):
+    for token in tokenize(text):
+        if token.text[0].isalpha() and all(ch.isalpha() or ch in "0123456789" for ch in token.text):
+            assert token.kind is _classify_word_run(token.text), (text, token)
+        elif len(token.text) == 1 and token.kind in (TokenKind.PUNCT, TokenKind.SYMBOL):
+            assert (token.kind is TokenKind.PUNCT) == (token.text in _SENTENCE_PUNCT), (text, token)
 
 
 # ------------------------------------------------- folding

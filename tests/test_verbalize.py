@@ -317,6 +317,17 @@ class TestVerbalizeEndToEnd:
     def test_url_scheme_with_no_host_reads_its_name(self, config, text, expected):
         assert verbalize(text, config) == expected
 
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("HTTPS://err.ee", "err punkt ee"),
+            ("Https://err.ee", "err punkt ee"),
+            ("HTTPS://,", "haa-tee-tee-pee-ess,"),
+        ],
+    )
+    def test_url_scheme_in_capitals_is_a_scheme(self, config, text, expected):
+        assert verbalize(text, config) == expected
+
     def test_symbols(self, config):
         assert verbalize("5 %", config) == "viis protsenti"
         assert verbalize("paragrahv § kehtib", config) == "paragrahv paragrahv kehtib"

@@ -7,10 +7,12 @@ of the news, dense and longline benchmark workloads for seeds 1 to 3, as
 built by ``perfbench/workloads.py``, as ``WORKLOAD:SEED:INDEX<TAB>spoken
 form``. Then the pass-through gate's decision (``pass`` or ``full``) is
 printed for each gold line, as ``gate<TAB>ID<TAB>decision``, and for a
-fixed list of boundary strings, as ``gate<TAB>repr<TAB>decision``: the
-gate and the top-level-domain boundary read regex case folding
-(``(?i:...)``) and the regex classes ``\s`` and ``[^\W\d_]``, whose
-Unicode tables differ between Python versions. Run it under two
+fixed list of boundary strings, as ``gate<TAB>repr<TAB>decision``; last,
+the kinds of the tokens of each boundary string, as
+``tok<TAB>repr<TAB>kinds``. The gate, the tokenizer's groups and the
+top-level-domain boundary read regex case folding (``(?i:...)``) and the
+regex classes ``\s``, ``\W``, ``[^\W_]`` and ``[^\W\d_]``, whose Unicode
+tables differ between Python versions. Run it under two
 interpreters and compare the outputs; they must be identical:
 
     PYENV_VERSION=3.10.13 python tools/interpreter_check.py > a.txt
@@ -37,7 +39,7 @@ sys.path[:0] = [str(SRC), str(ROOT / "perfbench")]
 
 from etnorm.folding import fold_diacritics  # noqa: E402
 from etnorm.lexicon import default_config  # noqa: E402
-from etnorm.tokens import TokenKind  # noqa: E402
+from etnorm.tokens import TokenKind, tokenize  # noqa: E402
 from etnorm.verbalize import _passes_through, verbalize  # noqa: E402
 from workloads import generate  # noqa: E402
 
@@ -51,6 +53,7 @@ BOUNDARY = (
     "Krt", "Tere, maailm!", "Žürii arutas «tšeki» üle – jälle…", "Café", "", " \t", "\xa0tere\u2028öö\u3000",
     "ǅžungel", "ıkool", "İsa", "Straße", "tere\u0301", "\x1ctere\x1f", "koju.eelmisel", "Tallinn.eesti",
     "err.ee-st", "Prof", "PROF", "Jne.", "ca", "Ema", "Õun", "ſ", "\u212a", "tere.Ee",
+    "sõna٣", "Ema5", "abc²", "kpl", "Öö", "Ĳsselmeer", "HTTPS://err.ee",
 )
 
 
@@ -77,6 +80,8 @@ def main() -> int:
         print(f"gate\t{row['id']}\t{gate(row['raw'])}")
     for text in BOUNDARY:
         print(f"gate\t{text!r}\t{gate(text)}")
+    for text in BOUNDARY:
+        print(f"tok\t{text!r}\t{' '.join(token.kind.value for token in tokenize(text))}")
     return 0
 
 
