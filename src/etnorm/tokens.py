@@ -70,7 +70,8 @@ class Token:
 
 
 class TokenList(list):
-    """Token sequence that also remembers whitespace before the first token."""
+    """Token sequence that also remembers the text before the first token:
+    whitespace, and what was left untokenized before it (see ``tokenize``)."""
 
     leading: str = ""
 
@@ -303,15 +304,22 @@ def _post_check(name: str, text: str, pos: int, end: int, ws_end: int) -> tuple[
     return name, end, ws_end
 
 
-def tokenize(text: str) -> TokenList:
-    """Split text into classified tokens; whitespace is recorded, not emitted."""
+def tokenize(text: str, _start: int = 0) -> TokenList:
+    """Split text into classified tokens; whitespace is recorded, not emitted.
+
+    ``_start``, private to ``verbalize``, starts the scan at that offset and
+    keeps ``text[:_start]`` with the leading whitespace. It is 0, or the
+    start of a token of the whole text that follows whitespace with no
+    token reaching across it; the tokens from there on, spans included, are
+    then those of the whole text."""
     tokens = TokenList()
-    tokens.leading = _WS_RE.match(text).group()
-    pos = len(tokens.leading)
+    pos = _WS_RE.match(text, _start).end()
+    tokens.leading = text[:pos]
     length = len(text)
     ascii_text = text.isascii()
-    # UTF-8 bytes beyond one per character so far: byte offset = pos + extra
-    extra = 0 if ascii_text else len(tokens.leading.encode("utf-8")) - pos
+    # UTF-8 bytes beyond one per character so far: byte offset = pos + extra;
+    # a lone surrogate is encoded as its three bytes, as Python spells it
+    extra = 0 if ascii_text else len(tokens.leading.encode("utf-8", "surrogatepass")) - pos
     url_starts = _url_starts(text)
     email_starts = _email_starts(text)
 
@@ -342,10 +350,10 @@ def tokenize(text: str) -> TokenList:
         else:
             start = pos + extra
             if not surface.isascii():
-                extra += len(surface.encode("utf-8")) - len(surface)
+                extra += len(surface.encode("utf-8", "surrogatepass")) - len(surface)
             span = (start, end + extra)
             if not ws_after.isascii():
-                extra += len(ws_after.encode("utf-8")) - len(ws_after)
+                extra += len(ws_after.encode("utf-8", "surrogatepass")) - len(ws_after)
         tokens.append(Token(surface, kind, span, ws_after))
         pos = ws_end
     return tokens

@@ -8,11 +8,11 @@ the one place the order of the rules is written down. Sections the rules
 do not touch keep their original spacing, so plain sentences pass
 through unchanged apart from diacritic folding.
 
-Pass-through contract: a folded line that no rule can rewrite is
-returned as it is, without tokenizing. ``_passes_through`` decides that
-with one grammar, ``RuleConfig.plain_line_re``, built from the
-tokenizer's own patterns and the config. A plain line is separators and
-words. A separator is whitespace or ``_SENTENCE_PUNCT`` that does not
+Pass-through contract: ``_gate`` reads a folded line with one grammar,
+``RuleConfig.plain_line_re``, built from the tokenizer's own patterns and
+the config, and finds how far it is plain. A line that is plain to its
+end is returned as it is, without tokenizing. A plain line is separators
+and words. A separator is whitespace or ``_SENTENCE_PUNCT`` that does not
 start a top-level-domain dot. A word is ``tokens._PLAIN_WORD`` (a letter
 of ``_UC`` or ``_LC`` and one or more of ``_LC``, holding a vowel, with
 no letter or digit after it), the tokenizer's own ``word`` token, that
@@ -26,6 +26,19 @@ reassembled line is the folded line, byte for byte. The gate may send a
 line nothing would rewrite (a title, ``Krt``) down the full path, which
 reads it the same.
 
+A line the grammar stops in is tokenized and rendered from the cut on:
+the start of the whitespace-delimited chunk before the one that holds the
+stop, or 0 when there is none. The text before the cut is copied as it
+is. This reads the line as the whole path would. The prefix is plain and
+ends in whitespace, and only a digit-led token crosses whitespace, so the
+tokens from the cut on are those of the whole line, and the prefix's
+tokens are words and marks that no rule rewrites. A rule reads at most
+one token before the one it starts at (``_roman``'s capitalized word,
+the token joined before ``_mark_at_number``'s mark), and ``_join`` reads the
+whitespace between two tokens it keeps; for the stop's chunk, the chunk
+before it holds both. The one rule that reads further, the pick of an
+expansion, reads the words of the prefix too (``_line_words``).
+
 What is derived from the config is cached on the ``RuleConfig`` on first
 use: changing ``config.abbreviations`` in place after that is not
 supported; build a new config with ``load_config`` or ``dataclasses.replace``.
@@ -34,6 +47,7 @@ supported; build a new config with ``load_config`` or ``dataclasses.replace``.
 from __future__ import annotations
 
 import re
+from itertools import chain
 
 from . import numwords
 from .folding import fold_diacritics
@@ -48,6 +62,7 @@ _DIGIT_GROUP_SEP_RE = re.compile(r"[ \xa0.\-]+")  # between the digit groups of 
 _DECIMAL_MARK_RE = re.compile(r"[.,]")
 _URL_SCHEME_RE = re.compile(r"^https?://", re.IGNORECASE)
 _URL_PIECE_RE = re.compile(r"[^\W_]+|.")  # a label or one character
+_CHUNK_BACK_RE = re.compile(r"\S*\s*\S*")  # matched on a reversed line: two chunks back
 
 _WORDISH_KINDS = frozenset(
     {
@@ -96,13 +111,15 @@ def _pick_expansion(entry, words: frozenset[str]) -> str:
 
 
 def _line_words(line) -> frozenset[str]:
-    """The lowered words of ``line``'s word-like tokens, the context an
+    """The lowered words of ``line``'s word-like tokens, and of the tokens
+    of the plain prefix ``verbalize`` left untokenized: the context an
     expansion is picked in. Built on the first expanded abbreviation and
     kept on the token list, so a line costs one pass over its words however
     many abbreviations it holds."""
     words = getattr(line, "abbreviation_context", None)
     if words is None:
-        words = frozenset(t.text.lower() for t in line if t.kind in _WORDISH_KINDS)
+        tokens = chain(tokenize(getattr(line, "leading", "")), line)
+        words = frozenset(t.text.lower() for t in tokens if t.kind in _WORDISH_KINDS)
         if isinstance(line, TokenList):
             line.abbreviation_context = words
     return words
@@ -526,23 +543,29 @@ def _join(tokens, pieces: list[_Piece]) -> str:
     return "".join(out)
 
 
-def _passes_through(folded: str, config: RuleConfig) -> bool:
-    """True when no rule can rewrite any token of ``folded``: all of it is
-    a plain line (see the module docstring). It may say False for a line
-    that no rule would touch, never True for one that a rule would."""
+def _gate(folded: str, config: RuleConfig) -> int | None:
+    """None when no rule can rewrite any token of ``folded``: all of it is
+    a plain line. Otherwise the offset the full path starts at: the start
+    of the chunk before the one where the plain prefix stops, or 0 (see the
+    module docstring). It may refuse a line that no rule would touch, never
+    pass one that a rule would."""
     # the greedy match is the only parse, and match, unlike fullmatch, is not retried on failure
     match, start, end = config.plain_line_re.match, -1, 0
     while start < end < len(folded):  # a match takes a bounded number of steps
         start, end = end, match(folded, end).end()
-    return end == len(folded)
+    if end == len(folded):
+        return None
+    # back from the stop over its chunk's head, the whitespace and the chunk before
+    return end - _CHUNK_BACK_RE.match(folded[end - 1::-1]).end() if end else 0
 
 
 def verbalize(text: str, config: RuleConfig | None = None) -> str:
     """Rewrite ``text`` into fully spoken form under ``config``."""
     config = config or default_config()
     folded = fold_diacritics(text, config.folding)
-    if _passes_through(folded, config):
+    cut = _gate(folded, config)
+    if cut is None:
         return folded
-    tokens = tokenize(folded)
+    tokens = tokenize(folded, cut)
     pieces = _render_tokens(tokens, config)
     return _join(tokens, pieces)

@@ -174,6 +174,9 @@ class TestSpans:
             assert raw[start:end].decode("utf-8") == token.text
             previous_end = end
 
+    def test_lone_surrogate_spans_its_three_bytes(self):
+        assert [token.span for token in tokenize("a\udcff")] == [(0, 1), (1, 4)]
+
     def test_joined_right_flags(self):
         tokens = tokenize("km, ja")
         assert tokens[0].joined_right  # "km" glued to the comma

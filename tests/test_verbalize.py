@@ -15,11 +15,11 @@ from etnorm.tokens import TokenKind, detokenize, tokenize
 from etnorm.verbalize import (
     _RULES,
     _abbreviation,
+    _gate,
     _join,
     _letter_compound,
     _lone_letter,
     _mark_at_number,
-    _passes_through,
     _render_tokens,
     spell_letters,
     verbalize,
@@ -518,13 +518,13 @@ class TestPassThrough:
     )
     def test_rule_shapes_take_the_full_path(self, config, text):
         for line in (text, f"Ta ütles {text} eile.", f"«{text}», vastas ta!"):
-            assert not _passes_through(fold_diacritics(line, config.folding), config), line
+            assert _gate(fold_diacritics(line, config.folding), config) is not None, line
             assert verbalize(line, config) == full_path(line, config)
 
     def test_plain_lines_pass(self, config):
         for line in ("Tere, maailm!  Kõik on hästi.", "Žürii arutas «tšeki» üle – jälle…", "Café on Ärge-tänaval."):
             folded = fold_diacritics(line, config.folding)
-            assert _passes_through(folded, config), line
+            assert _gate(folded, config) is None, line
             assert verbalize(line, config) == folded == full_path(line, config)
 
     def test_abbreviation_table_moves_a_line_across_the_gate(self, config, tmp_path):
@@ -532,23 +532,23 @@ class TestPassThrough:
         table.write_text("eile\teelmisel päeval\n", encoding="utf-8")
         custom = load_config(abbreviations_path=table)
         line = "Ta tuli eile koju. Eile sadas."
-        assert _passes_through(line, config)
+        assert _gate(line, config) is None
         assert verbalize(line, config) == line
-        assert not _passes_through(line, custom)
+        assert _gate(line, custom) is not None
         assert verbalize(line, custom) == "Ta tuli eelmisel päeval koju. eelmisel päeval sadas."
 
     def test_long_line_is_decided_to_its_end(self, config):
         line = "Tere, maailm! " * 5000
         tracemalloc.start()
         try:
-            assert _passes_through(line, config)
+            assert _gate(line, config) is None
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20, peak  # the regex engine's backtracking stack stays small
         for word in ("ca", "Prof", "x", "krt", "EE", "err.ee", "7"):
-            assert not _passes_through(line + word, config), word
-            assert not _passes_through(line + word + " " + line, config), word
+            assert _gate(line + word, config) is not None, word
+            assert _gate(line + word + " " + line, config) is not None, word
 
     @pytest.mark.parametrize(
         "text",
@@ -556,8 +556,62 @@ class TestPassThrough:
     )
     def test_whitespace_is_kept_byte_exact(self, config, text):
         folded = fold_diacritics(text, config.folding)
-        assert _passes_through(folded, config)
+        assert _gate(folded, config) is None
         assert verbalize(text, config) == text == detokenize(tokenize(folded)) == full_path(text, config)
+
+
+class TestCut:
+    """A refused line is tokenized from the chunk before the one where the
+    plain prefix stops, and the text before that is copied as it is."""
+
+    def cut_at(self, text, config, expected_cut, expected):
+        folded = fold_diacritics(text, config.folding)
+        assert _gate(folded, config) == expected_cut
+        assert verbalize(text, config) == expected == full_path(text, config)
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            # the keywords "summa" and "sõitis" are in the skipped prefix only
+            ("Arve summa oli suur ja kogu 5 km.", "Arve summa oli suur ja kogu viis käibemaks."),
+            ("Ta sõitis eile kiiresti ja kogu 5 km.", "Ta sõitis eile kiiresti ja kogu viis kilomeetrit."),
+        ],
+    )
+    def test_expansion_reads_the_skipped_prefix(self, config, text, expected):
+        self.cut_at(text, config, text.index("kogu"), expected)
+
+    def test_roman_left_cue_is_in_the_context_chunk(self, config):
+        text = "Rootsit valitses kuningas Karl XII."
+        self.cut_at(text, config, text.index("Karl"), "Rootsit valitses kuningas Karl kaheteistkümnes.")
+
+    def test_stop_in_the_first_chunk(self, config):
+        self.cut_at("x 5", config, 0, "iks viis")
+        self.cut_at("  x 5", config, 0, "  iks viis")
+
+    def test_stop_in_the_middle_of_a_chunk(self, config):
+        self.cut_at("tere,tere,5", config, 0, "tere,tere,viis")
+        # the marks joined before the stop are read with the number
+        self.cut_at("Ta jõi .5 liitrit", config, 3, "Ta jõi null koma viis liitrit")
+        self.cut_at("Külma oli eile (-5) kraadi", config, 10, "Külma oli eile (miinus viis) kraadi")
+
+    @pytest.mark.parametrize("space", ["\t", "\xa0", "\u2028"])
+    def test_whitespace_between_chunks(self, config, space):
+        # kept in the prefix, spoken as a space next to a rewritten token
+        text = f"Ta{space}jõi{space}5{space}liitrit."
+        self.cut_at(text, config, 3, f"Ta{space}jõi viis liitrit.")
+
+    def test_spans_after_a_non_ascii_prefix(self, config):
+        text = "Žürii arutas öösel «tšeki» üle, 5 km"
+        cut = _gate(text, config)
+        assert cut == text.index("üle")
+        rest, whole = tokenize(text, cut), tokenize(text)
+        assert rest.leading == text[:cut]
+        assert rest == whole[-len(rest):]  # text, kind, byte span and whitespace
+        assert detokenize(rest) == text
+
+    def test_lone_surrogate(self, config):
+        assert verbalize("\udcff", config) == ""
+        assert verbalize("5 \udcff km", config) == "viis kilomeetrit"
 
 
 def table_lines():
