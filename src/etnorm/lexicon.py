@@ -15,7 +15,7 @@ from functools import cached_property, lru_cache
 from .folding import FoldingTable
 from .numwords import NumberLexicon, default_lexicon, load_lexicon
 from .textfiles import ConfigError, read_data
-from .tokens import _LC, _PLAIN_WORD, _PUNCT, _TLD_DOT, _VOWELS
+from .tokens import _LC, _PLAIN_WORD, _PUNCT, _TLD_DOT, _UC, _VOWELS
 
 
 @dataclass(frozen=True)
@@ -75,11 +75,15 @@ class RuleConfig:
         # only a surface spelled in the alphabet with a vowel can be a word here
         surfaces = [s for s in map(str.lower, self.abbreviations) if set(s) <= set(_LC) and not _VOWELS.isdisjoint(s)]
         not_surface = f"(?!(?i:{'|'.join(map(re.escape, surfaces))})(?![{_LC}]))" if surfaces else ""
+        # a letter of the alphabet that folding may change: neither ASCII nor protected
+        foldable = "".join(ch for ch in _UC + _LC if not ch.isascii() and ch not in self.folding.protected)
+        kept = f"(?![{_UC}{_LC}]*[{foldable}])" if foldable else ""
         separator = rf"(?!{_TLD_DOT})[\s{_PUNCT}]"
-        # a word is the tokenizer's "word" token that is not a surface;
+        # a word is the tokenizer's "word" token that is not a surface and
+        # that folding leaves as it is, so a line read to its end is its own folding;
         # word and separator characters are disjoint, so a line splits one way only;
         # at most 1000 of them a match keep the regex engine's backtracking stack small
-        return re.compile(rf"(?:{separator}|{not_surface}{_PLAIN_WORD}){{0,1000}}")
+        return re.compile(rf"(?:{separator}|{not_surface}{kept}{_PLAIN_WORD}){{0,1000}}")
 
 
 def _load_pairs(bundled: str, path, shape: str):

@@ -80,10 +80,14 @@ _UC = ALPHABET.upper()
 _LC = ALPHABET
 _VOWELS = frozenset("aeiouõäöüy")
 _CASED_VOWELS = "".join(sorted(_VOWELS)).upper() + "".join(sorted(_VOWELS))
+_CASED_CONSONANTS = "".join(ch for ch in _UC + _LC if ch not in _CASED_VOWELS)
 # A plain word: a letter of the alphabet and one or more lowercase ones,
 # holding a vowel, with no letter or digit after it. The tokenizer's
-# "word" group and the pass-through gate's word are this pattern.
-_PLAIN_WORD = rf"(?=[^\W\d_{_CASED_VOWELS}]*[{_CASED_VOWELS}])[{_UC}{_LC}][{_LC}]+(?![^\W_])"
+# "word" group and the pass-through gate's word are this pattern. The
+# word is a whole run of the alphabet's letters, so its vowel lies in that
+# run: the lookahead scans no further, which keeps a try at each character
+# of a long run of other letters or numerics ("½½½") from rescanning it.
+_PLAIN_WORD = rf"(?=[{_CASED_CONSONANTS}]*[{_CASED_VOWELS}])[{_UC}{_LC}][{_LC}]+(?![^\W_])"
 
 # Case endings (plus the linking vowel variants) that may attach to an
 # acronym: MTÜle, EAS-i, ERR-ile, NATOsse, CVsid, ...

@@ -8,33 +8,42 @@ the one place the order of the rules is written down. Sections the rules
 do not touch keep their original spacing, so plain sentences pass
 through unchanged apart from diacritic folding.
 
-Pass-through contract: ``_gate`` reads a folded line with one grammar,
+Pass-through contract: ``_gate`` reads the raw line with one grammar,
 ``RuleConfig.plain_line_re``, built from the tokenizer's own patterns and
 the config, and finds how far it is plain. A line that is plain to its
-end is returned as it is, without tokenizing. A plain line is separators
-and words. A separator is whitespace or ``_SENTENCE_PUNCT`` that does not
-start a top-level-domain dot. A word is ``tokens._PLAIN_WORD`` (a letter
-of ``_UC`` or ``_LC`` and one or more of ``_LC``, holding a vowel, with
-no letter or digit after it), the tokenizer's own ``word`` token, that
-is not, in either case, an abbreviation surface.
-Such a line tokenizes to WORD and PUNCT tokens only: every other kind
-needs a digit, a symbol, a run of capitals, a case change inside a word
-or a domain. Of their rules, the letter compound and the lone letter
+end is returned as it is, without folding or tokenizing. A plain line is
+separators and words. A separator is whitespace or ``_SENTENCE_PUNCT``
+that does not start a top-level-domain dot. A word is
+``tokens._PLAIN_WORD`` (a letter of ``_UC`` or ``_LC`` and one or more of
+``_LC``, holding a vowel, with no letter or digit after it), the
+tokenizer's own ``word`` token, that is not, in either case, an
+abbreviation surface, and whose letters the config's folding keeps:
+ASCII or protected ones. Folding changes letters only, so a plain line is
+its own folding. It tokenizes to WORD and PUNCT tokens only: every other
+kind needs a digit, a symbol, a run of capitals, a case change inside a
+word or a domain. Of their rules, the letter compound and the lone letter
 need a one-letter word, the abbreviation rule a surface, and the rule
 of a dot, comma or hyphen a number. The tokenizer is lossless, so the
-reassembled line is the folded line, byte for byte. The gate may send a
-line nothing would rewrite (a title, ``Krt``) down the full path, which
-reads it the same.
+reassembled line is the line, byte for byte. The gate may send a line
+nothing would rewrite (a title, ``Krt``) down the full path, which reads
+it the same.
 
-A line the grammar stops in is tokenized and rendered from the cut on:
-the start of the whitespace-delimited chunk before the one that holds the
-stop, or 0 when there is none. The text before the cut is copied as it
-is. This reads the line as the whole path would. The prefix is plain and
-ends in whitespace, and only a digit-led token crosses whitespace, so the
-tokens from the cut on are those of the whole line, and the prefix's
-tokens are words and marks that no rule rewrites. A rule reads at most
-one token before the one it starts at (``_roman``'s capitalized word,
-the token joined before ``_mark_at_number``'s mark), and ``_join`` reads the
+A line the gate refuses is folded. If folding changed it, the grammar
+reads the folded line again from the cut (below). This finds where the
+folded line stops, as a reading from its start would: folding keeps the
+length, and the text before the cut is plain, so it holds no letter
+that folds, and it ends in whitespace, past which no lookahead of the
+grammar reads.
+
+The folded line is tokenized and rendered from the cut on: the start of
+the whitespace-delimited chunk before the one that holds the stop, or 0
+when there is none. The text before the cut is copied as it is. This
+reads the line as the whole path would. The prefix is plain and ends in
+whitespace, and only a digit-led token crosses whitespace, so the tokens
+from the cut on are those of the whole line, and the prefix's tokens are
+words and marks that no rule rewrites. A rule reads at most one token
+before the one it starts at (``_roman``'s capitalized word, the token
+joined before ``_mark_at_number``'s mark), and ``_join`` reads the
 whitespace between two tokens it keeps; for the stop's chunk, the chunk
 before it holds both. The one rule that reads further, the pick of an
 expansion, reads the words of the prefix too (``_line_words``).
@@ -63,6 +72,7 @@ _DECIMAL_MARK_RE = re.compile(r"[.,]")
 _URL_SCHEME_RE = re.compile(r"^https?://", re.IGNORECASE)
 _URL_PIECE_RE = re.compile(r"[^\W_]+|.")  # a label or one character
 _CHUNK_BACK_RE = re.compile(r"\S*\s*\S*")  # matched on a reversed line: two chunks back
+_LETTER_RUN_RE = re.compile(r"[^\W\d_]+")
 
 _WORDISH_KINDS = frozenset(
     {
@@ -111,15 +121,16 @@ def _pick_expansion(entry, words: frozenset[str]) -> str:
 
 
 def _line_words(line) -> frozenset[str]:
-    """The lowered words of ``line``'s word-like tokens, and of the tokens
-    of the plain prefix ``verbalize`` left untokenized: the context an
+    """The lowered words of ``line``'s word-like tokens, and those of the
+    plain prefix ``verbalize`` left untokenized: the context an
     expansion is picked in. Built on the first expanded abbreviation and
     kept on the token list, so a line costs one pass over its words however
     many abbreviations it holds."""
     words = getattr(line, "abbreviation_context", None)
     if words is None:
-        tokens = chain(tokenize(getattr(line, "leading", "")), line)
-        words = frozenset(t.text.lower() for t in tokens if t.kind in _WORDISH_KINDS)
+        # the plain prefix tokenizes to words and marks, each word a whole letter run
+        head = _LETTER_RUN_RE.findall(getattr(line, "leading", "").lower())
+        words = frozenset(chain(head, (t.text.lower() for t in line if t.kind in _WORDISH_KINDS)))
         if isinstance(line, TokenList):
             line.abbreviation_context = words
     return words
@@ -177,6 +188,8 @@ def verbalize_mixed_case(token: str, config: RuleConfig | None = None) -> str:
 
 
 def _safe_spell(token: str, config: RuleConfig, suffix: str | None = None) -> str:
+    if len(token) == 1 and not suffix:  # one letter: its name, or the letter when it has none
+        return config.letter_names.get(token.upper(), token)
     try:
         return spell_letters(token, config.letter_names, suffix)
     except ValueError:
@@ -543,29 +556,43 @@ def _join(tokens, pieces: list[_Piece]) -> str:
     return "".join(out)
 
 
-def _gate(folded: str, config: RuleConfig) -> int | None:
-    """None when no rule can rewrite any token of ``folded``: all of it is
-    a plain line. Otherwise the offset the full path starts at: the start
-    of the chunk before the one where the plain prefix stops, or 0 (see the
-    module docstring). It may refuse a line that no rule would touch, never
-    pass one that a rule would."""
+def _gate(line: str, config: RuleConfig, start: int = 0) -> int | None:
+    """None when no rule can rewrite any token of ``line`` and folding
+    leaves it as it is: all of it is a plain line. Otherwise the offset the
+    full path starts at: the start of the chunk before the one where the
+    plain prefix stops, or 0 (see the module docstring). It may refuse a
+    line that no rule would touch, never pass one that a rule would.
+    ``start`` resumes the reading at an offset that a reading from 0 goes
+    through: a cut returned for a line with the same text before it."""
     # the greedy match is the only parse, and match, unlike fullmatch, is not retried on failure
-    match, start, end = config.plain_line_re.match, -1, 0
-    while start < end < len(folded):  # a match takes a bounded number of steps
-        start, end = end, match(folded, end).end()
-    if end == len(folded):
+    match, pos, end = config.plain_line_re.match, -1, start
+    while pos < end < len(line):  # a match takes a bounded number of steps
+        pos, end = end, match(line, end).end()
+    if end == len(line):
         return None
     # back from the stop over its chunk's head, the whitespace and the chunk before
-    return end - _CHUNK_BACK_RE.match(folded[end - 1::-1]).end() if end else 0
+    return end - _CHUNK_BACK_RE.match(line[end - 1::-1]).end() if end else 0
+
+
+def _decide(text: str, config: RuleConfig) -> tuple[str, int | None]:
+    """The line ``verbalize`` reads, ``text`` or its folding, and the
+    gate's cut in that line, None when the line passes whole."""
+    cut = _gate(text, config)
+    if cut is None:
+        return text, None
+    folded = fold_diacritics(text, config.folding)
+    if folded != text:
+        # folding keeps the length and changes nothing the gate read before the cut
+        cut = _gate(folded, config, cut)
+    return folded, cut
 
 
 def verbalize(text: str, config: RuleConfig | None = None) -> str:
     """Rewrite ``text`` into fully spoken form under ``config``."""
     config = config or default_config()
-    folded = fold_diacritics(text, config.folding)
-    cut = _gate(folded, config)
+    line, cut = _decide(text, config)
     if cut is None:
-        return folded
-    tokens = tokenize(folded, cut)
+        return line
+    tokens = tokenize(line, cut)
     pieces = _render_tokens(tokens, config)
     return _join(tokens, pieces)

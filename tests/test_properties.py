@@ -8,7 +8,9 @@ and that a second call gives the same output. Three check the
 pass-through gate on text near it: what the gate passes tokenizes to
 tokens no rule rewrites, ``verbalize`` gives what rendering every token
 gives (also on lines it reads only from a cut after a plain prefix), and
-the gate decides as its first definition, four searches, did. One checks
+the gate decides as its first definition, four searches, did, with one
+clause added since it reads raw lines: a line that folding changes is
+not plain. One checks
 that the tokenizer's master regex names the kind of a word, a
 punctuation mark or a symbol as the Python classification would. One
 checks that folding a line equals folding each of its characters.
@@ -209,20 +211,22 @@ def test_gate_is_sound(config, text, tables):
 # the letters, whitespace and sentence punctuation; a top-level-domain dot;
 # a capital that does not start a lowercase word; and, in the lowercased
 # line led by a space, a word of one letter, with no vowel, or that is an
-# abbreviation surface.
+# abbreviation surface. The gate reads raw lines, so a line that the
+# config's folding changes is not plain either.
 _NOT_PLAIN_CHAR_RE = re.compile(rf"[^{_UC}{_LC}\s{re.escape(''.join(sorted(_SENTENCE_PUNCT)))}]")
 _CASE_CHANGE_RE = re.compile(rf"[{_UC}](?:(?![{_LC}])|(?<=[{_LC}].))")
 
 
-def reference_gate(folded, config):
+def reference_gate(line, config):
     surfaces = "".join(f"|{re.escape(surface.lower())}" for surface in config.abbreviations)
     vowels = "".join(sorted(_VOWELS))
     rule_word_re = re.compile(rf"[^{_LC}](?:[{_LC}]|[^\W\d_{vowels}]+{surfaces})(?![{_LC}])")
     return not (
-        _NOT_PLAIN_CHAR_RE.search(folded)
-        or _TLD_DOT_RE.search(folded)
-        or _CASE_CHANGE_RE.search(folded)
-        or rule_word_re.search(" " + folded.lower())
+        _NOT_PLAIN_CHAR_RE.search(line)
+        or _TLD_DOT_RE.search(line)
+        or _CASE_CHANGE_RE.search(line)
+        or rule_word_re.search(" " + line.lower())
+        or fold_diacritics(line, config.folding) != line
     )
 
 

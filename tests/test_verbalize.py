@@ -1,12 +1,13 @@
 import importlib
 import random
+import time
 import tracemalloc
 import unicodedata
 from dataclasses import replace
 
 import pytest
 
-from etnorm.folding import fold_diacritics
+from etnorm.folding import FoldingTable, fold_diacritics
 from etnorm.lexicon import AbbreviationEntry, Expansion, load_config
 from etnorm.numwords import NOMINATIVE, ordinal
 from etnorm.romans import roman_value
@@ -15,6 +16,7 @@ from etnorm.tokens import TokenKind, detokenize, tokenize
 from etnorm.verbalize import (
     _RULES,
     _abbreviation,
+    _decide,
     _gate,
     _join,
     _letter_compound,
@@ -58,6 +60,11 @@ class TestSpellLetters:
     def test_rejects_non_letters(self, config):
         with pytest.raises(ValueError):
             spell_letters("A1", config.letter_names)
+
+    def test_lone_letter_reads_its_name_or_itself(self, config):
+        assert verbalize("x ja Y", config) == "iks ja igrek"
+        assert verbalize("Ω", config) == "Ω"
+        assert verbalize("x", replace(config, letter_names={})) == "x"
 
 
 class TestClassifyUppercase:
@@ -612,6 +619,40 @@ class TestCut:
     def test_lone_surrogate(self, config):
         assert verbalize("\udcff", config) == ""
         assert verbalize("5 \udcff km", config) == "viis kilomeetrit"
+
+
+class TestRawLineGate:
+    """The gate reads the raw line, and its words hold only letters that
+    folding keeps. A line it refuses is folded and, if folding changed it,
+    read again from the cut."""
+
+    def read(self, text, config, expected_cut, expected):
+        line, cut = _decide(text, config)
+        assert line == fold_diacritics(text, config.folding)
+        assert cut == expected_cut == _gate(line, config)
+        assert verbalize(text, config) == expected == full_path(text, config)
+
+    def test_no_letter_protected(self, config):
+        self.read("Tere, õun!", replace(config, folding=FoldingTable(frozenset())), None, "Tere, oun!")
+
+    def test_lowercase_letters_protected(self, config):
+        lowercase = replace(config, folding=FoldingTable(frozenset("õäöüšž")))
+        self.read("Õun ja kohv", lowercase, None, "Oun ja kohv")
+        self.read("Õun maksis 5 eurot", lowercase, 4, "Oun maksis viis eurot")
+
+    def test_bundled_folding(self, config):
+        self.read("Näitleja François saabus Tallinna.", config, None, "Näitleja Francois saabus Tallinna.")
+        self.read("Émile ostis 5 kg.", config, 6, "Emile ostis viis kilogrammi.")
+
+
+@pytest.mark.parametrize("unit, count", [("½", 20000), ("b½", 10000)])
+def test_one_character_tokens_in_linear_time(config, unit, count):
+    # each "½" is a token of its own; a word try that scanned the rest of the
+    # run for a vowel would make the line quadratic (about 10 s for these)
+    started = time.perf_counter()
+    verbalize(unit * count, config)
+    elapsed = time.perf_counter() - started
+    assert elapsed < 2.0, f"{elapsed:.2f}s for {unit!r} * {count}"
 
 
 def table_lines():

@@ -5,11 +5,12 @@ verbalizer's kind-set and kind-dict lookups rely on it) and exits 1 if
 not. Each gold line is printed as ``ID<TAB>spoken form``, then each line
 of the news, dense and longline benchmark workloads for seeds 1 to 3, as
 built by ``perfbench/workloads.py``, as ``WORKLOAD:SEED:INDEX<TAB>spoken
-form``. Then the pass-through gate's decision is printed for each gold
-line, as ``gate<TAB>ID<TAB>decision``, and for a fixed list of boundary
+form``. Then the decision ``verbalize`` makes on each raw gold line is
+printed, as ``gate<TAB>ID<TAB>decision``, and on a fixed list of boundary
 strings, as ``gate<TAB>repr<TAB>decision``: ``pass``, or ``cut N`` when
-the line takes the full path from offset ``N`` on, so a moved cut shows
-in a diff. Last, the kinds of the tokens of each boundary string are
+the line takes the full path from offset ``N`` on, led by ``folded, ``
+when the gate refused the raw line and folding changed it, so a moved cut
+shows in a diff. Last, the kinds of the tokens of each boundary string are
 printed, as ``tok<TAB>repr<TAB>kinds``. The gate, the tokenizer's groups and the
 top-level-domain boundary read regex case folding (``(?i:...)``) and the
 regex classes ``\s``, ``\W``, ``[^\W_]`` and ``[^\W\d_]``, whose Unicode
@@ -38,18 +39,18 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 sys.path[:0] = [str(SRC), str(ROOT / "perfbench")]
 
-from etnorm.folding import fold_diacritics  # noqa: E402
 from etnorm.lexicon import default_config  # noqa: E402
 from etnorm.tokens import TokenKind, tokenize  # noqa: E402
-from etnorm.verbalize import _gate, verbalize  # noqa: E402
+from etnorm.verbalize import _decide, verbalize  # noqa: E402
 from workloads import generate  # noqa: E402
 
 WORKLOADS = ("news", "dense", "longline")
 SEEDS = (1, 2, 3)
 
 # shapes on either side of the gate: rule shapes that must take the full
-# path, plain lines, whitespace the gate must keep as written, and lines
-# cut after a plain prefix at whitespace outside ASCII
+# path, plain lines, whitespace the gate must keep as written, lines cut
+# after a plain prefix at whitespace outside ASCII, and lines the gate
+# reads again after folding
 BOUNDARY = (
     "ptk", "spp", "tv", "iPhone", "eCoop", "Tallinn.ee", "linnas.EE", "Y", "e-post", "Dr", "KM", "Łukasz",
     "Krt", "Tere, maailm!", "Žürii arutas «tšeki» üle – jälle…", "Café", "", " \t", "\xa0tere\u2028öö\u3000",
@@ -57,13 +58,14 @@ BOUNDARY = (
     "err.ee-st", "Prof", "PROF", "Jne.", "ca", "Ema", "Õun", "ſ", "\u212a", "tere.Ee",
     "sõna٣", "Ema5", "abc²", "kpl", "Öö", "Ĳsselmeer", "HTTPS://err.ee",
     "Ta jõi\u2028 .5 liitrit", "Rootsit valitses kuningas Karl\u3000XII.", "Arve summa\x1fkogu 5 km.",
+    "Näitleja François saabus", "Émile ostis 5 kg.", "Zoë",
 )
 
 
 def gate(text: str) -> str:
-    config = default_config()
-    cut = _gate(fold_diacritics(text, config.folding), config)
-    return "pass" if cut is None else f"cut {cut}"
+    line, cut = _decide(text, default_config())
+    decision = "pass" if cut is None else f"cut {cut}"
+    return f"folded, {decision}" if line != text else decision
 
 
 def main() -> int:
