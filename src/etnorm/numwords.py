@@ -4,9 +4,9 @@ Cardinals up to (but excluding) one billion, decimal numbers with the
 spoken comma, ordinals up to 3999 for Roman-numeral readings, and
 digit-by-digit spelling. The language facts live in a key=value lexicon
 file. Each ``NumberLexicon`` compiles its word tables once, on first use:
-per case the phrases of 0-999 and the ordinals of 1-999, and the word of
-each digit. A number is then read with a few ``divmod`` calls and table
-lookups.
+the cardinal phrases of 0-999 and the ordinals of 1-999, each table in
+both cases at once, and the word of each digit. A number is then read
+with a few ``divmod`` calls and table lookups.
 
 Two grammatical cases are supported: nominative (the default reading)
 and genitive (needed inside compound ordinals and before case endings).
@@ -61,38 +61,25 @@ class NumberLexicon:
     ordinal_thousand: str
     ordinal_thousand_gen: str
 
-    # The tables of a case are built on its first use and kept on the
-    # instance; a lexicon made with ``dataclasses.replace`` builds its own.
+    # The tables are built on first use and kept on the instance; a
+    # lexicon made with ``dataclasses.replace`` builds its own.
 
     @cached_property
     def cardinal_tables(self) -> dict[str, tuple]:
         """Case -> (phrase-initial words of 0-999, inner words of 0-999,
         the million after one, the millions after 2-999, the thousand)."""
-        return _ByCase(self, _cardinal_table)
+        return {case: _cardinal_table(self, case) for case in _CASES}
 
     @cached_property
     def ordinal_tables(self) -> dict[str, tuple]:
         """Case -> (ordinals of 0-999, ordinals of the whole thousands,
         the genitive thousands that lead a longer ordinal)."""
-        return _ByCase(self, _ordinal_table)
+        return {case: _ordinal_table(self, case) for case in _CASES}
 
     @cached_property
     def digit_words(self) -> dict[str, str]:
         """Each digit character -> its word."""
         return {str(d): word for d, word in enumerate(self.units)}
-
-
-class _ByCase(dict):
-    """Case -> the tables ``build(lexicon, case)`` returns, built on first use."""
-
-    def __init__(self, lexicon: NumberLexicon, build):
-        super().__init__()
-        self._source = lexicon, build
-
-    def __missing__(self, case: str) -> tuple:
-        lexicon, build = self._source
-        tables = self[case] = build(lexicon, case)
-        return tables
 
 
 def _key_value(line: str) -> tuple[str, str]:

@@ -5,15 +5,17 @@ URLs and e-mail addresses are found anchor-first: the line is scanned
 once for the positions where one can start (``https://`` in any case or
 ``www.``, a run of domain labels with a top-level-domain dot still
 ahead, a run of address characters that ends at ``@`` and a valid
-domain), and their patterns are tried only there. Every other shape (phone numbers, dates,
-times, decimals, grouped digits, ordinal dots, plain numbers, plain
-words, acronyms with a case ending, letter runs, sentence punctuation,
-symbols) is one named group of a master regex, in priority order; when a
-Python post-check rejects a group, the groups after it are tried at the
-same position. Each group but the letter run names its token's kind. A
-letter run that is not a plain word is classified afterwards in Python
-(case-suffixed acronym, Roman candidate, uppercase sequence, mixed case,
-lowercase consonant cluster, or a word such as ``Łukasz`` or ``a``).
+domain), and their patterns are tried only there. Every other shape
+(phone numbers, dates, times, decimals, grouped digits, ordinal dots,
+plain numbers, plain words, acronyms with a case ending, word runs,
+sentence punctuation, symbols) is one named group of a master regex, in
+priority order. One Python post-check follows: a phone number that
+``_is_phone`` rejects is matched again by the groups after it. Each
+group but the word run names its token's kind. A word run that is not a
+plain word is classified afterwards in Python (case-suffixed acronym,
+Roman candidate, uppercase sequence, mixed case, lowercase consonant
+cluster, or a word such as ``Łukasz`` or ``a``); one that starts with a
+letter outside the alphabet is matched as a symbol and extended there.
 
 Tokenization is lossless: every non-whitespace character lands in exactly
 one token, each token records the whitespace that follows it, and
@@ -103,7 +105,8 @@ _PUNCT = re.escape("".join(sorted(_SENTENCE_PUNCT)))  # the body of a regex clas
 _WS_RE = re.compile(r"\s*")
 
 # URL and e-mail grammar; the pieces also locate where a match can start
-_URL_PREFIX = r"(?i:https?)://|www\."
+_URL_SCHEME = r"(?i:https?)://"
+_URL_PREFIX = rf"{_URL_SCHEME}|www\."
 _LABEL = "[A-Za-z0-9-]"  # one character of a domain label
 _DOMAIN_RUN = rf"{_LABEL}+(?:\.{_LABEL}+)*"
 _TLD_DOT = r"\.(?:ee|com|org|net|eu|fi|lv|lt|gl|io)(?![^\W\d_])"  # no letter after it
@@ -125,28 +128,13 @@ _THOUSANDS = rf"{_D}{{1,3}}(?:[ \xa0.]{_D}{{3}})+"  # digits grouped by thousand
 _THOUSANDS_SHAPE_RE = re.compile(rf"{_THOUSANDS}$")
 
 
-def _letters_below(stop: int) -> str:
-    """Regex class body of the letters below code point ``stop``, as
-    str.isalpha (and so the running Python's Unicode tables) decides."""
-    ranges, first = [], None
-    for cp in range(stop + 1):
-        if cp < stop and chr(cp).isalpha():
-            first = cp if first is None else first
-        elif first is not None:
-            ranges.append(f"\\u{first:04x}-\\u{cp - 1:04x}")
-            first = None
-    return "".join(ranges)
-
-
-# the letters a word run matches in one regex step
-_LATIN_LETTERS = _letters_below(0x0250)
-_LETTER_OR_DIGIT_RUN_RE = re.compile(f"[0-9{_LATIN_LETTERS}]*")
+# the letters and digits a word run matches in one regex step
+_LETTER_OR_DIGIT_RUN_RE = re.compile(f"[0-9{_UC}{_LC}]*")
 
 # Every shape but URLs and e-mail addresses, in priority order, as (group
 # name, pattern, led by a digit or "+"). A group is named after its
-# TokenKind value. A "word_run" is classified afterwards, and a "letter"
-# starts a word run that the "word_run" group cannot take. The digit-led
-# shapes come first.
+# TokenKind value, and a "word_run" is classified afterwards. The
+# digit-led shapes come first.
 _SHAPES = (
     # at most 8 groups: 8 or more hold at least 16 digits, which the
     # post-check rejects, so the cap changes no token and keeps each try
@@ -161,16 +149,15 @@ _SHAPES = (
     ("word", _PLAIN_WORD, False),
     ("case_suffixed_acronym", rf"[{_UC}]{{2,}}-(?:{_SUFFIX})(?![^\W\d_])", False),
     # A word run is letters plus ASCII digits, led by a letter. One made of
-    # Latin letters matches here whole. Any other character that \w-based
-    # classes admit (a rarer letter, or a non-decimal numeric such as "²"
-    # or "Ⅻ", which ends the run) is left to "letter", whose post-check
-    # extends the run in Python: no rescan of the rest of a long run.
-    ("word_run", rf"[{_LATIN_LETTERS}][0-9{_LATIN_LETTERS}]*(?![^\W\d_]|{_D})", False),
-    ("letter", r"[^\W\d_]", False),
+    # the alphabet's letters matches here whole. Before a rarer letter, or
+    # a non-decimal numeric such as "²" or "Ⅻ" that ends the run, it
+    # fails, and "symbol" takes the first character;
+    # ``tokenize`` extends a letter into the whole run, so no later try
+    # rescans the rest of it.
+    ("word_run", rf"[{_UC}{_LC}][0-9{_UC}{_LC}]*(?![^\W\d_]|{_D})", False),
     ("punct", f"[{_PUNCT}]", False),
     ("symbol", r"(?s:.)", False),
 )
-_POST_CHECKED = frozenset({"phone", "letter"})
 
 
 def _alternation(shapes) -> re.Pattern:
@@ -178,16 +165,15 @@ def _alternation(shapes) -> re.Pattern:
     The digit-led shapes share one guard: none starts right after a digit,
     and any other character skips them all in one test."""
     digit_led = "|".join(f"(?P<{name}>{body})" for name, body, led in shapes if led)
-    rest = [f"(?P<{name}>{body})" for name, body, led in shapes if not led]
-    guarded = [rf"(?=[+0-9])(?<!{_D})(?:{digit_led})"] if digit_led else []
-    return re.compile("(?:" + "|".join(guarded + rest) + r")\s*")
+    rest = "|".join(f"(?P<{name}>{body})" for name, body, led in shapes if not led)
+    return re.compile(rf"(?:(?=[+0-9])(?<!{_D})(?:{digit_led})|{rest})\s*")
 
 
 _MASTER_RE = _alternation(_SHAPES)
-# where to resume when a post-check rejects the group of that name
-_RESUME_RE = {
-    name: _alternation(_SHAPES[i + 1:]) for i, (name, _, _) in enumerate(_SHAPES) if name in _POST_CHECKED
-}
+# Where to resume when ``_is_phone`` rejects a "phone" match. A run of 2-4
+# digits leads it, and there the groups after "phone" give a thousands
+# group or a cardinal: never a phone or a symbol to check again.
+_PHONE_RESUME_RE = _alternation(_SHAPES[1:])
 _KIND_OF_GROUP = {kind.value: kind for kind in TokenKind}
 
 # an acronym and its case ending, with or without a hyphen: "EAS-i", "MTÜle"
@@ -220,27 +206,16 @@ def _classify_word_run(surface: str) -> TokenKind:
     return TokenKind.MIXED_CASE  # letters with digits attached
 
 
-def _trim_trailing_punct(text: str, start: int, end: int) -> int:
-    while end > start and text[end - 1] in _TRAILING_PUNCT:
-        end -= 1
-    return end
-
-
 def _match_url(text: str, pos: int):
     match = _URL_RE.match(text, pos)
     if not match:
         return None
-    end = _trim_trailing_punct(text, pos, match.end())
+    end = match.end()
+    while end > pos and text[end - 1] in _TRAILING_PUNCT:
+        end -= 1
     surface = text[pos:end]
     # a prefix that trimming cut to "www" (or to nothing) is no URL
     return end if "." in surface or "://" in surface else None
-
-
-def _match_email(text: str, pos: int):
-    match = _EMAIL_RE.match(text, pos)
-    if not match:
-        return None
-    return _trim_trailing_punct(text, pos, match.end())
 
 
 def _url_starts(text: str) -> list[tuple[int, int]]:
@@ -291,23 +266,6 @@ def _word_end(text: str, pos: int) -> int:
     return end
 
 
-def _post_check(name: str, text: str, pos: int, end: int, ws_end: int) -> tuple[str, int, int]:
-    """Run the post-check of group ``name`` on text[pos:end]; while one
-    rejects, try the groups after it at ``pos``. Returns the group name, the
-    token end and the end of the whitespace after the token."""
-    while name in _POST_CHECKED:
-        if name == "letter":
-            if text[pos].isalpha():
-                end = _word_end(text, pos)
-                return "word_run", end, _WS_RE.match(text, end).end()
-        elif _is_phone(text[pos:end]):
-            break
-        match = _RESUME_RE[name].match(text, pos)
-        name = match.lastgroup
-        end, ws_end = match.end(name), match.end()
-    return name, end, ws_end
-
-
 def tokenize(text: str, _start: int = 0) -> TokenList:
     """Split text into classified tokens; whitespace is recorded, not emitted.
 
@@ -333,17 +291,26 @@ def tokenize(text: str, _start: int = 0) -> TokenList:
             end = _match_url(text, pos)
             kind = TokenKind.URL
         if end is None and email_starts and _in_ranges(email_starts, pos):
-            end = _match_email(text, pos)
+            # Address characters, "@" and a valid domain follow each
+            # position of an address run, so the match cannot fail. It ends
+            # on a label character, never on a trailing mark to trim.
+            end = _EMAIL_RE.match(text, pos).end()
             kind = TokenKind.EMAIL
         if end is not None:
             ws_end = _WS_RE.match(text, end).end()
         else:
             match = _MASTER_RE.match(text, pos)
             name = match.lastgroup
-            end = match.end(name)
-            ws_end = match.end()
-            if name in _POST_CHECKED:
-                name, end, ws_end = _post_check(name, text, pos, end, ws_end)
+            end, ws_end = match.end(name), match.end()
+            if name == "phone" and not _is_phone(text[pos:end]):
+                match = _PHONE_RESUME_RE.match(text, pos)
+                name = match.lastgroup
+                end, ws_end = match.end(name), match.end()
+            elif name == "symbol" and text[pos].isalpha():
+                # a letter outside the alphabet starts a word run
+                name = "word_run"
+                end = _word_end(text, pos)
+                ws_end = _WS_RE.match(text, end).end()
             kind = _KIND_OF_GROUP.get(name)
         surface = text[pos:end]
         if kind is None:  # a "word_run"

@@ -63,13 +63,13 @@ from .folding import fold_diacritics
 from .lexicon import RuleConfig, default_config
 from .numwords import _CARDINAL_DIGITS, NOMINATIVE, _is_ascii_digits, cardinal, decimal, digits, ordinal
 from .romans import roman_value
-from .tokens import _ATTACHED_SUFFIX_RE, _LC, _UC, _VOWELS, CASE_SUFFIXES
+from .tokens import _ATTACHED_SUFFIX_RE, _LC, _UC, _URL_SCHEME, _VOWELS, CASE_SUFFIXES
 from .tokens import TokenKind, TokenList, tokenize
 
 _SEGMENT_RE = re.compile(rf"[{_UC}]+(?![{_LC}])|[{_UC}][{_LC}]+|[{_LC}]+|[0-9]+|[^\W\d_]+")
 _DIGIT_GROUP_SEP_RE = re.compile(r"[ \xa0.\-]+")  # between the digit groups of a phone number or ID
 _DECIMAL_MARK_RE = re.compile(r"[.,]")
-_URL_SCHEME_RE = re.compile(r"^https?://", re.IGNORECASE)
+_URL_SCHEME_RE = re.compile("^" + _URL_SCHEME)
 _URL_PIECE_RE = re.compile(r"[^\W_]+|.")  # a label or one character
 _CHUNK_BACK_RE = re.compile(r"\S*\s*\S*")  # matched on a reversed line: two chunks back
 _LETTER_RUN_RE = re.compile(r"[^\W\d_]+")
@@ -540,7 +540,7 @@ def _join(tokens, pieces: list[_Piece]) -> str:
         if piece.text == "":
             continue
         if prev is not None:
-            gap = tokens[piece.first - 1].ws_after if piece.first > 0 else ""
+            gap = tokens[piece.first - 1].ws_after
             contiguous = prev.last == piece.first - 1
             if contiguous and not prev.modified and not piece.modified:
                 sep = gap

@@ -59,11 +59,16 @@ class TestClassification:
         assert kinds("PARIIS")[0][1] == TokenKind.UPPERCASE_SEQ
         assert kinds("Tartu")[0][1] == TokenKind.WORD
         assert kinds("maja")[0][1] == TokenKind.WORD
+        # letters outside the alphabet start a word run too
+        assert kinds("Søren") == [("Søren", TokenKind.WORD)]
+        assert kinds("ǅžungel") == [("ǅžungel", TokenKind.WORD)]
+        assert kinds("ØRN") == [("ØRN", TokenKind.UPPERCASE_SEQ)]
 
     def test_mixed_case(self):
         assert kinds("eCoop")[0][1] == TokenKind.MIXED_CASE
         assert kinds("DigiDoc4")[0][1] == TokenKind.MIXED_CASE
         assert kinds("iPhone")[0][1] == TokenKind.MIXED_CASE
+        assert kinds("Łukasz5") == [("Łukasz5", TokenKind.MIXED_CASE)]
 
     def test_lowercase_consonants(self):
         assert kinds("spp")[0][1] == TokenKind.LOWERCASE_CONSONANTS
@@ -97,6 +102,11 @@ class TestClassification:
         assert kinds("x-x-x-..ee") == [
             ("x", W), ("-", P), ("x", W), ("-", P), ("x", W), ("-", P), (".", P), (".", P), ("ee", W),
         ]
+        # a number token that crosses whitespace ends inside a domain head,
+        # so no URL starts on the dot after it
+        U = TokenKind.URL
+        assert kinds("1 000.err.ee") == [("1 000", TokenKind.DIGIT_GROUP_SEQ), (".", P), ("err.ee", U)]
+        assert kinds("12 34 56 78.err.ee") == [("12 34 56 78", TokenKind.PHONE), (".", P), ("err.ee", U)]
 
     def test_url_prefix_trimmed_to_nothing_is_no_url(self):
         assert TokenKind.URL not in [k for _, k in kinds("vaata www.)")]
@@ -131,6 +141,11 @@ class TestClassification:
         assert kinds("–")[0][1] == TokenKind.PUNCT
         assert kinds("%")[0][1] == TokenKind.SYMBOL
         assert kinds("/")[0][1] == TokenKind.SYMBOL
+        # a non-decimal numeric ends a word run and is a symbol of its own
+        S = TokenKind.SYMBOL
+        assert kinds("abc²") == [("abc", TokenKind.WORD), ("²", S)]
+        assert kinds("½Ⅻ") == [("½", S), ("Ⅻ", S)]
+        assert kinds("sõna٣") == [("sõna", TokenKind.WORD), ("٣", S)]
 
 
 class TestRoundTrip:

@@ -319,6 +319,8 @@ class TestVerbalizeEndToEnd:
             ("see on https://, mitte", "see on haa-tee-tee-pee-ess, mitte"),
             ("http:// x", "haa-tee-tee-pee iks"),
             ("Vaata https://", "Vaata haa-tee-tee-pee-ess"),
+            # only a leading scheme is dropped; one inside a path is read
+            ("err.ee/?u=http://x", "err punkt ee kaldkriips uu võrdub haa-tee-tee-pee kaldkriips kaldkriips iks"),
         ],
     )
     def test_url_scheme_with_no_host_reads_its_name(self, config, text, expected):
