@@ -15,7 +15,7 @@ from functools import cached_property, lru_cache
 from .folding import FoldingTable
 from .numwords import NumberLexicon, default_lexicon, load_lexicon
 from .textfiles import ConfigError, read_data
-from .tokens import _LC, _PLAIN_WORD, _PUNCT, _TLD_DOT, _UC, _VOWELS
+from .tokens import _LC, _PLAIN_REPEAT, _PLAIN_WORD, _PUNCT, _TLD_DOT, _UC, _VOWELS
 
 
 @dataclass(frozen=True)
@@ -81,9 +81,8 @@ class RuleConfig:
         separator = rf"(?!{_TLD_DOT})[\s{_PUNCT}]"
         # a word is the tokenizer's "word" token that is not a surface and
         # that folding leaves as it is, so a line read to its end is its own folding;
-        # word and separator characters are disjoint, so a line splits one way only;
-        # at most 1000 of them a match keep the regex engine's backtracking stack small
-        return re.compile(rf"(?:{separator}|{not_surface}{kept}{_PLAIN_WORD}){{0,1000}}")
+        # word and separator characters are disjoint, so a line splits one way only
+        return re.compile(rf"(?:{separator}|{not_surface}{kept}{_PLAIN_WORD}){{0,{_PLAIN_REPEAT}}}")
 
 
 def _load_pairs(bundled: str, path, shape: str):

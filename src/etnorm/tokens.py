@@ -19,7 +19,9 @@ letter outside the alphabet is matched as a symbol and extended there.
 
 Tokenization is lossless: every non-whitespace character lands in exactly
 one token, each token records the whitespace that follows it, and
-``detokenize`` reproduces the input byte for byte.
+``detokenize`` reproduces the input byte for byte. (The private arguments
+of ``tokenize`` leave plain text untokenized, and the token list records
+it, so ``detokenize`` reproduces that input too.)
 """
 
 from __future__ import annotations
@@ -73,7 +75,10 @@ class Token:
 
 class TokenList(list):
     """Token sequence that also remembers the text before the first token:
-    whitespace, and what was left untokenized before it (see ``tokenize``)."""
+    whitespace, and what was left untokenized before it (see ``tokenize``).
+    A token list that ``tokenize`` read with a plain-line grammar also
+    has ``_skipped``: the index of a token mapped to the plain text left
+    untokenized after its whitespace."""
 
     leading: str = ""
 
@@ -103,6 +108,10 @@ _SENTENCE_PUNCT = frozenset(".,!?;:()[]{}\"'«»‘’“”…–—-·")
 _PUNCT = re.escape("".join(sorted(_SENTENCE_PUNCT)))  # the body of a regex class
 
 _WS_RE = re.compile(r"\s*")
+# the most pieces (words and separators) one match of the plain-line grammar
+# reads: a bounded repeat keeps the regex engine's backtracking stack small
+_PLAIN_REPEAT = 1000
+_CHUNK_BACK_RE = re.compile(r"\S*\s*\S*")  # matched on a reversed text: two chunks back
 
 # URL and e-mail grammar; the pieces also locate where a match can start
 _URL_SCHEME = r"(?i:https?)://"
@@ -175,6 +184,7 @@ _MASTER_RE = _alternation(_SHAPES)
 # group or a cardinal: never a phone or a symbol to check again.
 _PHONE_RESUME_RE = _alternation(_SHAPES[1:])
 _KIND_OF_GROUP = {kind.value: kind for kind in TokenKind}
+_WORD = TokenKind.WORD
 
 # an acronym and its case ending, with or without a hyphen: "EAS-i", "MTÜle"
 _ATTACHED_SUFFIX_RE = re.compile(rf"([{_UC}]{{2,}})-?({_SUFFIX})")
@@ -266,14 +276,45 @@ def _word_end(text: str, pos: int) -> int:
     return end
 
 
-def tokenize(text: str, _start: int = 0) -> TokenList:
+def _plain_end(match, text: str, start: int) -> int:
+    """Where the plain-line grammar stops reading ``text`` from ``start``.
+    ``match`` is the bound ``match`` of ``RuleConfig.plain_line_re``, which
+    repeats at most ``_PLAIN_REPEAT`` pieces, so it is called again until a
+    match stops short of that bound."""
+    # the greedy match is the only parse, and match, unlike fullmatch, is not retried on failure
+    end = start
+    while True:
+        pos, end = end, match(text, end).end()
+        if end - pos < _PLAIN_REPEAT:  # a piece is at least one character: the grammar stopped by itself
+            return end
+
+
+def _chunk_before(text: str, end: int, low: int) -> int:
+    """The start of the whitespace-delimited chunk before the one that
+    holds ``end``, scanning back no further than ``low``: back from ``end``
+    over its chunk's head, the whitespace and the chunk before."""
+    return end - _CHUNK_BACK_RE.match(text[low:end][::-1]).end()
+
+
+def tokenize(text: str, _start: int = 0, _plain=None) -> TokenList:
     """Split text into classified tokens; whitespace is recorded, not emitted.
 
     ``_start``, private to ``verbalize``, starts the scan at that offset and
     keeps ``text[:_start]`` with the leading whitespace. It is 0, or the
     start of a token of the whole text that follows whitespace with no
     token reaching across it; the tokens from there on, spans included, are
-    then those of the whole text."""
+    then those of the whole text.
+
+    ``_plain``, private to ``verbalize`` too, is the config's
+    ``plain_line_re.match``. When a chunk (a run of non-whitespace) ends in
+    a WORD token and the chunk before it did too, the grammar reads from
+    the start of that chunk. If it reads past the next chunk, the text
+    from the next chunk up to the start of the chunk before where it stops
+    (or up to the end of the line) is plain: it is neither tokenized nor
+    classified, and is recorded in ``tokens._skipped`` under the index of
+    the token before it. The tokens kept are those of the whole text,
+    spans included (the module docstring of ``verbalize`` says why), and
+    ``detokenize`` still gives the text back."""
     tokens = TokenList()
     pos = _WS_RE.match(text, _start).end()
     tokens.leading = text[:pos]
@@ -284,6 +325,7 @@ def tokenize(text: str, _start: int = 0) -> TokenList:
     extra = 0 if ascii_text else len(tokens.leading.encode("utf-8", "surrogatepass")) - pos
     url_starts = _url_starts(text)
     email_starts = _email_starts(text)
+    skipped, stop = None, -1  # the record of skipped runs; where the grammar last stopped
 
     while pos < length:
         end = None
@@ -326,6 +368,25 @@ def tokenize(text: str, _start: int = 0) -> TokenList:
             if not ws_after.isascii():
                 extra += len(ws_after.encode("utf-8", "surrogatepass")) - len(ws_after)
         tokens.append(Token(surface, kind, span, ws_after))
+        if kind is _WORD and ws_after and _plain is not None:
+            # a chunk ends in a word: back over its tokens to its start and
+            # to the last token of the chunk before
+            chunk, last = pos, len(tokens) - 2
+            while last >= 0 and not tokens[last].ws_after:
+                chunk -= len(tokens[last].text)
+                last -= 1
+            if last >= 0 and tokens[last].kind is _WORD:
+                if stop < chunk:  # a stop at or past this chunk is where a read from here stops
+                    stop = _plain_end(_plain, text, chunk)
+                if stop > ws_end:  # the grammar read into the next chunk
+                    resume = length if stop == length else _chunk_before(text, stop, ws_end)
+                    if resume > ws_end:  # and past it
+                        if skipped is None:
+                            skipped = tokens._skipped = {}
+                        skip = skipped[len(tokens) - 1] = text[ws_end:resume]
+                        if not ascii_text:
+                            extra += len(skip.encode("utf-8", "surrogatepass")) - len(skip)
+                        ws_end = resume
         pos = ws_end
     return tokens
 
@@ -333,4 +394,5 @@ def tokenize(text: str, _start: int = 0) -> TokenList:
 def detokenize(tokens) -> str:
     """Rebuild the exact source text from a token sequence."""
     leading = getattr(tokens, "leading", "")
-    return leading + "".join(t.text + t.ws_after for t in tokens)
+    skipped = getattr(tokens, "_skipped", {})
+    return leading + "".join(t.text + t.ws_after + skipped.get(i, "") for i, t in enumerate(tokens))

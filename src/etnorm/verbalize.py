@@ -37,16 +37,32 @@ grammar reads.
 
 The folded line is tokenized and rendered from the cut on: the start of
 the whitespace-delimited chunk before the one that holds the stop, or 0
-when there is none. The text before the cut is copied as it is. This
-reads the line as the whole path would. The prefix is plain and ends in
-whitespace, and only a digit-led token crosses whitespace, so the tokens
-from the cut on are those of the whole line, and the prefix's tokens are
-words and marks that no rule rewrites. A rule reads at most one token
-before the one it starts at (``_roman``'s capitalized word, the token
-joined before ``_mark_at_number``'s mark), and ``_join`` reads the
-whitespace between two tokens it keeps; for the stop's chunk, the chunk
-before it holds both. The one rule that reads further, the pick of an
-expansion, reads the words of the prefix too (``_line_words``).
+when there is none. The text before the cut is copied as it is. The
+first stop is not the only cut. When a chunk ends in a WORD token and
+the chunk before it did too, the tokenizer reads the grammar again from
+the start of that chunk; if the grammar reads past the next chunk, the
+text from there up to the start of the chunk before where it stops (or
+up to the end of the line) is copied as it is too (``tokenize``'s
+``_plain``), between the two plain chunks around it, which stay
+tokenized: the one the read started at and the one before the stop.
+
+This reads the line as the whole path would. A copied run is plain, so
+its tokens are words and marks that no rule rewrites. It ends in
+whitespace, the chunk before each resume is plain, and only a digit-led
+token crosses whitespace, so the tokens after a copied run, spans
+included, are those of the whole line. No rule reads a plain chunk
+beyond the chunk next to its own: a rule reads at most one token before
+the one it starts at (``_roman``'s capitalized word, the token joined
+before ``_mark_at_number``'s mark), ``_roman``'s right and dot cues and
+the rules of joined tokens reach no further than the next chunk, and the
+spaced ``_ratio`` reads two tokens ahead but needs a number there. So
+the plain chunk kept on each side of a run holds what a rule beside the
+run reads, and the kept chunk before it ends in a plain word, which
+reads nothing to its right. ``_join`` reads the whitespace between two
+tokens it keeps. It writes the prefix first, and a later run inside the
+gap between the two unmodified plain words around it. The one rule that
+reads further, the pick of an expansion, reads the words of the copied
+text too (``_line_words``).
 
 What is derived from the config is cached on the ``RuleConfig`` on first
 use: changing ``config.abbreviations`` in place after that is not
@@ -64,14 +80,13 @@ from .lexicon import RuleConfig, default_config
 from .numwords import _CARDINAL_DIGITS, NOMINATIVE, _is_ascii_digits, cardinal, decimal, digits, ordinal
 from .romans import roman_value
 from .tokens import _ATTACHED_SUFFIX_RE, _LC, _UC, _URL_SCHEME, _VOWELS, CASE_SUFFIXES
-from .tokens import TokenKind, TokenList, tokenize
+from .tokens import TokenKind, TokenList, _chunk_before, _plain_end, tokenize
 
 _SEGMENT_RE = re.compile(rf"[{_UC}]+(?![{_LC}])|[{_UC}][{_LC}]+|[{_LC}]+|[0-9]+|[^\W\d_]+")
 _DIGIT_GROUP_SEP_RE = re.compile(r"[ \xa0.\-]+")  # between the digit groups of a phone number or ID
 _DECIMAL_MARK_RE = re.compile(r"[.,]")
 _URL_SCHEME_RE = re.compile("^" + _URL_SCHEME)
 _URL_PIECE_RE = re.compile(r"[^\W_]+|.")  # a label or one character
-_CHUNK_BACK_RE = re.compile(r"\S*\s*\S*")  # matched on a reversed line: two chunks back
 _LETTER_RUN_RE = re.compile(r"[^\W\d_]+")
 
 _WORDISH_KINDS = frozenset(
@@ -122,14 +137,15 @@ def _pick_expansion(entry, words: frozenset[str]) -> str:
 
 def _line_words(line) -> frozenset[str]:
     """The lowered words of ``line``'s word-like tokens, and those of the
-    plain prefix ``verbalize`` left untokenized: the context an
+    plain text ``verbalize`` left untokenized: the context an
     expansion is picked in. Built on the first expanded abbreviation and
     kept on the token list, so a line costs one pass over its words however
     many abbreviations it holds."""
     words = getattr(line, "abbreviation_context", None)
     if words is None:
-        # the plain prefix tokenizes to words and marks, each word a whole letter run
-        head = _LETTER_RUN_RE.findall(getattr(line, "leading", "").lower())
+        # plain text tokenizes to words and marks, each word a whole letter run
+        plain = " ".join((getattr(line, "leading", ""), *getattr(line, "_skipped", {}).values()))
+        head = _LETTER_RUN_RE.findall(plain.lower())
         words = frozenset(chain(head, (t.text.lower() for t in line if t.kind in _WORDISH_KINDS)))
         if isinstance(line, TokenList):
             line.abbreviation_context = words
@@ -535,6 +551,7 @@ def _render_tokens(tokens, config: RuleConfig) -> list[_Piece]:
 
 def _join(tokens, pieces: list[_Piece]) -> str:
     out = [getattr(tokens, "leading", "")]
+    skipped = getattr(tokens, "_skipped", ())
     prev: _Piece | None = None
     for piece in pieces:
         if piece.text == "":
@@ -543,7 +560,8 @@ def _join(tokens, pieces: list[_Piece]) -> str:
             gap = tokens[piece.first - 1].ws_after
             contiguous = prev.last == piece.first - 1
             if contiguous and not prev.modified and not piece.modified:
-                sep = gap
+                # the only gap that a skipped run can follow: no rule rewrites the plain words around it
+                sep = gap + skipped[prev.last] if prev.last in skipped else gap
             elif gap == "" and (piece.is_punct or prev.is_punct):
                 sep = ""
             else:
@@ -553,6 +571,8 @@ def _join(tokens, pieces: list[_Piece]) -> str:
         prev = piece
     if prev is not None and not prev.modified:
         out.append(tokens[prev.last].ws_after)
+        if prev.last in skipped:
+            out.append(skipped[prev.last])
     return "".join(out)
 
 
@@ -560,18 +580,13 @@ def _gate(line: str, config: RuleConfig, start: int = 0) -> int | None:
     """None when no rule can rewrite any token of ``line`` and folding
     leaves it as it is: all of it is a plain line. Otherwise the offset the
     full path starts at: the start of the chunk before the one where the
-    plain prefix stops, or 0 (see the module docstring). It may refuse a
-    line that no rule would touch, never pass one that a rule would.
-    ``start`` resumes the reading at an offset that a reading from 0 goes
-    through: a cut returned for a line with the same text before it."""
-    # the greedy match is the only parse, and match, unlike fullmatch, is not retried on failure
-    match, pos, end = config.plain_line_re.match, -1, start
-    while pos < end < len(line):  # a match takes a bounded number of steps
-        pos, end = end, match(line, end).end()
-    if end == len(line):
-        return None
-    # back from the stop over its chunk's head, the whitespace and the chunk before
-    return end - _CHUNK_BACK_RE.match(line[end - 1::-1]).end() if end else 0
+    plain prefix stops, or ``start`` when no chunk starts between them
+    (see the module docstring). It may refuse a line that no rule would
+    touch, never pass one that a rule would. ``start``, 0 by default,
+    resumes the reading at an offset that a reading from 0 goes through: a
+    cut returned for a line with the same text before it."""
+    end = _plain_end(config.plain_line_re.match, line, start)
+    return None if end == len(line) else _chunk_before(line, end, start)
 
 
 def _decide(text: str, config: RuleConfig) -> tuple[str, int | None]:
@@ -593,6 +608,6 @@ def verbalize(text: str, config: RuleConfig | None = None) -> str:
     line, cut = _decide(text, config)
     if cut is None:
         return line
-    tokens = tokenize(line, cut)
+    tokens = tokenize(line, cut, config.plain_line_re.match)
     pieces = _render_tokens(tokens, config)
     return _join(tokens, pieces)

@@ -7,7 +7,8 @@ left in the output (unless a table value the output may quote holds one),
 and that a second call gives the same output. Three check the
 pass-through gate on text near it: what the gate passes tokenizes to
 tokens no rule rewrites, ``verbalize`` gives what rendering every token
-gives (also on lines it reads only from a cut after a plain prefix), and
+gives (also on lines it reads only from a cut after a plain prefix, and
+on lines whose plain runs between rule shapes it copies untokenized), and
 the gate decides as its first definition, four searches, did, with one
 clause added since it reads raw lines: a line that folding changes is
 not plain. One checks
@@ -205,6 +206,31 @@ def test_gate_is_sound(config, text, tables):
     folded = fold_diacritics(text, configured.folding)
     if _gate(folded, configured) is None:
         assert full == folded, text
+
+
+CHUNK_SPACES = st.sampled_from(["\t", "\xa0", " ", "  "])
+PLAIN_CHUNKS = st.one_of(
+    PLAIN_WORDS, CONTEXT_WORDS, PLAIN_WORDS.map(lambda word: word + ","), st.sampled_from(["–", "«Tere»", "jää."])
+)
+RULE_CHUNKS = st.one_of(st.lists(PIECES, min_size=1, max_size=3).map("".join), st.sampled_from(SURFACES))
+
+
+@st.composite
+def runs_between_rule_shapes(draw):
+    """Runs of at least three plain chunks (words and marks) with rule
+    shapes drawn from PIECES, or a surface alone, between them, the chunks
+    separated by tabs, no-break spaces, spaces and doubled spaces."""
+    chunks = draw(st.lists(PLAIN_CHUNKS, min_size=3, max_size=8))
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        chunks.append(draw(RULE_CHUNKS))
+        chunks += draw(st.lists(PLAIN_CHUNKS, min_size=3, max_size=8))
+    return "".join(chunk + draw(CHUNK_SPACES) for chunk in chunks[:-1]) + chunks[-1]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(text=runs_between_rule_shapes())
+def test_skipped_runs_read_as_the_whole_line(config, text):
+    assert verbalize(text, config) == full_path(text, config)
 
 
 # The gate as it was first written, four searches: a character outside

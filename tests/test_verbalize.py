@@ -204,6 +204,8 @@ class TestRange:
             ("XX-5 sajand", "iks-iks-viis sajand"),  # a Roman and an Arabic numeral
             ("2023-ks", "kahe tuhande kahekümne kolmeks"),
             ("5.-7. mail", "viies kuni seitsmes mail"),
+            ("4000. aastal", "neli tuhat aastal"),  # an ordinal dot over MAX_ORDINAL
+            ("32.13.2020", "kolmkümmend kaks kolmteist kaks tuhat kakskümmend"),  # day and month out of range
         ],
     )
     def test_readings_that_are_not_new_ranges(self, config, text, expected):
@@ -308,6 +310,7 @@ class TestVerbalizeEndToEnd:
             ("y.io5", "igrek punkt io viis"),
             ("info@eki.ee", "info ätt eki punkt ee"),
             ("www.err.ee/uudised", "vee-vee-vee punkt err punkt ee kaldkriips uudised"),
+            ("www.a_b.ee", "vee-vee-vee punkt aa alakriips bee punkt ee"),  # an underscore in a label
         ],
     )
     def test_top_level_domain_ends_before_a_letter(self, config, text, expected):
@@ -571,12 +574,24 @@ class TestPassThrough:
 
 class TestCut:
     """A refused line is tokenized from the chunk before the one where the
-    plain prefix stops, and the text before that is copied as it is."""
+    plain prefix stops, and the text before that is copied as it is. After
+    two chunks that end in a word, the plain run that follows is copied
+    too, up to the chunk before where the grammar stops again."""
 
     def cut_at(self, text, config, expected_cut, expected):
         folded = fold_diacritics(text, config.folding)
         assert _gate(folded, config) == expected_cut
         assert verbalize(text, config) == expected == full_path(text, config)
+
+    def skipped(self, text, config):
+        """The runs ``verbalize`` copies after the cut, with the whole-line
+        tokens checked against the ones it keeps."""
+        line, cut = _decide(text, config)
+        tokens = tokenize(line, cut, config.plain_line_re.match)
+        assert detokenize(tokens) == line
+        whole = {token.span: token for token in tokenize(line)}
+        assert all(whole.get(token.span) == token for token in tokens)  # text, kind, span and whitespace
+        return list(getattr(tokens, "_skipped", {}).values())
 
     @pytest.mark.parametrize(
         "text, expected",
@@ -617,6 +632,48 @@ class TestCut:
         assert rest.leading == text[:cut]
         assert rest == whole[-len(rest):]  # text, kind, byte span and whitespace
         assert detokenize(rest) == text
+
+    def test_expansion_reads_a_skipped_run(self, config):
+        # the keyword "summa" is only in the run copied after the cut
+        text = "Kogu 5 km oli see nii ja hiljem summa."
+        self.cut_at(text, config, 0, "Kogu viis käibemaks oli see nii ja hiljem summa.")
+        assert self.skipped(text, config) == ["nii ja hiljem summa."]
+
+    @pytest.mark.parametrize(
+        "text, expected, run",
+        [
+            # the dot cue, the left cue and the spaced ratio read the chunk beside a skipped run
+            ("XIX. sajandil oli see nii ja nii 5", "üheksateistkümnes sajandil oli see nii ja nii viis", "see nii ja "),
+            ("Karl XII oli see kuningas ja nii 5", "Karl kaheteistkümnes oli see kuningas ja nii viis", "kuningas ja "),
+            ("10 : 20 on see ja teine 5", "kümme koolon kakskümmend on see ja teine viis", "ja "),
+        ],
+    )
+    def test_context_beside_a_skipped_run(self, config, text, expected, run):
+        self.cut_at(text, config, 0, expected)
+        assert self.skipped(text, config) == [run]
+
+    def test_spans_after_a_non_ascii_skipped_run(self, config):
+        text = "MTÜ-le õue ja　öösel «tšeki» üle jälle ning 5 km"
+        assert self.skipped(text, config) == ["öösel «tšeki» üle jälle "]
+        assert verbalize(text, config) == full_path(text, config)
+
+    def test_run_longer_than_the_grammar_bound(self, config):
+        # 3,000 words are 6,000 pieces of the grammar, whose repeat stops at 1,000
+        text = "5 " + "tere " * 3000 + "5"
+        assert self.skipped(text, config) == ["tere " * 2997]  # all but two words after "5" and one before it
+        assert verbalize(text, config) == "viis " + "tere " * 3000 + "viis" == full_path(text, config)
+
+    def test_grammar_reads_nothing_behind_its_start(self, config, tmp_path):
+        # a run is skipped after a read that starts at a chunk in the middle
+        # of a line; it reads as a reading from the start of the line would
+        # only while the grammar reads nothing behind its start: no
+        # lookbehind, "(?<=" or "(?<!" (re.escape writes the "?" of a
+        # surface such as "(?<=x" as "\?")
+        table = tmp_path / "abbreviations.tsv"
+        table.write_text("eile\teelmisel päeval\nKarl\tkuningas\n(?<=x\tmärk\n", encoding="utf-8")
+        for configured in (config, load_config(abbreviations_path=table)):
+            pattern = configured.plain_line_re.pattern
+            assert "(?<=" not in pattern and "(?<!" not in pattern
 
     def test_lone_surrogate(self, config):
         assert verbalize("\udcff", config) == ""

@@ -1,7 +1,8 @@
 """Check that the cost of ``verbalize`` grows linearly with line length.
 
 Each unit, one piece or two pieces joined (letters, digits, marks,
-whitespace, ``www.``, ``http://``, ``kell ``, ``½``, ...), is repeated
+whitespace, ``www.``, ``http://``, ``kell ``, ``½``, ...) or a rule chunk
+followed by a run of plain words, is repeated
 whole to a line of about 3,000 characters, and ``verbalize`` is timed on
 that line and on the line four times over, best of three calls, the two
 lines taking turns. Four times the length should take about four times
@@ -48,8 +49,13 @@ PIECES = (
 )
 
 
+# a rule chunk followed by a plain run, which ``verbalize`` copies
+# untokenized: the grammar's reads and back-scans must stay linear
+RUNS = ("5 tere tere tere ", "XIX. sajandil ja nii ", "MTÜ-le õue ja ")
+
+
 def units() -> list[str]:
-    return list(PIECES) + [a + b for a, b in product(PIECES, repeat=2)]
+    return list(PIECES) + [a + b for a, b in product(PIECES, repeat=2)] + list(RUNS)
 
 
 def growth(unit: str, calls: int, config) -> tuple[float, float]:

@@ -10,8 +10,12 @@ printed, as ``gate<TAB>ID<TAB>decision``, and on a fixed list of boundary
 strings, as ``gate<TAB>repr<TAB>decision``: ``pass``, or ``cut N`` when
 the line takes the full path from offset ``N`` on, led by ``folded, ``
 when the gate refused the raw line and folding changed it, so a moved cut
-shows in a diff. Last, the kinds of the tokens of each boundary string are
-printed, as ``tok<TAB>repr<TAB>kinds``. The gate, the tokenizer's groups and the
+shows in a diff. Then the plain runs that ``verbalize`` copies untokenized
+after the cut of each boundary string are printed, as
+``skip<TAB>repr<TAB>runs``: ``skip A-B`` for each run, by character
+offsets into the line it reads, or ``none``. Last, the kinds of the tokens
+of each boundary string are printed, as ``tok<TAB>repr<TAB>kinds``. The
+gate, the tokenizer's groups and the
 top-level-domain boundary read regex case folding (``(?i:...)``) and the
 regex classes ``\s``, ``\W``, ``[^\W_]`` and ``[^\W\d_]``, whose Unicode
 tables differ between Python versions. Run it under two
@@ -50,8 +54,9 @@ SEEDS = (1, 2, 3)
 # shapes on either side of the gate: rule shapes that must take the full
 # path, plain lines, whitespace the gate must keep as written, lines cut
 # after a plain prefix at whitespace outside ASCII, lines the gate reads
-# again after folding, and letters outside the alphabet, beside numerics,
-# that the tokenizer reads as word runs
+# again after folding, letters outside the alphabet, beside numerics,
+# that the tokenizer reads as word runs, and plain runs after a stop,
+# between chunks split by whitespace outside ASCII
 BOUNDARY = (
     "ptk", "spp", "tv", "iPhone", "eCoop", "Tallinn.ee", "linnas.EE", "Y", "e-post", "Dr", "KM", "Łukasz",
     "Krt", "Tere, maailm!", "Žürii arutas «tšeki» üle – jälle…", "Café", "", " \t", "\xa0tere\u2028öö\u3000",
@@ -60,6 +65,9 @@ BOUNDARY = (
     "sõna٣", "Ema5", "abc²", "kpl", "Öö", "Ĳsselmeer", "HTTPS://err.ee",
     "Ta jõi\u2028 .5 liitrit", "Rootsit valitses kuningas Karl\u3000XII.", "Arve summa\x1fkogu 5 km.",
     "Näitleja François saabus", "Émile ostis 5 kg.", "Zoë", "Søren", "ø½ß",
+    "Kogu 5 km oli see nii ja hiljem summa.", "Karl XII oli\u2028see\u3000kuningas\x85ja nii 5",
+    "5\xa0tere\u2003tere\u2009tere\u205ftere\x1ctere 5", "XIX. sajandil\x1fja\u1680nii\u200bveel\u180eja nii 5",
+    "MTÜ-le õue\u2029ja\u202föösel\x0bnii\x0cveel ja 5 km",
 )
 
 
@@ -67,6 +75,21 @@ def gate(text: str) -> str:
     line, cut = _decide(text, default_config())
     decision = "pass" if cut is None else f"cut {cut}"
     return f"folded, {decision}" if line != text else decision
+
+
+def skips(text: str) -> str:
+    config = default_config()
+    line, cut = _decide(text, config)
+    if cut is None:
+        return "none"
+    tokens = tokenize(line, cut, config.plain_line_re.match)
+    skipped, runs, pos = getattr(tokens, "_skipped", {}), [], len(tokens.leading)
+    for i, token in enumerate(tokens):
+        pos += len(token.text) + len(token.ws_after)
+        if i in skipped:
+            runs.append(f"skip {pos}-{pos + len(skipped[i])}")
+            pos += len(skipped[i])
+    return ", ".join(runs) or "none"
 
 
 def main() -> int:
@@ -87,6 +110,8 @@ def main() -> int:
         print(f"gate\t{row['id']}\t{gate(row['raw'])}")
     for text in BOUNDARY:
         print(f"gate\t{text!r}\t{gate(text)}")
+    for text in BOUNDARY:
+        print(f"skip\t{text!r}\t{skips(text)}")
     for text in BOUNDARY:
         print(f"tok\t{text!r}\t{' '.join(token.kind.value for token in tokenize(text))}")
     return 0
