@@ -3,8 +3,11 @@
 Letters that carry a diacritic the Estonian alphabet does not know
 (é, ñ, ç, ...) are reduced to their base letter so the synthesizer
 never sees them. Letters that belong to the alphabet (õ, ä, ö, ü,
-š, ž and plain a-z) are protected and never touched. A line of ASCII
-and protected characters only is returned as it is.
+š, ž and plain a-z) are protected and never touched. Only letters fold:
+a mark such as ``–``, ``«`` or ``…`` never starts a translation, so a
+line with no letter outside ASCII and the protected set is returned as
+it is, and of any other line only the stretch from its first such letter
+to its last is translated.
 """
 
 from __future__ import annotations
@@ -67,8 +70,11 @@ class FoldingTable:
 
     @cached_property
     def foldable_re(self) -> re.Pattern:
-        """Finds a character this table may fold: ASCII and protected ones fold to themselves."""
-        return re.compile(f"[^\\x00-\\x7f{re.escape(''.join(sorted(self.protected)))}]")
+        """Finds a letter this table may fold: a word character that is no
+        digit, no underscore, not ASCII and not protected. The class holds
+        every ``str.isalpha`` character outside ASCII and the protected set;
+        the rest fold to themselves."""
+        return re.compile(f"[^\\W\\d_\\x00-\\x7f{re.escape(''.join(sorted(self.protected)))}]")
 
     @cached_property
     def translation(self) -> _FoldMap:
@@ -96,7 +102,14 @@ def fold_diacritics(text: str, table: FoldingTable | None = None) -> str:
     """Replace out-of-alphabet diacritic letters with their base letters.
 
     The character count of the result always equals the input's; anything
-    that is not a foldable letter passes through unchanged.
+    that is not a foldable letter passes through unchanged. Marks never
+    trigger folding, and only the stretch between the first and the last
+    letter that may fold is translated; the text around it is copied.
     """
     table = table or _DEFAULT_TABLE
-    return text.translate(table.translation) if table.foldable_re.search(text) else text
+    first = table.foldable_re.search(text)
+    if first is None:
+        return text
+    start = first.start()
+    end = len(text) - table.foldable_re.search(text[::-1]).start()
+    return text[:start] + text[start:end].translate(table.translation) + text[end:]

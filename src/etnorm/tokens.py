@@ -5,7 +5,15 @@ URLs and e-mail addresses are found anchor-first: the line is scanned
 once for the positions where one can start (``https://`` in any case or
 ``www.``, a run of domain labels with a top-level-domain dot still
 ahead, a run of address characters that ends at ``@`` and a valid
-domain), and their patterns are tried only there. Every other shape
+domain), and their patterns are tried only there. The domain and
+address head regexes read only the whitespace-delimited chunks from the
+one that holds the first anchor (a top-level-domain dot, an ``@``) to
+the one that holds the last. That is exact: a domain or address run
+holds no whitespace, so every head lies in a chunk with an anchor. A
+lookbehind at the first chunk's start sees whitespace or the start of the
+line, as in a scan of the whole line, and a lookahead stops at the last
+chunk's end as it would at the whitespace after it, since no head
+pattern reads whitespace. Every other shape
 (phone numbers, dates, times, decimals, grouped digits, ordinal dots,
 plain numbers, plain words, acronyms with a case ending, word runs,
 sentence punctuation, symbols) is one named group of a master regex, in
@@ -108,6 +116,7 @@ _SENTENCE_PUNCT = frozenset(".,!?;:()[]{}\"'«»‘’“”…–—-·")
 _PUNCT = re.escape("".join(sorted(_SENTENCE_PUNCT)))  # the body of a regex class
 
 _WS_RE = re.compile(r"\s*")
+_NON_WS_RE = re.compile(r"\S*")
 # the most pieces (words and separators) one match of the plain-line grammar
 # reads: a bounded repeat keeps the regex engine's backtracking stack small
 _PLAIN_REPEAT = 1000
@@ -228,14 +237,29 @@ def _match_url(text: str, pos: int):
     return end if "." in surface or "://" in surface else None
 
 
+def _chunk_start(text: str, pos: int) -> int:
+    """The start of the whitespace-delimited chunk that holds ``pos``. The
+    back-scan reads no further than the last ASCII space before ``pos``."""
+    low = text.rfind(" ", 0, pos) + 1
+    return pos - _NON_WS_RE.match(text[low:pos][::-1]).end()
+
+
+def _heads(pattern: re.Pattern, text: str, first: int, last: int) -> list[tuple[int, int]]:
+    """The spans of ``pattern`` in ``text``, read only over the chunks from
+    the one that holds ``first`` to the one that holds ``last``."""
+    end = _NON_WS_RE.match(text, last).end()
+    return [m.span() for m in pattern.finditer(text, _chunk_start(text, first), end)]
+
+
 def _url_starts(text: str) -> list[tuple[int, int]]:
     """[start, stop) ranges holding every position where ``_URL_RE`` can
     match, sorted by start, in reverse (see ``_in_ranges``)."""
     ranges = []
     if "://" in text or "www." in text:
         ranges = [(m.start(), m.start() + 1) for m in _URL_PREFIX_RE.finditer(text)]
-    if _TLD_DOT_RE.search(text):
-        ranges += [m.span() for m in _DOMAIN_HEAD_RE.finditer(text)]
+    dots = [m.start() for m in _TLD_DOT_RE.finditer(text)]
+    if dots:
+        ranges += _heads(_DOMAIN_HEAD_RE, text, dots[0], dots[-1])
         ranges.sort()
     ranges.reverse()
     return ranges
@@ -244,9 +268,10 @@ def _url_starts(text: str) -> list[tuple[int, int]]:
 def _email_starts(text: str) -> list[tuple[int, int]]:
     """Like ``_url_starts`` for ``_EMAIL_RE``: the address runs that end at
     an "@" and a valid domain."""
-    if "@" not in text:
+    first = text.find("@")
+    if first < 0:
         return []
-    return [m.span() for m in _ADDRESS_HEAD_RE.finditer(text)][::-1]
+    return _heads(_ADDRESS_HEAD_RE, text, first, text.rfind("@"))[::-1]
 
 
 def _in_ranges(ranges: list[tuple[int, int]], pos: int) -> bool:

@@ -128,19 +128,23 @@ def spell_letters(token: str, names: dict[str, str], case_suffix: str | None = N
     return "-".join(parts)
 
 
-def _pick_expansion(entry, words: frozenset[str]) -> str:
-    """The expansion of ``entry`` that scores highest in the context
-    ``words``: weight * (1 + its keywords among them); ties go to the
-    expansion listed first."""
+def _pick_expansion(entry, line) -> str:
+    """The expansion of ``entry`` that scores highest in the context of
+    ``line`` (``_line_words``): weight * (1 + its keywords among them);
+    ties go to the expansion listed first. An entry with one expansion
+    has nothing to choose, and builds no context."""
+    if len(entry.expansions) == 1:
+        return entry.expansions[0].text
+    words = _line_words(line)
     return max(entry.expansions, key=lambda e: e.weight * (1 + sum(kw in words for kw in e.keywords))).text
 
 
 def _line_words(line) -> frozenset[str]:
     """The lowered words of ``line``'s word-like tokens, and those of the
     plain text ``verbalize`` left untokenized: the context an
-    expansion is picked in. Built on the first expanded abbreviation and
-    kept on the token list, so a line costs one pass over its words however
-    many abbreviations it holds."""
+    expansion is picked in. Built on the first abbreviation with more than
+    one expansion and kept on the token list, so a line costs one pass
+    over its words however many abbreviations it holds."""
     words = getattr(line, "abbreviation_context", None)
     if words is None:
         # plain text tokenizes to words and marks, each word a whole letter run
@@ -234,7 +238,7 @@ def _read_entry(surface: str, entry, config: RuleConfig, line, suffix: str | Non
         return surface + (suffix or "")
     if suffix is not None:
         return None
-    return _pick_expansion(entry, _line_words(line))
+    return _pick_expansion(entry, line)
 
 
 def _render_cardinal_text(text: str, config: RuleConfig, value: int | None = None) -> str:

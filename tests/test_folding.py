@@ -51,10 +51,11 @@ def test_idempotent_on_arbitrary_codepoints():
 
 
 def test_translate_matches_per_char_fold(tmp_path):
-    # two tables in one process, used in turn: each keeps its own map
+    # three tables in one process, used in turn: each keeps its own map;
+    # the last protects a mark, which folds to itself either way
     path = tmp_path / "protected.txt"
     path.write_text("".join(ch + "\n" for ch in sorted(DEFAULT_PROTECTED - {"õ"})), encoding="utf-8")
-    tables = (FoldingTable(), FoldingTable.from_protected_file(path))
+    tables = (FoldingTable(), FoldingTable.from_protected_file(path), FoldingTable(DEFAULT_PROTECTED | {"–"}))
     accented = "õäöüšžÕÄÖÜŠŽáàâãåçéèêëíìîïñóòôøúùûýÿÁÀÂÃÅÇÉÈÊËÍÎÏÑÓÒÔØÚÙÛÝ"
     rng = random.Random(0xF01D)
     for _ in range(400):
@@ -62,11 +63,24 @@ def test_translate_matches_per_char_fold(tmp_path):
             rng.choice(accented) if rng.random() < 0.4 else chr(rng.randrange(0x10000))
             for _ in range(rng.randrange(0, 40))
         )
-        for table in tables:
-            assert fold_diacritics(text, table) == "".join(table.fold_char(ch) for ch in text)
-        assert fold_diacritics(text) == fold_diacritics(text, tables[0])
+        # foldable letters at both ends, and far apart: only the stretch between them is translated
+        far = rng.choice(accented) + "tere – «x» " * rng.randrange(0, 200) + text + rng.choice(accented)
+        for line in (text, far):
+            for table in tables:
+                assert fold_diacritics(line, table) == "".join(table.fold_char(ch) for ch in line)
+            assert fold_diacritics(line) == fold_diacritics(line, tables[0])
     assert fold_diacritics("õ", tables[0]) == "õ"
     assert fold_diacritics("õ", tables[1]) == "o"
+
+
+def test_marks_never_trigger_folding(monkeypatch):
+    consulted = []
+    monkeypatch.setattr(FoldingTable, "fold_char", lambda self, ch: consulted.append(ch) or ch)
+    table = FoldingTable()  # a fresh map, filled through the patched method
+    assert fold_diacritics("Žürii – «tšekk»…", table) == "Žürii – «tšekk»…"
+    assert consulted == []
+    fold_diacritics("é", table)
+    assert consulted == ["é"]
 
 
 def test_protected_override_file(tmp_path):

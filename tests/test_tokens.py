@@ -2,7 +2,10 @@ import random
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from etnorm.tokens import _ADDRESS_HEAD_RE, _DOMAIN_HEAD_RE, _URL_PREFIX_RE, _email_starts, _url_starts
 from etnorm.tokens import Token, TokenKind, detokenize, tokenize
 
 
@@ -251,3 +254,46 @@ class TestLinearCost:
         elapsed = time.perf_counter() - started
         assert detokenize(tokens) == line
         assert elapsed < self.BUDGET_S, f"{elapsed:.2f}s for {len(line)} chars"
+
+
+# pieces of domains and addresses, the whitespace between chunks (some of
+# it outside ASCII), and plain filler that puts the anchors far apart
+HEAD_PIECES = st.sampled_from(
+    ["a", "Z", "0", "-", "_", "+", ".", "..", ".ee", ".com", ".EE", ".eesti", "@", "www.", "http://", "x", "õ", "/"]
+)
+CHUNK = st.lists(HEAD_PIECES, min_size=1, max_size=6).map("".join)
+SEPARATOR = st.sampled_from([" ", "  ", "\xa0", "\u2028", "\x85", "\u3000", "\t"])
+FILLER = st.integers(0, 300).map(lambda n: "tere " * n)
+
+
+@st.composite
+def anchored_lines(draw):
+    """Chunks between separators, with chunks at both ends of the line
+    and, between them, plain filler of any length."""
+    chunks = draw(st.lists(CHUNK, min_size=1, max_size=8))
+    seps = draw(st.lists(SEPARATOR, min_size=len(chunks) + 1, max_size=len(chunks) + 1))
+    cut = draw(st.integers(0, len(chunks)))
+    parts = [draw(st.sampled_from(["", " "]))]
+    for i, chunk in enumerate(chunks):
+        if i == cut:
+            parts.append(draw(FILLER))
+        parts += [chunk, seps[i]]
+    return "".join(parts)[: -1 if draw(st.booleans()) else None]
+
+
+def _whole_line_url_starts(text):
+    prefixes = [(m.start(), m.start() + 1) for m in _URL_PREFIX_RE.finditer(text)]
+    return sorted(prefixes + [m.span() for m in _DOMAIN_HEAD_RE.finditer(text)], reverse=True)
+
+
+def _whole_line_email_starts(text):
+    return [m.span() for m in _ADDRESS_HEAD_RE.finditer(text)][::-1]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(text=anchored_lines())
+def test_head_scans_read_as_the_whole_line(text):
+    # a domain or address run holds no whitespace, so reading only the
+    # chunks from the first anchor to the last finds every head
+    assert _url_starts(text) == _whole_line_url_starts(text)
+    assert _email_starts(text) == _whole_line_email_starts(text)

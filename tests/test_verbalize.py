@@ -146,6 +146,18 @@ class TestExpandAbbreviation:
         )
         assert len(built) > 1 and built.count(True) == 1
 
+    def test_no_context_for_an_entry_with_one_expansion(self, config, monkeypatch):
+        built = []  # counted as above; no entry of this line has more than one expansion
+        original = verbalize_module._line_words
+
+        def counting(line):
+            built.append(getattr(line, "abbreviation_context", None) is None)
+            return original(line)
+
+        monkeypatch.setattr(verbalize_module, "_line_words", counting)
+        assert verbalize("nt ja jne 5 kg", config) == "näiteks ja ja nii edasi viis kilogrammi"
+        assert built == []
+
 
     def test_case_ending_on_an_expanded_entry_is_spelled(self, config):
         entry = AbbreviationEntry("EL", (Expansion("Euroopa Liit"),))
@@ -205,6 +217,7 @@ class TestRange:
             ("2023-ks", "kahe tuhande kahekümne kolmeks"),
             ("5.-7. mail", "viies kuni seitsmes mail"),
             ("4000. aastal", "neli tuhat aastal"),  # an ordinal dot over MAX_ORDINAL
+            ("05. mail", "null viis mail"),  # a zero-led ordinal body is read digit by digit
             ("32.13.2020", "kolmkümmend kaks kolmteist kaks tuhat kakskümmend"),  # day and month out of range
         ],
     )

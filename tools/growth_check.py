@@ -50,8 +50,10 @@ PIECES = (
 
 
 # a rule chunk followed by a plain run, which ``verbalize`` copies
-# untokenized: the grammar's reads and back-scans must stay linear
-RUNS = ("5 tere tere tere ", "XIX. sajandil ja nii ", "MTÜ-le õue ja ")
+# untokenized: the grammar's reads and back-scans must stay linear; and a
+# domain, an address or a letter that folds in every unit, so the head
+# scans and the folded stretch reach from one end of the line to the other
+RUNS = ("5 tere tere tere ", "XIX. sajandil ja nii ", "MTÜ-le õue ja ", "x.ee ", "a@b.ee ", "é" + "a" * 30 + " ")
 
 
 def units() -> list[str]:

@@ -13,12 +13,16 @@ when the gate refused the raw line and folding changed it, so a moved cut
 shows in a diff. Then the plain runs that ``verbalize`` copies untokenized
 after the cut of each boundary string are printed, as
 ``skip<TAB>repr<TAB>runs``: ``skip A-B`` for each run, by character
-offsets into the line it reads, or ``none``. Last, the kinds of the tokens
-of each boundary string are printed, as ``tok<TAB>repr<TAB>kinds``. The
-gate, the tokenizer's groups and the
-top-level-domain boundary read regex case folding (``(?i:...)``) and the
-regex classes ``\s``, ``\W``, ``[^\W_]`` and ``[^\W\d_]``, whose Unicode
-tables differ between Python versions. Run it under two
+offsets into the line it reads, or ``none``. Then the kinds of the tokens
+of each boundary string are printed, as ``tok<TAB>repr<TAB>kinds``, its
+folding under the bundled table, as ``fold<TAB>repr<TAB>folded``, and the
+ranges where a URL and an e-mail address can start, as
+``heads<TAB>repr<TAB>url ranges; email ranges``. The gate, the
+tokenizer's groups, the top-level-domain boundary, the fold class and
+the chunk bounds of the URL and e-mail heads read regex case folding
+(``(?i:...)``) and the regex classes ``\s``, ``\S``, ``\W``, ``\d``,
+``[^\W_]`` and ``[^\W\d_]``, whose Unicode tables differ between Python
+versions. Run it under two
 interpreters and compare the outputs; they must be identical:
 
     PYENV_VERSION=3.10.13 python tools/interpreter_check.py > a.txt
@@ -43,8 +47,9 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 sys.path[:0] = [str(SRC), str(ROOT / "perfbench")]
 
+from etnorm.folding import fold_diacritics  # noqa: E402
 from etnorm.lexicon import default_config  # noqa: E402
-from etnorm.tokens import TokenKind, tokenize  # noqa: E402
+from etnorm.tokens import TokenKind, _email_starts, _url_starts, tokenize  # noqa: E402
 from etnorm.verbalize import _decide, verbalize  # noqa: E402
 from workloads import generate  # noqa: E402
 
@@ -55,8 +60,10 @@ SEEDS = (1, 2, 3)
 # path, plain lines, whitespace the gate must keep as written, lines cut
 # after a plain prefix at whitespace outside ASCII, lines the gate reads
 # again after folding, letters outside the alphabet, beside numerics,
-# that the tokenizer reads as word runs, and plain runs after a stop,
-# between chunks split by whitespace outside ASCII
+# that the tokenizer reads as word runs, plain runs after a stop,
+# between chunks split by whitespace outside ASCII, letters that fold
+# beside numerics and at both ends of a line, and top-level-domain dots
+# and "@" beside whitespace outside ASCII
 BOUNDARY = (
     "ptk", "spp", "tv", "iPhone", "eCoop", "Tallinn.ee", "linnas.EE", "Y", "e-post", "Dr", "KM", "Łukasz",
     "Krt", "Tere, maailm!", "Žürii arutas «tšeki» üle – jälle…", "Café", "", " \t", "\xa0tere\u2028öö\u3000",
@@ -68,6 +75,9 @@ BOUNDARY = (
     "Kogu 5 km oli see nii ja hiljem summa.", "Karl XII oli\u2028see\u3000kuningas\x85ja nii 5",
     "5\xa0tere\u2003tere\u2009tere\u205ftere\x1ctere 5", "XIX. sajandil\x1fja\u1680nii\u200bveel\u180eja nii 5",
     "MTÜ-le õue\u2029ja\u202föösel\x0bnii\x0cveel ja 5 km",
+    "½é", "Ⅻé", "x²é", "ıé", "é tere – «x» ja nii\u3000edasi ñ", "ǅ…tere… Ø",
+    "vaata err.ee\u2028ja x.com\x85siis", "err\u2028.ee", "err.ee\x85", "info@eki.ee\u2028a@b.ee",
+    "kiri\x85@eki.ee", "a@\u2028b.ee", "\x85x.ee\u2028y@z.ee\x85",
 )
 
 
@@ -92,6 +102,10 @@ def skips(text: str) -> str:
     return ", ".join(runs) or "none"
 
 
+def ranges(spans) -> str:
+    return " ".join(f"{start}-{stop}" for start, stop in reversed(spans)) or "none"
+
+
 def main() -> int:
     by_identity = TokenKind.__hash__ is object.__hash__ and all(hash(k) == object.__hash__(k) for k in TokenKind)
     if not by_identity:
@@ -114,6 +128,10 @@ def main() -> int:
         print(f"skip\t{text!r}\t{skips(text)}")
     for text in BOUNDARY:
         print(f"tok\t{text!r}\t{' '.join(token.kind.value for token in tokenize(text))}")
+    for text in BOUNDARY:
+        print(f"fold\t{text!r}\t{fold_diacritics(text)!r}")
+    for text in BOUNDARY:
+        print(f"heads\t{text!r}\t{ranges(_url_starts(text))}; {ranges(_email_starts(text))}")
     return 0
 
 
