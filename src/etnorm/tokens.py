@@ -5,31 +5,33 @@ URLs and e-mail addresses are found anchor-first: the line is scanned
 once for the positions where one can start (``https://`` in any case or
 ``www.``, a run of domain labels with a top-level-domain dot still
 ahead, a run of address characters that ends at ``@`` and a valid
-domain), and their patterns are tried only there. The domain and
+domain), and their patterns are tried only there. The prefix, domain and
 address head regexes read only the whitespace-delimited chunks from the
-one that holds the first anchor (a top-level-domain dot, an ``@``) to
-the one that holds the last. That is exact: a domain or address run
-holds no whitespace, so every head lies in a chunk with an anchor. A
-lookbehind at the first chunk's start sees whitespace or the start of the
-line, as in a scan of the whole line, and a lookahead stops at the last
-chunk's end as it would at the whitespace after it, since no head
-pattern reads whitespace. Every other shape
-(phone numbers, dates, times, decimals, grouped digits, ordinal dots,
-plain numbers, plain words, acronyms with a case ending, word runs,
-sentence punctuation, symbols) is one named group of a master regex, in
-priority order. One Python post-check follows: a phone number that
-``_is_phone`` rejects is matched again by the groups after it. Each
-group but the word run names its token's kind. A word run that is not a
-plain word is classified afterwards in Python (case-suffixed acronym,
-Roman candidate, uppercase sequence, mixed case, lowercase consonant
-cluster, or a word such as ``Łukasz`` or ``a``); one that starts with a
-letter outside the alphabet is matched as a symbol and extended there.
+one that holds the first anchor (``://`` or ``www.``, a top-level-domain
+dot, an ``@``) to the one that holds the last. That is exact: a URL
+prefix, a domain run or an address run holds no whitespace and holds its
+anchor, or ends at it, so every head lies in a chunk with an anchor. A
+lookbehind at the first chunk's start sees whitespace or the start of
+the line, as in a scan of the whole line, and a lookahead stops at the
+last chunk's end as it would at the whitespace after it, since no head
+pattern reads whitespace. Every other shape (phone numbers, dates,
+times, decimals, grouped digits, ordinal dots, plain numbers, plain
+words, acronyms with a case ending, word runs, sentence punctuation,
+symbols) is one named group of a master regex, in priority order. One
+Python post-check follows: a phone number that ``_is_phone`` rejects is
+matched again by the groups after it. Each group but the word run names
+its token's kind. A word run that is not a plain word is classified
+afterwards in Python (case-suffixed acronym, Roman candidate, uppercase
+sequence, mixed case, lowercase consonant cluster, or a word such as
+``Łukasz`` or ``a``); one that starts with a letter outside the alphabet
+is matched as a symbol and extended there.
 
 Tokenization is lossless: every non-whitespace character lands in exactly
 one token, each token records the whitespace that follows it, and
 ``detokenize`` reproduces the input byte for byte. (The private arguments
-of ``tokenize`` leave plain text untokenized, and the token list records
-it, so ``detokenize`` reproduces that input too.)
+of ``tokenize`` leave plain text untokenized, and the token list keeps it
+before the first token and in the gaps after tokens' whitespace, so
+``detokenize`` reproduces that input too.)
 """
 
 from __future__ import annotations
@@ -69,7 +71,8 @@ class TokenKind(Enum):
 @dataclass
 class Token:
     """One classified span. ``span`` is byte offsets into the UTF-8 source;
-    ``ws_after`` is the exact whitespace that followed the span."""
+    ``ws_after`` is the text after it that no token holds: its whitespace,
+    then, under ``tokenize``'s private ``_plain`` only, a copied plain run."""
 
     text: str
     kind: TokenKind
@@ -84,9 +87,8 @@ class Token:
 class TokenList(list):
     """Token sequence that also remembers the text before the first token:
     whitespace, and what was left untokenized before it (see ``tokenize``).
-    A token list that ``tokenize`` read with a plain-line grammar also
-    has ``_skipped``: the index of a token mapped to the plain text left
-    untokenized after its whitespace."""
+    Any other text no token holds is in the ``ws_after`` of the token
+    before it."""
 
     leading: str = ""
 
@@ -256,7 +258,10 @@ def _url_starts(text: str) -> list[tuple[int, int]]:
     match, sorted by start, in reverse (see ``_in_ranges``)."""
     ranges = []
     if "://" in text or "www." in text:
-        ranges = [(m.start(), m.start() + 1) for m in _URL_PREFIX_RE.finditer(text)]
+        first = min(i for i in (text.find("://"), text.find("www.")) if i >= 0)
+        last = max(text.rfind("://"), text.rfind("www."))
+        # the start of each prefix only: a range over all of it would try URLs inside it
+        ranges = [(start, start + 1) for start, _ in _heads(_URL_PREFIX_RE, text, first, last)]
     dots = [m.start() for m in _TLD_DOT_RE.finditer(text)]
     if dots:
         ranges += _heads(_DOMAIN_HEAD_RE, text, dots[0], dots[-1])
@@ -336,10 +341,12 @@ def tokenize(text: str, _start: int = 0, _plain=None) -> TokenList:
     the start of that chunk. If it reads past the next chunk, the text
     from the next chunk up to the start of the chunk before where it stops
     (or up to the end of the line) is plain: it is neither tokenized nor
-    classified, and is recorded in ``tokens._skipped`` under the index of
-    the token before it. The tokens kept are those of the whole text,
-    spans included (the module docstring of ``verbalize`` says why), and
-    ``detokenize`` still gives the text back."""
+    classified, and is appended to the ``ws_after`` of the word before it.
+    So a gap holds text other than whitespace only after a word that ends
+    a plain chunk, and before a plain chunk or at the end of the line. The
+    tokens kept are those of the whole text, spans included (the module
+    docstring of ``verbalize`` says why), and ``detokenize`` still gives
+    the text back."""
     tokens = TokenList()
     pos = _WS_RE.match(text, _start).end()
     tokens.leading = text[:pos]
@@ -350,7 +357,8 @@ def tokenize(text: str, _start: int = 0, _plain=None) -> TokenList:
     extra = 0 if ascii_text else len(tokens.leading.encode("utf-8", "surrogatepass")) - pos
     url_starts = _url_starts(text)
     email_starts = _email_starts(text)
-    skipped, stop = None, -1  # the record of skipped runs; where the grammar last stopped
+    # the current chunk's start, the end of the last chunk to end in a WORD, the grammar's last stop
+    chunk, after_word, stop = pos, -1, -1
 
     while pos < length:
         end = None
@@ -382,6 +390,17 @@ def tokenize(text: str, _start: int = 0, _plain=None) -> TokenList:
         surface = text[pos:end]
         if kind is None:  # a "word_run"
             kind = _classify_word_run(surface)
+        if ws_end > end:  # the token ends a chunk
+            if kind is _WORD:
+                if after_word == chunk and _plain is not None:  # and so did the chunk before
+                    if stop < chunk:  # a stop at or past this chunk is where a read from here stops
+                        stop = _plain_end(_plain, text, chunk)
+                    if stop > ws_end:  # the grammar read into the next chunk
+                        resume = length if stop == length else _chunk_before(text, stop, ws_end)
+                        if resume > ws_end:  # and past it: copy the run into this token's gap
+                            ws_end = resume
+                after_word = ws_end
+            chunk = ws_end
         ws_after = text[end:ws_end]
         if ascii_text:
             span = (pos, end)
@@ -393,31 +412,10 @@ def tokenize(text: str, _start: int = 0, _plain=None) -> TokenList:
             if not ws_after.isascii():
                 extra += len(ws_after.encode("utf-8", "surrogatepass")) - len(ws_after)
         tokens.append(Token(surface, kind, span, ws_after))
-        if kind is _WORD and ws_after and _plain is not None:
-            # a chunk ends in a word: back over its tokens to its start and
-            # to the last token of the chunk before
-            chunk, last = pos, len(tokens) - 2
-            while last >= 0 and not tokens[last].ws_after:
-                chunk -= len(tokens[last].text)
-                last -= 1
-            if last >= 0 and tokens[last].kind is _WORD:
-                if stop < chunk:  # a stop at or past this chunk is where a read from here stops
-                    stop = _plain_end(_plain, text, chunk)
-                if stop > ws_end:  # the grammar read into the next chunk
-                    resume = length if stop == length else _chunk_before(text, stop, ws_end)
-                    if resume > ws_end:  # and past it
-                        if skipped is None:
-                            skipped = tokens._skipped = {}
-                        skip = skipped[len(tokens) - 1] = text[ws_end:resume]
-                        if not ascii_text:
-                            extra += len(skip.encode("utf-8", "surrogatepass")) - len(skip)
-                        ws_end = resume
         pos = ws_end
     return tokens
 
 
 def detokenize(tokens) -> str:
     """Rebuild the exact source text from a token sequence."""
-    leading = getattr(tokens, "leading", "")
-    skipped = getattr(tokens, "_skipped", {})
-    return leading + "".join(t.text + t.ws_after + skipped.get(i, "") for i, t in enumerate(tokens))
+    return getattr(tokens, "leading", "") + "".join(t.text + t.ws_after for t in tokens)

@@ -37,32 +37,33 @@ grammar reads.
 
 The folded line is tokenized and rendered from the cut on: the start of
 the whitespace-delimited chunk before the one that holds the stop, or 0
-when there is none. The text before the cut is copied as it is. The
-first stop is not the only cut. When a chunk ends in a WORD token and
-the chunk before it did too, the tokenizer reads the grammar again from
-the start of that chunk; if the grammar reads past the next chunk, the
-text from there up to the start of the chunk before where it stops (or
-up to the end of the line) is copied as it is too (``tokenize``'s
-``_plain``), between the two plain chunks around it, which stay
-tokenized: the one the read started at and the one before the stop.
+when there is none. The text before the cut is copied as it is
+(``TokenList.leading``). When a chunk ends in a WORD token and the chunk
+before it did too, the tokenizer reads the grammar again from the start
+of that chunk; if it reads past the next chunk, the text from there up
+to the start of the chunk before where it stops (or to the end of the
+line) is copied too, into the gap after the word's whitespace
+(``tokenize``'s ``_plain``). The plain chunks on either side of the run
+stay tokenized.
 
-This reads the line as the whole path would. A copied run is plain, so
-its tokens are words and marks that no rule rewrites. It ends in
-whitespace, the chunk before each resume is plain, and only a digit-led
-token crosses whitespace, so the tokens after a copied run, spans
-included, are those of the whole line. No rule reads a plain chunk
-beyond the chunk next to its own: a rule reads at most one token before
-the one it starts at (``_roman``'s capitalized word, the token joined
-before ``_mark_at_number``'s mark), ``_roman``'s right and dot cues and
-the rules of joined tokens reach no further than the next chunk, and the
+One invariant makes this exact: a gap holds text other than whitespace
+only after an unmodified plain word, and before an unmodified token of a
+plain chunk or at the end of the line. A copied run is plain, so its
+tokens are words and marks that no rule rewrites. It ends in whitespace,
+the chunk before each resume is plain, and only a digit-led token
+crosses whitespace, so the tokens after a run, spans included, are those
+of the whole line. No rule reads a plain chunk beyond the chunk next to
+its own: a rule reads at most one token before the one it starts at
+(``_roman``'s capitalized word, the token joined before
+``_mark_at_number``'s mark), ``_roman``'s right and dot cues and the
+rules of joined tokens reach no further than the next chunk, and the
 spaced ``_ratio`` reads two tokens ahead but needs a number there. So
 the plain chunk kept on each side of a run holds what a rule beside the
 run reads, and the kept chunk before it ends in a plain word, which
-reads nothing to its right. ``_join`` reads the whitespace between two
-tokens it keeps. It writes the prefix first, and a later run inside the
-gap between the two unmodified plain words around it. The one rule that
-reads further, the pick of an expansion, reads the words of the copied
-text too (``_line_words``).
+reads nothing to its right. ``_join`` copies a gap between two
+contiguous unmodified pieces as it is. The pick of an expansion, which
+reads further, reads the words of the text before the cut and of every
+gap too (``_line_words``).
 
 What is derived from the config is cached on the ``RuleConfig`` on first
 use: changing ``config.abbreviations`` in place after that is not
@@ -141,16 +142,19 @@ def _pick_expansion(entry, line) -> str:
 
 def _line_words(line) -> frozenset[str]:
     """The lowered words of ``line``'s word-like tokens, and those of the
-    plain text ``verbalize`` left untokenized: the context an
+    text no token holds, which ``verbalize`` copied: the context an
     expansion is picked in. Built on the first abbreviation with more than
     one expansion and kept on the token list, so a line costs one pass
     over its words however many abbreviations it holds."""
     words = getattr(line, "abbreviation_context", None)
     if words is None:
-        # plain text tokenizes to words and marks, each word a whole letter run
-        plain = " ".join((getattr(line, "leading", ""), *getattr(line, "_skipped", {}).values()))
-        head = _LETTER_RUN_RE.findall(plain.lower())
-        words = frozenset(chain(head, (t.text.lower() for t in line if t.kind in _WORDISH_KINDS)))
+        # copied text is words and marks, each word a whole letter run; only a word's gap holds it
+        plain, wordish = [getattr(line, "leading", "")], []
+        for t in line:
+            if t.kind in _WORDISH_KINDS:
+                wordish.append(t.text.lower())
+                plain.append(t.ws_after)
+        words = frozenset(chain(_LETTER_RUN_RE.findall(" ".join(plain).lower()), wordish))
         if isinstance(line, TokenList):
             line.abbreviation_context = words
     return words
@@ -555,7 +559,6 @@ def _render_tokens(tokens, config: RuleConfig) -> list[_Piece]:
 
 def _join(tokens, pieces: list[_Piece]) -> str:
     out = [getattr(tokens, "leading", "")]
-    skipped = getattr(tokens, "_skipped", ())
     prev: _Piece | None = None
     for piece in pieces:
         if piece.text == "":
@@ -564,8 +567,7 @@ def _join(tokens, pieces: list[_Piece]) -> str:
             gap = tokens[piece.first - 1].ws_after
             contiguous = prev.last == piece.first - 1
             if contiguous and not prev.modified and not piece.modified:
-                # the only gap that a skipped run can follow: no rule rewrites the plain words around it
-                sep = gap + skipped[prev.last] if prev.last in skipped else gap
+                sep = gap  # the only gap that can hold copied text (see the module docstring)
             elif gap == "" and (piece.is_punct or prev.is_punct):
                 sep = ""
             else:
@@ -575,8 +577,6 @@ def _join(tokens, pieces: list[_Piece]) -> str:
         prev = piece
     if prev is not None and not prev.modified:
         out.append(tokens[prev.last].ws_after)
-        if prev.last in skipped:
-            out.append(skipped[prev.last])
     return "".join(out)
 
 

@@ -70,6 +70,10 @@ class TestScoreArithmetic:
         assert report.matched == report.total == 10
         assert report.minus_points == 0
 
+    def test_empty_corpus_scores_zero(self):
+        report = score_corpus([], {})
+        assert (report.total, report.matched, report.percent) == (0, 0, 0)
+
     def test_percent_invariant_under_reordering(self):
         records = make_corpus(50)
         hyps = make_hypotheses(records, 23)
@@ -126,6 +130,23 @@ class TestMinusPlusPoints:
     def test_alignment_failure_earns_nothing(self):
         report = score_corpus([SPAN_RECORD], {"x": "täiesti teistsugune tekst"})
         assert (report.minus_points, report.plus_points) == (0, 0)
+
+    def test_surface_without_a_word_earns_nothing(self):
+        record = GoldRecord("p", "hind 5 % km lõpp", "hind viis protsenti km lõpp", (AbbrevSpan("%", "word"),))
+        report = score_corpus([record], {"p": "hind viis kilomeeter km lõpp"})
+        assert (report.minus_points, report.plus_points) == (0, 0)
+
+    def test_anchors_out_of_order_earn_nothing(self):
+        # the word after the span comes before the word before it in the hypothesis
+        record = GoldRecord("o", "a km b", "a käibemaks b", (AbbrevSpan("km", "word", ("käibemaks",)),))
+        report = score_corpus([record], {"o": "b kilomeetrit a"})
+        assert (report.minus_points, report.plus_points) == (0, 0)
+
+    def test_span_at_the_end_of_the_line(self):
+        # no anchor after the span: its rendering runs to the end of the hypothesis
+        record = GoldRecord("e", "Hind sisaldab km", "Hind sisaldab käibemaks", (AbbrevSpan("km", "word", ("käibemaks",)),))
+        assert score_corpus([record], {"e": "Hind sisaldab kilomeeter"}).minus_points == 1
+        assert score_corpus([record], {"e": "Hind sisaldab käibemaks"}).minus_points == 0
 
     def test_exactly_one_outcome_per_span(self):
         hypotheses = [

@@ -10,6 +10,7 @@ from etnorm.stats import (
     ErrorCategory,
     LikertRecord,
     RatingRecord,
+    _f_tail,
     error_rates,
     icc2k,
     likert_summary,
@@ -155,6 +156,10 @@ class TestErrorRates:
     def test_single_annotator_warns(self):
         with pytest.warns(UserWarning):
             error_rates([annotation("a", "s1")])
+
+    def test_empty_is_error(self):
+        with pytest.raises(ValueError):
+            error_rates([])
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError):
@@ -302,6 +307,14 @@ class TestIcc2k:
         base = icc2k(ANOVA_MATRIX)
         scaled = icc2k([[x * 3.5 for x in row] for row in ANOVA_MATRIX])
         assert scaled.icc == pytest.approx(base.icc, abs=1e-9)
+
+    def test_no_target_variance_beyond_error_gives_f_zero(self):
+        result = icc2k([[1, 2], [2, 1]])
+        assert (result.f_value, result.p_value) == (0.0, 1.0)
+
+    def test_f_tail_at_the_smallest_f(self):
+        # 1 / f overflows, so 1 - x is 0 and the tail is 1
+        assert _f_tail(5e-324, 1, 1) == 1.0
 
     def test_p_decreases_as_f_increases(self):
         rng = np.random.default_rng(42)

@@ -256,10 +256,12 @@ class TestLinearCost:
         assert elapsed < self.BUDGET_S, f"{elapsed:.2f}s for {len(line)} chars"
 
 
-# pieces of domains and addresses, the whitespace between chunks (some of
-# it outside ASCII), and plain filler that puts the anchors far apart
+# pieces of URL prefixes, domains and addresses, and near misses of them;
+# whitespace outside ASCII beside them and between chunks; and plain
+# filler that puts the anchors far apart
 HEAD_PIECES = st.sampled_from(
     ["a", "Z", "0", "-", "_", "+", ".", "..", ".ee", ".com", ".EE", ".eesti", "@", "www.", "http://", "x", "õ", "/"]
+    + ["HTTPS://", "https:/", "ww", "www", "\u2028", "\x85"]
 )
 CHUNK = st.lists(HEAD_PIECES, min_size=1, max_size=6).map("".join)
 SEPARATOR = st.sampled_from([" ", "  ", "\xa0", "\u2028", "\x85", "\u3000", "\t"])

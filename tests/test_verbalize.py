@@ -1,4 +1,5 @@
 import importlib
+import itertools
 import random
 import time
 import tracemalloc
@@ -597,14 +598,21 @@ class TestCut:
         assert verbalize(text, config) == expected == full_path(text, config)
 
     def skipped(self, text, config):
-        """The runs ``verbalize`` copies after the cut, with the whole-line
-        tokens checked against the ones it keeps."""
+        """The runs ``verbalize`` copies after the cut: what each gap holds
+        after its whitespace, with the whole-line tokens checked against
+        the ones it keeps."""
         line, cut = _decide(text, config)
         tokens = tokenize(line, cut, config.plain_line_re.match)
         assert detokenize(tokens) == line
         whole = {token.span: token for token in tokenize(line)}
-        assert all(whole.get(token.span) == token for token in tokens)  # text, kind, span and whitespace
-        return list(getattr(tokens, "_skipped", {}).values())
+        runs = []
+        for token in tokens:
+            alone = whole[token.span]
+            assert (alone.text, alone.kind) == (token.text, token.kind)
+            assert token.ws_after.startswith(alone.ws_after)
+            if token.ws_after != alone.ws_after:
+                runs.append(token.ws_after[len(alone.ws_after) :])
+        return runs
 
     @pytest.mark.parametrize(
         "text, expected",
@@ -687,6 +695,25 @@ class TestCut:
         for configured in (config, load_config(abbreviations_path=table)):
             pattern = configured.plain_line_re.pattern
             assert "(?<=" not in pattern and "(?<!" not in pattern
+
+    def test_every_line_of_five_chunks(self, config):
+        # "ja" is a plain word, "Karl" is the left cue of the Roman numeral
+        # "XII", ":" and "10" make a spaced ratio, "km" has two expansions
+        # and "summa" is a keyword that flips it, and "Zoë" folds, so the
+        # gate reads the line again. Four chunks are the fewest that copy a
+        # run ("10 ja ja ja"); with five, every run reaches the line's end
+        chunks = ("ja", "Karl", "summa", ":", "XII", "10", "km", "Zoë")
+        prefixes = runs = 0
+        for parts in itertools.product(chunks, repeat=5):
+            text = " ".join(parts)
+            assert verbalize(text, config) == full_path(text, config), text
+            line, cut = _decide(text, config)
+            if cut is not None:
+                tokens = tokenize(line, cut, config.plain_line_re.match)
+                assert detokenize(tokens) == line, text
+                prefixes += cut > 0
+                runs += any(token.ws_after.strip() for token in tokens)
+        assert (prefixes, runs) == (9675, 3360)  # lines that copy a prefix, and a run
 
     def test_lone_surrogate(self, config):
         assert verbalize("\udcff", config) == ""

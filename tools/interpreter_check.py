@@ -11,9 +11,10 @@ strings, as ``gate<TAB>repr<TAB>decision``: ``pass``, or ``cut N`` when
 the line takes the full path from offset ``N`` on, led by ``folded, ``
 when the gate refused the raw line and folding changed it, so a moved cut
 shows in a diff. Then the plain runs that ``verbalize`` copies untokenized
-after the cut of each boundary string are printed, as
-``skip<TAB>repr<TAB>runs``: ``skip A-B`` for each run, by character
-offsets into the line it reads, or ``none``. Then the kinds of the tokens
+after the cut of each boundary string, each held in the gap after a
+token's whitespace, are printed, as ``skip<TAB>repr<TAB>runs``:
+``skip A-B`` for each run, by character offsets into the line it reads,
+or ``none``. Then the kinds of the tokens
 of each boundary string are printed, as ``tok<TAB>repr<TAB>kinds``, its
 folding under the bundled table, as ``fold<TAB>repr<TAB>folded``, and the
 ranges where a URL and an e-mail address can start, as
@@ -93,12 +94,12 @@ def skips(text: str) -> str:
     if cut is None:
         return "none"
     tokens = tokenize(line, cut, config.plain_line_re.match)
-    skipped, runs, pos = getattr(tokens, "_skipped", {}), [], len(tokens.leading)
-    for i, token in enumerate(tokens):
+    runs, pos = [], len(tokens.leading)
+    for token in tokens:
         pos += len(token.text) + len(token.ws_after)
-        if i in skipped:
-            runs.append(f"skip {pos}-{pos + len(skipped[i])}")
-            pos += len(skipped[i])
+        run = token.ws_after.lstrip()  # a gap holds its whitespace, then the run copied after it
+        if run:
+            runs.append(f"skip {pos - len(run)}-{pos}")
     return ", ".join(runs) or "none"
 
 
