@@ -2,10 +2,11 @@
 
 One left-to-right pass whose cost is linear in the length of the line.
 URLs and e-mail addresses are found anchor-first: the line is scanned
-once for the positions where one can start (``https://`` in any case or
-``www.``, a run of domain labels with a top-level-domain dot still
-ahead, a run of address characters that ends at ``@`` and a valid
-domain), and their patterns are tried only there. The prefix, domain and
+once for the set of positions where one can start (the start of
+``https://`` in any case or of ``www.``, each position of a run of domain
+labels with a top-level-domain dot still ahead, each position of a run
+of address characters that ends at ``@`` and a valid domain), and their
+patterns are tried only at a token start in that set. The prefix, domain and
 address head regexes read only the whitespace-delimited chunks from the
 one that holds the first anchor (``://`` or ``www.``, a top-level-domain
 dot, an ``@``) to the one that holds the last. That is exact: a URL
@@ -246,46 +247,37 @@ def _chunk_start(text: str, pos: int) -> int:
     return pos - _NON_WS_RE.match(text[low:pos][::-1]).end()
 
 
-def _heads(pattern: re.Pattern, text: str, first: int, last: int) -> list[tuple[int, int]]:
-    """The spans of ``pattern`` in ``text``, read only over the chunks from
-    the one that holds ``first`` to the one that holds ``last``."""
+def _heads(pattern: re.Pattern, text: str, first: int, last: int):
+    """The matches of ``pattern`` in ``text``, read only over the chunks
+    from the one that holds ``first`` to the one that holds ``last``."""
     end = _NON_WS_RE.match(text, last).end()
-    return [m.span() for m in pattern.finditer(text, _chunk_start(text, first), end)]
+    return pattern.finditer(text, _chunk_start(text, first), end)
 
 
-def _url_starts(text: str) -> list[tuple[int, int]]:
-    """[start, stop) ranges holding every position where ``_URL_RE`` can
-    match, sorted by start, in reverse (see ``_in_ranges``)."""
-    ranges = []
+def _url_starts(text: str) -> set[int]:
+    """Every position where ``_URL_RE`` can match."""
+    starts = set()
     if "://" in text or "www." in text:
         first = min(i for i in (text.find("://"), text.find("www.")) if i >= 0)
         last = max(text.rfind("://"), text.rfind("www."))
-        # the start of each prefix only: a range over all of it would try URLs inside it
-        ranges = [(start, start + 1) for start, _ in _heads(_URL_PREFIX_RE, text, first, last)]
+        # the start of each prefix only: its other positions would try URLs inside it
+        starts = {m.start() for m in _heads(_URL_PREFIX_RE, text, first, last)}
     dots = [m.start() for m in _TLD_DOT_RE.finditer(text)]
     if dots:
-        ranges += _heads(_DOMAIN_HEAD_RE, text, dots[0], dots[-1])
-        ranges.sort()
-    ranges.reverse()
-    return ranges
+        for m in _heads(_DOMAIN_HEAD_RE, text, dots[0], dots[-1]):
+            starts.update(range(*m.span()))
+    return starts
 
 
-def _email_starts(text: str) -> list[tuple[int, int]]:
-    """Like ``_url_starts`` for ``_EMAIL_RE``: the address runs that end at
-    an "@" and a valid domain."""
+def _email_starts(text: str) -> set[int]:
+    """Like ``_url_starts`` for ``_EMAIL_RE``: the positions of the address
+    runs that end at an "@" and a valid domain."""
+    starts = set()
     first = text.find("@")
-    if first < 0:
-        return []
-    return _heads(_ADDRESS_HEAD_RE, text, first, text.rfind("@"))[::-1]
-
-
-def _in_ranges(ranges: list[tuple[int, int]], pos: int) -> bool:
-    """Whether ``pos`` lies in one of ``ranges`` (reverse-sorted by start).
-    Ranges that end at or before ``pos`` are dropped, so ``pos`` must not
-    decrease from one call to the next."""
-    while ranges and ranges[-1][1] <= pos:
-        ranges.pop()
-    return bool(ranges) and ranges[-1][0] <= pos
+    if first >= 0:
+        for m in _heads(_ADDRESS_HEAD_RE, text, first, text.rfind("@")):
+            starts.update(range(*m.span()))
+    return starts
 
 
 def _is_phone(surface: str) -> bool:
@@ -346,7 +338,10 @@ def tokenize(text: str, _start: int = 0, _plain=None) -> TokenList:
     a plain chunk, and before a plain chunk or at the end of the line. The
     tokens kept are those of the whole text, spans included (the module
     docstring of ``verbalize`` says why), and ``detokenize`` still gives
-    the text back."""
+    the text back. Each such chunk end reads the grammar afresh. A read
+    that ends within two chunks copies nothing, and after a copy the scan
+    resumes at the chunk before the stop, so each chunk is read by at most
+    a few of them: the cost stays linear."""
     tokens = TokenList()
     pos = _WS_RE.match(text, _start).end()
     tokens.leading = text[:pos]
@@ -357,15 +352,15 @@ def tokenize(text: str, _start: int = 0, _plain=None) -> TokenList:
     extra = 0 if ascii_text else len(tokens.leading.encode("utf-8", "surrogatepass")) - pos
     url_starts = _url_starts(text)
     email_starts = _email_starts(text)
-    # the current chunk's start, the end of the last chunk to end in a WORD, the grammar's last stop
-    chunk, after_word, stop = pos, -1, -1
+    # the current chunk's start, the end of the last chunk to end in a WORD
+    chunk, after_word = pos, -1
 
     while pos < length:
         end = None
-        if url_starts and _in_ranges(url_starts, pos):
+        if url_starts and pos in url_starts:
             end = _match_url(text, pos)
             kind = TokenKind.URL
-        if end is None and email_starts and _in_ranges(email_starts, pos):
+        if end is None and email_starts and pos in email_starts:
             # Address characters, "@" and a valid domain follow each
             # position of an address run, so the match cannot fail. It ends
             # on a label character, never on a trailing mark to trim.
@@ -393,8 +388,7 @@ def tokenize(text: str, _start: int = 0, _plain=None) -> TokenList:
         if ws_end > end:  # the token ends a chunk
             if kind is _WORD:
                 if after_word == chunk and _plain is not None:  # and so did the chunk before
-                    if stop < chunk:  # a stop at or past this chunk is where a read from here stops
-                        stop = _plain_end(_plain, text, chunk)
+                    stop = _plain_end(_plain, text, chunk)
                     if stop > ws_end:  # the grammar read into the next chunk
                         resume = length if stop == length else _chunk_before(text, stop, ws_end)
                         if resume > ws_end:  # and past it: copy the run into this token's gap

@@ -104,6 +104,26 @@ class TestNormalize:
         assert code == 1
         assert "letters.txt:1" in err
 
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ('["title_min_length", 4]'.encode(), "config must be a JSON object"),
+            (b'{"title_min_length": 4\xff}', "input is not valid UTF-8"),
+        ],
+        ids=["array", "not_utf8"],
+    )
+    def test_unreadable_config_rejected(self, capsys, tmp_path, monkeypatch, payload, message):
+        config = tmp_path / "config.json"
+        config.write_bytes(payload)
+        code, out, err = run(
+            capsys,
+            ["normalize", "--config", str(config)],
+            stdin="tere\n",
+            monkeypatch=monkeypatch,
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith(f"etnorm: {config}: {message}")
+
     def test_unknown_config_key_rejected(self, capsys, tmp_path, monkeypatch):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"nonsense": 1}), encoding="utf-8")

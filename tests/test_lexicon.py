@@ -54,6 +54,10 @@ class TestValidation:
         with pytest.raises(ConfigError):
             replace(config, digit_group_threshold=4)
 
+    def test_letter_name_must_not_be_empty(self, config):
+        with pytest.raises(ConfigError, match="empty letter name for 'A'"):
+            replace(config, letter_names={**config.letter_names, "A": ""})
+
     @pytest.mark.parametrize("value", [6.0, 4.5, True, "6", None])
     @pytest.mark.parametrize("option", ["title_min_length", "digit_group_threshold"])
     def test_thresholds_must_be_integers(self, config, option, value):
@@ -81,6 +85,17 @@ class TestFileParsing:
         path = tmp_path / "abbr.tsv"
         path.write_text("xx\tmidagi\t\t1.0\tshout\n", encoding="utf-8")
         with pytest.raises(ConfigError, match="abbr.tsv:1"):
+            load_abbreviations(path)
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [("xx\n", "expected at least surface<TAB>expansion"), (" \tmidagi\n", "empty surface")],
+        ids=["one_column", "empty_surface"],
+    )
+    def test_malformed_line_reported(self, tmp_path, line, message):
+        path = tmp_path / "abbr.tsv"
+        path.write_text("ok\tkorras\n" + line, encoding="utf-8")
+        with pytest.raises(ConfigError, match=f"abbr.tsv:2: {message}"):
             load_abbreviations(path)
 
     def test_bad_weight_reported(self, tmp_path):

@@ -275,6 +275,11 @@ class TestOrdinal:
         with pytest.raises(ValueError):
             ordinal(4000)
 
+    @pytest.mark.parametrize("n", [2.0, True, "2"])
+    def test_rejects_non_integers(self, n):
+        with pytest.raises(ValueError, match="expected an integer"):
+            ordinal(n)
+
 
 class TestDigits:
     def test_examples(self):
@@ -309,6 +314,12 @@ class TestLexiconLoading:
         path = tmp_path / "bad.txt"
         path.write_text("unit.0=null\nno equals sign\n", encoding="utf-8")
         with pytest.raises(ConfigError, match="bad.txt:2"):
+            load_lexicon(path)
+
+    def test_empty_value_reported_with_location(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("unit.0=null\nunit.1 = \n", encoding="utf-8")
+        with pytest.raises(ConfigError, match="bad.txt:2: empty value for 'unit.1'"):
             load_lexicon(path)
 
 

@@ -2,10 +2,11 @@ import random
 import time
 
 import pytest
+from exhaustive_check import whole_line_email_starts, whole_line_url_starts
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from etnorm.tokens import _ADDRESS_HEAD_RE, _DOMAIN_HEAD_RE, _URL_PREFIX_RE, _email_starts, _url_starts
+from etnorm.tokens import _email_starts, _url_starts
 from etnorm.tokens import Token, TokenKind, detokenize, tokenize
 
 
@@ -283,19 +284,10 @@ def anchored_lines(draw):
     return "".join(parts)[: -1 if draw(st.booleans()) else None]
 
 
-def _whole_line_url_starts(text):
-    prefixes = [(m.start(), m.start() + 1) for m in _URL_PREFIX_RE.finditer(text)]
-    return sorted(prefixes + [m.span() for m in _DOMAIN_HEAD_RE.finditer(text)], reverse=True)
-
-
-def _whole_line_email_starts(text):
-    return [m.span() for m in _ADDRESS_HEAD_RE.finditer(text)][::-1]
-
-
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(text=anchored_lines())
 def test_head_scans_read_as_the_whole_line(text):
     # a domain or address run holds no whitespace, so reading only the
     # chunks from the first anchor to the last finds every head
-    assert _url_starts(text) == _whole_line_url_starts(text)
-    assert _email_starts(text) == _whole_line_email_starts(text)
+    assert _url_starts(text) == whole_line_url_starts(text)
+    assert _email_starts(text) == whole_line_email_starts(text)

@@ -7,6 +7,7 @@ import unicodedata
 from dataclasses import replace
 
 import pytest
+from exhaustive_check import full_path
 
 from etnorm.folding import FoldingTable, fold_diacritics
 from etnorm.lexicon import AbbreviationEntry, Expansion, load_config
@@ -19,11 +20,9 @@ from etnorm.verbalize import (
     _abbreviation,
     _decide,
     _gate,
-    _join,
     _letter_compound,
     _lone_letter,
     _mark_at_number,
-    _render_tokens,
     spell_letters,
     verbalize,
     verbalize_digit_sequence,
@@ -32,13 +31,6 @@ from etnorm.verbalize import (
 
 # the module, which the package's ``verbalize`` function shadows
 verbalize_module = importlib.import_module("etnorm.verbalize")
-
-
-def full_path(text, config):
-    """``verbalize`` without its pass-through gate: every line is tokenized
-    and every token offered to the rules."""
-    tokens = tokenize(fold_diacritics(text, config.folding))
-    return _join(tokens, _render_tokens(tokens, config))
 
 
 class TestSpellLetters:
@@ -159,6 +151,17 @@ class TestExpandAbbreviation:
         assert verbalize("nt ja jne 5 kg", config) == "näiteks ja ja nii edasi viis kilogrammi"
         assert built == []
 
+
+    def test_entry_flagged_word_is_read_as_written(self, config):
+        # the flag says for capitals what spoken_acronyms.txt says, with or
+        # without a case ending; a lowercase consonant cluster, which that
+        # list cannot keep from being spelled, only the flag can
+        table = {surface: AbbreviationEntry(surface, speak_as_word=True) for surface in ("ERM", "kpl")}
+        custom = replace(config, abbreviations={**config.abbreviations, **table})
+        assert verbalize("ERM ERM-ile ERMis kpl", config) == "ee-err-emm ee-err-emmile ee-err-emmis kaa-pee-ell"
+        assert verbalize("ERM ERM-ile ERMis kpl", custom) == "ERM ERMile ERMis kpl"
+        listed = replace(config, spoken_acronyms=config.spoken_acronyms | {"ERM", "kpl"})
+        assert verbalize("ERM ERM-ile ERMis kpl", listed) == "ERM ERMile ERMis kaa-pee-ell"
 
     def test_case_ending_on_an_expanded_entry_is_spelled(self, config):
         entry = AbbreviationEntry("EL", (Expansion("Euroopa Liit"),))

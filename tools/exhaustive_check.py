@@ -1,0 +1,147 @@
+"""Check the fast paths of ``verbalize`` on every string of a small scope.
+
+Each fast path is exact by an argument in a docstring: the pass-through
+gate and its cut, the plain runs copied untokenized, the bounded URL and
+e-mail head scans and the folded stretch. Bugs in such arguments show on
+short inputs, so every string up to a small size is checked (the
+small-scope hypothesis). Two sets are run:
+
+- every string of 4 pieces from ``PIECES`` (810,000 strings). Each must
+  pass all of ``failures``: ``verbalize`` raises nothing and leaves no
+  ASCII digit, equals the full path (every token offered to the rules),
+  ``detokenize(tokenize(x)) == x``, the URL and e-mail start sets equal
+  the whole-line scans, and folding equals ``fold_char`` character by
+  character;
+- every line of 6 chunks from ``CHUNKS``, joined by one space (262,144
+  lines), the fewest chunks where a copied plain run is followed by a
+  kept chunk and a stop. ``verbalize`` must equal the full path, and the
+  tokens of the copy path must give the line back.
+
+The tier-1 tests run the first check on every string of 3 pieces, and
+share ``full_path`` and the whole-line scans as references. Run:
+
+    python tools/exhaustive_check.py
+
+It prints the size of each set and the first mismatches, and exits 1 if
+any string fails. Standard library only; etnorm is imported from
+``src/`` beside this file.
+"""
+
+from __future__ import annotations
+
+import sys
+from itertools import product
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from etnorm.folding import fold_diacritics  # noqa: E402
+from etnorm.lexicon import default_config  # noqa: E402
+from etnorm.tokens import _ADDRESS_HEAD_RE, _DOMAIN_HEAD_RE, _URL_PREFIX_RE, _email_starts, _url_starts  # noqa: E402
+from etnorm.tokens import detokenize, tokenize  # noqa: E402
+from etnorm.verbalize import _decide, _join, _render_tokens, verbalize  # noqa: E402
+
+# words: plain, capitalized, an abbreviation with two expansions, lone
+# letters of both cases, a spelled acronym and a Roman numeral; numbers of
+# one, two and four digits and a zero; marks that join numbers, dates,
+# times, ratios, ranges and URLs; symbols and a non-decimal numeric;
+# whitespace the gate must keep (ASCII, no-break, Unicode line separator);
+# the anchors of URLs and domains and the clock cue; a letter of the
+# alphabet outside ASCII and one that folds
+PIECES = (
+    "ja", "Tere", "km", "a", "E", "MTÜ", "XX", "5", "12", "2020", "0",
+    ".", ",", ":", "-", "–", "/", "@", "%", "€", "½",
+    " ", "\xa0", "\u2028", "www.", ".ee", "http://", "kell ", "õ", "é",
+)
+
+# a plain word; the left cue of a Roman numeral and the numeral; a spaced
+# ratio; an abbreviation with two expansions and a keyword that flips it;
+# a word that folds, so the gate reads the line again
+CHUNKS = ("ja", "Karl", "summa", ":", "XII", "10", "km", "Zoë")
+
+_ASCII_DIGITS = frozenset("0123456789")
+
+
+def full_path(text, config):
+    """``verbalize`` without its pass-through gate: every line is tokenized
+    and every token offered to the rules."""
+    tokens = tokenize(fold_diacritics(text, config.folding))
+    return _join(tokens, _render_tokens(tokens, config))
+
+
+def _positions(matches):
+    return {pos for match in matches for pos in range(*match.span())}
+
+
+def whole_line_url_starts(text):
+    """``_url_starts`` as a scan of the whole line."""
+    return {m.start() for m in _URL_PREFIX_RE.finditer(text)} | _positions(_DOMAIN_HEAD_RE.finditer(text))
+
+
+def whole_line_email_starts(text):
+    """``_email_starts`` as a scan of the whole line."""
+    return _positions(_ADDRESS_HEAD_RE.finditer(text))
+
+
+def failures(text, config) -> list[str]:
+    """The names of the checks that ``text`` fails."""
+    try:
+        spoken = verbalize(text, config)
+    except Exception as error:  # noqa: BLE001 - totality is the check
+        return [f"raises {type(error).__name__}"]
+    failed = []
+    if not _ASCII_DIGITS.isdisjoint(spoken):
+        failed.append("digit in output")
+    if spoken != full_path(text, config):
+        failed.append("differs from the full path")
+    if detokenize(tokenize(text)) != text:
+        failed.append("round trip")
+    if _url_starts(text) != whole_line_url_starts(text):
+        failed.append("URL starts")
+    if _email_starts(text) != whole_line_email_starts(text):
+        failed.append("e-mail starts")
+    table = config.folding
+    if fold_diacritics(text, table) != "".join(table.fold_char(ch) for ch in text):
+        failed.append("folding")
+    return failed
+
+
+def strings(pieces, size):
+    """Every string of ``size`` pieces."""
+    return ("".join(parts) for parts in product(pieces, repeat=size))
+
+
+def copy_failures(text, config) -> list[str]:
+    """The checks of the copy path that ``text`` fails."""
+    failed = []
+    if verbalize(text, config) != full_path(text, config):
+        failed.append("differs from the full path")
+    line, cut = _decide(text, config)
+    if cut is not None and detokenize(tokenize(line, cut, config.plain_line_re.match)) != line:
+        failed.append("copy path round trip")
+    return failed
+
+
+def run(name, texts, check, config) -> int:
+    count = bad = 0
+    for text in texts:
+        count += 1
+        failed = check(text, config)
+        if failed:
+            bad += 1
+            if bad <= 20:
+                print(f"  {text!r}: {', '.join(failed)}")
+    print(f"{name}: {count} strings, {bad} failing")
+    return bad
+
+
+def main() -> int:
+    config = default_config()
+    bad = run("4 pieces", strings(PIECES, 4), failures, config)
+    lines = (" ".join(parts) for parts in product(CHUNKS, repeat=6))
+    bad += run("6 chunks", lines, copy_failures, config)
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -17,8 +17,10 @@ token's whitespace, are printed, as ``skip<TAB>repr<TAB>runs``:
 or ``none``. Then the kinds of the tokens
 of each boundary string are printed, as ``tok<TAB>repr<TAB>kinds``, its
 folding under the bundled table, as ``fold<TAB>repr<TAB>folded``, and the
-ranges where a URL and an e-mail address can start, as
-``heads<TAB>repr<TAB>url ranges; email ranges``. The gate, the
+positions where a URL and an e-mail address can start, as
+``heads<TAB>repr<TAB>url positions; email positions``, each set printed
+as its runs of consecutive positions, ``A-B`` from the first to one past
+the last, or ``none``. The gate, the
 tokenizer's groups, the top-level-domain boundary, the fold class and
 the chunk bounds of the URL and e-mail heads read regex case folding
 (``(?i:...)``) and the regex classes ``\s``, ``\S``, ``\W``, ``\d``,
@@ -103,8 +105,14 @@ def skips(text: str) -> str:
     return ", ".join(runs) or "none"
 
 
-def ranges(spans) -> str:
-    return " ".join(f"{start}-{stop}" for start, stop in reversed(spans)) or "none"
+def runs(positions) -> str:
+    spans = []
+    for pos in sorted(positions):
+        if spans and spans[-1][1] == pos:
+            spans[-1][1] = pos + 1
+        else:
+            spans.append([pos, pos + 1])
+    return " ".join(f"{start}-{stop}" for start, stop in spans) or "none"
 
 
 def main() -> int:
@@ -132,7 +140,7 @@ def main() -> int:
     for text in BOUNDARY:
         print(f"fold\t{text!r}\t{fold_diacritics(text)!r}")
     for text in BOUNDARY:
-        print(f"heads\t{text!r}\t{ranges(_url_starts(text))}; {ranges(_email_starts(text))}")
+        print(f"heads\t{text!r}\t{runs(_url_starts(text))}; {runs(_email_starts(text))}")
     return 0
 
 
