@@ -314,38 +314,48 @@ def _plain_end(match, text: str, start: int) -> int:
 def _chunk_before(text: str, end: int, low: int) -> int:
     """The start of the whitespace-delimited chunk before the one that
     holds ``end``, scanning back no further than ``low``: back from ``end``
-    over its chunk's head, the whitespace and the chunk before."""
+    over its chunk's head, the whitespace and the chunk before. ``end``
+    itself when it is the end of the text, where no chunk is left to keep."""
+    if end == len(text):
+        return end
     return end - _CHUNK_BACK_RE.match(text[low:end][::-1]).end()
 
 
-def tokenize(text: str, _start: int = 0, _plain=None) -> TokenList:
+def tokenize(text: str, _plain=None, _stop=None) -> TokenList:
     """Split text into classified tokens; whitespace is recorded, not emitted.
 
-    ``_start``, private to ``verbalize``, starts the scan at that offset and
-    keeps ``text[:_start]`` with the leading whitespace. It is 0, or the
-    start of a token of the whole text that follows whitespace with no
-    token reaching across it; the tokens from there on, spans included, are
-    then those of the whole text.
+    ``_plain``, private to ``verbalize``, is the config's
+    ``plain_line_re.match``. With it, plain text is copied as it is,
+    neither tokenized nor classified, by one rule: where the grammar, read
+    from the start of a chunk (a run of non-whitespace), stops, the text up
+    to the start of the chunk before the one that holds the stop is copied
+    (all of it when the grammar reads to the end). The rule is applied from
+    the start of the line, copying into ``TokenList.leading`` (``_stop``,
+    when given, is where that read stops), and wherever a chunk ends in a
+    WORD token and the chunk before it did too, copying into the
+    ``ws_after`` of that word, after its whitespace. So a gap holds text
+    other than whitespace only after a word that ends a plain chunk, and
+    before a plain chunk or at the end of the line; ``detokenize`` still
+    gives the text back.
 
-    ``_plain``, private to ``verbalize`` too, is the config's
-    ``plain_line_re.match``. When a chunk (a run of non-whitespace) ends in
-    a WORD token and the chunk before it did too, the grammar reads from
-    the start of that chunk. If it reads past the next chunk, the text
-    from the next chunk up to the start of the chunk before where it stops
-    (or up to the end of the line) is plain: it is neither tokenized nor
-    classified, and is appended to the ``ws_after`` of the word before it.
-    So a gap holds text other than whitespace only after a word that ends
-    a plain chunk, and before a plain chunk or at the end of the line. The
-    tokens kept are those of the whole text, spans included (the module
-    docstring of ``verbalize`` says why), and ``detokenize`` still gives
-    the text back. Each such chunk end reads the grammar afresh. A read
-    that ends within two chunks copies nothing, and after a copy the scan
-    resumes at the chunk before the stop, so each chunk is read by at most
-    a few of them: the cost stays linear."""
+    The tokens kept are those of the whole text, spans included: copied
+    text is words and marks and ends in whitespace, and only a digit-led
+    token crosses whitespace, so no token of the whole text reaches across
+    the end of a copy. (Why the rules read them the same is in the module
+    docstring of ``verbalize``.) A read that stops within the next chunk
+    copies nothing, and after a copy the scan resumes at the chunk before
+    the stop, so each chunk is read a bounded number of times: the cost
+    stays linear."""
     tokens = TokenList()
-    pos = _WS_RE.match(text, _start).end()
+    pos = 0
+    if _plain is not None:
+        stop = _plain_end(_plain, text, 0) if _stop is None else _stop
+        pos = _chunk_before(text, stop, 0)
+    pos = _WS_RE.match(text, pos).end()
     tokens.leading = text[:pos]
     length = len(text)
+    if pos == length:  # nothing left, or the line is plain to its end
+        return tokens
     ascii_text = text.isascii()
     # UTF-8 bytes beyond one per character so far: byte offset = pos + extra;
     # a lone surrogate is encoded as its three bytes, as Python spells it
@@ -388,11 +398,9 @@ def tokenize(text: str, _start: int = 0, _plain=None) -> TokenList:
         if ws_end > end:  # the token ends a chunk
             if kind is _WORD:
                 if after_word == chunk and _plain is not None:  # and so did the chunk before
-                    stop = _plain_end(_plain, text, chunk)
-                    if stop > ws_end:  # the grammar read into the next chunk
-                        resume = length if stop == length else _chunk_before(text, stop, ws_end)
-                        if resume > ws_end:  # and past it: copy the run into this token's gap
-                            ws_end = resume
+                    resume = _chunk_before(text, _plain_end(_plain, text, chunk), ws_end)
+                    if resume > ws_end:  # the grammar read past the next chunk: copy the run into this gap
+                        ws_end = resume
                 after_word = ws_end
             chunk = ws_end
         ws_after = text[end:ws_end]

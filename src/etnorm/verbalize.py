@@ -8,62 +8,50 @@ the one place the order of the rules is written down. Sections the rules
 do not touch keep their original spacing, so plain sentences pass
 through unchanged apart from diacritic folding.
 
-Pass-through contract: ``_gate`` reads the raw line with one grammar,
-``RuleConfig.plain_line_re``, built from the tokenizer's own patterns and
-the config, and finds how far it is plain. A line that is plain to its
-end is returned as it is, without folding or tokenizing. A plain line is
-separators and words. A separator is whitespace or ``_SENTENCE_PUNCT``
-that does not start a top-level-domain dot. A word is
-``tokens._PLAIN_WORD`` (a letter of ``_UC`` or ``_LC`` and one or more of
-``_LC``, holding a vowel, with no letter or digit after it), the
-tokenizer's own ``word`` token, that is not, in either case, an
-abbreviation surface, and whose letters the config's folding keeps:
-ASCII or protected ones. Folding changes letters only, so a plain line is
-its own folding. It tokenizes to WORD and PUNCT tokens only: every other
-kind needs a digit, a symbol, a run of capitals, a case change inside a
-word or a domain. Of their rules, the letter compound and the lone letter
-need a one-letter word, the abbreviation rule a surface, and the rule
-of a dot, comma or hyphen a number. The tokenizer is lossless, so the
-reassembled line is the line, byte for byte. The gate may send a line
-nothing would rewrite (a title, ``Krt``) down the full path, which reads
-it the same.
+Pass-through contract: the gate, the first step of ``verbalize``, reads
+the raw line with one grammar, ``RuleConfig.plain_line_re``, built from
+the tokenizer's own patterns and the config, and finds how far it is
+plain. A line that is plain to its end is returned as it is, without
+folding or tokenizing. A plain line is separators and words. A separator
+is whitespace or ``_SENTENCE_PUNCT`` that does not start a
+top-level-domain dot. A word is ``tokens._PLAIN_WORD`` (a letter of
+``_UC`` or ``_LC`` and one or more of ``_LC``, holding a vowel, with no
+letter or digit after it), the tokenizer's own ``word`` token, that is
+not, in either case, an abbreviation surface, and whose letters the
+config's folding keeps: ASCII or protected ones. Folding changes letters
+only, so a plain line is its own folding. It tokenizes to WORD and PUNCT
+tokens only: every other kind needs a digit, a symbol, a run of capitals,
+a case change inside a word or a domain. Of their rules, the letter
+compound and the lone letter need a one-letter word, the abbreviation
+rule a surface, and the rule of a dot, comma or hyphen a number. The
+tokenizer is lossless, so the reassembled line is the line, byte for
+byte. The gate may send a line nothing would rewrite (a title, ``Krt``)
+down the full path, which reads it the same.
 
-A line the gate refuses is folded. If folding changed it, the grammar
-reads the folded line again from the cut (below). This finds where the
-folded line stops, as a reading from its start would: folding keeps the
-length, and the text before the cut is plain, so it holds no letter
-that folds, and it ends in whitespace, past which no lookahead of the
-grammar reads.
-
-The folded line is tokenized and rendered from the cut on: the start of
-the whitespace-delimited chunk before the one that holds the stop, or 0
-when there is none. The text before the cut is copied as it is
-(``TokenList.leading``). When a chunk ends in a WORD token and the chunk
-before it did too, the tokenizer reads the grammar again from the start
-of that chunk; if it reads past the next chunk, the text from there up
-to the start of the chunk before where it stops (or to the end of the
-line) is copied too, into the gap after the word's whitespace
-(``tokenize``'s ``_plain``). The plain chunks on either side of the run
-stay tokenized.
+Any other line is folded, tokenized and rendered. The tokenizer copies
+the plain text it finds with the same grammar as it is, neither
+tokenized nor classified (the copy rule, ``tokenize``'s ``_plain``):
+the text before the chunk before where the grammar stops, into
+``TokenList.leading``, and the runs after two chunks that end in a word,
+into the gap after the word's whitespace. The tokens it keeps are those
+of the whole line, and the plain chunks on either side of each copy stay
+tokenized.
 
 One invariant makes this exact: a gap holds text other than whitespace
 only after an unmodified plain word, and before an unmodified token of a
-plain chunk or at the end of the line. A copied run is plain, so its
-tokens are words and marks that no rule rewrites. It ends in whitespace,
-the chunk before each resume is plain, and only a digit-led token
-crosses whitespace, so the tokens after a run, spans included, are those
-of the whole line. No rule reads a plain chunk beyond the chunk next to
-its own: a rule reads at most one token before the one it starts at
-(``_roman``'s capitalized word, the token joined before
-``_mark_at_number``'s mark), ``_roman``'s right and dot cues and the
-rules of joined tokens reach no further than the next chunk, and the
-spaced ``_ratio`` reads two tokens ahead but needs a number there. So
-the plain chunk kept on each side of a run holds what a rule beside the
-run reads, and the kept chunk before it ends in a plain word, which
-reads nothing to its right. ``_join`` copies a gap between two
+plain chunk or at the end of the line. Copied text is plain, so its
+tokens are words and marks that no rule rewrites. No rule reads a plain
+chunk beyond the chunk next to its own: a rule reads at most one token
+before the one it starts at (``_roman``'s capitalized word, the token
+joined before ``_mark_at_number``'s mark), ``_roman``'s right and dot
+cues and the rules of joined tokens reach no further than the next chunk,
+and the spaced ``_ratio`` reads two tokens ahead but needs a number
+there. So the plain chunk kept on each side of a copy holds what a rule
+beside it reads, and the kept chunk before a run ends in a plain word,
+which reads nothing to its right. ``_join`` copies a gap between two
 contiguous unmodified pieces as it is. The pick of an expansion, which
-reads further, reads the words of the text before the cut and of every
-gap too (``_line_words``).
+reads further, reads the words of ``leading`` and of every gap too
+(``_line_words``).
 
 What is derived from the config is cached on the ``RuleConfig`` on first
 use: changing ``config.abbreviations`` in place after that is not
@@ -81,7 +69,7 @@ from .lexicon import RuleConfig, default_config
 from .numwords import _CARDINAL_DIGITS, NOMINATIVE, _is_ascii_digits, cardinal, decimal, digits, ordinal
 from .romans import roman_value
 from .tokens import _ATTACHED_SUFFIX_RE, _LC, _UC, _URL_SCHEME, _VOWELS, CASE_SUFFIXES
-from .tokens import TokenKind, TokenList, _chunk_before, _plain_end, tokenize
+from .tokens import TokenKind, TokenList, _plain_end, tokenize
 
 _SEGMENT_RE = re.compile(rf"[{_UC}]+(?![{_LC}])|[{_UC}][{_LC}]+|[{_LC}]+|[0-9]+|[^\W\d_]+")
 _DIGIT_GROUP_SEP_RE = re.compile(r"[ \xa0.\-]+")  # between the digit groups of a phone number or ID
@@ -580,38 +568,14 @@ def _join(tokens, pieces: list[_Piece]) -> str:
     return "".join(out)
 
 
-def _gate(line: str, config: RuleConfig, start: int = 0) -> int | None:
-    """None when no rule can rewrite any token of ``line`` and folding
-    leaves it as it is: all of it is a plain line. Otherwise the offset the
-    full path starts at: the start of the chunk before the one where the
-    plain prefix stops, or ``start`` when no chunk starts between them
-    (see the module docstring). It may refuse a line that no rule would
-    touch, never pass one that a rule would. ``start``, 0 by default,
-    resumes the reading at an offset that a reading from 0 goes through: a
-    cut returned for a line with the same text before it."""
-    end = _plain_end(config.plain_line_re.match, line, start)
-    return None if end == len(line) else _chunk_before(line, end, start)
-
-
-def _decide(text: str, config: RuleConfig) -> tuple[str, int | None]:
-    """The line ``verbalize`` reads, ``text`` or its folding, and the
-    gate's cut in that line, None when the line passes whole."""
-    cut = _gate(text, config)
-    if cut is None:
-        return text, None
-    folded = fold_diacritics(text, config.folding)
-    if folded != text:
-        # folding keeps the length and changes nothing the gate read before the cut
-        cut = _gate(folded, config, cut)
-    return folded, cut
-
-
 def verbalize(text: str, config: RuleConfig | None = None) -> str:
     """Rewrite ``text`` into fully spoken form under ``config``."""
     config = config or default_config()
-    line, cut = _decide(text, config)
-    if cut is None:
-        return line
-    tokens = tokenize(line, cut, config.plain_line_re.match)
-    pieces = _render_tokens(tokens, config)
-    return _join(tokens, pieces)
+    match = config.plain_line_re.match
+    stop = _plain_end(match, text, 0)
+    if stop == len(text):  # a plain line: its own folding, and no rule rewrites it
+        return text
+    line = fold_diacritics(text, config.folding)
+    # the raw line's stop holds for its folding when folding left it as it was
+    tokens = tokenize(line, _plain=match, _stop=stop if line == text else None)
+    return _join(tokens, _render_tokens(tokens, config))

@@ -220,6 +220,16 @@ class TestColdStart:
         assert proc.stdout.decode("utf-8") == "Tere, viis kilomeetrit!\n"
         assert proc.stderr.decode().strip() == "[]"
 
+    def test_instrument_names_load_on_first_use(self, monkeypatch):
+        import etnorm
+        import etnorm.stats
+
+        monkeypatch.delitem(etnorm.__dict__, "mos", raising=False)
+        assert etnorm.mos is etnorm.stats.mos
+        assert etnorm.__dict__["mos"] is etnorm.stats.mos  # cached: later lookups skip __getattr__
+        with pytest.raises(AttributeError, match="'no_such_name'"):
+            etnorm.no_such_name  # noqa: B018
+
     def test_no_public_name_is_a_module(self):
         # a submodule imported later must not shadow a name of the package
         code = (

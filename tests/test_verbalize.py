@@ -7,19 +7,17 @@ import unicodedata
 from dataclasses import replace
 
 import pytest
-from exhaustive_check import full_path
+from exhaustive_check import copy_path, cut_of, full_path
 
 from etnorm.folding import FoldingTable, fold_diacritics
 from etnorm.lexicon import AbbreviationEntry, Expansion, load_config
 from etnorm.numwords import NOMINATIVE, ordinal
 from etnorm.romans import roman_value
 from etnorm.scoring import canonicalize
-from etnorm.tokens import TokenKind, detokenize, tokenize
+from etnorm.tokens import TokenKind, _plain_end, detokenize, tokenize
 from etnorm.verbalize import (
     _RULES,
     _abbreviation,
-    _decide,
-    _gate,
     _letter_compound,
     _lone_letter,
     _mark_at_number,
@@ -31,6 +29,11 @@ from etnorm.verbalize import (
 
 # the module, which the package's ``verbalize`` function shadows
 verbalize_module = importlib.import_module("etnorm.verbalize")
+
+
+def passes(line, config):
+    """The gate of ``verbalize``: the plain-line grammar reads all of ``line``."""
+    return _plain_end(config.plain_line_re.match, line, 0) == len(line)
 
 
 class TestSpellLetters:
@@ -547,13 +550,13 @@ class TestPassThrough:
     )
     def test_rule_shapes_take_the_full_path(self, config, text):
         for line in (text, f"Ta ütles {text} eile.", f"«{text}», vastas ta!"):
-            assert _gate(fold_diacritics(line, config.folding), config) is not None, line
+            assert not passes(fold_diacritics(line, config.folding), config), line
             assert verbalize(line, config) == full_path(line, config)
 
     def test_plain_lines_pass(self, config):
         for line in ("Tere, maailm!  Kõik on hästi.", "Žürii arutas «tšeki» üle – jälle…", "Café on Ärge-tänaval."):
             folded = fold_diacritics(line, config.folding)
-            assert _gate(folded, config) is None, line
+            assert passes(folded, config), line
             assert verbalize(line, config) == folded == full_path(line, config)
 
     def test_abbreviation_table_moves_a_line_across_the_gate(self, config, tmp_path):
@@ -561,23 +564,23 @@ class TestPassThrough:
         table.write_text("eile\teelmisel päeval\n", encoding="utf-8")
         custom = load_config(abbreviations_path=table)
         line = "Ta tuli eile koju. Eile sadas."
-        assert _gate(line, config) is None
+        assert passes(line, config)
         assert verbalize(line, config) == line
-        assert _gate(line, custom) is not None
+        assert not passes(line, custom)
         assert verbalize(line, custom) == "Ta tuli eelmisel päeval koju. eelmisel päeval sadas."
 
     def test_long_line_is_decided_to_its_end(self, config):
         line = "Tere, maailm! " * 5000
         tracemalloc.start()
         try:
-            assert _gate(line, config) is None
+            assert passes(line, config)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20, peak  # the regex engine's backtracking stack stays small
         for word in ("ca", "Prof", "x", "krt", "EE", "err.ee", "7"):
-            assert _gate(line + word, config) is not None, word
-            assert _gate(line + word + " " + line, config) is not None, word
+            assert not passes(line + word, config), word
+            assert not passes(line + word + " " + line, config), word
 
     @pytest.mark.parametrize(
         "text",
@@ -585,7 +588,7 @@ class TestPassThrough:
     )
     def test_whitespace_is_kept_byte_exact(self, config, text):
         folded = fold_diacritics(text, config.folding)
-        assert _gate(folded, config) is None
+        assert passes(folded, config)
         assert verbalize(text, config) == text == detokenize(tokenize(folded)) == full_path(text, config)
 
 
@@ -596,16 +599,14 @@ class TestCut:
     too, up to the chunk before where the grammar stops again."""
 
     def cut_at(self, text, config, expected_cut, expected):
-        folded = fold_diacritics(text, config.folding)
-        assert _gate(folded, config) == expected_cut
+        assert cut_of(copy_path(text, config)[1]) == expected_cut
         assert verbalize(text, config) == expected == full_path(text, config)
 
     def skipped(self, text, config):
         """The runs ``verbalize`` copies after the cut: what each gap holds
         after its whitespace, with the whole-line tokens checked against
         the ones it keeps."""
-        line, cut = _decide(text, config)
-        tokens = tokenize(line, cut, config.plain_line_re.match)
+        line, tokens = copy_path(text, config)
         assert detokenize(tokens) == line
         whole = {token.span: token for token in tokenize(line)}
         runs = []
@@ -650,10 +651,9 @@ class TestCut:
 
     def test_spans_after_a_non_ascii_prefix(self, config):
         text = "Žürii arutas öösel «tšeki» üle, 5 km"
-        cut = _gate(text, config)
-        assert cut == text.index("üle")
-        rest, whole = tokenize(text, cut), tokenize(text)
-        assert rest.leading == text[:cut]
+        rest, whole = copy_path(text, config)[1], tokenize(text)
+        assert cut_of(rest) == text.index("üle")
+        assert rest.leading == text[: text.index("üle")]
         assert rest == whole[-len(rest):]  # text, kind, byte span and whitespace
         assert detokenize(rest) == text
 
@@ -703,19 +703,18 @@ class TestCut:
         # "ja" is a plain word, "Karl" is the left cue of the Roman numeral
         # "XII", ":" and "10" make a spaced ratio, "km" has two expansions
         # and "summa" is a keyword that flips it, and "Zoë" folds, so the
-        # gate reads the line again. Four chunks are the fewest that copy a
-        # run ("10 ja ja ja"); with five, every run reaches the line's end
+        # tokenizer reads the folded line afresh. Four chunks are the fewest
+        # that copy a run ("10 ja ja ja"); with five, every run reaches the
+        # line's end
         chunks = ("ja", "Karl", "summa", ":", "XII", "10", "km", "Zoë")
         prefixes = runs = 0
         for parts in itertools.product(chunks, repeat=5):
             text = " ".join(parts)
             assert verbalize(text, config) == full_path(text, config), text
-            line, cut = _decide(text, config)
-            if cut is not None:
-                tokens = tokenize(line, cut, config.plain_line_re.match)
-                assert detokenize(tokens) == line, text
-                prefixes += cut > 0
-                runs += any(token.ws_after.strip() for token in tokens)
+            line, tokens = copy_path(text, config)
+            assert detokenize(tokens) == line, text
+            prefixes += bool(cut_of(tokens))
+            runs += any(token.ws_after.strip() for token in tokens)
         assert (prefixes, runs) == (9675, 3360)  # lines that copy a prefix, and a run
 
     def test_lone_surrogate(self, config):
@@ -725,13 +724,13 @@ class TestCut:
 
 class TestRawLineGate:
     """The gate reads the raw line, and its words hold only letters that
-    folding keeps. A line it refuses is folded and, if folding changed it,
-    read again from the cut."""
+    folding keeps. A line it refuses is folded, and the tokenizer reads the
+    grammar on the folded line from its start; the raw line's stop is
+    reused only when folding left the line as it was."""
 
     def read(self, text, config, expected_cut, expected):
-        line, cut = _decide(text, config)
-        assert line == fold_diacritics(text, config.folding)
-        assert cut == expected_cut == _gate(line, config)
+        assert not passes(text, config)
+        assert cut_of(copy_path(text, config)[1]) == expected_cut
         assert verbalize(text, config) == expected == full_path(text, config)
 
     def test_no_letter_protected(self, config):
@@ -745,6 +744,31 @@ class TestRawLineGate:
     def test_bundled_folding(self, config):
         self.read("Näitleja François saabus Tallinna.", config, None, "Näitleja Francois saabus Tallinna.")
         self.read("Émile ostis 5 kg.", config, 6, "Emile ostis viis kilogrammi.")
+
+    def test_raw_stop_is_reused_when_folding_changes_nothing(self, config):
+        class Recording:
+            """A plain-line regex that records where each match starts."""
+
+            def __init__(self, pattern):
+                self.pattern, self.starts = pattern, []
+
+            def match(self, text, pos=0):
+                self.starts.append(pos)
+                return self.pattern.match(text, pos)
+
+        # the first line holds no letter that folds, the second one that
+        # folds to itself, and the third folds "ç"
+        cases = (
+            ("Linnavalitsus teatas eile, et 5 km on palju.", 1),
+            ("Łukasz sõitis eile 5 km.", 1),
+            ("Näitleja François saabus 2020. aastal.", 2),
+        )
+        for text, reads in cases:
+            recording = Recording(config.plain_line_re)
+            custom = replace(config)
+            custom.__dict__["plain_line_re"] = recording
+            assert verbalize(text, custom) == verbalize(text, config)
+            assert recording.starts.count(0) == reads, (text, recording.starts)
 
 
 @pytest.mark.parametrize("unit, count", [("½", 20000), ("b½", 10000)])

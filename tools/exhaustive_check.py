@@ -18,7 +18,8 @@ small-scope hypothesis). Two sets are run:
   tokens of the copy path must give the line back.
 
 The tier-1 tests run the first check on every string of 3 pieces, and
-share ``full_path`` and the whole-line scans as references. Run:
+share ``full_path``, ``copy_path``, ``cut_of`` and the whole-line scans as
+references. Run:
 
     python tools/exhaustive_check.py
 
@@ -39,7 +40,7 @@ from etnorm.folding import fold_diacritics  # noqa: E402
 from etnorm.lexicon import default_config  # noqa: E402
 from etnorm.tokens import _ADDRESS_HEAD_RE, _DOMAIN_HEAD_RE, _URL_PREFIX_RE, _email_starts, _url_starts  # noqa: E402
 from etnorm.tokens import detokenize, tokenize  # noqa: E402
-from etnorm.verbalize import _decide, _join, _render_tokens, verbalize  # noqa: E402
+from etnorm.verbalize import _join, _render_tokens, verbalize  # noqa: E402
 
 # words: plain, capitalized, an abbreviation with two expansions, lone
 # letters of both cases, a spelled acronym and a Roman numeral; numbers of
@@ -67,6 +68,22 @@ def full_path(text, config):
     and every token offered to the rules."""
     tokens = tokenize(fold_diacritics(text, config.folding))
     return _join(tokens, _render_tokens(tokens, config))
+
+
+def copy_path(text, config):
+    """The line ``verbalize`` tokenizes, ``text`` folded, and the tokens it
+    keeps there: none when the line is plain to its end."""
+    line = fold_diacritics(text, config.folding)
+    return line, tokenize(line, _plain=config.plain_line_re.match)
+
+
+def cut_of(tokens):
+    """Where the copy path starts keeping tokens: None when it keeps none
+    (the line is plain), else the end of the copied text, or 0 when that
+    is only whitespace."""
+    if not tokens:
+        return None
+    return len(tokens.leading) if tokens.leading.strip() else 0
 
 
 def _positions(matches):
@@ -116,8 +133,8 @@ def copy_failures(text, config) -> list[str]:
     failed = []
     if verbalize(text, config) != full_path(text, config):
         failed.append("differs from the full path")
-    line, cut = _decide(text, config)
-    if cut is not None and detokenize(tokenize(line, cut, config.plain_line_re.match)) != line:
+    line, tokens = copy_path(text, config)
+    if detokenize(tokens) != line:
         failed.append("copy path round trip")
     return failed
 

@@ -8,9 +8,10 @@ built by ``perfbench/workloads.py``, as ``WORKLOAD:SEED:INDEX<TAB>spoken
 form``. Then the decision ``verbalize`` makes on each raw gold line is
 printed, as ``gate<TAB>ID<TAB>decision``, and on a fixed list of boundary
 strings, as ``gate<TAB>repr<TAB>decision``: ``pass``, or ``cut N`` when
-the line takes the full path from offset ``N`` on, led by ``folded, ``
-when the gate refused the raw line and folding changed it, so a moved cut
-shows in a diff. Then the plain runs that ``verbalize`` copies untokenized
+the tokenizer copies the text before offset ``N`` and keeps tokens from
+there on (0 when only whitespace is copied), led by ``folded, `` when the
+raw line is not plain and folding changed it, so a moved cut shows in a
+diff. Then the plain runs that ``verbalize`` copies untokenized
 after the cut of each boundary string, each held in the gap after a
 token's whitespace, are printed, as ``skip<TAB>repr<TAB>runs``:
 ``skip A-B`` for each run, by character offsets into the line it reads,
@@ -35,8 +36,9 @@ interpreters and compare the outputs; they must be identical:
 Run in a checkout of each of two commits, it shows whether a change
 altered any of these readings.
 
-Standard library only; etnorm is imported from ``src/`` and the workloads
-from ``perfbench/`` beside this file.
+Standard library only; etnorm is imported from ``src/``, the workloads
+from ``perfbench/`` and the copy path from ``exhaustive_check.py``
+beside this file.
 """
 
 from __future__ import annotations
@@ -53,7 +55,8 @@ sys.path[:0] = [str(SRC), str(ROOT / "perfbench")]
 from etnorm.folding import fold_diacritics  # noqa: E402
 from etnorm.lexicon import default_config  # noqa: E402
 from etnorm.tokens import TokenKind, _email_starts, _url_starts, tokenize  # noqa: E402
-from etnorm.verbalize import _decide, verbalize  # noqa: E402
+from etnorm.verbalize import verbalize  # noqa: E402
+from exhaustive_check import copy_path, cut_of  # noqa: E402
 from workloads import generate  # noqa: E402
 
 WORKLOADS = ("news", "dense", "longline")
@@ -85,17 +88,14 @@ BOUNDARY = (
 
 
 def gate(text: str) -> str:
-    line, cut = _decide(text, default_config())
+    line, tokens = copy_path(text, default_config())
+    cut = cut_of(tokens)
     decision = "pass" if cut is None else f"cut {cut}"
     return f"folded, {decision}" if line != text else decision
 
 
 def skips(text: str) -> str:
-    config = default_config()
-    line, cut = _decide(text, config)
-    if cut is None:
-        return "none"
-    tokens = tokenize(line, cut, config.plain_line_re.match)
+    tokens = copy_path(text, default_config())[1]
     runs, pos = [], len(tokens.leading)
     for token in tokens:
         pos += len(token.text) + len(token.ws_after)
