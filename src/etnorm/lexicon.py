@@ -15,7 +15,7 @@ from functools import cached_property, lru_cache
 from .folding import FoldingTable
 from .numwords import NumberLexicon, default_lexicon, load_lexicon
 from .textfiles import ConfigError, read_data
-from .tokens import _LC, _PLAIN_REPEAT, _PLAIN_WORD, _PUNCT, _TLD_DOT, _UC, _VOWELS
+from .tokens import _LC, _PLAIN_REPEAT, _PLAIN_WORD, _SENTENCE_PUNCT, _TLD_DOT, _UC, _VOWELS
 
 
 @dataclass(frozen=True)
@@ -72,17 +72,31 @@ class RuleConfig:
         of the pass-through gate in ``verbalize``. Built on first use, so
         ``abbreviations`` must not be changed in place after that; derive a
         new config instead."""
-        # only a surface spelled in the alphabet with a vowel can be a word here
-        surfaces = [s for s in map(str.lower, self.abbreviations) if set(s) <= set(_LC) and not _VOWELS.isdisjoint(s)]
-        not_surface = f"(?!(?i:{'|'.join(map(re.escape, surfaces))})(?![{_LC}]))" if surfaces else ""
+        # A word is no abbreviation surface in any case. Only a surface
+        # spelled in the alphabet with a vowel can be a word here, and a word
+        # is lowercase after its first letter, so the lowercase spelling and
+        # the one with a capital first letter are the only casings it can
+        # hold. Matched case-sensitively, the engine skips an alternative on
+        # its first letter.
+        surfaces = {s for s in map(str.lower, self.abbreviations) if set(s) <= set(_LC) and not _VOWELS.isdisjoint(s)}
+        spellings = sorted({spelling for s in surfaces for spelling in (s, s[0].upper() + s[1:])})
+        not_surface = f"(?!(?:{'|'.join(map(re.escape, spellings))})(?![{_LC}]))" if spellings else ""
         # a letter of the alphabet that folding may change: neither ASCII nor protected
         foldable = "".join(ch for ch in _UC + _LC if not ch.isascii() and ch not in self.folding.protected)
         kept = f"(?![{_UC}{_LC}]*[{foldable}])" if foldable else ""
-        separator = rf"(?!{_TLD_DOT})[\s{_PUNCT}]"
-        # a word is the tokenizer's "word" token that is not a surface and
-        # that folding leaves as it is, so a line read to its end is its own folding;
-        # word and separator characters are disjoint, so a line splits one way only
-        return re.compile(rf"(?:{separator}|{not_surface}{kept}{_PLAIN_WORD}){{0,{_PLAIN_REPEAT}}}")
+        # A separator is whitespace or a sentence mark that does not start a
+        # top-level-domain dot. That dot starts with ".", so a "." is a piece
+        # of its own, tried against it; the other separators need no
+        # lookahead, and a run of them is one piece.
+        undotted = f"[\\s{re.escape(''.join(sorted(_SENTENCE_PUNCT - {'.'})))}]"  # a separator but "."
+        # A word is the tokenizer's "word" token that is not a surface and
+        # that folding leaves as it is, so a line read to its end is its own
+        # folding. It takes the separators after it up to a dot, the same text
+        # that separator pieces would read. Word and separator characters are
+        # disjoint, so a line splits one way only, and the repeat, with
+        # nothing after it, never backtracks.
+        word = f"{not_surface}{kept}{_PLAIN_WORD}{undotted}*"
+        return re.compile(rf"(?:{word}|{undotted}+|(?!{_TLD_DOT})\.){{0,{_PLAIN_REPEAT}}}")
 
 
 def _load_pairs(bundled: str, path, shape: str):

@@ -120,8 +120,10 @@ _PUNCT = re.escape("".join(sorted(_SENTENCE_PUNCT)))  # the body of a regex clas
 
 _WS_RE = re.compile(r"\s*")
 _NON_WS_RE = re.compile(r"\S*")
-# the most pieces (words and separators) one match of the plain-line grammar
-# reads: a bounded repeat keeps the regex engine's backtracking stack small
+# the most pieces (a word with the whitespace and marks after it up to a
+# dot, a run of whitespace and marks, or a dot) one match of the plain-line
+# grammar reads: a bounded repeat keeps the regex engine's backtracking
+# stack small
 _PLAIN_REPEAT = 1000
 _CHUNK_BACK_RE = re.compile(r"\S*\s*\S*")  # matched on a reversed text: two chunks back
 

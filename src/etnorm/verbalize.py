@@ -442,12 +442,16 @@ def _decimal(tokens, i, config):
 
 
 def _grouped(tokens, i, config):
+    """Digits grouped by thousands ("2 500 000", "1.000.000") read as a
+    cardinal; a run of digits with no separator reads as one only below
+    ``digit_group_threshold`` digits. Either is read digit by digit when it
+    starts with 0 or is above ``MAX_CARDINAL``."""
     text = tokens[i].text
     digits_only = _DIGIT_GROUP_SEP_RE.sub("", text)
     if (
-        len(digits_only) >= config.digit_group_threshold
-        or digits_only[0] == "0"
+        digits_only[0] == "0"
         or len(digits_only) > _CARDINAL_DIGITS
+        or (digits_only == text and len(digits_only) >= config.digit_group_threshold)
     ):
         return i, verbalize_digit_sequence(text, config)
     return i, cardinal(int(digits_only), NOMINATIVE, config.numbers)

@@ -11,7 +11,11 @@ gives (also on lines it reads only from a cut after a plain prefix, and
 on lines whose plain runs between rule shapes it copies untokenized), and
 the gate decides as its first definition, four searches, did, with one
 clause added since it reads raw lines: a line that folding changes is
-not plain. One checks
+not plain. Two check that the gate's grammar stops where its first
+formulation (``reference_plain_line_re``) does, under the bundled
+config, one whose table adds surfaces that are plain words, and one
+whose folding protects no letter, the second also under drawn tables and
+on lines long enough to need several reads. One checks
 that the tokenizer's master regex names the kind of a word, a
 punctuation mark or a symbol as the Python classification would. One
 checks that folding a line equals folding each of its characters.
@@ -20,6 +24,7 @@ Examples are derandomized, so a run is reproducible.
 
 import re
 from dataclasses import replace
+from itertools import chain, product
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,7 +32,10 @@ from hypothesis import strategies as st
 from etnorm.folding import DEFAULT_PROTECTED, FoldingTable, fold_diacritics
 from etnorm.lexicon import AbbreviationEntry, Expansion, default_config
 from etnorm.tokens import _LC, _SENTENCE_PUNCT, _TLD_DOT_RE, _UC, _VOWELS, TokenKind, _classify_word_run, tokenize
+from etnorm.tokens import _PLAIN_REPEAT, _plain_end
 from etnorm.verbalize import verbalize
+from exhaustive_check import PIECES as BOUNDARY_PIECES
+from exhaustive_check import reference_plain_line_re, strings
 from test_verbalize import full_path, passes
 
 ASCII_DIGIT = re.compile("[0-9]")
@@ -256,8 +264,8 @@ def reference_gate(line, config):
     )
 
 
-# surfaces with a vowel, a capital or a non-letter
-GATE_SURFACES = ["Karl", "eile", "e.g", "a+b", "x*"]
+# surfaces with a vowel, a capital, a letter outside ASCII or a non-letter
+GATE_SURFACES = ["Karl", "eile", "õp", "e.g", "a+b", "x*"]
 GATE_TABLES = {
     **TABLES,
     "abbreviations": st.one_of(st.just(default_config().abbreviations), abbreviation_tables(GATE_SURFACES + ["km", "MTÜ", "XII"])),
@@ -294,6 +302,51 @@ def test_gate_agrees_with_its_first_definition_on_plain_lines(config, case):
 @given(text=st.one_of(near_gate_text(), st.text()), tables=st.fixed_dictionaries(GATE_TABLES))
 def test_gate_agrees_with_its_first_definition(config, text, tables):
     check_gate(config, text, tables)
+
+
+# ------------------------------------------------- the grammar's stop
+
+# Besides the bundled config: surfaces that are plain words, in the
+# alphabet's lowercase, capitalized and led by a letter outside ASCII; and
+# a folding that protects no letter, so every word is read for one to fold
+STOP_CONFIGS = (
+    default_config(),
+    replace(
+        default_config(),
+        abbreviations={
+            **default_config().abbreviations,
+            **{s: AbbreviationEntry(s, (Expansion("x"),)) for s in ("eile", "Karl", "õp")},
+        },
+    ),
+    replace(default_config(), folding=FoldingTable(frozenset())),
+)
+REFERENCE_GRAMMARS = [reference_plain_line_re(configured) for configured in STOP_CONFIGS]
+
+
+# every spelling, in each letter's case, of the surfaces above that a
+# plain word could hold, then what may follow one: nothing, a letter of
+# either case, whitespace, a mark or a top-level-domain dot
+SPELLINGS = ["".join(letters) for s in ("jne", "ca", "prof", "eile", "karl", "õp") for letters in product(*zip(s, s.upper()))]
+AFTER_SPELLING = ["", "a", "ä", "A", "Ä", " ", ".", ",", ".ee", "-"]
+
+
+def test_grammar_stops_where_it_did_on_small_strings():
+    for text in chain(strings(BOUNDARY_PIECES, 3), strings([*SPELLINGS, *AFTER_SPELLING], 2)):
+        for configured, reference in zip(STOP_CONFIGS, REFERENCE_GRAMMARS):
+            assert configured.plain_line_re.match(text).end() == reference.match(text).end(), (text, configured)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=gate_lines())
+def test_grammar_stops_where_it_did_on_plain_lines(config, case):
+    text, tables = case
+    drawn = replace(config, **tables)
+    # repeated past the bound on pieces, one match stops short of the line,
+    # and the reads that ``_plain_end`` chains must still stop alike
+    long = text * (10 * _PLAIN_REPEAT // max(len(text), 1) + 1)
+    for configured, reference in zip((*STOP_CONFIGS, drawn), (*REFERENCE_GRAMMARS, reference_plain_line_re(drawn))):
+        assert configured.plain_line_re.match(text).end() == reference.match(text).end(), (text, tables)
+        assert _plain_end(configured.plain_line_re.match, long, 0) == _plain_end(reference.match, long, 0), (text, tables)
 
 
 # ------------------------------------------------- kinds named by the master regex

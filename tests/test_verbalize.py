@@ -257,6 +257,44 @@ class TestDigitSequence:
         assert verbalize("https://goo.gl/forms", bare) == "goo punkt gee-ell forms"
 
 
+class TestGroupedNumber:
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("2 500 000 eurot", "kaks miljonit viissada tuhat eurot"),
+            ("1.000.000", "miljon"),
+            ("2\xa0500\xa0000", "kaks miljonit viissada tuhat"),
+            ("55 555 555", "viiskümmend viis miljonit viissada viiskümmend viis tuhat viissada viiskümmend viis"),
+            (
+                "999 999 999",
+                "üheksasada üheksakümmend üheksa miljonit üheksasada üheksakümmend üheksa tuhat "
+                "üheksasada üheksakümmend üheksa",
+            ),
+        ],
+    )
+    def test_grouped_by_thousands_reads_as_a_cardinal(self, config, text, expected):
+        assert verbalize(text, config) == expected
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("1 000 000 000", "üks, null null null, null null null, null null null"),  # above MAX_CARDINAL
+            ("0 500 000", "null, viis null null, null null null"),  # a leading zero
+            ("5000000", "viis null null null null null null"),  # no separator: the threshold holds
+            ("5123456", "viis üks kaks kolm neli viis kuus"),
+        ],
+    )
+    def test_read_digit_by_digit(self, config, text, expected):
+        assert verbalize(text, config) == expected
+
+    def test_threshold_governs_only_runs_without_separators(self, config):
+        low = replace(config, digit_group_threshold=5)
+        assert verbalize("12 500", low) == "kaksteist tuhat viissada"
+        assert verbalize("1234567", replace(config, digit_group_threshold=8)) == (
+            "miljon kakssada kolmkümmend neli tuhat viissada kuuskümmend seitse"
+        )
+
+
 class TestMixedCase:
     def test_spec_examples(self, config):
         assert verbalize_mixed_case("eCoop", config) == "ee koop"

@@ -10,16 +10,17 @@ small-scope hypothesis). Two sets are run:
   pass all of ``failures``: ``verbalize`` raises nothing and leaves no
   ASCII digit, equals the full path (every token offered to the rules),
   ``detokenize(tokenize(x)) == x``, the URL and e-mail start sets equal
-  the whole-line scans, and folding equals ``fold_char`` character by
-  character;
+  the whole-line scans, the plain-line grammar stops where its first
+  formulation (``reference_plain_line_re``) does, and folding equals
+  ``fold_char`` character by character;
 - every line of 6 chunks from ``CHUNKS``, joined by one space (262,144
   lines), the fewest chunks where a copied plain run is followed by a
   kept chunk and a stop. ``verbalize`` must equal the full path, and the
   tokens of the copy path must give the line back.
 
 The tier-1 tests run the first check on every string of 3 pieces, and
-share ``full_path``, ``copy_path``, ``cut_of`` and the whole-line scans as
-references. Run:
+share ``full_path``, ``copy_path``, ``cut_of``, the whole-line scans and
+``reference_plain_line_re`` as references. Run:
 
     python tools/exhaustive_check.py
 
@@ -30,6 +31,7 @@ any string fails. Standard library only; etnorm is imported from
 
 from __future__ import annotations
 
+import re
 import sys
 from itertools import product
 from pathlib import Path
@@ -39,6 +41,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from etnorm.folding import fold_diacritics  # noqa: E402
 from etnorm.lexicon import default_config  # noqa: E402
 from etnorm.tokens import _ADDRESS_HEAD_RE, _DOMAIN_HEAD_RE, _URL_PREFIX_RE, _email_starts, _url_starts  # noqa: E402
+from etnorm.tokens import _LC, _PLAIN_REPEAT, _PLAIN_WORD, _PUNCT, _TLD_DOT, _UC, _VOWELS  # noqa: E402
 from etnorm.tokens import detokenize, tokenize  # noqa: E402
 from etnorm.verbalize import _join, _render_tokens, verbalize  # noqa: E402
 
@@ -68,6 +71,20 @@ def full_path(text, config):
     and every token offered to the rules."""
     tokens = tokenize(fold_diacritics(text, config.folding))
     return _join(tokens, _render_tokens(tokens, config))
+
+
+def reference_plain_line_re(config):
+    """``RuleConfig.plain_line_re`` in its first formulation: a separator
+    (whitespace or a sentence mark, not at a top-level-domain dot) or a
+    word (``_PLAIN_WORD`` that is no abbreviation surface in any case and
+    that folding keeps), one piece each. The config's grammar must stop
+    where this one does."""
+    surfaces = [s for s in map(str.lower, config.abbreviations) if set(s) <= set(_LC) and not _VOWELS.isdisjoint(s)]
+    not_surface = f"(?!(?i:{'|'.join(map(re.escape, surfaces))})(?![{_LC}]))" if surfaces else ""
+    foldable = "".join(ch for ch in _UC + _LC if not ch.isascii() and ch not in config.folding.protected)
+    kept = f"(?![{_UC}{_LC}]*[{foldable}])" if foldable else ""
+    separator = rf"(?!{_TLD_DOT})[\s{_PUNCT}]"
+    return re.compile(rf"(?:{separator}|{not_surface}{kept}{_PLAIN_WORD}){{0,{_PLAIN_REPEAT}}}")
 
 
 def copy_path(text, config):
@@ -100,6 +117,15 @@ def whole_line_email_starts(text):
     return _positions(_ADDRESS_HEAD_RE.finditer(text))
 
 
+_REFERENCES = {}  # id(config) -> (config, its reference grammar); the config is kept so its id is not reused
+
+
+def _reference_match(config):
+    if id(config) not in _REFERENCES:
+        _REFERENCES[id(config)] = config, reference_plain_line_re(config)
+    return _REFERENCES[id(config)][1].match
+
+
 def failures(text, config) -> list[str]:
     """The names of the checks that ``text`` fails."""
     try:
@@ -117,6 +143,8 @@ def failures(text, config) -> list[str]:
         failed.append("URL starts")
     if _email_starts(text) != whole_line_email_starts(text):
         failed.append("e-mail starts")
+    if config.plain_line_re.match(text).end() != _reference_match(config)(text).end():
+        failed.append("grammar stop")
     table = config.folding
     if fold_diacritics(text, table) != "".join(table.fold_char(ch) for ch in text):
         failed.append("folding")

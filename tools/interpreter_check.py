@@ -23,10 +23,12 @@ positions where a URL and an e-mail address can start, as
 as its runs of consecutive positions, ``A-B`` from the first to one past
 the last, or ``none``. The gate, the
 tokenizer's groups, the top-level-domain boundary, the fold class and
-the chunk bounds of the URL and e-mail heads read regex case folding
-(``(?i:...)``) and the regex classes ``\s``, ``\S``, ``\W``, ``\d``,
-``[^\W_]`` and ``[^\W\d_]``, whose Unicode tables differ between Python
-versions. Run it under two
+the chunk bounds of the URL and e-mail heads read the regex classes
+``\s``, ``\S``, ``\W``, ``\d``, ``[^\W_]`` and ``[^\W\d_]``, and the URL
+scheme reads regex case folding (``(?i:...)``), whose Unicode tables
+differ between Python versions. The gate matches the two spellings of an
+abbreviation surface that a plain word can hold case-sensitively, so the
+boundary strings hold surfaces in those cases and in others. Run it under two
 interpreters and compare the outputs; they must be identical:
 
     PYENV_VERSION=3.10.13 python tools/interpreter_check.py > a.txt
@@ -68,8 +70,8 @@ SEEDS = (1, 2, 3)
 # again after folding, letters outside the alphabet, beside numerics,
 # that the tokenizer reads as word runs, plain runs after a stop,
 # between chunks split by whitespace outside ASCII, letters that fold
-# beside numerics and at both ends of a line, and top-level-domain dots
-# and "@" beside whitespace outside ASCII
+# beside numerics and at both ends of a line, top-level-domain dots and
+# "@" beside whitespace outside ASCII, and surfaces in each case before a word
 BOUNDARY = (
     "ptk", "spp", "tv", "iPhone", "eCoop", "Tallinn.ee", "linnas.EE", "Y", "e-post", "Dr", "KM", "Łukasz",
     "Krt", "Tere, maailm!", "Žürii arutas «tšeki» üle – jälle…", "Café", "", " \t", "\xa0tere\u2028öö\u3000",
@@ -84,6 +86,7 @@ BOUNDARY = (
     "½é", "Ⅻé", "x²é", "ıé", "é tere – «x» ja nii\u3000edasi ñ", "ǅ…tere… Ø",
     "vaata err.ee\u2028ja x.com\x85siis", "err\u2028.ee", "err.ee\x85", "info@eki.ee\u2028a@b.ee",
     "kiri\x85@eki.ee", "a@\u2028b.ee", "\x85x.ee\u2028y@z.ee\x85",
+    "Prof ja", "Jne ja", "cA ja", "JNE ja",
 )
 
 
