@@ -1,4 +1,4 @@
-"""Command-line entry point: normalize text, score corpora, compute stats.
+r"""Command-line entry point: normalize text, score corpora, compute stats.
 
 Subcommands:
   normalize            read text lines, write verbalized lines
@@ -13,7 +13,8 @@ The columns each stats table needs (others are ignored):
   likert  rater, voice, text_kind, score (an integer 1 to 7)
   icc     a finite rating in every column but ``target``, one per rater
 
-All file I/O is strict UTF-8. Data goes to stdout; a diagnostic goes to
+All file I/O is strict UTF-8. On standard input, as in a file, ``\r\n``
+and ``\r`` end a line. Data goes to stdout; a diagnostic goes to
 stderr as ``etnorm: <input>:<line>: ...`` (``<stdin>`` for standard input)
 and makes the exit code 1; a file that cannot be opened is ``etnorm:
 <path>: <reason>``, and a fault of a file a ``--config`` names is ``etnorm:
@@ -78,7 +79,7 @@ def _open_input(path):
     manager that closes it unless it is standard input; and its name."""
     if path is None or path == "-":
         if hasattr(sys.stdin, "reconfigure"):
-            sys.stdin.reconfigure(encoding="utf-8-sig", errors="surrogateescape")
+            sys.stdin.reconfigure(encoding="utf-8-sig", errors="surrogateescape", newline=None)
         return contextlib.nullcontext(sys.stdin), "<stdin>"
     return open_text(path), path
 

@@ -92,6 +92,7 @@ class TokenList(list):
     before it."""
 
     leading: str = ""
+    abbreviation_context: frozenset[str] | None = None  # the line's words, once an expansion is picked
 
 
 _UC = ALPHABET.upper()

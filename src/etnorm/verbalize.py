@@ -48,10 +48,10 @@ cues and the rules of joined tokens reach no further than the next chunk,
 and the spaced ``_ratio`` reads two tokens ahead but needs a number
 there. So the plain chunk kept on each side of a copy holds what a rule
 beside it reads, and the kept chunk before a run ends in a plain word,
-which reads nothing to its right. ``_join`` copies a gap between two
-contiguous unmodified pieces as it is. The pick of an expansion, which
-reads further, reads the words of ``leading`` and of every gap too
-(``_line_words``).
+which reads nothing to its right. ``_join`` copies a gap as it is only
+between two readings next to each other that are each one token spoken
+as written. The pick of an expansion, which reads further, reads the
+words of ``leading`` and of every gap too (``_line_words``).
 
 What is derived from the config is cached on the ``RuleConfig`` on first
 use: changing ``config.abbreviations`` in place after that is not
@@ -134,17 +134,16 @@ def _line_words(line) -> frozenset[str]:
     expansion is picked in. Built on the first abbreviation with more than
     one expansion and kept on the token list, so a line costs one pass
     over its words however many abbreviations it holds."""
-    words = getattr(line, "abbreviation_context", None)
+    words = line.abbreviation_context
     if words is None:
         # copied text is words and marks, each word a whole letter run; only a word's gap holds it
-        plain, wordish = [getattr(line, "leading", "")], []
+        plain, wordish = [line.leading], []
         for t in line:
             if t.kind in _WORDISH_KINDS:
                 wordish.append(t.text.lower())
                 plain.append(t.ws_after)
         words = frozenset(chain(_LETTER_RUN_RE.findall(" ".join(plain).lower()), wordish))
-        if isinstance(line, TokenList):
-            line.abbreviation_context = words
+        line.abbreviation_context = words
     return words
 
 
@@ -177,7 +176,7 @@ def verbalize_mixed_case(token: str, config: RuleConfig | None = None) -> str:
     """
     config = config or default_config()
     if token.isalpha() and token.isupper():
-        return _render_uppercase(token, config)
+        return _render_uppercase(token, config, TokenList())  # a name read alone has no line
     out, prev_glue = "", None
     for segment in _SEGMENT_RE.findall(token):
         # glue: what joins the segment to one before it of the same kind
@@ -208,7 +207,7 @@ def _safe_spell(token: str, config: RuleConfig, suffix: str | None = None) -> st
         return token + (suffix or "")
 
 
-def _render_uppercase(surface: str, config: RuleConfig, suffix: str | None = None, line=()) -> str:
+def _render_uppercase(surface: str, config: RuleConfig, line: TokenList, suffix: str | None = None) -> str:
     entry = config.abbreviations.get(surface)
     spoken = None if entry is None else _read_entry(surface, entry, config, line, suffix)
     if spoken is not None:
@@ -220,7 +219,7 @@ def _render_uppercase(surface: str, config: RuleConfig, suffix: str | None = Non
     return _safe_spell(surface, config, suffix)
 
 
-def _read_entry(surface: str, entry, config: RuleConfig, line, suffix: str | None = None) -> str | None:
+def _read_entry(surface: str, entry, config: RuleConfig, line: TokenList, suffix: str | None = None) -> str | None:
     """How a dictionary abbreviation is read: spelled, kept as written, or
     the expansion ``_pick_expansion`` picks with the words of ``line`` as
     context. None when a case ending is attached to an expanded entry."""
@@ -409,12 +408,12 @@ def _roman(tokens, i, config, last=None):
 
 
 def _uppercase(tokens, i, config):
-    return i, _render_uppercase(tokens[i].text, config, line=tokens)
+    return i, _render_uppercase(tokens[i].text, config, tokens)
 
 
 def _suffixed_acronym(tokens, i, config):
     acronym, suffix = _ATTACHED_SUFFIX_RE.fullmatch(tokens[i].text).groups()
-    return i, _render_uppercase(acronym, config, suffix, tokens)
+    return i, _render_uppercase(acronym, config, tokens, suffix)
 
 
 def _abbreviation(tokens, i, config):
@@ -519,19 +518,9 @@ _RULES = {
 _RANGE_KINDS = frozenset(kind for kind, rules in _RULES.items() if _number_range in rules)
 
 
-class _Piece:
-    __slots__ = ("text", "modified", "first", "last", "is_punct")
-
-    def __init__(self, text, modified, first, last, is_punct):
-        self.text = text
-        self.modified = modified
-        self.first = first
-        self.last = last
-        self.is_punct = is_punct
-
-
-def _render_tokens(tokens, config: RuleConfig) -> list[_Piece]:
-    pieces: list[_Piece] = []
+def _render_tokens(tokens: TokenList, config: RuleConfig) -> list[tuple[int, int, str]]:
+    """The readings of ``tokens``, in order: ``(first, last, spoken)``, the spoken form of ``tokens[first..last]``."""
+    readings = []
     i = 0
     while i < len(tokens):
         t = tokens[i]
@@ -542,33 +531,34 @@ def _render_tokens(tokens, config: RuleConfig) -> list[_Piece]:
                 break
         else:
             last, spoken = i, t.text
-        modified = spoken != t.text or last != i
-        # a spoken dot ("punkt") is spaced as a word, not as punctuation
-        pieces.append(_Piece(spoken, modified, i, last, not modified and t.kind is TokenKind.PUNCT))
+        readings.append((i, last, spoken))
         i = last + 1
-    return pieces
+    return readings
 
 
-def _join(tokens, pieces: list[_Piece]) -> str:
-    out = [getattr(tokens, "leading", "")]
-    prev: _Piece | None = None
-    for piece in pieces:
-        if piece.text == "":
+def _join(tokens: TokenList, readings: list[tuple[int, int, str]]) -> str:
+    out = [tokens.leading]
+    prev_last, prev_modified, prev_mark = None, True, False  # no reading yet, so no whitespace kept after it
+    for first, last, spoken in readings:
+        if spoken == "":
             continue
-        if prev is not None:
-            gap = tokens[piece.first - 1].ws_after
-            contiguous = prev.last == piece.first - 1
-            if contiguous and not prev.modified and not piece.modified:
+        token = tokens[first]
+        modified = last != first or spoken != token.text
+        # a spoken dot ("punkt") is spaced as a word, not as punctuation
+        mark = not modified and token.kind is TokenKind.PUNCT
+        if prev_last is not None:
+            gap = tokens[first - 1].ws_after
+            if prev_last == first - 1 and not prev_modified and not modified:
                 sep = gap  # the only gap that can hold copied text (see the module docstring)
-            elif gap == "" and (piece.is_punct or prev.is_punct):
+            elif gap == "" and (mark or prev_mark):
                 sep = ""
             else:
                 sep = " "
             out.append(sep)
-        out.append(piece.text)
-        prev = piece
-    if prev is not None and not prev.modified:
-        out.append(tokens[prev.last].ws_after)
+        out.append(spoken)
+        prev_last, prev_modified, prev_mark = last, modified, mark
+    if not prev_modified:
+        out.append(tokens[prev_last].ws_after)
     return "".join(out)
 
 

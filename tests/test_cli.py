@@ -251,6 +251,24 @@ def test_invalid_utf8_on_real_stdin_named():
     assert proc.stderr.decode("utf-8").startswith("etnorm: <stdin>:2: input is not valid UTF-8: ")
 
 
+def test_line_ends_on_real_stdin_read_as_in_a_file(tmp_path):
+    # \r\n and a lone \r end a line on standard input as they do in a file
+    crlf = b"tere\r\ntere 5\r\nkm\r5\n"
+    (tmp_path / "in.txt").write_bytes(crlf)
+    normalize = "from etnorm.cli import main; raise SystemExit(main(['normalize'] + {}))"
+    piped = run_fresh(normalize.format([]), stdin=crlf)
+    named = run_fresh(normalize.format(["--input", str(tmp_path / "in.txt")]))
+    assert (piped.returncode, piped.stderr) == (0, b"")
+    assert piped.stdout == named.stdout == b"tere\ntere viis\nkilomeetrit\nviis\n"
+    table = "rater,voice,text_kind,score\r\nr1,Mari,uudis,4\r\nr2,Mari,uudis,6\r\n"
+    proc = run_fresh(
+        "from etnorm.cli import main; raise SystemExit(main(['stats', 'likert', '--format', 'tsv']))",
+        stdin=table.encode("utf-8"),
+    )
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout.decode("utf-8").splitlines() == ["voice\ttext_kind\tn\tmean\tsd", "Mari\tuudis\t2\t5.00\t1.41"]
+
+
 class TestScore:
     def test_text_summary(self, capsys):
         code, out, err = run(

@@ -133,7 +133,7 @@ class TestExpandAbbreviation:
         original = verbalize_module._line_words
 
         def counting(line):
-            built.append(getattr(line, "abbreviation_context", None) is None)
+            built.append(line.abbreviation_context is None)
             return original(line)
 
         monkeypatch.setattr(verbalize_module, "_line_words", counting)
@@ -147,7 +147,7 @@ class TestExpandAbbreviation:
         original = verbalize_module._line_words
 
         def counting(line):
-            built.append(getattr(line, "abbreviation_context", None) is None)
+            built.append(line.abbreviation_context is None)
             return original(line)
 
         monkeypatch.setattr(verbalize_module, "_line_words", counting)
@@ -573,6 +573,26 @@ class TestVerbalizeEndToEnd:
                     or ch == "-"
                     or unicodedata.category(ch).startswith("P")
                 ), (text, out, ch)
+
+
+class TestJoin:
+    """The spacing ``_join`` puts between readings, pinned where a
+    rewritten or dropped reading meets the ends of the line or a mark."""
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("  5  ", "  viis"),  # leading whitespace is kept, trailing is dropped after a rewrite
+            ("tere 5\t", "tere viis"),
+            ("¤ tere", "tere"),  # an unlisted symbol is dropped at the start, middle or end
+            ("tere ¤ tere", "tere tere"),
+            ("tere ¤", "tere "),
+            ("(¤)", "()"),  # and between marks
+            ("tere ¤.", "tere."),
+        ],
+    )
+    def test_rewritten_and_dropped_readings(self, config, text, expected):
+        assert verbalize(text, config) == expected == full_path(text, config)
 
 
 class TestPassThrough:

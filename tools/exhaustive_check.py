@@ -9,10 +9,11 @@ small-scope hypothesis). Two sets are run:
 - every string of 4 pieces from ``PIECES`` (810,000 strings). Each must
   pass all of ``failures``: ``verbalize`` raises nothing and leaves no
   ASCII digit, equals the full path (every token offered to the rules),
-  ``detokenize(tokenize(x)) == x``, the URL and e-mail start sets equal
-  the whole-line scans, the plain-line grammar stops where its first
-  formulation (``reference_plain_line_re``) does, and folding equals
-  ``fold_char`` character by character;
+  whose readings tile its tokens (``tiles``), ``detokenize(tokenize(x))
+  == x``, the URL and e-mail start sets equal the whole-line scans, the
+  plain-line grammar stops where its first formulation
+  (``reference_plain_line_re``) does, and folding equals ``fold_char``
+  character by character;
 - every line of 6 chunks from ``CHUNKS``, joined by one space (262,144
   lines), the fewest chunks where a copied plain run is followed by a
   kept chunk and a stop. ``verbalize`` must equal the full path, and the
@@ -66,11 +67,30 @@ CHUNKS = ("ja", "Karl", "summa", ":", "XII", "10", "km", "Zoë")
 _ASCII_DIGITS = frozenset("0123456789")
 
 
+def full_readings(text, config):
+    """The tokens of ``text`` folded and their readings, as ``verbalize``
+    renders them without its pass-through gate."""
+    tokens = tokenize(fold_diacritics(text, config.folding))
+    return tokens, _render_tokens(tokens, config)
+
+
 def full_path(text, config):
     """``verbalize`` without its pass-through gate: every line is tokenized
     and every token offered to the rules."""
-    tokens = tokenize(fold_diacritics(text, config.folding))
-    return _join(tokens, _render_tokens(tokens, config))
+    return _join(*full_readings(text, config))
+
+
+def tiles(tokens, readings) -> bool:
+    """Whether the readings cover the tokens in order: the first starts at
+    token 0, each later one just after the one before it ends, and the
+    last ends at the last token. ``_join`` takes two readings for
+    neighbours when one starts just after the other ends."""
+    start = 0
+    for first, last, _ in readings:
+        if first != start:
+            return False
+        start = last + 1
+    return start == len(tokens)
 
 
 def reference_plain_line_re(config):
@@ -135,8 +155,11 @@ def failures(text, config) -> list[str]:
     failed = []
     if not _ASCII_DIGITS.isdisjoint(spoken):
         failed.append("digit in output")
-    if spoken != full_path(text, config):
+    tokens, readings = full_readings(text, config)
+    if spoken != _join(tokens, readings):
         failed.append("differs from the full path")
+    if not tiles(tokens, readings):
+        failed.append("readings do not tile")
     if detokenize(tokenize(text)) != text:
         failed.append("round trip")
     if _url_starts(text) != whole_line_url_starts(text):
