@@ -18,14 +18,14 @@ last chunk's end as it would at the whitespace after it, since no head
 pattern reads whitespace. Every other shape (phone numbers, dates,
 times, decimals, grouped digits, ordinal dots, plain numbers, plain
 words, acronyms with a case ending, word runs, sentence punctuation,
-symbols) is one named group of a master regex, in priority order. One
-Python post-check follows: a phone number that ``_is_phone`` rejects is
-matched again by the groups after it. Each group but the word run names
-its token's kind. A word run that is not a plain word is classified
-afterwards in Python (case-suffixed acronym, Roman candidate, uppercase
-sequence, mixed case, lowercase consonant cluster, or a word such as
-``Łukasz`` or ``a``); one that starts with a letter outside the alphabet
-is matched as a symbol and extended there.
+symbols) is one named group of a master regex, in priority order, and
+each shape, URLs and e-mail addresses too, is one pattern with no Python
+check after it. Each group but the word run names its token's kind. A
+word run that is not a plain word is classified afterwards in Python
+(case-suffixed acronym, Roman candidate, uppercase sequence, mixed case,
+lowercase consonant cluster, or a word such as ``Łukasz`` or ``a``). The
+one match that Python extends is a word run that starts with a letter
+outside the alphabet: it is matched as a symbol and extended there.
 
 Tokenization is lossless: every non-whitespace character lands in exactly
 one token, each token records the whitespace that follows it, and
@@ -116,7 +116,7 @@ CASE_SUFFIXES = frozenset(
 )
 _SUFFIX = "|".join(sorted(CASE_SUFFIXES, key=lambda s: (-len(s), s)))  # longest first
 
-_SENTENCE_PUNCT = frozenset(".,!?;:()[]{}\"'«»‘’“”…–—-·")
+_SENTENCE_PUNCT = frozenset(".,!?;:()[]{}\"'«»‘’“”„‚…–—-·")
 _PUNCT = re.escape("".join(sorted(_SENTENCE_PUNCT)))  # the body of a regex class
 
 _WS_RE = re.compile(r"\s*")
@@ -136,7 +136,12 @@ _DOMAIN_RUN = rf"{_LABEL}+(?:\.{_LABEL}+)*"
 _TLD_DOT = r"\.(?:ee|com|org|net|eu|fi|lv|lt|gl|io)(?![^\W\d_])"  # no letter after it
 _ADDRESS = "[A-Za-z0-9_.+-]"  # one character before the "@" of an address
 _EMAIL_DOMAIN = rf"@{_LABEL}+(?:\.{_LABEL}+)+"
-_URL_RE = re.compile(rf"(?:{_URL_PREFIX})[^\s<>\"]*|{_DOMAIN_RUN}{_TLD_DOT}(?:/[^\s<>\"]*)?")
+_TRAILING_PUNCT = ".,;:!?)]}\"'»’”"  # marks that end a sentence or a quote, not a URL
+# The lookbehind backs a URL off the marks after it. A "www." with only
+# marks after it is no URL, since its own dot is such a mark.
+_URL_RE = re.compile(
+    rf"(?:(?:{_URL_PREFIX})[^\s<>\"]*|{_DOMAIN_RUN}{_TLD_DOT}(?:/[^\s<>\"]*)?)(?<![{re.escape(_TRAILING_PUNCT)}])"
+)
 _EMAIL_RE = re.compile(rf"{_ADDRESS}+{_EMAIL_DOMAIN}")
 _URL_PREFIX_RE = re.compile(_URL_PREFIX)
 _TLD_DOT_RE = re.compile(_TLD_DOT)
@@ -149,7 +154,27 @@ _ADDRESS_HEAD_RE = re.compile(rf"(?<!{_ADDRESS}){_ADDRESS}+(?={_EMAIL_DOMAIN})")
 
 _D = "[0-9]"  # ASCII digits only; \d would also match other scripts' digits
 _THOUSANDS = rf"{_D}{{1,3}}(?:[ \xa0.]{_D}{{3}})+"  # digits grouped by thousands
-_THOUSANDS_SHAPE_RE = re.compile(rf"{_THOUSANDS}$")
+
+# A phone number is "+" and 7-15 digits, with a space, no-break space or
+# "-" allowed between two of them. Without "+", it is a run of 2-4-digit
+# groups, three or more, that
+# - is maximal: no separator, 2-4 digits and a non-digit follow it
+#   (``_RUN_END``);
+# - mixes no separators: its groups are joined by "-" or by spaces, never
+#   both, as "100 000-200 000" is a range;
+# - holds 7-15 digits, counted one ``_RUN_STEP`` at a time from its start.
+#   A step crosses a separator only into a 2-4-digit group, so the count
+#   stays inside the run;
+# - is not grouped by thousands: no ``_THOUSANDS`` ends at its end.
+# A cheap lookahead for a first group and the start of a second comes
+# first, so most numbers fail in one test; it also bounds the first group.
+_RUN_STEP = rf"(?:[ \xa0-](?={_D}{{2,4}}(?!{_D})))?{_D}"
+_RUN_END = f"(?!{_RUN_STEP})"
+_PHONE = (
+    rf"\+{_D}(?:[ \xa0-]?{_D}){{6,14}}(?!{_D})"
+    rf"|(?={_D}{{2,4}}[ \xa0-]{_D}{{2}})(?=(?:{_RUN_STEP}){{7,15}}{_RUN_END})(?!{_THOUSANDS}{_RUN_END})"
+    rf"{_D}{{2,4}}(?:(?:-{_D}{{2,4}}){{2,}}|(?:[ \xa0]{_D}{{2,4}}){{2,}}){_RUN_END}"
+)
 
 
 # the letters and digits a word run matches in one regex step
@@ -160,10 +185,10 @@ _LETTER_OR_DIGIT_RUN_RE = re.compile(f"[0-9{_UC}{_LC}]*")
 # TokenKind value, and a "word_run" is classified afterwards. The
 # digit-led shapes come first.
 _SHAPES = (
-    # at most 8 groups: 8 or more hold at least 16 digits, which the
-    # post-check rejects, so the cap changes no token and keeps each try
-    # from scanning the rest of a long run of groups
-    ("phone", rf"(?:\+{_D}(?:[ \xa0-]?{_D}){{6,14}}|{_D}{{2,4}}(?:[ \xa0-]{_D}{{2,4}}){{2,7}})(?!{_D})", True),
+    # the groups of a phone number need no cap: the digit count comes
+    # first and reads at most 16 digits, so no try scans the rest of a
+    # long run of groups
+    ("phone", _PHONE, True),
     ("date_like", rf"{_D}{{1,2}}\.{_D}{{1,2}}\.{_D}{{4}}(?!{_D})", True),
     ("time_like", rf"{_D}{{1,2}}:{_D}{{2}}(?::{_D}{{2}})?(?!{_D})", True),
     ("decimal_number", rf"{_D}+(?:,{_D}+|\.{_D}{{1,2}})(?!{_D})", True),
@@ -184,27 +209,18 @@ _SHAPES = (
 )
 
 
-def _alternation(shapes) -> re.Pattern:
-    """One regex trying ``shapes`` in order, then eating trailing whitespace.
-    The digit-led shapes share one guard: none starts right after a digit,
-    and any other character skips them all in one test."""
-    digit_led = "|".join(f"(?P<{name}>{body})" for name, body, led in shapes if led)
-    rest = "|".join(f"(?P<{name}>{body})" for name, body, led in shapes if not led)
-    return re.compile(rf"(?:(?=[+0-9])(?<!{_D})(?:{digit_led})|{rest})\s*")
-
-
-_MASTER_RE = _alternation(_SHAPES)
-# Where to resume when ``_is_phone`` rejects a "phone" match. A run of 2-4
-# digits leads it, and there the groups after "phone" give a thousands
-# group or a cardinal: never a phone or a symbol to check again.
-_PHONE_RESUME_RE = _alternation(_SHAPES[1:])
+_DIGIT_LED = "|".join(f"(?P<{name}>{body})" for name, body, led in _SHAPES if led)
+_OTHER_SHAPES = "|".join(f"(?P<{name}>{body})" for name, body, led in _SHAPES if not led)
+# The shapes in order, then the whitespace after. The digit-led shapes
+# share one guard: none starts right after a digit, and any other
+# character skips them all in one test.
+_MASTER_RE = re.compile(rf"(?:(?=[+0-9])(?<!{_D})(?:{_DIGIT_LED})|{_OTHER_SHAPES})\s*")
 _KIND_OF_GROUP = {kind.value: kind for kind in TokenKind}
 _WORD = TokenKind.WORD
 
 # an acronym and its case ending, with or without a hyphen: "EAS-i", "MTÜle"
 _ATTACHED_SUFFIX_RE = re.compile(rf"([{_UC}]{{2,}})-?({_SUFFIX})")
 _HAS_LOWER_UPPER_RE = re.compile(rf"[{_LC}][{_UC}]")
-_TRAILING_PUNCT = ".,;:!?)]}\"'»’”"
 
 
 def _classify_word_run(surface: str) -> TokenKind:
@@ -229,18 +245,6 @@ def _classify_word_run(surface: str) -> TokenKind:
             return TokenKind.MIXED_CASE
         return TokenKind.WORD
     return TokenKind.MIXED_CASE  # letters with digits attached
-
-
-def _match_url(text: str, pos: int):
-    match = _URL_RE.match(text, pos)
-    if not match:
-        return None
-    end = match.end()
-    while end > pos and text[end - 1] in _TRAILING_PUNCT:
-        end -= 1
-    surface = text[pos:end]
-    # a prefix that trimming cut to "www" (or to nothing) is no URL
-    return end if "." in surface or "://" in surface else None
 
 
 def _chunk_start(text: str, pos: int) -> int:
@@ -281,16 +285,6 @@ def _email_starts(text: str) -> set[int]:
         for m in _heads(_ADDRESS_HEAD_RE, text, first, text.rfind("@")):
             starts.update(range(*m.span()))
     return starts
-
-
-def _is_phone(surface: str) -> bool:
-    """The post-check of a phone number. One without "+" mixes no dash with
-    spaces: "100 000-200 000" is a range."""
-    if surface[0] == "+":
-        return True
-    digit_count = sum(ch.isdigit() for ch in surface)
-    mixed = "-" in surface and (" " in surface or "\xa0" in surface)
-    return 7 <= digit_count <= 15 and not mixed and not _THOUSANDS_SHAPE_RE.match(surface)
 
 
 def _word_end(text: str, pos: int) -> int:
@@ -369,30 +363,22 @@ def tokenize(text: str, _plain=None, _stop=None) -> TokenList:
     chunk, after_word = pos, -1
 
     while pos < length:
-        end = None
-        if url_starts and pos in url_starts:
-            end = _match_url(text, pos)
-            kind = TokenKind.URL
-        if end is None and email_starts and pos in email_starts:
+        if url_starts and pos in url_starts and (match := _URL_RE.match(text, pos)):
+            end, kind = match.end(), TokenKind.URL
+            ws_end = _WS_RE.match(text, end).end()
+        elif email_starts and pos in email_starts:
             # Address characters, "@" and a valid domain follow each
             # position of an address run, so the match cannot fail. It ends
-            # on a label character, never on a trailing mark to trim.
-            end = _EMAIL_RE.match(text, pos).end()
-            kind = TokenKind.EMAIL
-        if end is not None:
+            # on a label character, never on a trailing mark.
+            end, kind = _EMAIL_RE.match(text, pos).end(), TokenKind.EMAIL
             ws_end = _WS_RE.match(text, end).end()
         else:
             match = _MASTER_RE.match(text, pos)
             name = match.lastgroup
             end, ws_end = match.end(name), match.end()
-            if name == "phone" and not _is_phone(text[pos:end]):
-                match = _PHONE_RESUME_RE.match(text, pos)
-                name = match.lastgroup
-                end, ws_end = match.end(name), match.end()
-            elif name == "symbol" and text[pos].isalpha():
+            if name == "symbol" and text[pos].isalpha():
                 # a letter outside the alphabet starts a word run
-                name = "word_run"
-                end = _word_end(text, pos)
+                name, end = "word_run", _word_end(text, pos)
                 ws_end = _WS_RE.match(text, end).end()
             kind = _KIND_OF_GROUP.get(name)
         surface = text[pos:end]

@@ -115,12 +115,26 @@ class TestClassification:
     def test_url_prefix_trimmed_to_nothing_is_no_url(self):
         assert TokenKind.URL not in [k for _, k in kinds("vaata www.)")]
 
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("(www.err.ee/a).", "(/punct www.err.ee/a/url )/punct ./punct"),
+            ("Vaata err.ee/».", "Vaata/word err.ee//url »/punct ./punct"),
+            ("http://.", "http:///url ./punct"),
+            ("www.err.ee,", "www.err.ee/url ,/punct"),
+        ],
+    )
+    def test_url_ends_on_no_trailing_mark(self, text, expected):
+        assert " ".join(f"{t}/{k.value}" for t, k in kinds(text)) == expected
+
     def test_top_level_domain_ends_before_a_letter(self):
         W, P = TokenKind.WORD, TokenKind.PUNCT
         assert kinds("koju.eelmisel") == [("koju", W), (".", P), ("eelmisel", W)]
         assert kinds("err.ee-st") == [("err.ee", TokenKind.URL), ("-", P), ("st", TokenKind.LOWERCASE_CONSONANTS)]
 
-    @pytest.mark.parametrize("text", ["+372 555 0101", "+372-555 0101", "53-12-34-56", "555 12 34", "555\xa012\xa034"])
+    @pytest.mark.parametrize(
+        "text", ["+372 555 0101", "+372-555 0101", "53-12-34-56", "555 12 34", "555\xa012\xa034", "12 34 567", "12 345 67"]
+    )
     def test_phone_numbers(self, text):
         assert kinds(text) == [(text, TokenKind.PHONE)]
 
@@ -131,9 +145,26 @@ class TestClassification:
             ("100\xa0000-200\xa0000", "100\xa0000/digit_group_seq -/punct 200\xa0000/digit_group_seq"),
             ("238 925-21:58", "238 925/digit_group_seq -/punct 21:58/time_like"),
             ("46-204 98", "46/cardinal_number -/punct 204/cardinal_number 98/cardinal_number"),
+            ("12-34 56 78", "12/cardinal_number -/punct 34/cardinal_number 56/cardinal_number 78/cardinal_number"),
         ],
     )
     def test_phone_without_plus_mixes_no_dash_with_spaces(self, text, expected):
+        assert " ".join(f"{t}/{k.value}" for t, k in kinds(text)) == expected
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            # 6 digits are too few, and digits grouped by thousands are a number
+            ("12 34 56", "12/cardinal_number 34/cardinal_number 56/cardinal_number"),
+            ("123 456 789", "123 456 789/digit_group_seq"),
+            # a run of 16 digits is no phone, so the next token starts one
+            ("1234 5678 9012 3456", "1234/cardinal_number 5678 9012 3456/phone"),
+            ("12 34 56 78 90 12 34 56", "12/cardinal_number 34 56 78 90 12 34 56/phone"),
+            # a group of 5 digits ends the run before it
+            ("1234 5678 9012 34567", "1234 5678 9012/phone 34567/cardinal_number"),
+        ],
+    )
+    def test_phone_is_a_whole_run_of_digit_groups(self, text, expected):
         assert " ".join(f"{t}/{k.value}" for t, k in kinds(text)) == expected
 
     def test_adjacent_years_are_not_a_phone(self):
@@ -143,6 +174,11 @@ class TestClassification:
     def test_punct_vs_symbol(self):
         assert kinds(".")[0][1] == TokenKind.PUNCT
         assert kinds("–")[0][1] == TokenKind.PUNCT
+        # the Estonian opening quotes are marks, as their closing ones are
+        assert kinds("„Tere“ ‚ja‘") == [
+            ("„", TokenKind.PUNCT), ("Tere", TokenKind.WORD), ("“", TokenKind.PUNCT),
+            ("‚", TokenKind.PUNCT), ("ja", TokenKind.WORD), ("‘", TokenKind.PUNCT),
+        ]
         assert kinds("%")[0][1] == TokenKind.SYMBOL
         assert kinds("/")[0][1] == TokenKind.SYMBOL
         # a non-decimal numeric ends a word run and is a symbol of its own

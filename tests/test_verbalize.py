@@ -617,6 +617,21 @@ class TestPassThrough:
             assert passes(folded, config), line
             assert verbalize(line, config) == folded == full_path(line, config)
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "„Tere“, ütles ta.",
+            "Ta ütles: „Jah.“",
+            "Ta ütles: „Jah, ma tulen homme õhtul koju.“ Ema noogutas vaikselt.",
+            "‚Tere‘, ütles ta.",
+        ],
+    )
+    def test_estonian_quotes_are_kept(self, config, line):
+        # the opening quotes „ and ‚ are marks: a line of words and these
+        # quotes passes the gate and is read as written
+        assert passes(fold_diacritics(line, config.folding), config)
+        assert verbalize(line, config) == line == full_path(line, config)
+
     def test_abbreviation_table_moves_a_line_across_the_gate(self, config, tmp_path):
         table = tmp_path / "abbreviations.tsv"
         table.write_text("eile\teelmisel päeval\n", encoding="utf-8")

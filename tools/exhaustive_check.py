@@ -4,7 +4,7 @@ Each fast path is exact by an argument in a docstring: the pass-through
 gate and its cut, the plain runs copied untokenized, the bounded URL and
 e-mail head scans and the folded stretch. Bugs in such arguments show on
 short inputs, so every string up to a small size is checked (the
-small-scope hypothesis). Two sets are run:
+small-scope hypothesis). Five sets are run:
 
 - every string of 4 pieces from ``PIECES`` (810,000 strings). Each must
   pass all of ``failures``: ``verbalize`` raises nothing and leaves no
@@ -17,11 +17,23 @@ small-scope hypothesis). Two sets are run:
 - every line of 6 chunks from ``CHUNKS``, joined by one space (262,144
   lines), the fewest chunks where a copied plain run is followed by a
   kept chunk and a stop. ``verbalize`` must equal the full path, and the
-  tokens of the copy path must give the line back.
+  tokens of the copy path must give the line back;
+- every run of 1-5 groups of 1-5 digits (``DIGIT_GROUPS``), each
+  separator one of ``RUN_SEPARATORS``, and every run of 6-9 groups of 2-4
+  digits joined by one separator throughout, each followed by each of
+  ``RUN_TAILS``, with and without a leading "+" (10,105,260 + 1,399,680
+  strings). ``_MASTER_RE`` must read a phone number where the shape's
+  first formulation does, a match checked in Python
+  (``reference_phone_end``);
+- every string of 1-4 pieces from ``URL_PIECES`` (292,560 strings).
+  ``_URL_RE`` must end a URL at each position where the first
+  formulation, a match trimmed in a loop, does (``reference_url_end``).
 
-The tier-1 tests run the first check on every string of 3 pieces, and
-share ``full_path``, ``copy_path``, ``cut_of``, the whole-line scans and
-``reference_plain_line_re`` as references. Run:
+The tier-1 tests run the first check on every string of 3 pieces, the
+phone check on the runs of up to 4 groups and of 6, and the URL check on
+strings of up to 3 pieces; they share ``full_path``, ``copy_path``,
+``cut_of``, the whole-line scans and ``reference_plain_line_re`` as
+references. Run:
 
     python tools/exhaustive_check.py
 
@@ -34,7 +46,7 @@ from __future__ import annotations
 
 import re
 import sys
-from itertools import product
+from itertools import chain, product
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -43,6 +55,7 @@ from etnorm.folding import fold_diacritics  # noqa: E402
 from etnorm.lexicon import default_config  # noqa: E402
 from etnorm.tokens import _ADDRESS_HEAD_RE, _DOMAIN_HEAD_RE, _URL_PREFIX_RE, _email_starts, _url_starts  # noqa: E402
 from etnorm.tokens import _LC, _PLAIN_REPEAT, _PLAIN_WORD, _PUNCT, _TLD_DOT, _UC, _VOWELS  # noqa: E402
+from etnorm.tokens import _D, _DOMAIN_RUN, _MASTER_RE, _THOUSANDS, _URL_PREFIX, _URL_RE  # noqa: E402
 from etnorm.tokens import detokenize, tokenize  # noqa: E402
 from etnorm.verbalize import _join, _render_tokens, verbalize  # noqa: E402
 
@@ -137,6 +150,104 @@ def whole_line_email_starts(text):
     return _positions(_ADDRESS_HEAD_RE.finditer(text))
 
 
+# Runs of digit groups for the phone shape: groups of 1-5 digits, the
+# separators a phone or a thousands group may hold and ".", and what may
+# follow a run
+DIGIT_GROUPS = ("1", "12", "123", "1234", "12345")
+RUN_SEPARATORS = (" ", "\xa0", "-", ".")
+RUN_TAILS = ("", " ", "\xa0", "-", ".", "a")
+
+# pieces of URLs: prefixes and a near miss, a domain and top-level
+# domains, label and path characters, the marks a URL does not end in,
+# and characters no URL holds
+URL_PIECES = (
+    "www.", "http://", "Https://", "www", "err", ".ee", ".com", ".", "/", "a", "5", "-", "_",
+    ")", "(", "»", "”", ",", ":", "?", "'", " ", '"',
+)
+
+# The phone shape as first written: the "phone" group proposed a match,
+# and Python rejected one without "+" that held fewer than 7 or more than
+# 15 digits, mixed a dash with spaces or was grouped by thousands; the
+# groups after "phone" then read the text again.
+_REFERENCE_PHONE_RE = re.compile(
+    rf"(?:\+{_D}(?:[ \xa0-]?{_D}){{6,14}}|{_D}{{2,4}}(?:[ \xa0-]{_D}{{2,4}}){{2,7}})(?!{_D})"
+)
+_REFERENCE_THOUSANDS_RE = re.compile(rf"{_THOUSANDS}$")
+# The URL shape as first written: a match, then its trailing marks trimmed
+# in a loop; a prefix trimmed to "www" or to nothing was no URL.
+_REFERENCE_URL_RE = re.compile(rf"(?:{_URL_PREFIX})[^\s<>\"]*|{_DOMAIN_RUN}{_TLD_DOT}(?:/[^\s<>\"]*)?")
+_REFERENCE_TRAILING = ".,;:!?)]}\"'»’”"
+
+
+def reference_phone_end(text):
+    """Where the phone number that starts ``text`` ends, or None."""
+    match = _REFERENCE_PHONE_RE.match(text)
+    if not match:
+        return None
+    surface = match.group()
+    if surface[0] == "+":
+        return match.end()
+    digit_count = sum(ch.isdigit() for ch in surface)
+    mixed = "-" in surface and (" " in surface or "\xa0" in surface)
+    if 7 <= digit_count <= 15 and not mixed and not _REFERENCE_THOUSANDS_RE.match(surface):
+        return match.end()
+    return None
+
+
+def reference_url_end(text, pos):
+    """Where the URL at ``pos`` of ``text`` ends, or None."""
+    match = _REFERENCE_URL_RE.match(text, pos)
+    if not match:
+        return None
+    end = match.end()
+    while end > pos and text[end - 1] in _REFERENCE_TRAILING:
+        end -= 1
+    surface = text[pos:end]
+    return end if "." in surface or "://" in surface else None
+
+
+def phone_failures(text, config) -> list[str]:
+    """A failure when ``_MASTER_RE`` reads a phone number at the start of
+    ``text`` other than the reference does (none, or one ending elsewhere)."""
+    match = _MASTER_RE.match(text)
+    end = match.end("phone") if match.lastgroup == "phone" else None
+    return [] if end == reference_phone_end(text) else [f"phone ends at {end}"]
+
+
+def url_failures(text, config) -> list[str]:
+    """The positions of ``text`` where ``_URL_RE`` ends a URL elsewhere
+    than the reference."""
+    failed = []
+    for pos in range(len(text)):
+        match = _URL_RE.match(text, pos)
+        end = match.end() if match else None
+        if end != reference_url_end(text, pos):
+            failed.append(f"URL at {pos} ends at {end}")
+    return failed
+
+
+def digit_runs(sizes, groups, one_separator=False):
+    """Every run of ``sizes`` groups from ``groups``, its separators from
+    ``RUN_SEPARATORS`` (the same one throughout with ``one_separator``),
+    followed by each of ``RUN_TAILS``, with and without a leading "+"."""
+    for size in sizes:
+        if one_separator:
+            joins = [(sep,) * (size - 1) for sep in RUN_SEPARATORS]
+        else:
+            joins = list(product(RUN_SEPARATORS, repeat=size - 1))
+        for parts in product(groups, repeat=size):
+            for join in joins:
+                run = "".join(chain.from_iterable(zip(parts, join + ("",))))
+                for tail in RUN_TAILS:
+                    yield run + tail
+                    yield "+" + run + tail
+
+
+def url_strings(size):
+    """Every string of 1 to ``size`` pieces from ``URL_PIECES``."""
+    return chain.from_iterable(strings(URL_PIECES, n) for n in range(1, size + 1))
+
+
 _REFERENCES = {}  # id(config) -> (config, its reference grammar); the config is kept so its id is not reused
 
 
@@ -208,6 +319,10 @@ def main() -> int:
     bad = run("4 pieces", strings(PIECES, 4), failures, config)
     lines = (" ".join(parts) for parts in product(CHUNKS, repeat=6))
     bad += run("6 chunks", lines, copy_failures, config)
+    bad += run("phone, 1-5 groups", digit_runs(range(1, 6), DIGIT_GROUPS), phone_failures, config)
+    long_runs = digit_runs(range(6, 10), DIGIT_GROUPS[1:4], one_separator=True)
+    bad += run("phone, 6-9 groups", long_runs, phone_failures, config)
+    bad += run("URL, 1-4 pieces", url_strings(4), url_failures, config)
     return 1 if bad else 0
 
 
