@@ -4,10 +4,9 @@ Letters that carry a diacritic the Estonian alphabet does not know
 (é, ñ, ç, ...) are reduced to their base letter so the synthesizer
 never sees them. Letters that belong to the alphabet (õ, ä, ö, ü,
 š, ž and plain a-z) are protected and never touched. Only letters fold:
-a mark such as ``–``, ``«`` or ``…`` never starts a translation, so a
-line with no letter outside ASCII and the protected set is returned as
-it is, and of any other line only the stretch from its first such letter
-to its last is translated.
+one regex finds each letter outside ASCII and the protected set, and
+only those letters are replaced, so a mark such as ``–``, ``«`` or ``…``
+is never looked at, and a line with no such letter is returned as it is.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from __future__ import annotations
 import re
 import unicodedata
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 from .textfiles import read_data
 
@@ -77,22 +76,11 @@ class FoldingTable:
         return re.compile(f"[^\\W\\d_\\x00-\\x7f{re.escape(''.join(sorted(self.protected)))}]")
 
     @cached_property
-    def translation(self) -> _FoldMap:
-        """``str.translate`` map of this table, filled as code points are seen."""
-        return _FoldMap(self)
-
-
-class _FoldMap(dict):
-    """Code point -> folded character; a code point missing from the map
-    is folded by ``FoldingTable.fold_char`` once and then kept."""
-
-    def __init__(self, table: FoldingTable):
-        super().__init__()
-        self.fold_char = table.fold_char
-
-    def __missing__(self, codepoint: int) -> str:
-        folded = self[codepoint] = self.fold_char(chr(codepoint))
-        return folded
+    def _fold_match(self):
+        """``re.sub`` callback of ``foldable_re``: the matched letter
+        folded by ``fold_char``, each letter once per table."""
+        fold = cache(self.fold_char)
+        return lambda match: fold(match[0])
 
 
 _DEFAULT_TABLE = FoldingTable()
@@ -102,14 +90,8 @@ def fold_diacritics(text: str, table: FoldingTable | None = None) -> str:
     """Replace out-of-alphabet diacritic letters with their base letters.
 
     The character count of the result always equals the input's; anything
-    that is not a foldable letter passes through unchanged. Marks never
-    trigger folding, and only the stretch between the first and the last
-    letter that may fold is translated; the text around it is copied.
+    that is not a foldable letter passes through unchanged. Only the
+    letters that ``foldable_re`` finds are folded; marks never are.
     """
     table = table or _DEFAULT_TABLE
-    first = table.foldable_re.search(text)
-    if first is None:
-        return text
-    start = first.start()
-    end = len(text) - table.foldable_re.search(text[::-1]).start()
-    return text[:start] + text[start:end].translate(table.translation) + text[end:]
+    return table.foldable_re.sub(table._fold_match, text)

@@ -58,7 +58,7 @@ class RuleConfig:
     numbers: NumberLexicon = field(default_factory=default_lexicon)
 
     def __post_init__(self):
-        for name, least in (("title_min_length", 4), ("digit_group_threshold", 5)):
+        for name, least in (("title_min_length", 4), ("digit_group_threshold", 7)):
             value = getattr(self, name)
             if type(value) is not int or value < least:  # a bool or a float is refused too
                 raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
@@ -81,8 +81,8 @@ class RuleConfig:
         surfaces = {s for s in map(str.lower, self.abbreviations) if set(s) <= set(_LC) and not _VOWELS.isdisjoint(s)}
         spellings = sorted({spelling for s in surfaces for spelling in (s, s[0].upper() + s[1:])})
         not_surface = f"(?!(?:{'|'.join(map(re.escape, spellings))})(?![{_LC}]))" if spellings else ""
-        # a letter of the alphabet that folding may change: neither ASCII nor protected
-        foldable = "".join(ch for ch in _UC + _LC if not ch.isascii() and ch not in self.folding.protected)
+        # the letters of the alphabet that folding may change
+        foldable = "".join(self.folding.foldable_re.findall(_UC + _LC))
         kept = f"(?![{_UC}{_LC}]*[{foldable}])" if foldable else ""
         # A separator is whitespace or a sentence mark that does not start a
         # top-level-domain dot. That dot starts with ".", so a "." is a piece

@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 
 _SHAPE_RE = re.compile(r"[IVXLCDM]+")
-_STRICT_RE = re.compile(r"^M{0,3}(CM|CD|D?C{0,3})(XC|XL|L?X{0,3})(IX|IV|V?I{0,3})$")
+_STRICT_RE = re.compile(r"M{0,3}(CM|CD|D?C{0,3})(XC|XL|L?X{0,3})(IX|IV|V?I{0,3})")
 _VALUES = {"I": 1, "V": 5, "X": 10, "L": 50, "C": 100, "D": 500, "M": 1000}
 
 
@@ -21,7 +21,7 @@ def is_roman_shaped(token: str) -> bool:
 
 def roman_value(token: str) -> int | None:
     """Integer value of a strictly well-formed Roman numeral, else None."""
-    if not token or not _STRICT_RE.match(token):
+    if not token or not _STRICT_RE.fullmatch(token):
         return None
     total = 0
     for i, ch in enumerate(token):
@@ -30,4 +30,4 @@ def roman_value(token: str) -> int | None:
             total -= value
         else:
             total += value
-    return total if total > 0 else None
+    return total

@@ -634,7 +634,7 @@ def test_empty_table_named_as_stdin(capsys, monkeypatch):
     "payload, message",
     [
         ({"title_min_length": "x"}, "title_min_length must be an integer >= 4, got 'x'"),
-        ({"digit_group_threshold": None}, "digit_group_threshold must be an integer >= 5, got None"),
+        ({"digit_group_threshold": None}, "digit_group_threshold must be an integer >= 7, got None"),
         ({"abbreviations": ["a"]}, "abbreviations: expected a file path"),
         # an integer path would be opened as a file descriptor
         ({"letter_names": 5}, "letter_names: expected a file path"),

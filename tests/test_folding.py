@@ -63,7 +63,7 @@ def test_translate_matches_per_char_fold(tmp_path):
             rng.choice(accented) if rng.random() < 0.4 else chr(rng.randrange(0x10000))
             for _ in range(rng.randrange(0, 40))
         )
-        # foldable letters at both ends, and far apart: only the stretch between them is translated
+        # foldable letters at both ends, and far apart, with marks and plain letters between them
         far = rng.choice(accented) + "tere – «x» " * rng.randrange(0, 200) + text + rng.choice(accented)
         for line in (text, far):
             for table in tables:

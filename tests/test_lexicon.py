@@ -51,8 +51,9 @@ class TestValidation:
     def test_threshold_floors(self, config):
         with pytest.raises(ConfigError):
             replace(config, title_min_length=3)
-        with pytest.raises(ConfigError):
-            replace(config, digit_group_threshold=4)
+        for value in (4, 5, 6):  # runs of 5-6 digits are cardinals, so these read as 7
+            with pytest.raises(ConfigError):
+                replace(config, digit_group_threshold=value)
 
     def test_letter_name_must_not_be_empty(self, config):
         with pytest.raises(ConfigError, match="empty letter name for 'A'"):

@@ -54,7 +54,7 @@ PIECES = st.one_of(
 
 OPTIONS = {
     "title_min_length": st.integers(min_value=4),
-    "digit_group_threshold": st.integers(min_value=5),
+    "digit_group_threshold": st.integers(min_value=7),
 }
 
 

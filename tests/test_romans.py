@@ -30,7 +30,7 @@ def test_valid_numerals(token, value):
 
 @pytest.mark.parametrize(
     "token",
-    ["", "DVD", "VV", "IIII", "IC", "XM", "LL", "DD", "IXI", "VX", "MMMM", "ABC"],
+    ["", "DVD", "VV", "IIII", "IC", "XM", "LL", "DD", "IXI", "VX", "MMMM", "ABC", "X\n"],
 )
 def test_invalid_numerals(token):
     assert roman_value(token) is None

@@ -288,8 +288,9 @@ class TestGroupedNumber:
         assert verbalize(text, config) == expected
 
     def test_threshold_governs_only_runs_without_separators(self, config):
-        low = replace(config, digit_group_threshold=5)
-        assert verbalize("12 500", low) == "kaksteist tuhat viissada"
+        assert verbalize("1 234 567", replace(config, digit_group_threshold=7)) == (
+            "miljon kakssada kolmkümmend neli tuhat viissada kuuskümmend seitse"
+        )
         assert verbalize("1234567", replace(config, digit_group_threshold=8)) == (
             "miljon kakssada kolmkümmend neli tuhat viissada kuuskümmend seitse"
         )

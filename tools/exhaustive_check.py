@@ -2,8 +2,8 @@
 
 Each fast path is exact by an argument in a docstring: the pass-through
 gate and its cut, the plain runs copied untokenized, the bounded URL and
-e-mail head scans and the folded stretch. Bugs in such arguments show on
-short inputs, so every string up to a small size is checked (the
+e-mail head scans and the letters folding finds. Bugs in such arguments
+show on short inputs, so every string up to a small size is checked (the
 small-scope hypothesis). Five sets are run:
 
 - every string of 4 pieces from ``PIECES`` (810,000 strings). Each must

@@ -52,12 +52,13 @@ PIECES = (
 # a rule chunk followed by a plain run, which ``verbalize`` copies
 # untokenized: the grammar's reads and back-scans must stay linear; a
 # domain, an address or a letter that folds in every unit, so the head
-# scans and the folded stretch reach from one end of the line to the other;
+# scans reach from one end of the line to the other and folding replaces
+# a letter in every unit, or one character in three in a unit of its own;
 # the spellings of abbreviation surfaces that the grammar's words exclude,
 # and plain words with runs of whitespace and marks, which a word piece takes
 RUNS = (
     "5 tere tere tere ", "XIX. sajandil ja nii ", "MTÜ-le õue ja ", "x.ee ", "a@b.ee ", "é" + "a" * 30 + " ",
-    "Prof ", "ca. ", "Jne, ", "tere \t\u3000", "«Tere», ütles ta – ",
+    "Prof ", "ca. ", "Jne, ", "tere \t\u3000", "«Tere», ütles ta – ", "café été ",
 )
 
 
