@@ -9,13 +9,16 @@ module parses them into an immutable RuleConfig.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property, lru_cache
+from itertools import chain
 
 from .folding import FoldingTable
 from .numwords import NumberLexicon, default_lexicon, load_lexicon
 from .textfiles import ConfigError, read_data
 from .tokens import _LC, _PLAIN_REPEAT, _PLAIN_WORD, _SENTENCE_PUNCT, _TLD_DOT, _UC, _VOWELS
+
+_DIGIT_RE = re.compile("[0-9]")  # ASCII digits only: the output may hold other scripts' digits
 
 
 @dataclass(frozen=True)
@@ -65,6 +68,17 @@ class RuleConfig:
         for letter, name in self.letter_names.items():
             if not name:
                 raise ConfigError(f"empty letter name for {letter!r}")
+        # every value the output may quote: no config puts a digit in the output
+        lexicon = ((f.name, getattr(self.numbers, f.name)) for f in fields(self.numbers))
+        spoken = chain(
+            (("letter_names", letter, name) for letter, name in self.letter_names.items()),
+            (("symbols", symbol, word) for symbol, word in self.symbols.items()),
+            (("abbreviations", s, e.text) for s, entry in self.abbreviations.items() for e in entry.expansions),
+            (("numbers", key, " ".join(words) if isinstance(words, tuple) else words) for key, words in lexicon),
+        )
+        for table, key, value in spoken:
+            if _DIGIT_RE.search(value):
+                raise ConfigError(f"{table} {key!r} is read {value!r}, which holds a digit")
 
     @cached_property
     def plain_line_re(self) -> re.Pattern:

@@ -1,31 +1,35 @@
 """Tokenization of raw text into classified spans.
 
 One left-to-right pass whose cost is linear in the length of the line.
-URLs and e-mail addresses are found anchor-first: the line is scanned
-once for the set of positions where one can start (the start of
-``https://`` in any case or of ``www.``, each position of a run of domain
-labels with a top-level-domain dot still ahead, each position of a run
-of address characters that ends at ``@`` and a valid domain), and their
-patterns are tried only at a token start in that set. The prefix, domain and
-address head regexes read only the whitespace-delimited chunks from the
-one that holds the first anchor (``://`` or ``www.``, a top-level-domain
-dot, an ``@``) to the one that holds the last. That is exact: a URL
-prefix, a domain run or an address run holds no whitespace and holds its
-anchor, or ends at it, so every head lies in a chunk with an anchor. A
-lookbehind at the first chunk's start sees whitespace or the start of
-the line, as in a scan of the whole line, and a lookahead stops at the
-last chunk's end as it would at the whitespace after it, since no head
-pattern reads whitespace. Every other shape (phone numbers, dates,
-times, decimals, grouped digits, ordinal dots, plain numbers, plain
-words, acronyms with a case ending, word runs, sentence punctuation,
-symbols) is one named group of a master regex, in priority order, and
-each shape, URLs and e-mail addresses too, is one pattern with no Python
-check after it. Each group but the word run names its token's kind. A
-word run that is not a plain word is classified afterwards in Python
-(case-suffixed acronym, Roman candidate, uppercase sequence, mixed case,
-lowercase consonant cluster, or a word such as ``Łukasz`` or ``a``). The
-one match that Python extends is a word run that starts with a letter
-outside the alphabet: it is matched as a symbol and extended there.
+Each token is one match, read one way: the named group that matched gives
+its kind and end, the match's end that of the whitespace after it.
+``_LINK_RE`` reads URLs and e-mail addresses, ``_MASTER_RE`` every other
+shape (phone numbers, dates, times, decimals, grouped digits, ordinal
+dots, plain numbers, plain words, acronyms with a case ending, word runs,
+sentence punctuation, symbols), one group each, in priority order; no
+shape has a Python check after its pattern. A word run, the one group that
+names no kind, is classified afterwards (case-suffixed acronym, Roman
+candidate, uppercase sequence, mixed case, lowercase consonant cluster, or
+a word such as ``Łukasz`` or ``a``), and one led by a letter outside the
+alphabet is matched as a symbol and extended in Python.
+
+``_LINK_RE`` is tried only at a token start where a link can start, found
+anchor-first in one scan of the line: the start of ``https://`` in any
+case or of ``www.`` and each position of a run of domain labels with a
+top-level-domain dot still ahead (``_url_starts``), and each position of a
+run of address characters that ends at ``@`` and a valid domain
+(``_email_starts``). A URL can match only at a position of the first set
+and an address matches at exactly the positions of the second, so one
+match reads what a URL tried at the first, then an address at the second,
+read. The prefix, domain and address head regexes read only the
+whitespace-delimited chunks from the one that holds the first anchor
+(``://`` or ``www.``, a top-level-domain dot, an ``@``) to the one that
+holds the last. That is exact: a URL prefix, a domain run or an address
+run holds no whitespace and holds its anchor, or ends at it, so every head
+lies in a chunk with an anchor. A lookbehind at the first chunk's start
+sees whitespace or the start of the line, as in a scan of the whole line,
+and a lookahead stops at the last chunk's end as it would at the
+whitespace after it, since no head pattern reads whitespace.
 
 Tokenization is lossless: every non-whitespace character lands in exactly
 one token, each token records the whitespace that follows it, and
@@ -137,12 +141,13 @@ _TLD_DOT = r"\.(?:ee|com|org|net|eu|fi|lv|lt|gl|io)(?![^\W\d_])"  # no letter af
 _ADDRESS = "[A-Za-z0-9_.+-]"  # one character before the "@" of an address
 _EMAIL_DOMAIN = rf"@{_LABEL}+(?:\.{_LABEL}+)+"
 _TRAILING_PUNCT = ".,;:!?)]}\"'»’”"  # marks that end a sentence or a quote, not a URL
-# The lookbehind backs a URL off the marks after it. A "www." with only
-# marks after it is no URL, since its own dot is such a mark.
-_URL_RE = re.compile(
-    rf"(?:(?:{_URL_PREFIX})[^\s<>\"]*|{_DOMAIN_RUN}{_TLD_DOT}(?:/[^\s<>\"]*)?)(?<![{re.escape(_TRAILING_PUNCT)}])"
+# A URL or an e-mail address, each group named after its TokenKind value,
+# then whitespace. The lookbehind backs a URL off the marks after it: a
+# "www." with only marks after it is no URL, since its own dot is one.
+_LINK_RE = re.compile(
+    rf"(?:(?P<url>(?:(?:{_URL_PREFIX})[^\s<>\"]*|{_DOMAIN_RUN}{_TLD_DOT}(?:/[^\s<>\"]*)?)"
+    rf"(?<![{re.escape(_TRAILING_PUNCT)}]))|(?P<email>{_ADDRESS}+{_EMAIL_DOMAIN}))\s*"
 )
-_EMAIL_RE = re.compile(rf"{_ADDRESS}+{_EMAIL_DOMAIN}")
 _URL_PREFIX_RE = re.compile(_URL_PREFIX)
 _TLD_DOT_RE = re.compile(_TLD_DOT)
 # A maximal run of domain labels (the lookbehinds pin it to the start of
@@ -180,10 +185,9 @@ _PHONE = (
 # the letters and digits a word run matches in one regex step
 _LETTER_OR_DIGIT_RUN_RE = re.compile(f"[0-9{_UC}{_LC}]*")
 
-# Every shape but URLs and e-mail addresses, in priority order, as (group
-# name, pattern, led by a digit or "+"). A group is named after its
-# TokenKind value, and a "word_run" is classified afterwards. The
-# digit-led shapes come first.
+# Every shape but links, in priority order, as (group name, pattern, led
+# by a digit or "+"). A group is named after its TokenKind value, and a
+# "word_run" is classified afterwards. The digit-led shapes come first.
 _SHAPES = (
     # the groups of a phone number need no cap: the digit count comes
     # first and reads at most 16 digits, so no try scans the rest of a
@@ -262,7 +266,7 @@ def _heads(pattern: re.Pattern, text: str, first: int, last: int):
 
 
 def _url_starts(text: str) -> set[int]:
-    """Every position where ``_URL_RE`` can match."""
+    """A set that holds every position where the ``url`` group of ``_LINK_RE`` matches."""
     starts = set()
     if "://" in text or "www." in text:
         first = min(i for i in (text.find("://"), text.find("www.")) if i >= 0)
@@ -277,8 +281,8 @@ def _url_starts(text: str) -> set[int]:
 
 
 def _email_starts(text: str) -> set[int]:
-    """Like ``_url_starts`` for ``_EMAIL_RE``: the positions of the address
-    runs that end at an "@" and a valid domain."""
+    """The positions where the ``email`` group of ``_LINK_RE`` matches:
+    those of the address runs that end at an "@" and a valid domain."""
     starts = set()
     first = text.find("@")
     if first >= 0:
@@ -357,30 +361,19 @@ def tokenize(text: str, _plain=None, _stop=None) -> TokenList:
     # UTF-8 bytes beyond one per character so far: byte offset = pos + extra;
     # a lone surrogate is encoded as its three bytes, as Python spells it
     extra = 0 if ascii_text else len(tokens.leading.encode("utf-8", "surrogatepass")) - pos
-    url_starts = _url_starts(text)
-    email_starts = _email_starts(text)
+    starts = _url_starts(text) | _email_starts(text)  # where a link can start
     # the current chunk's start, the end of the last chunk to end in a WORD
     chunk, after_word = pos, -1
 
     while pos < length:
-        if url_starts and pos in url_starts and (match := _URL_RE.match(text, pos)):
-            end, kind = match.end(), TokenKind.URL
+        match = starts and pos in starts and _LINK_RE.match(text, pos) or _MASTER_RE.match(text, pos)
+        name = match.lastgroup
+        end, ws_end = match.end(name), match.end()
+        if name == "symbol" and text[pos].isalpha():
+            # a letter outside the alphabet starts a word run
+            name, end = "word_run", _word_end(text, pos)
             ws_end = _WS_RE.match(text, end).end()
-        elif email_starts and pos in email_starts:
-            # Address characters, "@" and a valid domain follow each
-            # position of an address run, so the match cannot fail. It ends
-            # on a label character, never on a trailing mark.
-            end, kind = _EMAIL_RE.match(text, pos).end(), TokenKind.EMAIL
-            ws_end = _WS_RE.match(text, end).end()
-        else:
-            match = _MASTER_RE.match(text, pos)
-            name = match.lastgroup
-            end, ws_end = match.end(name), match.end()
-            if name == "symbol" and text[pos].isalpha():
-                # a letter outside the alphabet starts a word run
-                name, end = "word_run", _word_end(text, pos)
-                ws_end = _WS_RE.match(text, end).end()
-            kind = _KIND_OF_GROUP.get(name)
+        kind = _KIND_OF_GROUP.get(name)
         surface = text[pos:end]
         if kind is None:  # a "word_run"
             kind = _classify_word_run(surface)

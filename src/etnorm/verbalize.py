@@ -241,30 +241,6 @@ def _render_cardinal_text(text: str, config: RuleConfig, value: int | None = Non
     return cardinal(int(text) if value is None else value, NOMINATIVE, config.numbers)
 
 
-def _render_url_body(text: str, config: RuleConfig) -> str:
-    body = _URL_SCHEME_RE.sub("", text) or text.partition(":")[0]  # a scheme with no host reads its name
-    parts: list[str] = []
-    for piece in _URL_PIECE_RE.findall(body):
-        if piece == ".":
-            if not parts or parts[-1]:  # the dot after a label read as nothing is not spoken
-                parts.append("punkt")
-        elif piece == "_":
-            parts.append("alakriips")
-        elif piece == "-":
-            parts.append("sidekriips")
-        elif len(piece) == 1 and not piece.isalnum():
-            spoken = config.symbols.get(piece)
-            if spoken:
-                parts.append(spoken)
-        elif piece.lower() == "www":
-            parts.append("vee-vee-vee")
-        elif _is_ascii_digits(piece):
-            parts.append(digits(piece, config.numbers))
-        else:
-            parts.append(verbalize_mixed_case(piece, config))
-    return " ".join(p for p in parts if p)
-
-
 # The rules. Each reads ``tokens[i]``, the first token it would cover, and
 # returns ``(last, spoken)``: the spoken form of ``tokens[i..last]``. None
 # means the rule does not apply there.
@@ -478,14 +454,30 @@ def _time(tokens, i, config):
     return i, " koolon ".join(cardinal(int(part), NOMINATIVE, config.numbers) for part in parts)
 
 
-def _url(tokens, i, config):
-    return i, _render_url_body(tokens[i].text, config)
-
-
-def _email(tokens, i, config):
-    local, _, domain = tokens[i].text.partition("@")
-    parts = (_render_url_body(local, config), config.symbols.get("@"), _render_url_body(domain, config))
-    return i, " ".join(part for part in parts if part)
+def _link(tokens, i, config):
+    """A URL or an e-mail address, read a label or one character at a time."""
+    text = tokens[i].text
+    body = _URL_SCHEME_RE.sub("", text) or text.partition(":")[0]  # a scheme with no host reads its name
+    parts: list[str] = []
+    for piece in _URL_PIECE_RE.findall(body):
+        if piece == ".":
+            if not parts or parts[-1]:  # the dot after a label read as nothing is not spoken
+                parts.append("punkt")
+        elif piece == "_":
+            parts.append("alakriips")
+        elif piece == "-":
+            parts.append("sidekriips")
+        elif len(piece) == 1 and not piece.isalnum():  # "@", "/", "+", ...: spoken or dropped
+            spoken = config.symbols.get(piece)
+            if spoken:
+                parts.append(spoken)
+        elif piece.lower() == "www":
+            parts.append("vee-vee-vee")
+        elif _is_ascii_digits(piece):
+            parts.append(digits(piece, config.numbers))
+        else:
+            parts.append(verbalize_mixed_case(piece, config))
+    return i, " ".join(p for p in parts if p)
 
 
 def _symbol(tokens, i, config):
@@ -510,8 +502,8 @@ _RULES = {
     TokenKind.PHONE: (_number_range, _phone),
     TokenKind.DATE_LIKE: (_number_range, _date),
     TokenKind.TIME_LIKE: (_number_range, _time),
-    TokenKind.URL: (_url,),
-    TokenKind.EMAIL: (_email,),
+    TokenKind.URL: (_link,),
+    TokenKind.EMAIL: (_link,),
     TokenKind.SYMBOL: (_symbol,),
 }
 # the kinds a range joins; of each but the Roman kind, the last rule never declines

@@ -8,6 +8,7 @@ from etnorm.lexicon import (
     Expansion,
     default_config,
     load_abbreviations,
+    load_config,
     load_letter_names,
     load_symbols,
 )
@@ -58,6 +59,24 @@ class TestValidation:
     def test_letter_name_must_not_be_empty(self, config):
         with pytest.raises(ConfigError, match="empty letter name for 'A'"):
             replace(config, letter_names={**config.letter_names, "A": ""})
+
+    # each change once let a digit through: "5% A" read "viis sada 5 aa",
+    # "A" read "a1", "5,5" read "viis k0ma viis" and "xx" read "x2"
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (lambda c: {"symbols": {**c.symbols, "%": "sada 5"}}, "symbols '%' is read 'sada 5'"),
+            (lambda c: {"letter_names": {**c.letter_names, "A": "a1"}}, "letter_names 'A' is read 'a1'"),
+            (lambda c: {"numbers": replace(c.numbers, decimal_separator="k0ma")}, "numbers 'decimal_separator'"),
+            (lambda c: {"abbreviations": {"xx": AbbreviationEntry("xx", (Expansion("x2"),))}}, "abbreviations 'xx'"),
+        ],
+    )
+    def test_spoken_values_hold_no_digit(self, config, change, message):
+        with pytest.raises(ConfigError, match=f"^{message}.*holds a digit"):
+            replace(config, **change(config))
+
+    def test_bundled_config_loads(self):
+        assert load_config() == default_config()
 
     @pytest.mark.parametrize("value", [6.0, 4.5, True, "6", None])
     @pytest.mark.parametrize("option", ["title_min_length", "digit_group_threshold"])

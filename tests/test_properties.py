@@ -2,20 +2,19 @@
 legal ``title_min_length`` and ``digit_group_threshold``, and under data
 tables and folding sets that pass validation.
 
-Each property checks that the call does not raise, that no ASCII digit is
-left in the output (unless a table value the output may quote holds one),
-and that a second call gives the same output. Three check the
-pass-through gate on text near it: what the gate passes tokenizes to
-tokens no rule rewrites, ``verbalize`` gives what rendering every token
-gives (also on lines it reads only from a cut after a plain prefix, and
-on lines whose plain runs between rule shapes it copies untokenized), and
-the gate decides as its first definition, four searches, did, with one
-clause added since it reads raw lines: a line that folding changes is
-not plain. Two check that the gate's grammar stops where its first
-formulation (``reference_plain_line_re``) does, under the bundled
-config, one whose table adds surfaces that are plain words, and one
-whose folding protects no letter, the second also under drawn tables and
-on lines long enough to need several reads. One checks
+Each property checks that the call does not raise, that no ASCII digit
+is left in the output, and that a second call gives the same output.
+Three check the pass-through gate on text near it: what the gate passes
+tokenizes to tokens no rule rewrites, ``verbalize`` gives what rendering
+every token gives (also on lines it reads only from a cut after a plain
+prefix, and on lines whose plain runs between rule shapes it copies
+untokenized), and the gate decides as its first definition, four
+searches, did, with one clause added since it reads raw lines: a line
+that folding changes is not plain. Two check that the gate's grammar
+stops where its first formulation (``reference_plain_line_re``) does,
+under the bundled config, one whose table adds surfaces that are plain
+words, and one whose folding protects no letter, the second also under
+drawn tables and on lines long enough to need several reads. One checks
 that the tokenizer's master regex names the kind of a word, a
 punctuation mark or a symbol as the Python classification would. One
 checks that folding a line equals folding each of its characters.
@@ -87,7 +86,7 @@ DEFAULT_NAMES = default_config().letter_names
 
 EXPANSIONS = st.builds(
     Expansion,
-    text=st.text(alphabet=LETTERS + " -7", min_size=1, max_size=10),
+    text=st.text(alphabet=LETTERS + " -", min_size=1, max_size=10),
     keywords=st.lists(st.sampled_from(["maks", "km", "eurot", "a", "karl", "saj"]), max_size=2).map(tuple),
     weight=st.floats(min_value=0.001, max_value=10.0),
 )
@@ -129,9 +128,7 @@ TABLES = {
 def test_data_tables_and_folding(config, text, tables):
     configured = replace(config, **tables)
     out = verbalize(text, configured)
-    quoted = (exp.text for entry in configured.abbreviations.values() for exp in entry.expansions)
-    if not any(ASCII_DIGIT.search(value) for value in quoted):
-        assert not ASCII_DIGIT.search(out), (text, tables, out)
+    assert not ASCII_DIGIT.search(out), (text, tables, out)
     assert verbalize(text, configured) == out
 
 

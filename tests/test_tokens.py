@@ -2,7 +2,7 @@ import random
 import time
 
 import pytest
-from exhaustive_check import whole_line_email_starts, whole_line_url_starts
+from exhaustive_check import link_start_failures, whole_line_email_starts, whole_line_url_starts
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -328,3 +328,4 @@ def test_head_scans_read_as_the_whole_line(text):
     # chunks from the first anchor to the last finds every head
     assert _url_starts(text) == whole_line_url_starts(text)
     assert _email_starts(text) == whole_line_email_starts(text)
+    assert not link_start_failures(text)  # the starts are where a link matches

@@ -358,6 +358,14 @@ class TestVerbalizeEndToEnd:
             == "goo punkt gee-ell kaldkriips forms"
         )
         assert verbalize("info@eki.ee", config) == "info ätt eki punkt ee"
+        # "@" and "+" are pieces of the address, read or dropped as the symbol table says
+        bare = replace(config, symbols={k: v for k, v in config.symbols.items() if k not in ("@", "+")})
+        assert verbalize("a.@b.ee", config) == "aa punkt ätt bee punkt ee"
+        assert verbalize("a.@b.ee", bare) == "aa punkt bee punkt ee"
+        assert verbalize(".a@b.ee", config) == "punkt aa ätt bee punkt ee"
+        assert verbalize("a_b+c@d.ee", config) == "aa alakriips bee pluss tsee ätt dee punkt ee"
+        assert verbalize("a_b+c@d.ee", bare) == "aa alakriips bee tsee dee punkt ee"
+        assert verbalize("info@eki.ee", bare) == "info eki punkt ee"
 
     @pytest.mark.parametrize(
         "text, expected",

@@ -4,16 +4,22 @@ Each fast path is exact by an argument in a docstring: the pass-through
 gate and its cut, the plain runs copied untokenized, the bounded URL and
 e-mail head scans and the letters folding finds. Bugs in such arguments
 show on short inputs, so every string up to a small size is checked (the
-small-scope hypothesis). Five sets are run:
+small-scope hypothesis). Six sets are run:
 
 - every string of 4 pieces from ``PIECES`` (810,000 strings). Each must
   pass all of ``failures``: ``verbalize`` raises nothing and leaves no
   ASCII digit, equals the full path (every token offered to the rules),
   whose readings tile its tokens (``tiles``), ``detokenize(tokenize(x))
-  == x``, the URL and e-mail start sets equal the whole-line scans, the
+  == x``, the URL and e-mail start sets equal the whole-line scans, at
+  each position the ``url`` group of ``_LINK_RE`` matches only at a URL
+  start and the address pattern exactly at an e-mail start
+  (``link_start_failures``, what one link match per token rests on), the
   plain-line grammar stops where its first formulation
   (``reference_plain_line_re``) does, and folding equals ``fold_char``
   character by character;
+- every string of 3 pieces under each of ``other_configs`` (5 x 27,000
+  strings), which must pass ``failures`` too: no config that passes
+  validation puts a digit in the output;
 - every line of 6 chunks from ``CHUNKS``, joined by one space (262,144
   lines), the fewest chunks where a copied plain run is followed by a
   kept chunk and a stop. ``verbalize`` must equal the full path, and the
@@ -26,8 +32,9 @@ small-scope hypothesis). Five sets are run:
   first formulation does, a match checked in Python
   (``reference_phone_end``);
 - every string of 1-4 pieces from ``URL_PIECES`` (292,560 strings).
-  ``_URL_RE`` must end a URL at each position where the first
-  formulation, a match trimmed in a loop, does (``reference_url_end``).
+  The ``url`` group of ``_LINK_RE`` must end a URL at each position
+  where the first formulation, a match trimmed in a loop, does
+  (``reference_url_end``).
 
 The tier-1 tests run the first check on every string of 3 pieces, the
 phone check on the runs of up to 4 groups and of 6, and the URL check on
@@ -46,16 +53,18 @@ from __future__ import annotations
 
 import re
 import sys
+from dataclasses import replace
 from itertools import chain, product
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from etnorm.folding import fold_diacritics  # noqa: E402
+from etnorm.folding import FoldingTable, fold_diacritics  # noqa: E402
 from etnorm.lexicon import default_config  # noqa: E402
 from etnorm.tokens import _ADDRESS_HEAD_RE, _DOMAIN_HEAD_RE, _URL_PREFIX_RE, _email_starts, _url_starts  # noqa: E402
 from etnorm.tokens import _LC, _PLAIN_REPEAT, _PLAIN_WORD, _PUNCT, _TLD_DOT, _UC, _VOWELS  # noqa: E402
-from etnorm.tokens import _D, _DOMAIN_RUN, _MASTER_RE, _THOUSANDS, _URL_PREFIX, _URL_RE  # noqa: E402
+from etnorm.tokens import _ADDRESS, _EMAIL_DOMAIN, _LINK_RE  # noqa: E402
+from etnorm.tokens import _D, _DOMAIN_RUN, _MASTER_RE, _THOUSANDS, _URL_PREFIX  # noqa: E402
 from etnorm.tokens import detokenize, tokenize  # noqa: E402
 from etnorm.verbalize import _join, _render_tokens, verbalize  # noqa: E402
 
@@ -150,6 +159,27 @@ def whole_line_email_starts(text):
     return _positions(_ADDRESS_HEAD_RE.finditer(text))
 
 
+# the pattern of the ``email`` group of ``_LINK_RE`` on its own, which the
+# ``url`` group before it hides where both match
+_ADDRESS_RE = re.compile(rf"{_ADDRESS}+{_EMAIL_DOMAIN}")
+
+
+def link_start_failures(text) -> list[str]:
+    """The positions of ``text`` that break what one ``_LINK_RE`` match per
+    token rests on: the ``url`` group matches only at a position of
+    ``_url_starts``, and the address pattern matches exactly at the
+    positions of ``_email_starts``."""
+    url_starts, email_starts = _url_starts(text), _email_starts(text)
+    failed = []
+    for pos in range(len(text)):
+        match = _LINK_RE.match(text, pos)
+        if match and match.lastgroup == "url" and pos not in url_starts:
+            failed.append(f"URL at {pos} outside the URL starts")
+        if bool(_ADDRESS_RE.match(text, pos)) != (pos in email_starts):
+            failed.append(f"address at {pos} disagrees with the e-mail starts")
+    return failed
+
+
 # Runs of digit groups for the phone shape: groups of 1-5 digits, the
 # separators a phone or a thousands group may hold and ".", and what may
 # follow a run
@@ -215,12 +245,12 @@ def phone_failures(text, config) -> list[str]:
 
 
 def url_failures(text, config) -> list[str]:
-    """The positions of ``text`` where ``_URL_RE`` ends a URL elsewhere
-    than the reference."""
+    """The positions of ``text`` where the ``url`` group of ``_LINK_RE``
+    ends a URL elsewhere than the reference."""
     failed = []
     for pos in range(len(text)):
-        match = _URL_RE.match(text, pos)
-        end = match.end() if match else None
+        match = _LINK_RE.match(text, pos)
+        end = match.end("url") if match and match.lastgroup == "url" else None
         if end != reference_url_end(text, pos):
             failed.append(f"URL at {pos} ends at {end}")
     return failed
@@ -277,6 +307,7 @@ def failures(text, config) -> list[str]:
         failed.append("URL starts")
     if _email_starts(text) != whole_line_email_starts(text):
         failed.append("e-mail starts")
+    failed += link_start_failures(text)
     if config.plain_line_re.match(text).end() != _reference_match(config)(text).end():
         failed.append("grammar stop")
     table = config.folding
@@ -301,6 +332,18 @@ def copy_failures(text, config) -> list[str]:
     return failed
 
 
+def other_configs(config):
+    """The bundled config with one table emptied or one option at its
+    least: the variants whose output must hold no digit either."""
+    return {
+        "no symbols": replace(config, symbols={}),
+        "no letter names": replace(config, letter_names={}),
+        "no protected letters": replace(config, folding=FoldingTable(frozenset())),
+        "the minimum options": replace(config, title_min_length=4, digit_group_threshold=7),
+        "no abbreviations": replace(config, abbreviations={}),
+    }
+
+
 def run(name, texts, check, config) -> int:
     count = bad = 0
     for text in texts:
@@ -317,6 +360,8 @@ def run(name, texts, check, config) -> int:
 def main() -> int:
     config = default_config()
     bad = run("4 pieces", strings(PIECES, 4), failures, config)
+    for name, other in other_configs(config).items():
+        bad += run(f"3 pieces, {name}", strings(PIECES, 3), failures, other)
     lines = (" ".join(parts) for parts in product(CHUNKS, repeat=6))
     bad += run("6 chunks", lines, copy_failures, config)
     bad += run("phone, 1-5 groups", digit_runs(range(1, 6), DIGIT_GROUPS), phone_failures, config)
