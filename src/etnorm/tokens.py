@@ -13,23 +13,27 @@ candidate, uppercase sequence, mixed case, lowercase consonant cluster, or
 a word such as ``Łukasz`` or ``a``), and one led by a letter outside the
 alphabet is matched as a symbol and extended in Python.
 
-``_LINK_RE`` is tried only at a token start where a link can start, found
-anchor-first in one scan of the line: the start of ``https://`` in any
-case or of ``www.`` and each position of a run of domain labels with a
-top-level-domain dot still ahead (``_url_starts``), and each position of a
-run of address characters that ends at ``@`` and a valid domain
-(``_email_starts``). A URL can match only at a position of the first set
-and an address matches at exactly the positions of the second, so one
-match reads what a URL tried at the first, then an address at the second,
-read. The prefix, domain and address head regexes read only the
-whitespace-delimited chunks from the one that holds the first anchor
-(``://`` or ``www.``, a top-level-domain dot, an ``@``) to the one that
-holds the last. That is exact: a URL prefix, a domain run or an address
-run holds no whitespace and holds its anchor, or ends at it, so every head
-lies in a chunk with an anchor. A lookbehind at the first chunk's start
-sees whitespace or the start of the line, as in a scan of the whole line,
-and a lookahead stops at the last chunk's end as it would at the
-whitespace after it, since no head pattern reads whitespace.
+A link is decided at the token, as the loop reaches it. Every URL and
+address starts with an address character and holds an anchor (``://``,
+``www.``, ``@`` or a top-level-domain dot) in its own chunk, a run of
+non-whitespace. So ``_LINK_RE`` is tried only at a token start with such
+a character that lies in the chunk of the next anchor, and a match is the
+token there; a line with no anchor tries none. The starts skipped are
+those where no link can match, so the tokens are those of a try at every
+token start. Trying every such start would rescan a long run once per
+token, so a try that fails rules out what follows it in its chunk. An
+address ends at the first ``@`` after its start, so none starts inside
+the address run of a failed try, before that ``@``. A bare domain that
+starts inside its domain-label run reads labels and a top-level-domain
+dot that one from the failed start would read too, so none starts there.
+Inside the label run only a URL with a prefix (``https://``, ``www.``)
+can start, and inside the rest of the address run only a URL, for which
+``_URL_RE`` is tried. Each run is read once, when a later token of the
+same chunk needs it, and a URL-only try that fails moves the label run
+on. The next full try starts past the address run and the next URL-only
+try past the label run, and each anchor search starts past the last
+anchor, so each character is read a bounded number of times: the cost
+stays linear.
 
 Tokenization is lossless: every non-whitespace character lands in exactly
 one token, each token records the whitespace that follows it, and
@@ -124,7 +128,6 @@ _SENTENCE_PUNCT = frozenset(".,!?;:()[]{}\"'«»‘’“”„‚…–—-·")
 _PUNCT = re.escape("".join(sorted(_SENTENCE_PUNCT)))  # the body of a regex class
 
 _WS_RE = re.compile(r"\s*")
-_NON_WS_RE = re.compile(r"\S*")
 # the most pieces (a word with the whitespace and marks after it up to a
 # dot, a run of whitespace and marks, or a dot) one match of the plain-line
 # grammar reads: a bounded repeat keeps the regex engine's backtracking
@@ -132,30 +135,32 @@ _NON_WS_RE = re.compile(r"\S*")
 _PLAIN_REPEAT = 1000
 _CHUNK_BACK_RE = re.compile(r"\S*\s*\S*")  # matched on a reversed text: two chunks back
 
-# URL and e-mail grammar; the pieces also locate where a match can start
+# URL and e-mail grammar
 _URL_SCHEME = r"(?i:https?)://"
 _URL_PREFIX = rf"{_URL_SCHEME}|www\."
 _LABEL = "[A-Za-z0-9-]"  # one character of a domain label
 _DOMAIN_RUN = rf"{_LABEL}+(?:\.{_LABEL}+)*"
 _TLD_DOT = r"\.(?:ee|com|org|net|eu|fi|lv|lt|gl|io)(?![^\W\d_])"  # no letter after it
 _ADDRESS = "[A-Za-z0-9_.+-]"  # one character before the "@" of an address
+_ADDRESS_CHARS = frozenset(filter(re.compile(_ADDRESS).match, map(chr, range(128))))  # the only ones a link starts with
 _EMAIL_DOMAIN = rf"@{_LABEL}+(?:\.{_LABEL}+)+"
 _TRAILING_PUNCT = ".,;:!?)]}\"'»’”"  # marks that end a sentence or a quote, not a URL
-# A URL or an e-mail address, each group named after its TokenKind value,
-# then whitespace. The lookbehind backs a URL off the marks after it: a
-# "www." with only marks after it is no URL, since its own dot is one.
-_LINK_RE = re.compile(
-    rf"(?:(?P<url>(?:(?:{_URL_PREFIX})[^\s<>\"]*|{_DOMAIN_RUN}{_TLD_DOT}(?:/[^\s<>\"]*)?)"
-    rf"(?<![{re.escape(_TRAILING_PUNCT)}]))|(?P<email>{_ADDRESS}+{_EMAIL_DOMAIN}))\s*"
+# The lookbehind backs a URL off the marks after it: a "www." with only
+# marks after it is no URL, since its own dot is one.
+_URL = (
+    rf"(?P<url>(?:(?:{_URL_PREFIX})[^\s<>\"]*|{_DOMAIN_RUN}{_TLD_DOT}(?:/[^\s<>\"]*)?)"
+    rf"(?<![{re.escape(_TRAILING_PUNCT)}]))"
 )
+# A URL or an e-mail address, each group named after its TokenKind value,
+# then whitespace; ``_URL_RE`` where no address can start.
+_LINK_RE = re.compile(rf"(?:{_URL}|(?P<email>{_ADDRESS}+{_EMAIL_DOMAIN}))\s*")
+_URL_RE = re.compile(rf"{_URL}\s*")
 _URL_PREFIX_RE = re.compile(_URL_PREFIX)
-_TLD_DOT_RE = re.compile(_TLD_DOT)
-# A maximal run of domain labels (the lookbehinds pin it to the start of
-# its run), cut at its last top-level-domain dot: a bare domain can start
-# at any label character before that dot.
-_DOMAIN_HEAD_RE = re.compile(rf"(?<!{_LABEL})(?<!{_LABEL}\.){_DOMAIN_RUN}(?={_TLD_DOT})")
-# A maximal run of address characters that ends at "@" and a valid domain.
-_ADDRESS_HEAD_RE = re.compile(rf"(?<!{_ADDRESS}){_ADDRESS}+(?={_EMAIL_DOMAIN})")
+_ANCHOR_RE = re.compile(rf"://|www\.|@|{_TLD_DOT}")  # every link holds one of these
+_NON_WS_RE = re.compile(r"\S*")
+# the runs a failed link try rules out: its domain labels, its address characters
+_DOMAIN_RUN_RE = re.compile(f"(?:{_DOMAIN_RUN})?")
+_ADDRESS_RUN_RE = re.compile(f"{_ADDRESS}*")
 
 _D = "[0-9]"  # ASCII digits only; \d would also match other scripts' digits
 _THOUSANDS = rf"{_D}{{1,3}}(?:[ \xa0.]{_D}{{3}})+"  # digits grouped by thousands
@@ -251,46 +256,6 @@ def _classify_word_run(surface: str) -> TokenKind:
     return TokenKind.MIXED_CASE  # letters with digits attached
 
 
-def _chunk_start(text: str, pos: int) -> int:
-    """The start of the whitespace-delimited chunk that holds ``pos``. The
-    back-scan reads no further than the last ASCII space before ``pos``."""
-    low = text.rfind(" ", 0, pos) + 1
-    return pos - _NON_WS_RE.match(text[low:pos][::-1]).end()
-
-
-def _heads(pattern: re.Pattern, text: str, first: int, last: int):
-    """The matches of ``pattern`` in ``text``, read only over the chunks
-    from the one that holds ``first`` to the one that holds ``last``."""
-    end = _NON_WS_RE.match(text, last).end()
-    return pattern.finditer(text, _chunk_start(text, first), end)
-
-
-def _url_starts(text: str) -> set[int]:
-    """A set that holds every position where the ``url`` group of ``_LINK_RE`` matches."""
-    starts = set()
-    if "://" in text or "www." in text:
-        first = min(i for i in (text.find("://"), text.find("www.")) if i >= 0)
-        last = max(text.rfind("://"), text.rfind("www."))
-        # the start of each prefix only: its other positions would try URLs inside it
-        starts = {m.start() for m in _heads(_URL_PREFIX_RE, text, first, last)}
-    dots = [m.start() for m in _TLD_DOT_RE.finditer(text)]
-    if dots:
-        for m in _heads(_DOMAIN_HEAD_RE, text, dots[0], dots[-1]):
-            starts.update(range(*m.span()))
-    return starts
-
-
-def _email_starts(text: str) -> set[int]:
-    """The positions where the ``email`` group of ``_LINK_RE`` matches:
-    those of the address runs that end at an "@" and a valid domain."""
-    starts = set()
-    first = text.find("@")
-    if first >= 0:
-        for m in _heads(_ADDRESS_HEAD_RE, text, first, text.rfind("@")):
-            starts.update(range(*m.span()))
-    return starts
-
-
 def _word_end(text: str, pos: int) -> int:
     """End of the run of letters and ASCII digits that starts at ``pos``."""
     end = pos
@@ -361,12 +326,35 @@ def tokenize(text: str, _plain=None, _stop=None) -> TokenList:
     # UTF-8 bytes beyond one per character so far: byte offset = pos + extra;
     # a lone surrogate is encoded as its three bytes, as Python spells it
     extra = 0 if ascii_text else len(tokens.leading.encode("utf-8", "surrogatepass")) - pos
-    starts = _url_starts(text) | _email_starts(text)  # where a link can start
+    # the next anchor, looked for at the first token past the last one, and
+    # the start of its chunk: no link starts before it
+    anchor = anchored = -1
+    # the last link try that failed, whose runs are not read yet; the ends
+    # of the runs read: no address starts before ``address_end``, and no
+    # bare domain before ``label_end``
+    failed = label_end = address_end = -1
     # the current chunk's start, the end of the last chunk to end in a WORD
     chunk, after_word = pos, -1
 
     while pos < length:
-        match = starts and pos in starts and _LINK_RE.match(text, pos) or _MASTER_RE.match(text, pos)
+        match = None
+        if pos > anchor:  # find the next anchor and its chunk's start, read back no further than here
+            found = _ANCHOR_RE.search(text, pos)
+            anchor = found.start() if found else length
+            anchored = anchor - _NON_WS_RE.match(text[pos:anchor][::-1]).end() if found else length
+        if pos >= anchored and text[pos] in _ADDRESS_CHARS:
+            if failed >= chunk:  # a try failed earlier in this chunk: read its runs, once
+                if failed >= address_end:  # it tried an address too
+                    address_end = _ADDRESS_RUN_RE.match(text, failed).end()
+                label_end = _DOMAIN_RUN_RE.match(text, failed).end()
+                failed = -1
+            if pos >= label_end:
+                match = (_LINK_RE if pos >= address_end else _URL_RE).match(text, pos)
+                if match is None:
+                    failed = pos
+            elif _URL_PREFIX_RE.match(text, pos):  # only a URL with a prefix starts in the label run
+                match = _URL_RE.match(text, pos)
+        match = match or _MASTER_RE.match(text, pos)
         name = match.lastgroup
         end, ws_end = match.end(name), match.end()
         if name == "symbol" and text[pos].isalpha():

@@ -30,7 +30,7 @@ from hypothesis import strategies as st
 
 from etnorm.folding import DEFAULT_PROTECTED, FoldingTable, fold_diacritics
 from etnorm.lexicon import AbbreviationEntry, Expansion, default_config
-from etnorm.tokens import _LC, _SENTENCE_PUNCT, _TLD_DOT_RE, _UC, _VOWELS, TokenKind, _classify_word_run, tokenize
+from etnorm.tokens import _LC, _SENTENCE_PUNCT, _TLD_DOT, _UC, _VOWELS, TokenKind, _classify_word_run, tokenize
 from etnorm.tokens import _PLAIN_REPEAT, _plain_end
 from etnorm.verbalize import verbalize
 from exhaustive_check import PIECES as BOUNDARY_PIECES
@@ -246,6 +246,7 @@ def test_skipped_runs_read_as_the_whole_line(config, text):
 # config's folding changes is not plain either.
 _NOT_PLAIN_CHAR_RE = re.compile(rf"[^{_UC}{_LC}\s{re.escape(''.join(sorted(_SENTENCE_PUNCT)))}]")
 _CASE_CHANGE_RE = re.compile(rf"[{_UC}](?:(?![{_LC}])|(?<=[{_LC}].))")
+_TLD_DOT_RE = re.compile(_TLD_DOT)
 
 
 def reference_gate(line, config):

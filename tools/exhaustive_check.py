@@ -1,8 +1,8 @@
 """Check the fast paths of ``verbalize`` on every string of a small scope.
 
 Each fast path is exact by an argument in a docstring: the pass-through
-gate and its cut, the plain runs copied untokenized, the bounded URL and
-e-mail head scans and the letters folding finds. Bugs in such arguments
+gate and its cut, the plain runs copied untokenized, the link tries the
+tokenizer skips and the letters folding finds. Bugs in such arguments
 show on short inputs, so every string up to a small size is checked (the
 small-scope hypothesis). Six sets are run:
 
@@ -10,10 +10,9 @@ small-scope hypothesis). Six sets are run:
   pass all of ``failures``: ``verbalize`` raises nothing and leaves no
   ASCII digit, equals the full path (every token offered to the rules),
   whose readings tile its tokens (``tiles``), ``detokenize(tokenize(x))
-  == x``, the URL and e-mail start sets equal the whole-line scans, at
-  each position the ``url`` group of ``_LINK_RE`` matches only at a URL
-  start and the address pattern exactly at an e-mail start
-  (``link_start_failures``, what one link match per token rests on), the
+  == x``, at each token start, without and with the copy path,
+  ``_LINK_RE`` matches exactly the URL or e-mail token there or nothing
+  (``link_failures``, what deciding links at the token rests on), the
   plain-line grammar stops where its first formulation
   (``reference_plain_line_re``) does, and folding equals ``fold_char``
   character by character;
@@ -34,13 +33,12 @@ small-scope hypothesis). Six sets are run:
 - every string of 1-4 pieces from ``URL_PIECES`` (292,560 strings).
   The ``url`` group of ``_LINK_RE`` must end a URL at each position
   where the first formulation, a match trimmed in a loop, does
-  (``reference_url_end``).
+  (``reference_url_end``), and each string must pass ``link_failures``.
 
 The tier-1 tests run the first check on every string of 3 pieces, the
 phone check on the runs of up to 4 groups and of 6, and the URL check on
 strings of up to 3 pieces; they share ``full_path``, ``copy_path``,
-``cut_of``, the whole-line scans and ``reference_plain_line_re`` as
-references. Run:
+``cut_of`` and ``reference_plain_line_re`` as references. Run:
 
     python tools/exhaustive_check.py
 
@@ -61,11 +59,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from etnorm.folding import FoldingTable, fold_diacritics  # noqa: E402
 from etnorm.lexicon import default_config  # noqa: E402
-from etnorm.tokens import _ADDRESS_HEAD_RE, _DOMAIN_HEAD_RE, _URL_PREFIX_RE, _email_starts, _url_starts  # noqa: E402
 from etnorm.tokens import _LC, _PLAIN_REPEAT, _PLAIN_WORD, _PUNCT, _TLD_DOT, _UC, _VOWELS  # noqa: E402
-from etnorm.tokens import _ADDRESS, _EMAIL_DOMAIN, _LINK_RE  # noqa: E402
-from etnorm.tokens import _D, _DOMAIN_RUN, _MASTER_RE, _THOUSANDS, _URL_PREFIX  # noqa: E402
-from etnorm.tokens import detokenize, tokenize  # noqa: E402
+from etnorm.tokens import _D, _DOMAIN_RUN, _LINK_RE, _MASTER_RE, _THOUSANDS, _URL_PREFIX  # noqa: E402
+from etnorm.tokens import TokenKind, detokenize, tokenize  # noqa: E402
 from etnorm.verbalize import _join, _render_tokens, verbalize  # noqa: E402
 
 # words: plain, capitalized, an abbreviation with two expansions, lone
@@ -87,6 +83,7 @@ PIECES = (
 CHUNKS = ("ja", "Karl", "summa", ":", "XII", "10", "km", "Zoë")
 
 _ASCII_DIGITS = frozenset("0123456789")
+_LINK_KINDS = (TokenKind.URL, TokenKind.EMAIL)
 
 
 def full_readings(text, config):
@@ -145,38 +142,21 @@ def cut_of(tokens):
     return len(tokens.leading) if tokens.leading.strip() else 0
 
 
-def _positions(matches):
-    return {pos for match in matches for pos in range(*match.span())}
-
-
-def whole_line_url_starts(text):
-    """``_url_starts`` as a scan of the whole line."""
-    return {m.start() for m in _URL_PREFIX_RE.finditer(text)} | _positions(_DOMAIN_HEAD_RE.finditer(text))
-
-
-def whole_line_email_starts(text):
-    """``_email_starts`` as a scan of the whole line."""
-    return _positions(_ADDRESS_HEAD_RE.finditer(text))
-
-
-# the pattern of the ``email`` group of ``_LINK_RE`` on its own, which the
-# ``url`` group before it hides where both match
-_ADDRESS_RE = re.compile(rf"{_ADDRESS}+{_EMAIL_DOMAIN}")
-
-
-def link_start_failures(text) -> list[str]:
-    """The positions of ``text`` that break what one ``_LINK_RE`` match per
-    token rests on: the ``url`` group matches only at a position of
-    ``_url_starts``, and the address pattern matches exactly at the
-    positions of ``_email_starts``."""
-    url_starts, email_starts = _url_starts(text), _email_starts(text)
+def link_failures(text, config) -> list[str]:
+    """The tokens of ``text``, without and with the copy path's grammar,
+    at whose start ``_LINK_RE`` does not match exactly that token: a link
+    there that the token is not, or a link token where it matches nothing.
+    A try at every token start passes this by definition, so it is all
+    that trying only at some token starts, and ruling others out, rests on."""
     failed = []
-    for pos in range(len(text)):
-        match = _LINK_RE.match(text, pos)
-        if match and match.lastgroup == "url" and pos not in url_starts:
-            failed.append(f"URL at {pos} outside the URL starts")
-        if bool(_ADDRESS_RE.match(text, pos)) != (pos in email_starts):
-            failed.append(f"address at {pos} disagrees with the e-mail starts")
+    for tokens in tokenize(text), tokenize(text, _plain=config.plain_line_re.match):
+        pos = len(tokens.leading)
+        for token in tokens:
+            match = _LINK_RE.match(text, pos)
+            link = (match.lastgroup, match.end(match.lastgroup)) if match else None
+            if link != ((token.kind.value, pos + len(token.text)) if token.kind in _LINK_KINDS else None):
+                failed.append(f"link at {pos}")
+            pos += len(token.text) + len(token.ws_after)
     return failed
 
 
@@ -246,8 +226,8 @@ def phone_failures(text, config) -> list[str]:
 
 def url_failures(text, config) -> list[str]:
     """The positions of ``text`` where the ``url`` group of ``_LINK_RE``
-    ends a URL elsewhere than the reference."""
-    failed = []
+    ends a URL elsewhere than the reference, and ``link_failures``."""
+    failed = link_failures(text, config)
     for pos in range(len(text)):
         match = _LINK_RE.match(text, pos)
         end = match.end("url") if match and match.lastgroup == "url" else None
@@ -303,11 +283,7 @@ def failures(text, config) -> list[str]:
         failed.append("readings do not tile")
     if detokenize(tokenize(text)) != text:
         failed.append("round trip")
-    if _url_starts(text) != whole_line_url_starts(text):
-        failed.append("URL starts")
-    if _email_starts(text) != whole_line_email_starts(text):
-        failed.append("e-mail starts")
-    failed += link_start_failures(text)
+    failed += link_failures(text, config)
     if config.plain_line_re.match(text).end() != _reference_match(config)(text).end():
         failed.append("grammar stop")
     table = config.folding

@@ -17,13 +17,11 @@ token's whitespace, are printed, as ``skip<TAB>repr<TAB>runs``:
 ``skip A-B`` for each run, by character offsets into the line it reads,
 or ``none``. Then the kinds of the tokens
 of each boundary string are printed, as ``tok<TAB>repr<TAB>kinds``, its
-folding under the bundled table, as ``fold<TAB>repr<TAB>folded``, and the
-positions where a URL and an e-mail address can start, as
-``heads<TAB>repr<TAB>url positions; email positions``, each set printed
-as its runs of consecutive positions, ``A-B`` from the first to one past
-the last, or ``none``. The gate, the
+folding under the bundled table, as ``fold<TAB>repr<TAB>folded``, and its
+URL and e-mail tokens, as ``link<TAB>repr<TAB>links``: ``KIND 'TEXT'
+A-B`` for each, by its byte span, or ``none``. The gate, the
 tokenizer's groups, the top-level-domain boundary, the fold class and
-the chunk bounds of the URL and e-mail heads read the regex classes
+the links the tokenizer tries and rules out read the regex classes
 ``\s``, ``\S``, ``\W``, ``\d``, ``[^\W_]`` and ``[^\W\d_]``, and the URL
 scheme reads regex case folding (``(?i:...)``), whose Unicode tables
 differ between Python versions. The gate matches the two spellings of an
@@ -56,7 +54,7 @@ sys.path[:0] = [str(SRC), str(ROOT / "perfbench")]
 
 from etnorm.folding import fold_diacritics  # noqa: E402
 from etnorm.lexicon import default_config  # noqa: E402
-from etnorm.tokens import TokenKind, _email_starts, _url_starts, tokenize  # noqa: E402
+from etnorm.tokens import TokenKind, tokenize  # noqa: E402
 from etnorm.verbalize import verbalize  # noqa: E402
 from exhaustive_check import copy_path, cut_of  # noqa: E402
 from workloads import generate  # noqa: E402
@@ -108,14 +106,9 @@ def skips(text: str) -> str:
     return ", ".join(runs) or "none"
 
 
-def runs(positions) -> str:
-    spans = []
-    for pos in sorted(positions):
-        if spans and spans[-1][1] == pos:
-            spans[-1][1] = pos + 1
-        else:
-            spans.append([pos, pos + 1])
-    return " ".join(f"{start}-{stop}" for start, stop in spans) or "none"
+def links(text: str) -> str:
+    found = [t for t in tokenize(text) if t.kind in (TokenKind.URL, TokenKind.EMAIL)]
+    return ", ".join(f"{t.kind.value} {t.text!r} {t.span[0]}-{t.span[1]}" for t in found) or "none"
 
 
 def main() -> int:
@@ -143,7 +136,7 @@ def main() -> int:
     for text in BOUNDARY:
         print(f"fold\t{text!r}\t{fold_diacritics(text)!r}")
     for text in BOUNDARY:
-        print(f"heads\t{text!r}\t{runs(_url_starts(text))}; {runs(_email_starts(text))}")
+        print(f"link\t{text!r}\t{links(text)}")
     return 0
 
 
