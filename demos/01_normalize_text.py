@@ -20,14 +20,14 @@ show("Long uppercase words are titles, not abbreviations", [
     "Lavastus KALEVIPOEG jõuab lavale sügisel.",
 ])
 
-show("Word-like acronyms are read as words, short ones spelled", [
+show("Acronyms flagged 'word' in the dictionary are read as words, others spelled", [
     "Ta töötab NATO peakorteris.",
     "Ta saatis oma CV tööandjale.",
 ])
 
 show("Letter sequences that look Roman are not always Roman", [
-    "DVD mängija on katki.",           # stoplisted, spelled
-    "MM toimub järgmisel aastal.",     # stoplisted, spelled
+    "DVD mängija on katki.",           # a dictionary entry flagged spellout
+    "MM toimub järgmisel aastal.",     # a dictionary entry flagged spellout
     "XX sajand tõi suured muutused.",  # real ordinal: century context
     "Karl XII valitses Rootsit.",      # real ordinal: name context
     "XIX-XX sajand oli muutuste aeg.", # a Roman range, licensed as a whole

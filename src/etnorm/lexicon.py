@@ -1,9 +1,9 @@
 """Loading and validation of the rule data files.
 
-All language facts (letter names, the abbreviation dictionary, the Roman
-stoplist, the spoken-acronym set, audible symbols, Roman context cues)
-live in UTF-8 data files so they can evolve without code changes. This
-module parses them into an immutable RuleConfig.
+All language facts (letter names, the abbreviation dictionary, audible
+symbols, Roman context cues) live in UTF-8 data files so they can evolve
+without code changes; the dictionary alone says how a surface it lists
+is read. This module parses them into an immutable RuleConfig.
 """
 
 from __future__ import annotations
@@ -51,8 +51,6 @@ class RuleConfig:
 
     letter_names: dict[str, str]
     abbreviations: dict[str, AbbreviationEntry]
-    roman_stoplist: frozenset[str]
-    spoken_acronyms: frozenset[str]
     symbols: dict[str, str]
     roman_context_stems: tuple[str, ...]
     title_min_length: int = 6
@@ -86,13 +84,14 @@ class RuleConfig:
         of the pass-through gate in ``verbalize``. Built on first use, so
         ``abbreviations`` must not be changed in place after that; derive a
         new config instead."""
-        # A word is no abbreviation surface in any case. Only a surface
-        # spelled in the alphabet with a vowel can be a word here, and a word
-        # is lowercase after its first letter, so the lowercase spelling and
-        # the one with a capital first letter are the only casings it can
-        # hold. Matched case-sensitively, the engine skips an alternative on
-        # its first letter.
-        surfaces = {s for s in map(str.lower, self.abbreviations) if set(s) <= set(_LC) and not _VOWELS.isdisjoint(s)}
+        # A word is no surface ``_abbreviation`` looks it up as: the word as
+        # written or lowercased. A word is lowercase after its first letter,
+        # so only a surface in the alphabet, lowercase after its first letter
+        # and with a vowel can be one, in its lowercase spelling or the one
+        # with a capital first letter. Matched case-sensitively, the engine
+        # skips an alternative on its first letter.
+        lowered = (s.lower() for s in self.abbreviations if s[1:] == s[1:].lower())
+        surfaces = {s for s in lowered if set(s) <= set(_LC) and not _VOWELS.isdisjoint(s)}
         spellings = sorted({spelling for s in surfaces for spelling in (s, s[0].upper() + s[1:])})
         not_surface = f"(?!(?:{'|'.join(map(re.escape, spellings))})(?![{_LC}]))" if spellings else ""
         # the letters of the alphabet that folding may change
@@ -176,14 +175,6 @@ def load_abbreviations(path=None) -> dict[str, AbbreviationEntry]:
     }
 
 
-def load_roman_stoplist(path=None) -> frozenset[str]:
-    return frozenset(read_data(path, str.strip, "roman_stoplist.txt"))
-
-
-def load_spoken_acronyms(path=None) -> frozenset[str]:
-    return frozenset(read_data(path, str.strip, "spoken_acronyms.txt"))
-
-
 def load_symbols(path=None) -> dict[str, str]:
     return dict(_load_pairs("symbols.txt", path, "SYMBOL<TAB>spoken form"))
 
@@ -195,8 +186,6 @@ def load_roman_context(path=None) -> tuple[str, ...]:
 def load_config(
     letter_names_path=None,
     abbreviations_path=None,
-    roman_stoplist_path=None,
-    spoken_acronyms_path=None,
     symbols_path=None,
     roman_context_path=None,
     number_lexicon_path=None,
@@ -214,8 +203,6 @@ def load_config(
     return RuleConfig(
         letter_names=load_letter_names(letter_names_path),
         abbreviations=load_abbreviations(abbreviations_path),
-        roman_stoplist=load_roman_stoplist(roman_stoplist_path),
-        spoken_acronyms=load_spoken_acronyms(spoken_acronyms_path),
         symbols=load_symbols(symbols_path),
         roman_context_stems=load_roman_context(roman_context_path),
         title_min_length=title_min_length,

@@ -17,7 +17,7 @@ is whitespace or ``_SENTENCE_PUNCT`` that does not start a
 top-level-domain dot. A word is ``tokens._PLAIN_WORD`` (a letter of
 ``_UC`` or ``_LC`` and one or more of ``_LC``, holding a vowel, with no
 letter or digit after it), the tokenizer's own ``word`` token, that is
-not, in either case, an abbreviation surface, and whose letters the
+no abbreviation surface as written or lowercased, and whose letters the
 config's folding keeps: ASCII or protected ones. Folding changes letters
 only, so a plain line is its own folding. It tokenizes to WORD and PUNCT
 tokens only: every other kind needs a digit, a symbol, a run of capitals,
@@ -212,9 +212,7 @@ def _render_uppercase(surface: str, config: RuleConfig, line: TokenList, suffix:
     spoken = None if entry is None else _read_entry(surface, entry, config, line, suffix)
     if spoken is not None:
         return spoken
-    # a run as long as a title is a word set in capitals, and a spoken
-    # acronym is read as a word; any other run is spelled
-    if len(surface) >= config.title_min_length or surface in config.spoken_acronyms:
+    if len(surface) >= config.title_min_length:  # a word set in capitals; any other run is spelled
         return surface + (suffix or "")
     return _safe_spell(surface, config, suffix)
 
@@ -286,15 +284,23 @@ def _ratio(tokens, i, config):
     return None
 
 
+def _joined_ending(tokens, i):
+    """The index of a lowercase case ending joined after ``tokens[i]``,
+    directly or by a hyphen ("20ks", "2023-ks", "kpl-i"), or None."""
+    if not tokens[i].joined_right or i + 1 == len(tokens):
+        return None
+    last = i + 2 if tokens[i + 1].text == "-" and tokens[i + 1].joined_right else i + 1
+    ending = tokens[last].text if last < len(tokens) else ""
+    return last if ending in CASE_SUFFIXES and ending.islower() else None
+
+
 def _case_ending(tokens, i, config):
     """A case ending attached to a number ("20ks", "2023-ks") follows the
     genitive stem."""
-    if tokens[i].text[0] == "0" or not tokens[i].joined_right or i + 1 == len(tokens):
+    last = None if tokens[i].text[0] == "0" else _joined_ending(tokens, i)
+    if last is None:
         return None
-    last = i + 2 if tokens[i + 1].text == "-" and tokens[i + 1].joined_right else i + 1
-    if last < len(tokens) and tokens[last].text in CASE_SUFFIXES and tokens[last].text.islower():
-        return last, cardinal(int(tokens[i].text), numwords.GENITIVE, config.numbers) + tokens[last].text
-    return None
+    return last, cardinal(int(tokens[i].text), numwords.GENITIVE, config.numbers) + tokens[last].text
 
 
 def _cardinal(tokens, i, config):
@@ -344,7 +350,7 @@ def _mark_at_number(tokens, i, config):
 
 def _roman(tokens, i, config, last=None):
     """A Roman numeral reads as an ordinal when it is well formed, at most
-    ``MAX_ORDINAL``, off the stoplist and has a context cue: a joined dot
+    ``MAX_ORDINAL``, no dictionary surface and has a context cue: a joined dot
     before a lowercase word, which is its ordinal mark and is read with it;
     an era or part keyword, or a capitalized word, to the right; or a
     capitalized word to the left. With ``last``, the numerals at ``i`` and
@@ -377,7 +383,7 @@ def _roman(tokens, i, config, last=None):
     spoken = []
     for j in sorted({i, last}):
         value = roman_value(tokens[j].text)
-        if value is None or value > numwords.MAX_ORDINAL or tokens[j].text in config.roman_stoplist:
+        if value is None or value > numwords.MAX_ORDINAL or tokens[j].text in config.abbreviations:
             return None
         spoken.append(ordinal(value, NOMINATIVE, config.numbers))
     return (last + 1 if dot_cue else last), " kuni ".join(spoken)
@@ -393,10 +399,15 @@ def _suffixed_acronym(tokens, i, config):
 
 
 def _abbreviation(tokens, i, config):
-    """A dictionary abbreviation, looked up as written, then lowercased."""
+    """A dictionary abbreviation, looked up as written, then lowercased; an
+    entry flagged ``word`` or ``spellout`` reads a case ending joined after it."""
     text = tokens[i].text
     entry = config.abbreviations.get(text) or config.abbreviations.get(text.lower())
-    return None if entry is None else (i, _read_entry(text, entry, config, tokens))
+    if entry is None:
+        return None
+    last = _joined_ending(tokens, i)
+    spoken = None if last is None else _read_entry(text, entry, config, tokens, tokens[last].text)
+    return (i, _read_entry(text, entry, config, tokens)) if spoken is None else (last, spoken)
 
 
 def _spelled(tokens, i, config):

@@ -136,6 +136,13 @@ class TestNormalize:
         assert code == 1
         assert "nonsense" in err
 
+    def test_removed_list_key_rejected(self, capsys, tmp_path, monkeypatch):
+        # its surfaces now go in the abbreviation file, flagged spellout
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"roman_stoplist": "stoplist.txt"}), encoding="utf-8")
+        code, out, err = run(capsys, ["normalize", "--config", str(config)], stdin="tere\n", monkeypatch=monkeypatch)
+        assert (code, out, err) == (1, "", f"etnorm: {config}: unknown config keys: roman_stoplist\n")
+
 
     def test_failing_line_named_and_stream_goes_on(self, capsys, monkeypatch):
         def flaky(text, config):
@@ -654,8 +661,7 @@ def test_mistyped_config_value_named(capsys, tmp_path, monkeypatch, payload, mes
 
 # every data file a --config may name
 DATA_FILE_KEYS = [
-    "letter_names", "abbreviations", "roman_stoplist", "spoken_acronyms",
-    "symbols", "roman_context", "number_lexicon", "folding_protected",
+    "letter_names", "abbreviations", "symbols", "roman_context", "number_lexicon", "folding_protected",
 ]
 
 
@@ -716,8 +722,6 @@ def bundled_entries(name):
 BOM_DATA = {
     "letter_names": (bundled_entries("letter_names.txt"), "EAS"),
     "abbreviations": (bundled_entries("abbreviations.tsv"), "Ta sõitis 5 km."),
-    "roman_stoplist": (bundled_entries("roman_stoplist.txt"), "CD sajandil"),
-    "spoken_acronyms": (bundled_entries("spoken_acronyms.txt"), "NATO"),
     "symbols": (bundled_entries("symbols.txt"), "5 %"),
     "roman_context": (bundled_entries("roman_context.txt"), "XX sajand"),
     "number_lexicon": (bundled_entries("number_lexicon.txt"), "0"),

@@ -1,7 +1,9 @@
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+from etnorm import numwords, textfiles
 from etnorm.lexicon import (
     AbbreviationEntry,
     ConfigError,
@@ -21,10 +23,11 @@ class TestDefaults:
             assert config.letter_names[letter]
 
     def test_stoplist_covers_common_collisions(self, config):
-        assert {"MM", "CV", "DVD"} <= config.roman_stoplist
+        # letter runs that are never a Roman numeral are dictionary entries flagged spellout
+        assert all(config.abbreviations[surface].force_spellout for surface in ("MM", "CV", "DVD"))
 
     def test_spoken_acronyms_include_nato(self, config):
-        assert "NATO" in config.spoken_acronyms
+        assert config.abbreviations["NATO"].speak_as_word
 
     def test_default_thresholds(self, config):
         assert config.title_min_length == 6
@@ -37,6 +40,25 @@ class TestDefaults:
 
     def test_config_is_cached(self):
         assert default_config() is default_config()
+
+    def test_every_bundled_data_file_is_read(self, monkeypatch):
+        # no data file lies unread, and none that is read is missing; the
+        # gold corpus is read by the scorer, not by the config
+        opened = []
+        open_text = textfiles.open_text
+
+        def recording(path, *args):
+            opened.append(Path(path))
+            return open_text(path, *args)
+
+        monkeypatch.setattr(textfiles, "open_text", recording)
+        numwords.default_lexicon.cache_clear()  # so the number lexicon is read again
+        load_config()
+        data = Path(textfiles.__file__).with_name("data")
+        assert all(path.is_file() for path in opened), opened
+        assert {path.parent for path in opened} == {data}
+        bundled = {path.name for path in data.iterdir() if path.is_file() and path.name != "gold_corpus.jsonl"}
+        assert sorted(path.name for path in opened) == sorted(bundled)
 
 
 class TestValidation:

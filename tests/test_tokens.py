@@ -309,6 +309,24 @@ class TestLinearCost:
         assert detokenize(tokens) == line
         assert elapsed < self.BUDGET_S, f"{elapsed:.2f}s for {len(line)} chars"
 
+    # A pass quadratic in C may meet the budget: growth is the stricter
+    # check. Four times the length should take about four times as long,
+    # and a quadratic pass takes sixteen; best of 3, the two lines taking turns.
+    @pytest.mark.parametrize(
+        "unit, tail",
+        [("_.ee", ""), ("a.", " err.ee"), ("bwww.", ""), ("x_", " a@b.ee"), ("wa.", " www.x")],
+        ids=["underscore_tld", "run_before_domain", "letter_www", "underscore_run_before_address", "run_before_www"],
+    )
+    def test_link_shape_cost_grows_linearly(self, unit, tail):
+        lines = [_repeated(unit, length - len(tail)) + tail for length in (16384, 65536)]
+        best = [float("inf")] * len(lines)
+        for _ in range(3):
+            for k, line in enumerate(lines):
+                started = time.perf_counter()
+                tokenize(line)
+                best[k] = min(best[k], time.perf_counter() - started)
+        assert best[1] / best[0] <= 8, f"x{best[1] / best[0]:.1f} for x4 the length ({best[0]:.3f}s, {best[1]:.3f}s)"
+
 
 # pieces of URL prefixes, domains and addresses, and near misses of them;
 # whole addresses, whose runs are longer than one character; whitespace

@@ -84,8 +84,10 @@ class TestExpandRoman:
         assert verbalize("XX sajand", config) == "kahekümnes sajand"
 
     def test_stoplist_members_never_roman(self, config):
-        # the numerals the stoplist keeps as letters read as ordinals without it
-        unlisted = replace(config, roman_stoplist=frozenset())
+        # the numerals the dictionary spells read as ordinals without their entries
+        unlisted = replace(config, abbreviations={
+            s: entry for s, entry in config.abbreviations.items() if s not in ("MM", "CV", "CI")
+        })
         for token in ("MM", "CV", "CI"):
             reading = ordinal(roman_value(token), NOMINATIVE, config.numbers)
             spelled = spell_letters(token, config.letter_names)
@@ -96,10 +98,21 @@ class TestExpandRoman:
         assert verbalize("DVD sajandil", unlisted) == "dee-vee-dee sajandil"  # not a well-formed numeral
 
     def test_whole_stoplist_blocked_in_every_context(self, config):
-        for token in config.roman_stoplist:
+        # every Roman-shaped surface of the dictionary is read as it says
+        listed = [s for s in config.abbreviations if tokenize(s)[0].kind is TokenKind.ROMAN_CANDIDATE]
+        assert {"MM", "CV", "DVD"} <= set(listed)
+        for token in listed:
             spelled = spell_letters(token, config.letter_names)
             for context in ROMAN_CONTEXTS:
                 assert verbalize(context.format(token), config) == context.format(spelled), (token, context)
+
+    def test_listed_surface_is_read_by_its_expansion(self, config):
+        # a surface the dictionary lists is read as it says, never as a numeral
+        entry = AbbreviationEntry("XL", (Expansion("ekstra suur"),))
+        custom = replace(config, abbreviations={**config.abbreviations, "XL": entry})
+        assert verbalize("XL sajandil", config) == "iks-ell sajandil"
+        assert verbalize("XL sajandil", replace(config, abbreviations={})) == "neljakümnes sajandil"
+        assert verbalize("XL sajandil", custom) == "ekstra suur sajandil"
 
     def test_capitalized_name_context(self, config):
         assert verbalize("Karl XII", config) == "Karl kaheteistkümnes"
@@ -156,15 +169,24 @@ class TestExpandAbbreviation:
 
 
     def test_entry_flagged_word_is_read_as_written(self, config):
-        # the flag says for capitals what spoken_acronyms.txt says, with or
-        # without a case ending; a lowercase consonant cluster, which that
-        # list cannot keep from being spelled, only the flag can
+        # the flag keeps capitals and a lowercase consonant cluster as
+        # written, with or without a case ending, as the bundled NATO is
         table = {surface: AbbreviationEntry(surface, speak_as_word=True) for surface in ("ERM", "kpl")}
         custom = replace(config, abbreviations={**config.abbreviations, **table})
         assert verbalize("ERM ERM-ile ERMis kpl", config) == "ee-err-emm ee-err-emmile ee-err-emmis kaa-pee-ell"
         assert verbalize("ERM ERM-ile ERMis kpl", custom) == "ERM ERMile ERMis kpl"
-        listed = replace(config, spoken_acronyms=config.spoken_acronyms | {"ERM", "kpl"})
-        assert verbalize("ERM ERM-ile ERMis kpl", listed) == "ERM ERMile ERMis kaa-pee-ell"
+        assert verbalize("NATO NATO-le NATOs", config) == "NATO NATOle NATOs"
+
+    def test_case_ending_after_a_flagged_lowercase_entry(self, config):
+        # a hyphen-joined ending is read with the entry, as after capitals
+        def flagged(**flag):
+            return replace(config, abbreviations={**config.abbreviations, "kpl": AbbreviationEntry("kpl", **flag)})
+
+        assert verbalize("5 kpl-i", config) == "viis kaa-pee-ell-ii"
+        assert verbalize("5 kpl-i", flagged(speak_as_word=True)) == "viis kpli"
+        assert verbalize("5 kpl-i ja kpl-ga", flagged(force_spellout=True)) == "viis kaa-pee-elli ja kaa-pee-ellga"
+        assert verbalize("5 kpl-x", flagged(speak_as_word=True)) == "viis kpl-iks"  # no case ending
+        assert verbalize("nt-ks", config) == "näiteks-kaa-ess"  # an expanded entry takes none
 
     def test_case_ending_on_an_expanded_entry_is_spelled(self, config):
         entry = AbbreviationEntry("EL", (Expansion("Euroopa Liit"),))
@@ -218,7 +240,7 @@ class TestRange:
             ("A-rühm", "A-rühm"),
             ("C-vitamiin", "C-vitamiin"),
             ("2 - 3", "kaks - kolm"),
-            ("MM-XX sajand", "emm-emm-kahekümnes sajand"),  # MM is on the stoplist
+            ("MM-XX sajand", "emm-emm-kahekümnes sajand"),  # MM is spelled by the dictionary
             ("XIX-XX", "iks-ii-iks-iks-iks"),  # no cue licenses the pair
             ("XX-5 sajand", "iks-iks-viis sajand"),  # a Roman and an Arabic numeral
             ("2023-ks", "kahe tuhande kahekümne kolmeks"),

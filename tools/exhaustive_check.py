@@ -115,10 +115,11 @@ def tiles(tokens, readings) -> bool:
 def reference_plain_line_re(config):
     """``RuleConfig.plain_line_re`` in its first formulation: a separator
     (whitespace or a sentence mark, not at a top-level-domain dot) or a
-    word (``_PLAIN_WORD`` that is no abbreviation surface in any case and
-    that folding keeps), one piece each. The config's grammar must stop
-    where this one does."""
-    surfaces = [s for s in map(str.lower, config.abbreviations) if set(s) <= set(_LC) and not _VOWELS.isdisjoint(s)]
+    word (``_PLAIN_WORD`` that is, in no case, an abbreviation surface
+    lowercase after its first letter, and that folding keeps), one piece
+    each. The config's grammar must stop where this one does."""
+    lowered = [s.lower() for s in config.abbreviations if s[1:] == s[1:].lower()]
+    surfaces = [s for s in lowered if set(s) <= set(_LC) and not _VOWELS.isdisjoint(s)]
     not_surface = f"(?!(?i:{'|'.join(map(re.escape, surfaces))})(?![{_LC}]))" if surfaces else ""
     foldable = "".join(ch for ch in _UC + _LC if not ch.isascii() and ch not in config.folding.protected)
     kept = f"(?![{_UC}{_LC}]*[{foldable}])" if foldable else ""
