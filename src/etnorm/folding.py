@@ -39,8 +39,6 @@ def _base_letter(ch: str) -> str:
     """
     decomposed = unicodedata.normalize("NFD", ch)
     stripped = "".join(c for c in decomposed if not unicodedata.combining(c))
-    if not stripped:
-        return ch
     recomposed = unicodedata.normalize("NFC", stripped)
     return recomposed if len(recomposed) == 1 else ch
 

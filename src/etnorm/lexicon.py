@@ -9,7 +9,7 @@ is read. This module parses them into an immutable RuleConfig.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import chain
 
@@ -67,12 +67,11 @@ class RuleConfig:
             if not name:
                 raise ConfigError(f"empty letter name for {letter!r}")
         # every value the output may quote: no config puts a digit in the output
-        lexicon = ((f.name, getattr(self.numbers, f.name)) for f in fields(self.numbers))
         spoken = chain(
             (("letter_names", letter, name) for letter, name in self.letter_names.items()),
             (("symbols", symbol, word) for symbol, word in self.symbols.items()),
             (("abbreviations", s, e.text) for s, entry in self.abbreviations.items() for e in entry.expansions),
-            (("numbers", key, " ".join(words) if isinstance(words, tuple) else words) for key, words in lexicon),
+            (("numbers", key, word) for key, word in self.numbers.words.items()),
         )
         for table, key, value in spoken:
             if _DIGIT_RE.search(value):

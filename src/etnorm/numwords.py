@@ -3,10 +3,11 @@
 Cardinals up to (but excluding) one billion, decimal numbers with the
 spoken comma, ordinals up to 3999 for Roman-numeral readings, and
 digit-by-digit spelling. The language facts live in a key=value lexicon
-file. Each ``NumberLexicon`` compiles its word tables once, on first use:
-the cardinal phrases of 0-999 and the ordinals of 1-999, each table in
-both cases at once, and the word of each digit. A number is then read
-with a few ``divmod`` calls and table lookups.
+file, and a ``NumberLexicon`` holds its words by the file's keys. Each
+lexicon compiles its word tables once, on first use: the cardinal
+phrases of 0-999 and the ordinals of 1-999, each table in both cases at
+once, and the word of each digit. A number is then read with a few
+``divmod`` calls and table lookups.
 
 Two grammatical cases are supported: nominative (the default reading)
 and genitive (needed inside compound ordinals and before case endings).
@@ -14,8 +15,10 @@ and genitive (needed inside compound ordinals and before case endings).
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from types import MappingProxyType
 
 from .textfiles import ConfigError, read_data
 
@@ -27,42 +30,31 @@ MAX_CARDINAL = 10**9 - 1
 MAX_ORDINAL = 3999
 _CARDINAL_DIGITS = len(str(MAX_CARDINAL))  # a longer digit string without leading zeros is too large
 
+# The lexicon file's keys, each ``<name>[.gen][.<index>]``: the units and
+# the ordinal stems are indexed, and every word but the plural million and
+# the decimal separator has a genitive.
+_KEYS = (
+    *(f"unit{gen}.{i}" for gen in ("", ".gen") for i in range(10)),
+    *(f"ordinal{gen}.{i}" for gen in ("", ".gen") for i in range(1, 10)),
+    *(
+        f"{kind}{name}{gen}"
+        for kind in ("", "ordinal.")
+        for name in ("ten", "teen.suffix", "tens.suffix", "hundred", "scale.3")
+        for gen in ("", ".gen")
+    ),
+    "scale.6", "scale.6.gen", "scale.6.many", "decimal.separator",
+)
+
 
 @dataclass(frozen=True)
 class NumberLexicon:
-    """Word material for composing Estonian number phrases."""
+    """Word material for composing Estonian number phrases: the lexicon
+    file's key -> word map, which holds every key of ``_KEYS``."""
 
-    units: tuple[str, ...]
-    units_gen: tuple[str, ...]
-    ten: str
-    ten_gen: str
-    teen_suffix: str
-    teen_suffix_gen: str
-    tens_suffix: str
-    tens_suffix_gen: str
-    hundred: str
-    hundred_gen: str
-    thousand: str
-    thousand_gen: str
-    million: str
-    million_gen: str
-    million_many: str
-    decimal_separator: str
-    ordinals: tuple[str, ...]
-    ordinals_gen: tuple[str, ...]
-    ordinal_ten: str
-    ordinal_ten_gen: str
-    ordinal_teen_suffix: str
-    ordinal_teen_suffix_gen: str
-    ordinal_tens_suffix: str
-    ordinal_tens_suffix_gen: str
-    ordinal_hundred: str
-    ordinal_hundred_gen: str
-    ordinal_thousand: str
-    ordinal_thousand_gen: str
+    words: Mapping[str, str]
 
-    # The tables are built on first use and kept on the instance; a
-    # lexicon made with ``dataclasses.replace`` builds its own.
+    # The tables are built on first use and kept on the instance; a lexicon
+    # made with ``dataclasses.replace(lex, words={...})`` builds its own.
 
     @cached_property
     def cardinal_tables(self) -> dict[str, tuple]:
@@ -79,7 +71,7 @@ class NumberLexicon:
     @cached_property
     def digit_words(self) -> dict[str, str]:
         """Each digit character -> its word."""
-        return {str(d): word for d, word in enumerate(self.units)}
+        return {str(d): self.words[f"unit.{d}"] for d in range(10)}
 
 
 def _key_value(line: str) -> tuple[str, str]:
@@ -87,6 +79,8 @@ def _key_value(line: str) -> tuple[str, str]:
     if not equals:
         raise ValueError(f"expected key=value, got {line.strip()!r}")
     key, value = key.strip(), value.strip()
+    if key not in _KEYS:
+        raise ValueError(f"unknown key {key!r}")
     if not value:
         raise ValueError(f"empty value for {key!r}")
     return key, value
@@ -94,44 +88,11 @@ def _key_value(line: str) -> tuple[str, str]:
 
 def load_lexicon(path=None) -> NumberLexicon:
     """Load a number lexicon from a key=value file (bundled one by default)."""
-    kv = dict(read_data(path, _key_value, "number_lexicon.txt"))
-
-    def need(key: str) -> str:
-        try:
-            return kv[key]
-        except KeyError:
-            raise ConfigError(f"{path or 'number_lexicon.txt'}: missing key {key!r}") from None
-
-    return NumberLexicon(
-        units=tuple(need(f"unit.{i}") for i in range(10)),
-        units_gen=tuple(need(f"unit.gen.{i}") for i in range(10)),
-        ten=need("ten"),
-        ten_gen=need("ten.gen"),
-        teen_suffix=need("teen.suffix"),
-        teen_suffix_gen=need("teen.suffix.gen"),
-        tens_suffix=need("tens.suffix"),
-        tens_suffix_gen=need("tens.suffix.gen"),
-        hundred=need("hundred"),
-        hundred_gen=need("hundred.gen"),
-        thousand=need("scale.3"),
-        thousand_gen=need("scale.3.gen"),
-        million=need("scale.6"),
-        million_gen=need("scale.6.gen"),
-        million_many=need("scale.6.many"),
-        decimal_separator=need("decimal.separator"),
-        ordinals=tuple(need(f"ordinal.{i}") for i in range(1, 10)),
-        ordinals_gen=tuple(need(f"ordinal.gen.{i}") for i in range(1, 10)),
-        ordinal_ten=need("ordinal.ten"),
-        ordinal_ten_gen=need("ordinal.ten.gen"),
-        ordinal_teen_suffix=need("ordinal.teen.suffix"),
-        ordinal_teen_suffix_gen=need("ordinal.teen.suffix.gen"),
-        ordinal_tens_suffix=need("ordinal.tens.suffix"),
-        ordinal_tens_suffix_gen=need("ordinal.tens.suffix.gen"),
-        ordinal_hundred=need("ordinal.hundred"),
-        ordinal_hundred_gen=need("ordinal.hundred.gen"),
-        ordinal_thousand=need("ordinal.scale.3"),
-        ordinal_thousand_gen=need("ordinal.scale.3.gen"),
-    )
+    words = dict(read_data(path, _key_value, "number_lexicon.txt"))
+    missing = [key for key in _KEYS if key not in words]
+    if missing:
+        raise ConfigError(f"{path or 'number_lexicon.txt'}: missing keys {', '.join(map(repr, missing))}")
+    return NumberLexicon(MappingProxyType(words))
 
 
 @lru_cache(maxsize=1)
@@ -150,17 +111,18 @@ def _is_ascii_digits(text) -> bool:
 
 
 def _in_case(lex: NumberLexicon, case: str):
-    """Field name -> the lexicon's word for ``case`` (``name`` or ``name_gen``)."""
-    suffix = "" if case == NOMINATIVE else "_gen"
-    return lambda name: getattr(lex, name + suffix)
+    """(name, index) -> the lexicon's word of ``name`` in ``case``: the
+    file's key ``<name>[.gen][.<index>]``."""
+    gen = "" if case == NOMINATIVE else ".gen"
+    return lambda name, index=None: lex.words[name + gen if index is None else f"{name}{gen}.{index}"]
 
 
 def _cardinal_below_hundred(lex: NumberLexicon, case: str) -> list[str]:
     """The cardinals of 0-99 in ``case``; 0 is the empty phrase."""
     word = _in_case(lex, case)
-    units = word("units")
-    phrases = ["", *units[1:], word("ten"), *(unit + word("teen_suffix") for unit in units[1:])]
-    for stem in (unit + word("tens_suffix") for unit in units[2:]):
+    units = [word("unit", i) for i in range(10)]
+    phrases = ["", *units[1:], word("ten"), *(unit + word("teen.suffix") for unit in units[1:])]
+    for stem in (unit + word("tens.suffix") for unit in units[2:]):
         phrases += [stem, *(f"{stem} {unit}" for unit in units[1:])]
     return phrases
 
@@ -170,39 +132,39 @@ def _cardinal_table(lex: NumberLexicon, case: str) -> tuple:
     below = _cardinal_below_hundred(lex, case)
     hundred = word("hundred")
     inner = below.copy()
-    for unit in word("units")[1:]:
-        head = unit + hundred
+    for i in range(1, 10):
+        head = word("unit", i) + hundred
         inner += [head, *(f"{head} {rest}" for rest in below[1:])]
     # a phrase starts "sada" (100), not "ükssada"; the "üks" of 1 only
     # stands alone, cardinal() leaves it out before a scale word
     first = inner.copy()
-    first[0] = word("units")[0]
+    first[0] = word("unit", 0)
     first[100:200] = [hundred, *(f"{hundred} {rest}" for rest in below[1:])]
-    millions = lex.million_many if case == NOMINATIVE else lex.million_gen
-    return tuple(first), tuple(inner), word("million"), millions, word("thousand")
+    millions = lex.words["scale.6.many"] if case == NOMINATIVE else word("scale.6")
+    return tuple(first), tuple(inner), word("scale.6"), millions, word("scale.3")
 
 
 def _ordinal_table(lex: NumberLexicon, case: str) -> tuple:
     """Every word before the last is a genitive cardinal; only the last
     takes the ordinal ending ("kahekümne esimene")."""
-    word = _in_case(lex, case)
-    gen = lex.units_gen
-    ordinals = word("ordinals")
-    table = ["", *ordinals, word("ordinal_ten"), *(unit + word("ordinal_teen_suffix") for unit in gen[1:])]
-    for unit in gen[2:]:
-        stem = unit + lex.tens_suffix_gen
-        table += [unit + word("ordinal_tens_suffix"), *(f"{stem} {last}" for last in ordinals)]
+    word, gen = _in_case(lex, case), _in_case(lex, GENITIVE)
+    units = [gen("unit", i) for i in range(10)]
+    ordinals = [word("ordinal", i) for i in range(1, 10)]
+    table = ["", *ordinals, word("ordinal.ten"), *(unit + word("ordinal.teen.suffix") for unit in units[1:])]
+    for unit in units[2:]:
+        stem = unit + gen("tens.suffix")
+        table += [unit + word("ordinal.tens.suffix"), *(f"{stem} {last}" for last in ordinals)]
     below = table.copy()
-    ordinal_hundred = word("ordinal_hundred")
-    for h, unit in enumerate(gen[1:], start=1):
+    ordinal_hundred = word("ordinal.hundred")
+    for h, unit in enumerate(units[1:], start=1):
         multiplier = "" if h == 1 else unit  # "sajas", "saja esimene"; "kahesajas"
-        stem = multiplier + lex.hundred_gen
+        stem = multiplier + gen("hundred")
         table += [multiplier + ordinal_hundred, *(f"{stem} {rest}" for rest in below[1:])]
-    leads = ["", lex.thousand_gen]
-    thousands = ["", word("ordinal_thousand")]
-    for unit in gen[2:MAX_ORDINAL // 1000 + 1]:
-        leads.append(f"{unit} {lex.thousand_gen}")
-        thousands.append(f"{unit} {word('ordinal_thousand')}")
+    leads = ["", gen("scale.3")]
+    thousands = ["", word("ordinal.scale.3")]
+    for unit in units[2:MAX_ORDINAL // 1000 + 1]:
+        leads.append(f"{unit} {gen('scale.3')}")
+        thousands.append(f"{unit} {word('ordinal.scale.3')}")
     return tuple(table), tuple(thousands), tuple(leads)
 
 
@@ -252,7 +214,7 @@ def decimal(int_part: str, frac_part: str, lexicon: NumberLexicon | None = None)
     else:
         head = cardinal(int(significant or "0"), NOMINATIVE, lex)
     tail = cardinal(int(frac_part), NOMINATIVE, lex) if len(frac_part) <= 2 else digits(frac_part, lex)
-    return f"{head} {lex.decimal_separator} {tail}"
+    return f"{head} {lex.words['decimal.separator']} {tail}"
 
 
 def ordinal(n: int, case: str = NOMINATIVE, lexicon: NumberLexicon | None = None) -> str:

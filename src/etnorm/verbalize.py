@@ -344,7 +344,7 @@ def _mark_at_number(tokens, i, config):
         left.kind is TokenKind.MIXED_CASE and _is_ascii_digits(left.text[-1])
     )
     if mark.text in ".," and number_left:
-        return i, "punkt" if mark.text == "." else config.numbers.decimal_separator
+        return i, "punkt" if mark.text == "." else config.numbers.words["decimal.separator"]
     return None
 
 

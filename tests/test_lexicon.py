@@ -89,7 +89,10 @@ class TestValidation:
         [
             (lambda c: {"symbols": {**c.symbols, "%": "sada 5"}}, "symbols '%' is read 'sada 5'"),
             (lambda c: {"letter_names": {**c.letter_names, "A": "a1"}}, "letter_names 'A' is read 'a1'"),
-            (lambda c: {"numbers": replace(c.numbers, decimal_separator="k0ma")}, "numbers 'decimal_separator'"),
+            (
+                lambda c: {"numbers": replace(c.numbers, words={**c.numbers.words, "decimal.separator": "k0ma"})},
+                "numbers 'decimal.separator'",
+            ),
             (lambda c: {"abbreviations": {"xx": AbbreviationEntry("xx", (Expansion("x2"),))}}, "abbreviations 'xx'"),
         ],
     )

@@ -1,9 +1,11 @@
 import dataclasses
 import random
+import re
 from importlib import resources
 
 import pytest
 
+from etnorm import numwords
 from etnorm.lexicon import ConfigError
 from etnorm.numwords import (
     GENITIVE,
@@ -298,16 +300,38 @@ class TestDigits:
             digits("")
 
 
+BUNDLED = resources.files("etnorm.data").joinpath("number_lexicon.txt").read_text("utf-8")
+
+
 class TestLexiconLoading:
     def test_default_lexicon_loads(self):
         lex = default_lexicon()
-        assert lex.units[3] == "kolm"
-        assert lex.million == "miljon"
+        assert lex.words["unit.3"] == "kolm"
+        assert lex.words["scale.6"] == "miljon"
+
+    def test_bundled_keys_are_the_key_list(self):
+        keys = [line.partition("=")[0] for line in BUNDLED.splitlines() if line and not line.startswith("#")]
+        assert len(set(keys)) == len(keys)
+        assert sorted(keys) == sorted(numwords._KEYS)
 
     def test_missing_key_reported(self, tmp_path):
         path = tmp_path / "partial.txt"
         path.write_text("unit.0=null\n", encoding="utf-8")
         with pytest.raises(ConfigError):
+            load_lexicon(path)
+
+    def test_every_missing_key_named(self, tmp_path):
+        path = tmp_path / "lexicon.txt"
+        kept = [line for line in BUNDLED.splitlines() if not line.startswith(("unit.gen.5=", "ordinal.ten="))]
+        path.write_text("\n".join(kept), encoding="utf-8")
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: missing keys 'unit.gen.5', 'ordinal.ten'$"):
+            load_lexicon(path)
+
+    def test_misspelt_key_named_with_its_line(self, tmp_path):
+        path = tmp_path / "lexicon.txt"
+        path.write_text(BUNDLED.replace("ten.gen=", "ten.genn="), encoding="utf-8")
+        lineno = BUNDLED.splitlines().index("ten.gen=kümne") + 1
+        with pytest.raises(ConfigError, match=f"lexicon.txt:{lineno}: unknown key 'ten.genn'$"):
             load_lexicon(path)
 
     def test_bad_line_reported_with_location(self, tmp_path):
@@ -348,20 +372,13 @@ class TestTablesFollowTheLexicon:
 
     def test_lexicon_loaded_from_file(self, tmp_path):
         self._assert_default_unchanged()  # the default tables exist before the other lexicon
-        text = resources.files("etnorm.data").joinpath("number_lexicon.txt").read_text("utf-8")
         path = tmp_path / "lexicon.txt"  # a key given again takes its last value
-        path.write_text(text + "".join(f"{key}={word}\n" for key, word in self.CHANGES.items()), encoding="utf-8")
+        path.write_text(BUNDLED + "".join(f"{key}={word}\n" for key, word in self.CHANGES.items()), encoding="utf-8")
         self._check(load_lexicon(path))
         self._assert_default_unchanged()
 
     def test_lexicon_made_with_replace(self):
         self._assert_default_unchanged()
         base = default_lexicon()
-        units, units_gen = list(base.units), list(base.units_gen)
-        units[5], units_gen[2] = "FIVE", "TWO-GEN"
-        lex = dataclasses.replace(
-            base, units=tuple(units), units_gen=tuple(units_gen), thousand="THOUSAND", hundred="HUNDRED",
-            ordinals=("FIRST",) + base.ordinals[1:], decimal_separator="POINT",
-        )
-        self._check(lex)
+        self._check(dataclasses.replace(base, words={**base.words, **self.CHANGES}))
         self._assert_default_unchanged()

@@ -1,3 +1,4 @@
+import gc
 import random
 import time
 
@@ -312,6 +313,9 @@ class TestLinearCost:
     # A pass quadratic in C may meet the budget: growth is the stricter
     # check. Four times the length should take about four times as long,
     # and a quadratic pass takes sixteen; best of 3, the two lines taking turns.
+    # Each call is timed after a full collection with the collector off: a
+    # collection that a call sets off walks the whole test session's heap,
+    # and the longer line, which makes more objects, sets one off more often.
     @pytest.mark.parametrize(
         "unit, tail",
         [("_.ee", ""), ("a.", " err.ee"), ("bwww.", ""), ("x_", " a@b.ee"), ("wa.", " www.x")],
@@ -320,11 +324,16 @@ class TestLinearCost:
     def test_link_shape_cost_grows_linearly(self, unit, tail):
         lines = [_repeated(unit, length - len(tail)) + tail for length in (16384, 65536)]
         best = [float("inf")] * len(lines)
-        for _ in range(3):
-            for k, line in enumerate(lines):
-                started = time.perf_counter()
-                tokenize(line)
-                best[k] = min(best[k], time.perf_counter() - started)
+        gc.disable()
+        try:
+            for _ in range(3):
+                for k, line in enumerate(lines):
+                    gc.collect()
+                    started = time.perf_counter()
+                    tokenize(line)
+                    best[k] = min(best[k], time.perf_counter() - started)
+        finally:
+            gc.enable()
         assert best[1] / best[0] <= 8, f"x{best[1] / best[0]:.1f} for x4 the length ({best[0]:.3f}s, {best[1]:.3f}s)"
 
 
