@@ -16,7 +16,7 @@ from itertools import chain
 from .folding import FoldingTable
 from .numwords import NumberLexicon, default_lexicon, load_lexicon
 from .textfiles import ConfigError, read_data
-from .tokens import _LC, _PLAIN_REPEAT, _PLAIN_WORD, _SENTENCE_PUNCT, _TLD_DOT, _UC, _VOWELS
+from .tokens import _LC, _PLAIN_REPEAT, _SENTENCE_PUNCT, _TLD, _UC, _VOWELS, _plain_words
 
 _DIGIT_RE = re.compile("[0-9]")  # ASCII digits only: the output may hold other scripts' digits
 
@@ -87,28 +87,32 @@ class RuleConfig:
         # written or lowercased. A word is lowercase after its first letter,
         # so only a surface in the alphabet, lowercase after its first letter
         # and with a vowel can be one, in its lowercase spelling or the one
-        # with a capital first letter. Matched case-sensitively, the engine
-        # skips an alternative on its first letter.
+        # with a capital first letter. Only words led by the first letter of
+        # such a spelling look ahead for one; the other words are character
+        # classes alone, which the engine skips on the first letter, where a
+        # lookahead would be tried at every word.
         lowered = (s.lower() for s in self.abbreviations if s[1:] == s[1:].lower())
         surfaces = {s for s in lowered if set(s) <= set(_LC) and not _VOWELS.isdisjoint(s)}
         spellings = sorted({spelling for s in surfaces for spelling in (s, s[0].upper() + s[1:])})
-        not_surface = f"(?!(?:{'|'.join(map(re.escape, spellings))})(?![{_LC}]))" if spellings else ""
-        # the letters of the alphabet that folding may change
-        foldable = "".join(self.folding.foldable_re.findall(_UC + _LC))
-        kept = f"(?![{_UC}{_LC}]*[{foldable}])" if foldable else ""
+        # only letters that folding keeps are in the word classes: a plain line is its own folding
+        kept, lower = (self.folding.foldable_re.sub("", letters) for letters in (_UC + _LC, _LC))
+        guarded = "".join(sorted({spelling[0] for spelling in spellings} & set(kept)))
+        free = "".join(ch for ch in kept if ch not in guarded)
         # A separator is whitespace or a sentence mark that does not start a
         # top-level-domain dot. That dot starts with ".", so a "." is a piece
         # of its own, tried against it; the other separators need no
         # lookahead, and a run of them is one piece.
         undotted = f"[\\s{re.escape(''.join(sorted(_SENTENCE_PUNCT - {'.'})))}]"  # a separator but "."
-        # A word is the tokenizer's "word" token that is not a surface and
-        # that folding leaves as it is, so a line read to its end is its own
-        # folding. It takes the separators after it up to a dot, the same text
-        # that separator pieces would read. Word and separator characters are
+        # A word takes the separators after it up to a dot, the same text that
+        # separator pieces would read. Word and separator characters are
         # disjoint, so a line splits one way only, and the repeat, with
         # nothing after it, never backtracks.
-        word = f"{not_surface}{kept}{_PLAIN_WORD}{undotted}*"
-        return re.compile(rf"(?:{word}|{undotted}+|(?!{_TLD_DOT})\.){{0,{_PLAIN_REPEAT}}}")
+        words = _plain_words(free, lower)
+        if guarded:
+            not_surface = f"(?!(?:{'|'.join(map(re.escape, spellings))})(?![{_LC}]))"
+            words.append(f"{not_surface}(?:{'|'.join(_plain_words(guarded, lower))})")
+        pieces = [f"{word}{undotted}*+" for word in words] + [f"{undotted}++", rf"\.(?!{_TLD})"]
+        return re.compile(f"(?:{'|'.join(pieces)}){{0,{_PLAIN_REPEAT}}}")
 
 
 def _load_pairs(bundled: str, path, shape: str):

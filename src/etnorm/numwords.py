@@ -49,9 +49,16 @@ _KEYS = (
 @dataclass(frozen=True)
 class NumberLexicon:
     """Word material for composing Estonian number phrases: the lexicon
-    file's key -> word map, which holds every key of ``_KEYS``."""
+    file's key -> word map, which holds every key of ``_KEYS`` and no other."""
 
     words: Mapping[str, str]
+
+    def __post_init__(self):
+        missing = ", ".join(repr(key) for key in _KEYS if key not in self.words)
+        unknown = ", ".join(repr(key) for key in self.words if key not in _KEYS)
+        if missing or unknown:
+            named = (f"missing keys {missing}" if missing else "", f"unknown keys {unknown}" if unknown else "")
+            raise ConfigError("; ".join(filter(None, named)))
 
     # The tables are built on first use and kept on the instance; a lexicon
     # made with ``dataclasses.replace(lex, words={...})`` builds its own.
@@ -88,11 +95,11 @@ def _key_value(line: str) -> tuple[str, str]:
 
 def load_lexicon(path=None) -> NumberLexicon:
     """Load a number lexicon from a key=value file (bundled one by default)."""
-    words = dict(read_data(path, _key_value, "number_lexicon.txt"))
-    missing = [key for key in _KEYS if key not in words]
-    if missing:
-        raise ConfigError(f"{path or 'number_lexicon.txt'}: missing keys {', '.join(map(repr, missing))}")
-    return NumberLexicon(MappingProxyType(words))
+    words = dict(read_data(path, _key_value, "number_lexicon.txt"))  # an unknown key is refused at its line
+    try:
+        return NumberLexicon(MappingProxyType(words))
+    except ConfigError as error:
+        raise ConfigError(f"{path or 'number_lexicon.txt'}: {error}") from None
 
 
 @lru_cache(maxsize=1)

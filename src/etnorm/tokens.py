@@ -106,15 +106,23 @@ class TokenList(list):
 _UC = ALPHABET.upper()
 _LC = ALPHABET
 _VOWELS = frozenset("aeiouõäöüy")
-_CASED_VOWELS = "".join(sorted(_VOWELS)).upper() + "".join(sorted(_VOWELS))
-_CASED_CONSONANTS = "".join(ch for ch in _UC + _LC if ch not in _CASED_VOWELS)
-# A plain word: a letter of the alphabet and one or more lowercase ones,
-# holding a vowel, with no letter or digit after it. The tokenizer's
-# "word" group and the pass-through gate's word are this pattern. The
-# word is a whole run of the alphabet's letters, so its vowel lies in that
-# run: the lookahead scans no further, which keeps a try at each character
-# of a long run of other letters or numerics ("½½½") from rescanning it.
-_PLAIN_WORD = rf"(?=[{_CASED_CONSONANTS}]*[{_CASED_VOWELS}])[{_UC}{_LC}][{_LC}]+(?![^\W_])"
+_WORD_END = r"(?![^\W_])"  # no letter or digit after it
+
+
+def _plain_words(first: str, lower: str) -> list[str]:
+    """The patterns of a plain word led by a letter of ``first``, one for
+    its vowels and one for its consonants: that letter and one or more of
+    ``lower``, holding a vowel, with no letter or digit after it; the
+    tokenizer's "word" group and the gate's words. Each repeat reads a
+    character class, possessively: a parse that gave a letter back would
+    leave a letter before ``_WORD_END``."""
+    vowel_led = "".join(ch for ch in first if ch.lower() in _VOWELS)
+    consonant_led = "".join(ch for ch in first if ch not in vowel_led)
+    vowels = "".join(ch for ch in lower if ch in _VOWELS)
+    consonants = "".join(ch for ch in lower if ch not in _VOWELS)
+    words = (f"[{vowel_led}][{lower}]++", f"[{consonant_led}][{consonants}]*+[{vowels}][{lower}]*+")
+    return [word + _WORD_END for word, led in zip(words, (vowel_led, consonant_led)) if led]
+
 
 # Case endings (plus the linking vowel variants) that may attach to an
 # acronym: MTÜle, EAS-i, ERR-ile, NATOsse, CVsid, ...
@@ -140,7 +148,8 @@ _URL_SCHEME = r"(?i:https?)://"
 _URL_PREFIX = rf"{_URL_SCHEME}|www\."
 _LABEL = "[A-Za-z0-9-]"  # one character of a domain label
 _DOMAIN_RUN = rf"{_LABEL}+(?:\.{_LABEL}+)*"
-_TLD_DOT = r"\.(?:ee|com|org|net|eu|fi|lv|lt|gl|io)(?![^\W\d_])"  # no letter after it
+_TLD = r"(?:ee|com|org|net|eu|fi|lv|lt|gl|io)(?![^\W\d_])"  # no letter after it
+_TLD_DOT = rf"\.{_TLD}"
 _ADDRESS = "[A-Za-z0-9_.+-]"  # one character before the "@" of an address
 _ADDRESS_CHARS = frozenset(filter(re.compile(_ADDRESS).match, map(chr, range(128))))  # the only ones a link starts with
 _EMAIL_DOMAIN = rf"@{_LABEL}+(?:\.{_LABEL}+)+"
@@ -204,7 +213,7 @@ _SHAPES = (
     ("digit_group_seq", rf"(?:{_THOUSANDS}|{_D}{{7,}})(?!{_D})", True),
     ("ordinal_dot", rf"{_D}{{1,6}}\.(?=[–-]|\s+[{_LC}])", True),
     ("cardinal_number", rf"{_D}{{1,6}}(?!{_D})", True),
-    ("word", _PLAIN_WORD, False),
+    ("word", "|".join(_plain_words(_UC + _LC, _LC)), False),
     ("case_suffixed_acronym", rf"[{_UC}]{{2,}}-(?:{_SUFFIX})(?![^\W\d_])", False),
     # A word run is letters plus ASCII digits, led by a letter. One made of
     # the alphabet's letters matches here whole. Before a rarer letter, or

@@ -14,19 +14,19 @@ the tokenizer's own patterns and the config, and finds how far it is
 plain. A line that is plain to its end is returned as it is, without
 folding or tokenizing. A plain line is separators and words. A separator
 is whitespace or ``_SENTENCE_PUNCT`` that does not start a
-top-level-domain dot. A word is ``tokens._PLAIN_WORD`` (a letter of
-``_UC`` or ``_LC`` and one or more of ``_LC``, holding a vowel, with no
-letter or digit after it), the tokenizer's own ``word`` token, that is
+top-level-domain dot. A word is the tokenizer's ``word`` token
+(``tokens._plain_words``: a letter of ``_UC`` or ``_LC`` and one or more
+of ``_LC``, holding a vowel, with no letter or digit after it) that is
 no abbreviation surface as written or lowercased, and whose letters the
-config's folding keeps: ASCII or protected ones. Folding changes letters
-only, so a plain line is its own folding. It tokenizes to WORD and PUNCT
-tokens only: every other kind needs a digit, a symbol, a run of capitals,
-a case change inside a word or a domain. Of their rules, the letter
-compound and the lone letter need a one-letter word, the abbreviation
-rule a surface, and the rule of a dot, comma or hyphen a number. The
-tokenizer is lossless, so the reassembled line is the line, byte for
-byte. The gate may send a line nothing would rewrite (a title, ``Krt``)
-down the full path, which reads it the same.
+config's folding keeps (ASCII or protected ones). Folding changes
+letters only, so a plain line is its own folding. It tokenizes to WORD
+and PUNCT tokens only: every other kind needs a digit, a symbol, a run
+of capitals, a case change inside a word or a domain. Of their rules,
+the letter compound and the lone letter need a one-letter word, the
+abbreviation rule a surface, and the rule of a dot, comma or hyphen a
+number. The tokenizer is lossless, so the reassembled line is the line,
+byte for byte. The gate may send a line nothing would rewrite (a title,
+``Krt``) down the full path, which reads it the same.
 
 Any other line is folded, tokenized and rendered. The tokenizer copies
 the plain text it finds with the same grammar as it is, neither

@@ -6,7 +6,7 @@ from importlib import resources
 import pytest
 
 from etnorm import numwords
-from etnorm.lexicon import ConfigError
+from etnorm.lexicon import ConfigError, default_config
 from etnorm.numwords import (
     GENITIVE,
     MAX_CARDINAL,
@@ -326,6 +326,16 @@ class TestLexiconLoading:
         path.write_text("\n".join(kept), encoding="utf-8")
         with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: missing keys 'unit.gen.5', 'ordinal.ten'$"):
             load_lexicon(path)
+
+    def test_lexicon_built_in_code_is_checked_too(self):
+        # a lexicon that no file made: a RuleConfig holding it must not
+        # pass validation and then fail in verbalize
+        config = default_config()
+        words = {key: word for key, word in config.numbers.words.items() if key != "unit.gen.5"}
+        with pytest.raises(ConfigError, match="^missing keys 'unit.gen.5'$"):
+            dataclasses.replace(config, numbers=dataclasses.replace(config.numbers, words=words))
+        with pytest.raises(ConfigError, match="^missing keys 'unit.gen.5'; unknown keys 'ten.genn'$"):
+            dataclasses.replace(config.numbers, words={**words, "ten.genn": "kümne"})
 
     def test_misspelt_key_named_with_its_line(self, tmp_path):
         path = tmp_path / "lexicon.txt"

@@ -13,9 +13,11 @@ searches, did, with one clause added since it reads raw lines: a line
 that folding changes is not plain. Two check that the gate's grammar
 stops where its first formulation (``reference_plain_line_re``) does,
 under the bundled config, one whose table adds surfaces that are plain
-words, and one whose folding protects no letter, the second also under
-drawn tables and on lines long enough to need several reads. One checks
-that the tokenizer's master regex names the kind of a word, a
+words, one whose folding protects no letter and one with no surface, the
+second also under drawn tables and on lines long enough to need several
+reads. One checks that the tokenizer's plain word matches where its
+first formulation does, on every short string of a small alphabet. One
+checks that the tokenizer's master regex names the kind of a word, a
 punctuation mark or a symbol as the Python classification would. One
 checks that folding a line equals folding each of its characters.
 Examples are derandomized, so a run is reproducible.
@@ -31,10 +33,10 @@ from hypothesis import strategies as st
 from etnorm.folding import DEFAULT_PROTECTED, FoldingTable, fold_diacritics
 from etnorm.lexicon import AbbreviationEntry, Expansion, default_config
 from etnorm.tokens import _LC, _SENTENCE_PUNCT, _TLD_DOT, _UC, _VOWELS, TokenKind, _classify_word_run, tokenize
-from etnorm.tokens import _PLAIN_REPEAT, _plain_end
+from etnorm.tokens import _MASTER_RE, _PLAIN_REPEAT, _plain_end
 from etnorm.verbalize import verbalize
 from exhaustive_check import PIECES as BOUNDARY_PIECES
-from exhaustive_check import reference_plain_line_re, strings
+from exhaustive_check import REFERENCE_PLAIN_WORD, reference_plain_line_re, strings
 from test_verbalize import full_path, passes
 
 ASCII_DIGIT = re.compile("[0-9]")
@@ -305,8 +307,9 @@ def test_gate_agrees_with_its_first_definition(config, text, tables):
 # ------------------------------------------------- the grammar's stop
 
 # Besides the bundled config: surfaces that are plain words, in the
-# alphabet's lowercase, capitalized and led by a letter outside ASCII; and
-# a folding that protects no letter, so every word is read for one to fold
+# alphabet's lowercase, capitalized and led by a letter outside ASCII; a
+# folding that protects no letter, so every word is read for one to fold;
+# and no surface, so no word piece looks ahead for one
 STOP_CONFIGS = (
     default_config(),
     replace(
@@ -317,6 +320,7 @@ STOP_CONFIGS = (
         },
     ),
     replace(default_config(), folding=FoldingTable(frozenset())),
+    replace(default_config(), abbreviations={}),
 )
 REFERENCE_GRAMMARS = [reference_plain_line_re(configured) for configured in STOP_CONFIGS]
 
@@ -348,6 +352,20 @@ def test_grammar_stops_where_it_did_on_plain_lines(config, case):
 
 
 # ------------------------------------------------- kinds named by the master regex
+
+# vowels and consonants of both cases, in and out of ASCII, a letter
+# outside the alphabet, a digit, "_", a space and a dot
+WORD_CHARS = ["a", "A", "k", "K", "y", "õ", "Õ", "š", "é", "5", "_", " ", "."]
+REFERENCE_WORD_RE = re.compile(REFERENCE_PLAIN_WORD)
+
+
+def test_word_group_matches_where_its_first_formulation_does():
+    for text in chain.from_iterable(strings(WORD_CHARS, size) for size in range(1, 5)):
+        for pos in range(len(text)):
+            match, reference = _MASTER_RE.match(text, pos), REFERENCE_WORD_RE.match(text, pos)
+            word_end = match.end("word") if match.lastgroup == "word" else None
+            assert word_end == (reference.end() if reference else None), (text, pos)
+
 
 # letters of both cases, with and without a vowel, ASCII and other digits,
 # a numeric that ends a word run and combining marks

@@ -59,7 +59,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from etnorm.folding import FoldingTable, fold_diacritics  # noqa: E402
 from etnorm.lexicon import default_config  # noqa: E402
-from etnorm.tokens import _LC, _PLAIN_REPEAT, _PLAIN_WORD, _PUNCT, _TLD_DOT, _UC, _VOWELS  # noqa: E402
+from etnorm.tokens import _LC, _PLAIN_REPEAT, _PUNCT, _TLD_DOT, _UC, _VOWELS  # noqa: E402
 from etnorm.tokens import _D, _DOMAIN_RUN, _LINK_RE, _MASTER_RE, _THOUSANDS, _URL_PREFIX  # noqa: E402
 from etnorm.tokens import TokenKind, detokenize, tokenize  # noqa: E402
 from etnorm.verbalize import _join, _render_tokens, verbalize  # noqa: E402
@@ -112,19 +112,27 @@ def tiles(tokens, readings) -> bool:
     return start == len(tokens)
 
 
+# The tokenizer's plain word in its first formulation: a letter of the
+# alphabet and one or more lowercase ones, holding a vowel (found by a
+# lookahead), with no letter or digit after it.
+_CASED_VOWELS = "".join(sorted(_VOWELS)).upper() + "".join(sorted(_VOWELS))
+_CASED_CONSONANTS = "".join(ch for ch in _UC + _LC if ch not in _CASED_VOWELS)
+REFERENCE_PLAIN_WORD = rf"(?=[{_CASED_CONSONANTS}]*[{_CASED_VOWELS}])[{_UC}{_LC}][{_LC}]+(?![^\W_])"
+
+
 def reference_plain_line_re(config):
     """``RuleConfig.plain_line_re`` in its first formulation: a separator
     (whitespace or a sentence mark, not at a top-level-domain dot) or a
-    word (``_PLAIN_WORD`` that is, in no case, an abbreviation surface
-    lowercase after its first letter, and that folding keeps), one piece
-    each. The config's grammar must stop where this one does."""
+    word (``REFERENCE_PLAIN_WORD`` that is, in no case, an abbreviation
+    surface lowercase after its first letter, and that folding keeps), one
+    piece each. The config's grammar must stop where this one does."""
     lowered = [s.lower() for s in config.abbreviations if s[1:] == s[1:].lower()]
     surfaces = [s for s in lowered if set(s) <= set(_LC) and not _VOWELS.isdisjoint(s)]
     not_surface = f"(?!(?i:{'|'.join(map(re.escape, surfaces))})(?![{_LC}]))" if surfaces else ""
     foldable = "".join(ch for ch in _UC + _LC if not ch.isascii() and ch not in config.folding.protected)
     kept = f"(?![{_UC}{_LC}]*[{foldable}])" if foldable else ""
     separator = rf"(?!{_TLD_DOT})[\s{_PUNCT}]"
-    return re.compile(rf"(?:{separator}|{not_surface}{kept}{_PLAIN_WORD}){{0,{_PLAIN_REPEAT}}}")
+    return re.compile(rf"(?:{separator}|{not_surface}{kept}{REFERENCE_PLAIN_WORD}){{0,{_PLAIN_REPEAT}}}")
 
 
 def copy_path(text, config):

@@ -29,7 +29,7 @@ abbreviation surface that a plain word can hold case-sensitively, so the
 boundary strings hold surfaces in those cases and in others. Run it under two
 interpreters and compare the outputs; they must be identical:
 
-    PYENV_VERSION=3.10.13 python tools/interpreter_check.py > a.txt
+    PYENV_VERSION=3.11.7 python tools/interpreter_check.py > a.txt
     PYENV_VERSION=3.13.0 python tools/interpreter_check.py > b.txt
     diff a.txt b.txt
 
