@@ -28,8 +28,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
-import inspect
 import math
 import sys
 import warnings
@@ -43,9 +41,11 @@ class CliError(Exception):
     """Fatal diagnostic carrying the message to print on stderr."""
 
 
-# config file key -> load_config parameter: "letter_names" sets letter_names_path
+# config file key -> load_config parameter: "letter_names" sets letter_names_path;
+# the parameters are read off the code object, as importing inspect slows a cold start
 _CONFIG_KEYS = {
-    name.removesuffix("_path"): name for name in inspect.signature(load_config).parameters
+    name.removesuffix("_path"): name
+    for name in load_config.__code__.co_varnames[: load_config.__code__.co_argcount]
 }
 
 
@@ -108,6 +108,7 @@ def _cmd_normalize(args) -> int:
 
 def _cmd_score(args) -> int:
     import json
+    from dataclasses import asdict
     from .scoring import improvement, load_gold, load_hypotheses, score_corpus
     try:
         gold = load_gold(args.gold)
@@ -116,7 +117,7 @@ def _cmd_score(args) -> int:
     except ValueError as exc:
         raise CliError(str(exc)) from None
     if args.format == "json":
-        payload = dataclasses.asdict(report)
+        payload = asdict(report)
         if base is not None:
             payload["baseline_percent"] = base.percent
             payload["improvement"] = improvement(base, report)
@@ -226,8 +227,9 @@ def _print_likert(records, args) -> None:
 def _print_icc(matrix, args) -> None:
     """inter-rater agreement ICC(2,k)"""
     import json
+    from dataclasses import asdict
     from .stats import icc2k
-    payload = dataclasses.asdict(icc2k(matrix))
+    payload = asdict(icc2k(matrix))
     if args.format == "json":
         print(json.dumps(payload, ensure_ascii=False, indent=2))
     else:

@@ -13,10 +13,9 @@ from __future__ import annotations
 
 import re
 import unicodedata
-from dataclasses import dataclass
 from functools import cache, cached_property
 
-from .textfiles import read_data
+from .textfiles import Record, read_data
 
 # the lowercase letters of the Estonian alphabet, as folding and the
 # tokenizer's letter classes know it
@@ -43,11 +42,11 @@ def _base_letter(ch: str) -> str:
     return recomposed if len(recomposed) == 1 else ch
 
 
-@dataclass(frozen=True)
-class FoldingTable:
+class FoldingTable(Record, frozen=True):
     """Codepoint-to-base-letter mapping with a protected letter set."""
 
-    protected: frozenset[str] = DEFAULT_PROTECTED
+    def __init__(self, protected: frozenset[str] = DEFAULT_PROTECTED):
+        self._fill(locals())
 
     @classmethod
     def from_protected_file(cls, path) -> "FoldingTable":

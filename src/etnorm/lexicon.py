@@ -9,35 +9,30 @@ is read. This module parses them into an immutable RuleConfig.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import chain
 
 from .folding import FoldingTable
 from .numwords import NumberLexicon, default_lexicon, load_lexicon
-from .textfiles import ConfigError, read_data
+from .textfiles import ConfigError, Record, read_data
 from .tokens import _LC, _PLAIN_REPEAT, _SENTENCE_PUNCT, _TLD, _UC, _VOWELS, _plain_words
 
 _DIGIT_RE = re.compile("[0-9]")  # ASCII digits only: the output may hold other scripts' digits
 
 
-@dataclass(frozen=True)
-class Expansion:
-    text: str
-    keywords: tuple[str, ...] = ()
-    weight: float = 1.0
+class Expansion(Record, frozen=True):
+    def __init__(self, text: str, keywords: tuple[str, ...] = (), weight: float = 1.0):
+        self._fill(locals())
 
 
-@dataclass(frozen=True)
-class AbbreviationEntry:
+class AbbreviationEntry(Record, frozen=True):
     """One abbreviation surface with its context-weighted expansions."""
 
-    surface: str
-    expansions: tuple[Expansion, ...] = ()
-    speak_as_word: bool = False
-    force_spellout: bool = False
-
-    def __post_init__(self):
+    def __init__(
+        self, surface: str, expansions: tuple[Expansion, ...] = (), speak_as_word: bool = False,
+        force_spellout: bool = False,
+    ):
+        self._fill(locals())
         if not self.expansions and not self.force_spellout and not self.speak_as_word:
             raise ConfigError(f"abbreviation {self.surface!r} has no expansion and no flag")
         for exp in self.expansions:
@@ -45,26 +40,23 @@ class AbbreviationEntry:
                 raise ConfigError(f"abbreviation {self.surface!r}: weight must be > 0")
 
 
-@dataclass(frozen=True)
-class RuleConfig:
+class RuleConfig(Record, frozen=True):
     """Immutable bundle of everything the verbalizer needs."""
 
-    letter_names: dict[str, str]
-    abbreviations: dict[str, AbbreviationEntry]
-    symbols: dict[str, str]
-    roman_context_stems: tuple[str, ...]
-    title_min_length: int = 6
-    digit_group_threshold: int = 7
-    folding: FoldingTable = field(default_factory=FoldingTable)
-    numbers: NumberLexicon = field(default_factory=default_lexicon)
-
-    def __post_init__(self):
+    def __init__(
+        self, letter_names: dict[str, str], abbreviations: dict[str, AbbreviationEntry], symbols: dict[str, str],
+        roman_context_stems: tuple[str, ...], title_min_length: int = 6, digit_group_threshold: int = 7,
+        folding: FoldingTable | None = None, numbers: NumberLexicon | None = None,
+    ):
+        folding = FoldingTable() if folding is None else folding
+        numbers = default_lexicon() if numbers is None else numbers
+        self._fill(locals())
         for name, least in (("title_min_length", 4), ("digit_group_threshold", 7)):
             value = getattr(self, name)
             if type(value) is not int or value < least:  # a bool or a float is refused too
                 raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
         for letter, name in self.letter_names.items():
-            if not name:
+            if name == "":  # a name that is no string is refused below
                 raise ConfigError(f"empty letter name for {letter!r}")
         # every value the output may quote: no config puts a digit in the output
         spoken = chain(
@@ -74,6 +66,8 @@ class RuleConfig:
             (("numbers", key, word) for key, word in self.numbers.words.items()),
         )
         for table, key, value in spoken:
+            if not isinstance(value, str):
+                raise ConfigError(f"{table} {key!r} is read {value!r}, which is not a string")
             if _DIGIT_RE.search(value):
                 raise ConfigError(f"{table} {key!r} is read {value!r}, which holds a digit")
 
@@ -197,12 +191,8 @@ def load_config(
     digit_group_threshold: int = 7,
 ) -> RuleConfig:
     """Assemble a RuleConfig; any path left as None uses the bundled data."""
-    folding = (
-        FoldingTable.from_protected_file(folding_protected_path)
-        if folding_protected_path
-        else FoldingTable()
-    )
-    numbers = load_lexicon(number_lexicon_path) if number_lexicon_path else default_lexicon()
+    folding = FoldingTable.from_protected_file(folding_protected_path) if folding_protected_path else None
+    numbers = load_lexicon(number_lexicon_path) if number_lexicon_path else None
     return RuleConfig(
         letter_names=load_letter_names(letter_names_path),
         abbreviations=load_abbreviations(abbreviations_path),

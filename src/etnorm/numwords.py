@@ -16,11 +16,10 @@ and genitive (needed inside compound ordinals and before case endings).
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from types import MappingProxyType
 
-from .textfiles import ConfigError, read_data
+from .textfiles import ConfigError, Record, read_data
 
 NOMINATIVE = "nominative"
 GENITIVE = "genitive"
@@ -46,22 +45,23 @@ _KEYS = (
 )
 
 
-@dataclass(frozen=True)
-class NumberLexicon:
+class NumberLexicon(Record, frozen=True):
     """Word material for composing Estonian number phrases: the lexicon
-    file's key -> word map, which holds every key of ``_KEYS`` and no other."""
+    file's key -> word map, a non-empty word for each key of ``_KEYS``."""
 
-    words: Mapping[str, str]
-
-    def __post_init__(self):
-        missing = ", ".join(repr(key) for key in _KEYS if key not in self.words)
-        unknown = ", ".join(repr(key) for key in self.words if key not in _KEYS)
+    def __init__(self, words: Mapping[str, str]):
+        self._fill(locals())
+        missing = ", ".join(repr(key) for key in _KEYS if key not in words)
+        unknown = ", ".join(repr(key) for key in words if key not in _KEYS)
         if missing or unknown:
             named = (f"missing keys {missing}" if missing else "", f"unknown keys {unknown}" if unknown else "")
             raise ConfigError("; ".join(filter(None, named)))
+        for key, word in words.items():
+            if not isinstance(word, str) or not word:
+                raise ConfigError(f"the word for {key!r} must be a non-empty string, got {word!r}")
 
     # The tables are built on first use and kept on the instance; a lexicon
-    # made with ``dataclasses.replace(lex, words={...})`` builds its own.
+    # made with ``lex.replace(words={...})`` builds its own.
 
     @cached_property
     def cardinal_tables(self) -> dict[str, tuple]:

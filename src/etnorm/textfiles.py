@@ -1,5 +1,5 @@
 """Reading the text files etnorm reads: opening, decoding, line numbers
-and the form of every fault.
+and the form of every fault; and ``Record``, the base of etnorm's records.
 
 ``open_text`` opens every file as UTF-8 and reads a byte that is not UTF-8
 as a lone surrogate, so ``check_utf8`` can name the line that holds it
@@ -16,6 +16,45 @@ from importlib import resources
 
 class ConfigError(ValueError):
     """Raised when a data or configuration file fails to parse."""
+
+
+class Record:
+    """Base of etnorm's records, whose fields are the parameters of their
+    ``__init__``: ``==`` compares the type and the fields, and the repr shows
+    them. ``replace(**changes)`` builds a new record through ``__init__``, so
+    its checks run again and nothing derived is carried over. A ``frozen=True``
+    record refuses assignment, hashes by its fields and stores them with
+    ``_fill(locals())``. (Importing ``dataclasses`` would slow each cold start.)"""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, frozen=False):
+        code = cls.__init__.__code__
+        cls._fields = code.co_varnames[1:code.co_argcount]
+        if frozen:
+            cls.__setattr__ = cls.__delattr__ = cls._refuse
+            cls.__hash__ = lambda self: hash(self._values())
+
+    def _refuse(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def _fill(self, values):
+        self.__dict__.update({name: values[name] for name in self._fields})
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}({', '.join(f'{n}={getattr(self, n)!r}' for n in self._fields)})"
+
+    def replace(self, **changes):
+        """A new record of this type, with ``changes`` to its fields."""
+        return type(self)(**{**dict(zip(self._fields, self._values())), **changes})
+
+    __replace__ = replace  # copy.replace, Python 3.13+
 
 
 def open_text(path, mode: str = "r"):

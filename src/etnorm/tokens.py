@@ -46,11 +46,11 @@ before the first token and in the gaps after tokens' whitespace, so
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
 
 from .folding import ALPHABET
 from .romans import is_roman_shaped
+from .textfiles import Record
 
 
 class TokenKind(Enum):
@@ -77,16 +77,18 @@ class TokenKind(Enum):
     __hash__ = object.__hash__
 
 
-@dataclass
-class Token:
+class Token(Record):
     """One classified span. ``span`` is byte offsets into the UTF-8 source;
     ``ws_after`` is the text after it that no token holds: its whitespace,
     then, under ``tokenize``'s private ``_plain`` only, a copied plain run."""
 
-    text: str
-    kind: TokenKind
-    span: tuple[int, int]
-    ws_after: str = ""
+    __slots__ = ("text", "kind", "span", "ws_after")
+
+    def __init__(self, text: str, kind: TokenKind, span: tuple[int, int], ws_after: str = ""):
+        self.text = text  # one assignment each: a tuple assignment is slower, and tokens are many
+        self.kind = kind
+        self.span = span
+        self.ws_after = ws_after
 
     @property
     def joined_right(self) -> bool:

@@ -55,7 +55,7 @@ words of ``leading`` and of every gap too (``_line_words``).
 
 What is derived from the config is cached on the ``RuleConfig`` on first
 use: changing ``config.abbreviations`` in place after that is not
-supported; build a new config with ``load_config`` or ``dataclasses.replace``.
+supported; build a new config with ``load_config`` or ``config.replace``.
 """
 
 from __future__ import annotations

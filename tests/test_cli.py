@@ -227,6 +227,27 @@ class TestColdStart:
         assert proc.stdout.decode("utf-8") == "Tere, viis kilomeetrit!\n"
         assert proc.stderr.decode().strip() == "[]"
 
+    def test_normalize_loads_no_dataclasses_or_inspect(self):
+        # the two cost a cold start more than etnorm's own modules; site may
+        # load modules first, so only those loaded after it count
+        code = (
+            "import sys\n"
+            "before = set(sys.modules)\n"
+            "import etnorm\n"
+            "from etnorm.cli import main\n"
+            "assert main(['normalize']) == 0\n"
+            "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)), file=sys.stderr)\n"
+        )
+        proc = run_fresh(code, stdin="Tere, 5 km!\n".encode("utf-8"))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.decode("utf-8") == "Tere, viis kilomeetrit!\n"
+        assert proc.stderr.decode().strip() == "[]"
+
+    def test_config_keys_are_load_config_parameters(self):
+        import inspect
+
+        assert list(cli._CONFIG_KEYS.values()) == list(inspect.signature(cli.load_config).parameters)
+
     def test_instrument_names_load_on_first_use(self, monkeypatch):
         import etnorm
         import etnorm.stats

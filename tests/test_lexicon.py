@@ -1,9 +1,10 @@
-from dataclasses import replace
+import copy
+import sys
 from pathlib import Path
 
 import pytest
 
-from etnorm import numwords, textfiles
+from etnorm import FoldingTable, Token, TokenKind, numwords, textfiles, verbalize
 from etnorm.lexicon import (
     AbbreviationEntry,
     ConfigError,
@@ -73,14 +74,14 @@ class TestValidation:
 
     def test_threshold_floors(self, config):
         with pytest.raises(ConfigError):
-            replace(config, title_min_length=3)
+            config.replace(title_min_length=3)
         for value in (4, 5, 6):  # runs of 5-6 digits are cardinals, so these read as 7
             with pytest.raises(ConfigError):
-                replace(config, digit_group_threshold=value)
+                config.replace(digit_group_threshold=value)
 
     def test_letter_name_must_not_be_empty(self, config):
         with pytest.raises(ConfigError, match="empty letter name for 'A'"):
-            replace(config, letter_names={**config.letter_names, "A": ""})
+            config.replace(letter_names={**config.letter_names, "A": ""})
 
     # each change once let a digit through: "5% A" read "viis sada 5 aa",
     # "A" read "a1", "5,5" read "viis k0ma viis" and "xx" read "x2"
@@ -90,7 +91,7 @@ class TestValidation:
             (lambda c: {"symbols": {**c.symbols, "%": "sada 5"}}, "symbols '%' is read 'sada 5'"),
             (lambda c: {"letter_names": {**c.letter_names, "A": "a1"}}, "letter_names 'A' is read 'a1'"),
             (
-                lambda c: {"numbers": replace(c.numbers, words={**c.numbers.words, "decimal.separator": "k0ma"})},
+                lambda c: {"numbers": c.numbers.replace(words={**c.numbers.words, "decimal.separator": "k0ma"})},
                 "numbers 'decimal.separator'",
             ),
             (lambda c: {"abbreviations": {"xx": AbbreviationEntry("xx", (Expansion("x2"),))}}, "abbreviations 'xx'"),
@@ -98,7 +99,21 @@ class TestValidation:
     )
     def test_spoken_values_hold_no_digit(self, config, change, message):
         with pytest.raises(ConfigError, match=f"^{message}.*holds a digit"):
-            replace(config, **change(config))
+            config.replace(**change(config))
+
+    # a word that is no string once passed validation and raised in verbalize:
+    # "expected string or bytes-like object"
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (lambda c: {"letter_names": {**c.letter_names, "A": None}}, "letter_names 'A' is read None"),
+            (lambda c: {"symbols": {**c.symbols, "%": 5}}, "symbols '%' is read 5"),
+            (lambda c: {"abbreviations": {"xx": AbbreviationEntry("xx", (Expansion(None),))}}, "abbreviations 'xx'"),
+        ],
+    )
+    def test_spoken_values_are_strings(self, config, change, message):
+        with pytest.raises(ConfigError, match=f"^{message}.*which is not a string"):
+            config.replace(**change(config))
 
     def test_bundled_config_loads(self):
         assert load_config() == default_config()
@@ -107,7 +122,7 @@ class TestValidation:
     @pytest.mark.parametrize("option", ["title_min_length", "digit_group_threshold"])
     def test_thresholds_must_be_integers(self, config, option, value):
         with pytest.raises(ConfigError, match=f"{option} must be an integer"):
-            replace(config, **{option: value})
+            config.replace(**{option: value})
 
 
 class TestFileParsing:
@@ -171,3 +186,79 @@ class TestFileParsing:
         path.write_text(line, encoding="utf-8")
         with pytest.raises(ConfigError, match="pairs.txt:2: expected one character before the tab"):
             load(path)
+
+
+def _records():
+    config = default_config()
+    entry = config.abbreviations["km"]
+    return {
+        "RuleConfig": config,
+        "FoldingTable": config.folding,
+        "NumberLexicon": config.numbers,
+        "AbbreviationEntry": entry,
+        "Expansion": entry.expansions[0],
+        "Token": Token("km", TokenKind.WORD, (0, 2), " "),
+    }
+
+
+class TestRecords:
+    """The records build a changed copy with ``replace`` through their
+    ``__init__``, as ``dataclasses.replace`` did."""
+
+    @pytest.mark.parametrize("name", _records())
+    def test_replace_with_no_change_is_equal(self, name):
+        record = _records()[name]
+        changed = record.replace()
+        assert changed == record and changed is not record
+        assert repr(changed) == repr(record) and repr(record).startswith(f"{name}(")
+
+    @pytest.mark.parametrize("name", _records())
+    def test_unknown_field_is_named(self, name):
+        with pytest.raises(TypeError, match="'no_such_field'"):
+            _records()[name].replace(no_such_field=1)
+
+    @pytest.mark.parametrize("name", [name for name in _records() if name != "Token"])
+    def test_frozen_fields_refuse_assignment(self, name):
+        record = _records()[name]
+        field = type(record)._fields[0]
+        with pytest.raises(AttributeError, match=f"'{field}'"):
+            setattr(record, field, None)
+        with pytest.raises(AttributeError, match=f"'{field}'"):
+            delattr(record, field)
+
+    def test_hash_is_over_the_fields(self):
+        assert hash(FoldingTable(frozenset("õ"))) == hash(FoldingTable(frozenset("õ")))
+        with pytest.raises(TypeError):  # its tables are dicts
+            hash(default_config())
+        with pytest.raises(TypeError):  # mutable
+            hash(_records()["Token"])
+
+    def test_token_is_mutable_and_slotted(self):
+        token = _records()["Token"]
+        token.ws_after = ""
+        assert token.joined_right and token != _records()["Token"]
+        assert not hasattr(token, "__dict__")
+
+    def test_replace_checks_again(self, config):
+        with pytest.raises(ConfigError, match="title_min_length"):
+            config.replace(title_min_length=3)
+        with pytest.raises(ConfigError, match="weight must be > 0"):
+            config.abbreviations["km"].replace(expansions=(Expansion("x", (), 0.0),))
+
+    def test_replace_derives_again(self, config):
+        # the parent's gate pattern is built; the new config must build its own
+        assert config.plain_line_re.match("Tere").end() == 4 and verbalize("Tere", config) == "Tere"
+        entry = AbbreviationEntry("tere", (Expansion("tervist"),))
+        changed = config.replace(abbreviations={**config.abbreviations, "tere": entry})
+        assert changed.plain_line_re.match("Tere").end() == 0
+        assert verbalize("Tere", changed) == "tervist"
+
+    def test_defaults(self, config):
+        bare = type(config)(config.letter_names, config.abbreviations, config.symbols, config.roman_context_stems)
+        assert bare == config
+        assert bare.folding is not type(config)(bare.letter_names, {}, {}, ()).folding  # a table per config
+        assert bare.numbers is numwords.default_lexicon()
+
+    @pytest.mark.skipif(sys.version_info < (3, 13), reason="copy.replace is new in Python 3.13")
+    def test_copy_replace(self, config):
+        assert copy.replace(config, title_min_length=8) == config.replace(title_min_length=8)

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 import re
 from importlib import resources
@@ -333,9 +332,17 @@ class TestLexiconLoading:
         config = default_config()
         words = {key: word for key, word in config.numbers.words.items() if key != "unit.gen.5"}
         with pytest.raises(ConfigError, match="^missing keys 'unit.gen.5'$"):
-            dataclasses.replace(config, numbers=dataclasses.replace(config.numbers, words=words))
+            config.replace(numbers=config.numbers.replace(words=words))
         with pytest.raises(ConfigError, match="^missing keys 'unit.gen.5'; unknown keys 'ten.genn'$"):
-            dataclasses.replace(config.numbers, words={**words, "ten.genn": "kümne"})
+            config.numbers.replace(words={**words, "ten.genn": "kümne"})
+
+    @pytest.mark.parametrize("word", ["", None, 5])
+    def test_word_built_in_code_must_be_a_word(self, word):
+        # an empty word once passed: "Tere 5 korda" read "Tere korda" and "15"
+        # read "teist"; a None word raised TypeError in the config's checks
+        config = default_config()
+        with pytest.raises(ConfigError, match=f"^the word for 'unit.5' must be a non-empty string, got {word!r}$"):
+            config.replace(numbers=config.numbers.replace(words={**config.numbers.words, "unit.5": word}))
 
     def test_misspelt_key_named_with_its_line(self, tmp_path):
         path = tmp_path / "lexicon.txt"
@@ -390,5 +397,5 @@ class TestTablesFollowTheLexicon:
     def test_lexicon_made_with_replace(self):
         self._assert_default_unchanged()
         base = default_lexicon()
-        self._check(dataclasses.replace(base, words={**base.words, **self.CHANGES}))
+        self._check(base.replace(words={**base.words, **self.CHANGES}))
         self._assert_default_unchanged()

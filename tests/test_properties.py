@@ -24,7 +24,6 @@ Examples are derandomized, so a run is reproducible.
 """
 
 import re
-from dataclasses import replace
 from itertools import chain, product
 
 from hypothesis import given, settings
@@ -60,7 +59,7 @@ OPTIONS = {
 
 
 def check(config, text, options):
-    configured = replace(config, **options)
+    configured = config.replace(**options)
     out = verbalize(text, configured)
     assert not ASCII_DIGIT.search(out), (text, options, out)
     assert verbalize(text, configured) == out
@@ -126,7 +125,7 @@ TABLES = {
     tables=st.fixed_dictionaries(TABLES),
 )
 def test_data_tables_and_folding(config, text, tables):
-    configured = replace(config, **tables)
+    configured = config.replace(**tables)
     out = verbalize(text, configured)
     assert not ASCII_DIGIT.search(out), (text, tables, out)
     assert verbalize(text, configured) == out
@@ -169,7 +168,7 @@ def near_gate_text(draw):
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(text=near_gate_text(), tables=st.fixed_dictionaries(TABLES))
 def test_gate_passes_only_tokens_no_rule_rewrites(config, text, tables):
-    configured = replace(config, **tables)
+    configured = config.replace(**tables)
     folded = fold_diacritics(text, configured.folding)
     if passes(folded, configured):
         surfaces = configured.abbreviations
@@ -206,7 +205,7 @@ def after_plain_text(draw):
     ),
 )
 def test_gate_is_sound(config, text, tables):
-    configured = replace(config, **tables)
+    configured = config.replace(**tables)
     full = full_path(text, configured)
     assert verbalize(text, configured) == full
     folded = fold_diacritics(text, configured.folding)
@@ -287,7 +286,7 @@ def gate_lines(draw):
 
 
 def check_gate(config, text, tables):
-    configured = replace(config, **tables)
+    configured = config.replace(**tables)
     for line in (text, fold_diacritics(text, configured.folding)):
         assert passes(line, configured) == reference_gate(line, configured), (line, tables)
 
@@ -312,15 +311,14 @@ def test_gate_agrees_with_its_first_definition(config, text, tables):
 # and no surface, so no word piece looks ahead for one
 STOP_CONFIGS = (
     default_config(),
-    replace(
-        default_config(),
+    default_config().replace(
         abbreviations={
             **default_config().abbreviations,
             **{s: AbbreviationEntry(s, (Expansion("x"),)) for s in ("eile", "Karl", "õp")},
         },
     ),
-    replace(default_config(), folding=FoldingTable(frozenset())),
-    replace(default_config(), abbreviations={}),
+    default_config().replace(folding=FoldingTable(frozenset())),
+    default_config().replace(abbreviations={}),
 )
 REFERENCE_GRAMMARS = [reference_plain_line_re(configured) for configured in STOP_CONFIGS]
 
@@ -342,7 +340,7 @@ def test_grammar_stops_where_it_did_on_small_strings():
 @given(case=gate_lines())
 def test_grammar_stops_where_it_did_on_plain_lines(config, case):
     text, tables = case
-    drawn = replace(config, **tables)
+    drawn = config.replace(**tables)
     # repeated past the bound on pieces, one match stops short of the line,
     # and the reads that ``_plain_end`` chains must still stop alike
     long = text * (10 * _PLAIN_REPEAT // max(len(text), 1) + 1)

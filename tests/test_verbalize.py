@@ -4,7 +4,6 @@ import random
 import time
 import tracemalloc
 import unicodedata
-from dataclasses import replace
 
 import pytest
 from exhaustive_check import copy_path, cut_of, full_path
@@ -60,7 +59,7 @@ class TestSpellLetters:
     def test_lone_letter_reads_its_name_or_itself(self, config):
         assert verbalize("x ja Y", config) == "iks ja igrek"
         assert verbalize("Ω", config) == "Ω"
-        assert verbalize("x", replace(config, letter_names={})) == "x"
+        assert verbalize("x", config.replace(letter_names={})) == "x"
 
 
 class TestClassifyUppercase:
@@ -71,7 +70,7 @@ class TestClassifyUppercase:
 
     def test_length_threshold_is_configurable(self, config):
         assert verbalize("PARK", config) == "pee-aa-err-kaa"
-        assert verbalize("PARK", replace(config, title_min_length=4)) == "PARK"
+        assert verbalize("PARK", config.replace(title_min_length=4)) == "PARK"
 
 
 # a Roman numeral with nothing around it, with each kind of cue, and with
@@ -85,7 +84,7 @@ class TestExpandRoman:
 
     def test_stoplist_members_never_roman(self, config):
         # the numerals the dictionary spells read as ordinals without their entries
-        unlisted = replace(config, abbreviations={
+        unlisted = config.replace(abbreviations={
             s: entry for s, entry in config.abbreviations.items() if s not in ("MM", "CV", "CI")
         })
         for token in ("MM", "CV", "CI"):
@@ -109,9 +108,9 @@ class TestExpandRoman:
     def test_listed_surface_is_read_by_its_expansion(self, config):
         # a surface the dictionary lists is read as it says, never as a numeral
         entry = AbbreviationEntry("XL", (Expansion("ekstra suur"),))
-        custom = replace(config, abbreviations={**config.abbreviations, "XL": entry})
+        custom = config.replace(abbreviations={**config.abbreviations, "XL": entry})
         assert verbalize("XL sajandil", config) == "iks-ell sajandil"
-        assert verbalize("XL sajandil", replace(config, abbreviations={})) == "neljakümnes sajandil"
+        assert verbalize("XL sajandil", config.replace(abbreviations={})) == "neljakümnes sajandil"
         assert verbalize("XL sajandil", custom) == "ekstra suur sajandil"
 
     def test_capitalized_name_context(self, config):
@@ -139,7 +138,7 @@ class TestExpandAbbreviation:
 
     def test_tie_breaks_by_dictionary_order(self, config):
         entry = AbbreviationEntry("xx", (Expansion("esimene", (), 1.0), Expansion("teine", (), 1.0)))
-        assert verbalize("xx", replace(config, abbreviations={"xx": entry})) == "esimene"
+        assert verbalize("xx", config.replace(abbreviations={"xx": entry})) == "esimene"
 
     def test_context_is_built_once_per_line(self, config, monkeypatch):
         built = []  # per call of ``_line_words``: whether it built the word set
@@ -172,7 +171,7 @@ class TestExpandAbbreviation:
         # the flag keeps capitals and a lowercase consonant cluster as
         # written, with or without a case ending, as the bundled NATO is
         table = {surface: AbbreviationEntry(surface, speak_as_word=True) for surface in ("ERM", "kpl")}
-        custom = replace(config, abbreviations={**config.abbreviations, **table})
+        custom = config.replace(abbreviations={**config.abbreviations, **table})
         assert verbalize("ERM ERM-ile ERMis kpl", config) == "ee-err-emm ee-err-emmile ee-err-emmis kaa-pee-ell"
         assert verbalize("ERM ERM-ile ERMis kpl", custom) == "ERM ERMile ERMis kpl"
         assert verbalize("NATO NATO-le NATOs", config) == "NATO NATOle NATOs"
@@ -180,7 +179,7 @@ class TestExpandAbbreviation:
     def test_case_ending_after_a_flagged_lowercase_entry(self, config):
         # a hyphen-joined ending is read with the entry, as after capitals
         def flagged(**flag):
-            return replace(config, abbreviations={**config.abbreviations, "kpl": AbbreviationEntry("kpl", **flag)})
+            return config.replace(abbreviations={**config.abbreviations, "kpl": AbbreviationEntry("kpl", **flag)})
 
         assert verbalize("5 kpl-i", config) == "viis kaa-pee-ell-ii"
         assert verbalize("5 kpl-i", flagged(speak_as_word=True)) == "viis kpli"
@@ -190,7 +189,7 @@ class TestExpandAbbreviation:
 
     def test_case_ending_on_an_expanded_entry_is_spelled(self, config):
         entry = AbbreviationEntry("EL", (Expansion("Euroopa Liit"),))
-        custom = replace(config, abbreviations={**config.abbreviations, "EL": entry})
+        custom = config.replace(abbreviations={**config.abbreviations, "EL": entry})
         assert verbalize("EL", custom) == "Euroopa Liit"
         assert verbalize("EL-i", custom) == "ee-elli"
         assert verbalize("ELis", custom) == "ee-ellis"
@@ -273,7 +272,7 @@ class TestDigitSequence:
 
     def test_unlisted_symbols_are_dropped(self, config):
         symbols = {k: v for k, v in config.symbols.items() if k not in "+/@"}
-        bare = replace(config, symbols=symbols)
+        bare = config.replace(symbols=symbols)
         assert verbalize("+372 555 0101", bare) == "kolm seitse kaks, viis viis viis, null üks null üks"
         assert verbalize("info@eki.ee", bare) == "info eki punkt ee"
         assert verbalize("https://goo.gl/forms", bare) == "goo punkt gee-ell forms"
@@ -310,10 +309,10 @@ class TestGroupedNumber:
         assert verbalize(text, config) == expected
 
     def test_threshold_governs_only_runs_without_separators(self, config):
-        assert verbalize("1 234 567", replace(config, digit_group_threshold=7)) == (
+        assert verbalize("1 234 567", config.replace(digit_group_threshold=7)) == (
             "miljon kakssada kolmkümmend neli tuhat viissada kuuskümmend seitse"
         )
-        assert verbalize("1234567", replace(config, digit_group_threshold=8)) == (
+        assert verbalize("1234567", config.replace(digit_group_threshold=8)) == (
             "miljon kakssada kolmkümmend neli tuhat viissada kuuskümmend seitse"
         )
 
@@ -381,7 +380,7 @@ class TestVerbalizeEndToEnd:
         )
         assert verbalize("info@eki.ee", config) == "info ätt eki punkt ee"
         # "@" and "+" are pieces of the address, read or dropped as the symbol table says
-        bare = replace(config, symbols={k: v for k, v in config.symbols.items() if k not in ("@", "+")})
+        bare = config.replace(symbols={k: v for k, v in config.symbols.items() if k not in ("@", "+")})
         assert verbalize("a.@b.ee", config) == "aa punkt ätt bee punkt ee"
         assert verbalize("a.@b.ee", bare) == "aa punkt bee punkt ee"
         assert verbalize(".a@b.ee", config) == "punkt aa ätt bee punkt ee"
@@ -455,7 +454,7 @@ class TestVerbalizeEndToEnd:
         ],
     )
     def test_numbers_above_max_cardinal_read_digit_by_digit(self, config, text, options):
-        out = verbalize(text, replace(config, **options))
+        out = verbalize(text, config.replace(**options))
         assert out
         assert not any(ch.isdigit() for ch in out), out
 
@@ -534,11 +533,11 @@ class TestVerbalizeEndToEnd:
     def test_minus_is_read_through_the_symbol_table(self, config):
         table = dict(config.symbols)
         del table["−"]
-        unlisted = replace(config, symbols=table)
+        unlisted = config.replace(symbols=table)
         assert verbalize("-5 kraadi", unlisted) == "-viis kraadi"
         assert verbalize("–5 kraadi", unlisted) == "–viis kraadi"
         table["−"] = "MINUS"
-        assert verbalize("-5 ja −5", replace(config, symbols=table)) == "MINUS viis ja MINUS viis"
+        assert verbalize("-5 ja −5", config.replace(symbols=table)) == "MINUS viis ja MINUS viis"
 
     @pytest.mark.parametrize(
         "text, expected",
@@ -578,7 +577,7 @@ class TestVerbalizeEndToEnd:
     def test_uppercase_and_lowercase_entries_share_one_policy(self, config):
         expansions = (Expansion("esimene", ("maks",), 1.0), Expansion("teine", (), 2.0))
         table = {surface: AbbreviationEntry(surface, expansions) for surface in ("KM", "xy")}
-        custom = replace(config, abbreviations=table)
+        custom = config.replace(abbreviations=table)
         for surface in ("KM", "xy"):
             assert verbalize(surface, custom) == "teine"  # by weight, not by listing order
             assert verbalize(f"{surface} maks", custom) == "esimene maks"  # by the line's words
@@ -838,10 +837,10 @@ class TestRawLineGate:
         assert verbalize(text, config) == expected == full_path(text, config)
 
     def test_no_letter_protected(self, config):
-        self.read("Tere, õun!", replace(config, folding=FoldingTable(frozenset())), None, "Tere, oun!")
+        self.read("Tere, õun!", config.replace(folding=FoldingTable(frozenset())), None, "Tere, oun!")
 
     def test_lowercase_letters_protected(self, config):
-        lowercase = replace(config, folding=FoldingTable(frozenset("õäöüšž")))
+        lowercase = config.replace(folding=FoldingTable(frozenset("õäöüšž")))
         self.read("Õun ja kohv", lowercase, None, "Oun ja kohv")
         self.read("Õun maksis 5 eurot", lowercase, 4, "Oun maksis viis eurot")
 
@@ -869,7 +868,7 @@ class TestRawLineGate:
         )
         for text, reads in cases:
             recording = Recording(config.plain_line_re)
-            custom = replace(config)
+            custom = config.replace()
             custom.__dict__["plain_line_re"] = recording
             assert verbalize(text, custom) == verbalize(text, config)
             assert recording.starts.count(0) == reads, (text, recording.starts)

@@ -51,7 +51,6 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import replace
 from itertools import chain, product
 from pathlib import Path
 
@@ -321,11 +320,11 @@ def other_configs(config):
     """The bundled config with one table emptied or one option at its
     least: the variants whose output must hold no digit either."""
     return {
-        "no symbols": replace(config, symbols={}),
-        "no letter names": replace(config, letter_names={}),
-        "no protected letters": replace(config, folding=FoldingTable(frozenset())),
-        "the minimum options": replace(config, title_min_length=4, digit_group_threshold=7),
-        "no abbreviations": replace(config, abbreviations={}),
+        "no symbols": config.replace(symbols={}),
+        "no letter names": config.replace(letter_names={}),
+        "no protected letters": config.replace(folding=FoldingTable(frozenset())),
+        "the minimum options": config.replace(title_min_length=4, digit_group_threshold=7),
+        "no abbreviations": config.replace(abbreviations={}),
     }
 
 
