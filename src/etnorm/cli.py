@@ -22,6 +22,9 @@ and makes the exit code 1; a file that cannot be opened is ``etnorm:
 input and a table with no data rows (``<input>: no data rows``) are errors.
 A fault of a whole table is ``etnorm: <input>: ...``; a warning of the
 statistics is ``etnorm: <input>: warning: ...`` and keeps the exit code 0.
+``normalize --output`` refuses the file it reads (``etnorm: <output>: the
+output file is the input file``). A reader that closes stdout early ends
+any command with exit code 1 and no diagnostic.
 """
 
 from __future__ import annotations
@@ -29,6 +32,8 @@ from __future__ import annotations
 import argparse
 import contextlib
 import math
+import os
+import stat
 import sys
 import warnings
 
@@ -84,25 +89,37 @@ def _open_input(path):
     return open_text(path), path
 
 
+def _is_input(stream, path) -> bool:
+    """Whether ``path`` names the regular file that ``stream`` reads, which
+    opening ``path`` for writing would empty."""
+    try:
+        found, read = os.stat(path), os.fstat(stream.fileno())
+    except OSError:  # no file at ``path``, or a stream with no file behind it
+        return False
+    return os.path.samestat(found, read) and stat.S_ISREG(read.st_mode)
+
+
 def _cmd_normalize(args) -> int:
     """Verbalize line by line. A line that fails, or is not valid UTF-8, is
     reported as ``etnorm: INPUT:LINE: ...`` on stderr and written as an
     empty line, so output lines stay aligned with input lines; the rest of
-    the stream is still read, and the exit code is 1."""
+    the stream is still read, and the exit code is 1. An output file that
+    is the input file is refused before it is opened."""
     config = _load_cli_config(args.config)
     source, name = _open_input(args.input)
     status = 0
-    with source as stream, (
-        contextlib.nullcontext(sys.stdout) if args.output is None else open_text(args.output, "w")
-    ) as out:
-        for lineno, line in enumerate(stream, start=1):
-            try:
-                spoken = verbalize(check_utf8(line).rstrip("\n"), config)
-            except Exception as exc:  # one bad line must not end the stream
-                spoken, status = "", 1
-                fault = exc if isinstance(exc, UnicodeError) else f"{type(exc).__name__}: {exc}"
-                print(f"etnorm: {name}:{lineno}: {fault}", file=sys.stderr)
-            print(spoken, file=out)
+    with source as stream:
+        if args.output is not None and _is_input(stream, args.output):
+            raise CliError(f"{args.output}: the output file is the input file")
+        with contextlib.nullcontext(sys.stdout) if args.output is None else open_text(args.output, "w") as out:
+            for lineno, line in enumerate(stream, start=1):
+                try:
+                    spoken = verbalize(check_utf8(line).rstrip("\n"), config)
+                except Exception as exc:  # one bad line must not end the stream
+                    spoken, status = "", 1
+                    fault = exc if isinstance(exc, UnicodeError) else f"{type(exc).__name__}: {exc}"
+                    print(f"etnorm: {name}:{lineno}: {fault}", file=sys.stderr)
+                print(spoken, file=out)
     return status
 
 
@@ -317,7 +334,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a reader that closed stdout shows here, not at exit
+        return status
+    except BrokenPipeError:  # the reader wants no more output: stop quietly
+        # the exit flush of stdout must not raise again (Python's SIGPIPE recipe)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (CliError, OSError) as exc:  # an OSError of open_text reads "<path>: <reason>"
         print(f"etnorm: {exc}", file=sys.stderr)
         return 1

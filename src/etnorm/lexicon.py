@@ -15,7 +15,7 @@ from itertools import chain
 from .folding import FoldingTable
 from .numwords import NumberLexicon, default_lexicon, load_lexicon
 from .textfiles import ConfigError, Record, read_data
-from .tokens import _LC, _PLAIN_REPEAT, _SENTENCE_PUNCT, _TLD, _UC, _VOWELS, _plain_words
+from .tokens import _LC, _SENTENCE_PUNCT, _TLD, _UC, _VOWELS, _plain_words
 
 _DIGIT_RE = re.compile("[0-9]")  # ASCII digits only: the output may hold other scripts' digits
 
@@ -99,14 +99,15 @@ class RuleConfig(Record, frozen=True):
         undotted = f"[\\s{re.escape(''.join(sorted(_SENTENCE_PUNCT - {'.'})))}]"  # a separator but "."
         # A word takes the separators after it up to a dot, the same text that
         # separator pieces would read. Word and separator characters are
-        # disjoint, so a line splits one way only, and the repeat, with
-        # nothing after it, never backtracks.
+        # disjoint, so a line splits one way only, and the repeat gives back
+        # nothing: possessive, it keeps no backtracking state, and one match
+        # reads a line of any length in flat memory.
         words = _plain_words(free, lower)
         if guarded:
             not_surface = f"(?!(?:{'|'.join(map(re.escape, spellings))})(?![{_LC}]))"
             words.append(f"{not_surface}(?:{'|'.join(_plain_words(guarded, lower))})")
         pieces = [f"{word}{undotted}*+" for word in words] + [f"{undotted}++", rf"\.(?!{_TLD})"]
-        return re.compile(f"(?:{'|'.join(pieces)}){{0,{_PLAIN_REPEAT}}}")
+        return re.compile(f"(?:{'|'.join(pieces)})*+")
 
 
 def _load_pairs(bundled: str, path, shape: str):

@@ -138,11 +138,6 @@ _SENTENCE_PUNCT = frozenset(".,!?;:()[]{}\"'«»‘’“”„‚…–—-·")
 _PUNCT = re.escape("".join(sorted(_SENTENCE_PUNCT)))  # the body of a regex class
 
 _WS_RE = re.compile(r"\s*")
-# the most pieces (a word with the whitespace and marks after it up to a
-# dot, a run of whitespace and marks, or a dot) one match of the plain-line
-# grammar reads: a bounded repeat keeps the regex engine's backtracking
-# stack small
-_PLAIN_REPEAT = 1000
 _CHUNK_BACK_RE = re.compile(r"\S*\s*\S*")  # matched on a reversed text: two chunks back
 
 # URL and e-mail grammar
@@ -275,19 +270,6 @@ def _word_end(text: str, pos: int) -> int:
     return end
 
 
-def _plain_end(match, text: str, start: int) -> int:
-    """Where the plain-line grammar stops reading ``text`` from ``start``.
-    ``match`` is the bound ``match`` of ``RuleConfig.plain_line_re``, which
-    repeats at most ``_PLAIN_REPEAT`` pieces, so it is called again until a
-    match stops short of that bound."""
-    # the greedy match is the only parse, and match, unlike fullmatch, is not retried on failure
-    end = start
-    while True:
-        pos, end = end, match(text, end).end()
-        if end - pos < _PLAIN_REPEAT:  # a piece is at least one character: the grammar stopped by itself
-            return end
-
-
 def _chunk_before(text: str, end: int, low: int) -> int:
     """The start of the whitespace-delimited chunk before the one that
     holds ``end``, scanning back no further than ``low``: back from ``end``
@@ -298,22 +280,21 @@ def _chunk_before(text: str, end: int, low: int) -> int:
     return end - _CHUNK_BACK_RE.match(text[low:end][::-1]).end()
 
 
-def tokenize(text: str, _plain=None, _stop=None) -> TokenList:
+def tokenize(text: str, _plain=None) -> TokenList:
     """Split text into classified tokens; whitespace is recorded, not emitted.
 
     ``_plain``, private to ``verbalize``, is the config's
     ``plain_line_re.match``. With it, plain text is copied as it is,
-    neither tokenized nor classified, by one rule: where the grammar, read
-    from the start of a chunk (a run of non-whitespace), stops, the text up
-    to the start of the chunk before the one that holds the stop is copied
-    (all of it when the grammar reads to the end). The rule is applied from
-    the start of the line, copying into ``TokenList.leading`` (``_stop``,
-    when given, is where that read stops), and wherever a chunk ends in a
-    WORD token and the chunk before it did too, copying into the
-    ``ws_after`` of that word, after its whitespace. So a gap holds text
-    other than whitespace only after a word that ends a plain chunk, and
-    before a plain chunk or at the end of the line; ``detokenize`` still
-    gives the text back.
+    neither tokenized nor classified, by one rule: where one match of the
+    grammar from the start of a chunk (a run of non-whitespace) stops, the
+    text up to the start of the chunk before the one that holds the stop is
+    copied (all of it when the grammar reads to the end). The rule is
+    applied from the start of the line, copying into ``TokenList.leading``,
+    and wherever a chunk ends in a WORD token and the chunk before it did
+    too, copying into the ``ws_after`` of that word, after its whitespace.
+    So a gap holds text other than whitespace only after a word that ends
+    a plain chunk, and before a plain chunk or at the end of the line;
+    ``detokenize`` still gives the text back.
 
     The tokens kept are those of the whole text, spans included: copied
     text is words and marks and ends in whitespace, and only a digit-led
@@ -326,8 +307,7 @@ def tokenize(text: str, _plain=None, _stop=None) -> TokenList:
     tokens = TokenList()
     pos = 0
     if _plain is not None:
-        stop = _plain_end(_plain, text, 0) if _stop is None else _stop
-        pos = _chunk_before(text, stop, 0)
+        pos = _chunk_before(text, _plain(text, 0).end(), 0)
     pos = _WS_RE.match(text, pos).end()
     tokens.leading = text[:pos]
     length = len(text)
@@ -379,7 +359,7 @@ def tokenize(text: str, _plain=None, _stop=None) -> TokenList:
         if ws_end > end:  # the token ends a chunk
             if kind is _WORD:
                 if after_word == chunk and _plain is not None:  # and so did the chunk before
-                    resume = _chunk_before(text, _plain_end(_plain, text, chunk), ws_end)
+                    resume = _chunk_before(text, _plain(text, chunk).end(), ws_end)
                     if resume > ws_end:  # the grammar read past the next chunk: copy the run into this gap
                         ws_end = resume
                 after_word = ws_end

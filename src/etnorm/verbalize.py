@@ -8,12 +8,12 @@ the one place the order of the rules is written down. Sections the rules
 do not touch keep their original spacing, so plain sentences pass
 through unchanged apart from diacritic folding.
 
-Pass-through contract: the gate, the first step of ``verbalize``, reads
-the raw line with one grammar, ``RuleConfig.plain_line_re``, built from
-the tokenizer's own patterns and the config, and finds how far it is
-plain. A line that is plain to its end is returned as it is, without
-folding or tokenizing. A plain line is separators and words. A separator
-is whitespace or ``_SENTENCE_PUNCT`` that does not start a
+Pass-through contract: the gate, the first step of ``verbalize``, is one
+``fullmatch`` of the raw line against one grammar,
+``RuleConfig.plain_line_re``, built from the tokenizer's own patterns and
+the config. A line that it matches, a plain line, is returned as it is,
+without folding or tokenizing. A plain line is separators and words. A
+separator is whitespace or ``_SENTENCE_PUNCT`` that does not start a
 top-level-domain dot. A word is the tokenizer's ``word`` token
 (``tokens._plain_words``: a letter of ``_UC`` or ``_LC`` and one or more
 of ``_LC``, holding a vowel, with no letter or digit after it) that is
@@ -28,14 +28,14 @@ number. The tokenizer is lossless, so the reassembled line is the line,
 byte for byte. The gate may send a line nothing would rewrite (a title,
 ``Krt``) down the full path, which reads it the same.
 
-Any other line is folded, tokenized and rendered. The tokenizer copies
-the plain text it finds with the same grammar as it is, neither
-tokenized nor classified (the copy rule, ``tokenize``'s ``_plain``):
-the text before the chunk before where the grammar stops, into
-``TokenList.leading``, and the runs after two chunks that end in a word,
-into the gap after the word's whitespace. The tokens it keeps are those
-of the whole line, and the plain chunks on either side of each copy stay
-tokenized.
+Any other line is folded, tokenized and rendered. The tokenizer reads
+the folded line with the same grammar, from its start, and copies the
+plain text it finds as it is, neither tokenized nor classified (the
+copy rule, ``tokenize``'s ``_plain``): the text before the chunk before
+where the grammar stops, into ``TokenList.leading``, and the runs after
+two chunks that end in a word, into the gap after the word's whitespace.
+The tokens it keeps are those of the whole line, and the plain chunks on
+either side of each copy stay tokenized.
 
 One invariant makes this exact: a gap holds text other than whitespace
 only after an unmodified plain word, and before an unmodified token of a
@@ -69,7 +69,7 @@ from .lexicon import RuleConfig, default_config
 from .numwords import _CARDINAL_DIGITS, NOMINATIVE, _is_ascii_digits, cardinal, decimal, digits, ordinal
 from .romans import roman_value
 from .tokens import _ATTACHED_SUFFIX_RE, _LC, _UC, _URL_SCHEME, _VOWELS, CASE_SUFFIXES
-from .tokens import TokenKind, TokenList, _plain_end, tokenize
+from .tokens import TokenKind, TokenList, tokenize
 
 _SEGMENT_RE = re.compile(rf"[{_UC}]+(?![{_LC}])|[{_UC}][{_LC}]+|[{_LC}]+|[0-9]+|[^\W\d_]+")
 _DIGIT_GROUP_SEP_RE = re.compile(r"[ \xa0.\-]+")  # between the digit groups of a phone number or ID
@@ -568,11 +568,8 @@ def _join(tokens: TokenList, readings: list[tuple[int, int, str]]) -> str:
 def verbalize(text: str, config: RuleConfig | None = None) -> str:
     """Rewrite ``text`` into fully spoken form under ``config``."""
     config = config or default_config()
-    match = config.plain_line_re.match
-    stop = _plain_end(match, text, 0)
-    if stop == len(text):  # a plain line: its own folding, and no rule rewrites it
+    if config.plain_line_re.fullmatch(text):  # a plain line: its own folding, and no rule rewrites it
         return text
     line = fold_diacritics(text, config.folding)
-    # the raw line's stop holds for its folding when folding left it as it was
-    tokens = tokenize(line, _plain=match, _stop=stop if line == text else None)
+    tokens = tokenize(line, _plain=config.plain_line_re.match)
     return _join(tokens, _render_tokens(tokens, config))

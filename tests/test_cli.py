@@ -169,6 +169,26 @@ class TestNormalize:
             assert (code, out, err) == (1, "", f"etnorm: {dst}: {reason}\n")
             assert opened[-1][0].closed
 
+    @pytest.mark.parametrize("via", ["same_path", "symlink", "stdin"])
+    def test_output_that_is_the_input_is_refused(self, capsys, tmp_path, monkeypatch, via):
+        # opening the output would empty the input before a line is read
+        src = tmp_path / "in.txt"
+        src.write_text("tere 5\n", encoding="utf-8")
+        dst = tmp_path / "link.txt" if via == "symlink" else src
+        if via == "symlink":
+            dst.symlink_to(src)
+        argv = ["normalize", "--output", str(dst)] + ([] if via == "stdin" else ["--input", str(src)])
+        with open(src, encoding="utf-8") as stdin:
+            monkeypatch.setattr("sys.stdin", stdin)
+            code, out, err = run(capsys, argv)
+        assert (code, out, err) == (1, "", f"etnorm: {dst}: the output file is the input file\n")
+        assert src.read_text(encoding="utf-8") == "tere 5\n"
+
+    def test_device_that_is_input_and_output_is_not_refused(self, capsys):
+        # writing to a device empties no file
+        code, out, err = run(capsys, ["normalize", "--input", os.devnull, "--output", os.devnull])
+        assert (code, out, err) == (0, "", "")
+
     def test_invalid_utf8_line_named_and_stream_goes_on(self, capsys, tmp_path):
         src = tmp_path / "in.txt"
         src.write_bytes(b"tere\nhalb \xff\nEAS-i\n")
@@ -179,12 +199,12 @@ class TestNormalize:
         assert err.count("\n") == 1
 
 
-def run_fresh(code, stdin=b""):
+def run_fresh(code, stdin=b"", stdout=subprocess.PIPE):
     """Run Python ``code`` in a fresh interpreter that imports etnorm from src."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC_DIR), env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-c", code], input=stdin, capture_output=True, env=env, timeout=60
+        [sys.executable, "-c", code], input=stdin, stdout=stdout, stderr=subprocess.PIPE, env=env, timeout=60
     )
 
 
@@ -295,6 +315,27 @@ def test_line_ends_on_real_stdin_read_as_in_a_file(tmp_path):
     )
     assert (proc.returncode, proc.stderr) == (0, b"")
     assert proc.stdout.decode("utf-8").splitlines() == ["voice\ttext_kind\tn\tmean\tsd", "Mari\tuudis\t2\t5.00\t1.41"]
+
+
+@pytest.mark.parametrize(
+    "argv, stdin",
+    [
+        # more output than one buffer: the write in the loop fails
+        (["normalize"], "Tere 5 km.\n" * 2000),
+        # less: the flush at the end fails
+        (["stats", "likert"], "rater,voice,text_kind,score\nr1,Mari,uudis,4\nr2,Mari,uudis,6\n"),
+    ],
+    ids=["normalize", "stats"],
+)
+def test_closed_stdout_ends_quietly(argv, stdin):
+    # the reader is gone before the first write, as after "| head -0"
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = run_fresh(f"from etnorm.cli import main; raise SystemExit(main({argv!r}))", stdin.encode(), write)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr.decode("utf-8")) == (1, "")
 
 
 class TestScore:
@@ -617,6 +658,15 @@ DIAGNOSTICS = {
         },
         ["score", "g.jsonl", "h.tsv"],
         "g.jsonl:1: record 'a': span surface 'km' not found in raw text",
+    ),
+    "score_acceptable_reading_not_a_string": (
+        {
+            "g.jsonl": '{"id": "a", "raw": "5 km", "gold": "viis km", '
+            '"abbrev_spans": [{"surface": "km", "expected_mode": "word", "acceptable": [5]}]}\n',
+            "h.tsv": "a\ty\n",
+        },
+        ["score", "g.jsonl", "h.tsv"],
+        "g.jsonl:1: span 'km': acceptable readings must be strings",
     ),
     "score_hypothesis_not_utf8": (
         {"g.jsonl": GOLD_LINE, "h.tsv": "a\tTa s\udcffitis\n"},

@@ -13,7 +13,7 @@ from etnorm.lexicon import AbbreviationEntry, Expansion, load_config
 from etnorm.numwords import NOMINATIVE, ordinal
 from etnorm.romans import roman_value
 from etnorm.scoring import canonicalize
-from etnorm.tokens import TokenKind, _plain_end, detokenize, tokenize
+from etnorm.tokens import TokenKind, detokenize, tokenize
 from etnorm.verbalize import (
     _RULES,
     _abbreviation,
@@ -32,7 +32,7 @@ verbalize_module = importlib.import_module("etnorm.verbalize")
 
 def passes(line, config):
     """The gate of ``verbalize``: the plain-line grammar reads all of ``line``."""
-    return _plain_end(config.plain_line_re.match, line, 0) == len(line)
+    return config.plain_line_re.fullmatch(line) is not None
 
 
 class TestSpellLetters:
@@ -785,7 +785,7 @@ class TestCut:
         assert verbalize(text, config) == full_path(text, config)
 
     def test_run_longer_than_the_grammar_bound(self, config):
-        # 3,000 words are 6,000 pieces of the grammar, whose repeat stops at 1,000
+        # 3,000 words are 6,000 pieces of the grammar, read in one match
         text = "5 " + "tere " * 3000 + "5"
         assert self.skipped(text, config) == ["tere " * 2997]  # all but two words after "5" and one before it
         assert verbalize(text, config) == "viis " + "tere " * 3000 + "viis" == full_path(text, config)
@@ -826,10 +826,9 @@ class TestCut:
 
 
 class TestRawLineGate:
-    """The gate reads the raw line, and its words hold only letters that
+    """The gate matches the raw line, and its words hold only letters that
     folding keeps. A line it refuses is folded, and the tokenizer reads the
-    grammar on the folded line from its start; the raw line's stop is
-    reused only when folding left the line as it was."""
+    grammar on the folded line from its start."""
 
     def read(self, text, config, expected_cut, expected):
         assert not passes(text, config)
@@ -847,31 +846,6 @@ class TestRawLineGate:
     def test_bundled_folding(self, config):
         self.read("Näitleja François saabus Tallinna.", config, None, "Näitleja Francois saabus Tallinna.")
         self.read("Émile ostis 5 kg.", config, 6, "Emile ostis viis kilogrammi.")
-
-    def test_raw_stop_is_reused_when_folding_changes_nothing(self, config):
-        class Recording:
-            """A plain-line regex that records where each match starts."""
-
-            def __init__(self, pattern):
-                self.pattern, self.starts = pattern, []
-
-            def match(self, text, pos=0):
-                self.starts.append(pos)
-                return self.pattern.match(text, pos)
-
-        # the first line holds no letter that folds, the second one that
-        # folds to itself, and the third folds "ç"
-        cases = (
-            ("Linnavalitsus teatas eile, et 5 km on palju.", 1),
-            ("Łukasz sõitis eile 5 km.", 1),
-            ("Näitleja François saabus 2020. aastal.", 2),
-        )
-        for text, reads in cases:
-            recording = Recording(config.plain_line_re)
-            custom = config.replace()
-            custom.__dict__["plain_line_re"] = recording
-            assert verbalize(text, custom) == verbalize(text, config)
-            assert recording.starts.count(0) == reads, (text, recording.starts)
 
 
 @pytest.mark.parametrize("unit, count", [("½", 20000), ("b½", 10000)])

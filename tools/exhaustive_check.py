@@ -58,7 +58,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from etnorm.folding import FoldingTable, fold_diacritics  # noqa: E402
 from etnorm.lexicon import default_config  # noqa: E402
-from etnorm.tokens import _LC, _PLAIN_REPEAT, _PUNCT, _TLD_DOT, _UC, _VOWELS  # noqa: E402
+from etnorm.tokens import _LC, _PUNCT, _TLD_DOT, _UC, _VOWELS  # noqa: E402
 from etnorm.tokens import _D, _DOMAIN_RUN, _LINK_RE, _MASTER_RE, _THOUSANDS, _URL_PREFIX  # noqa: E402
 from etnorm.tokens import TokenKind, detokenize, tokenize  # noqa: E402
 from etnorm.verbalize import _join, _render_tokens, verbalize  # noqa: E402
@@ -131,7 +131,7 @@ def reference_plain_line_re(config):
     foldable = "".join(ch for ch in _UC + _LC if not ch.isascii() and ch not in config.folding.protected)
     kept = f"(?![{_UC}{_LC}]*[{foldable}])" if foldable else ""
     separator = rf"(?!{_TLD_DOT})[\s{_PUNCT}]"
-    return re.compile(rf"(?:{separator}|{not_surface}{kept}{REFERENCE_PLAIN_WORD}){{0,{_PLAIN_REPEAT}}}")
+    return re.compile(rf"(?:{separator}|{not_surface}{kept}{REFERENCE_PLAIN_WORD})*")
 
 
 def copy_path(text, config):
