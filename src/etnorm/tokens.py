@@ -78,7 +78,9 @@ class TokenKind(Enum):
 
 
 class Token(Record):
-    """One classified span. ``span`` is byte offsets into the UTF-8 source;
+    """One classified span. ``span`` is its ``(start, end)`` character
+    offsets in the tokenized text; folding keeps each character's place,
+    so the span of a token of a folded line slices the raw line too.
     ``ws_after`` is the text after it that no token holds: its whitespace,
     then, under ``tokenize``'s private ``_plain`` only, a copied plain run."""
 
@@ -290,20 +292,22 @@ def tokenize(text: str, _plain=None) -> TokenList:
     text up to the start of the chunk before the one that holds the stop is
     copied (all of it when the grammar reads to the end). The rule is
     applied from the start of the line, copying into ``TokenList.leading``,
-    and wherever a chunk ends in a WORD token and the chunk before it did
-    too, copying into the ``ws_after`` of that word, after its whitespace.
-    So a gap holds text other than whitespace only after a word that ends
-    a plain chunk, and before a plain chunk or at the end of the line;
+    and at the end of every chunk that ends in a WORD token, copying into
+    the ``ws_after`` of that word, after its whitespace. A read there
+    copies only when it reads past the chunk after next, so the chunk
+    before a copy and the chunk after it are plain, and both are kept. A
+    gap holds text other than whitespace only after a word that ends a
+    plain chunk, and before a plain chunk or at the end of the line;
     ``detokenize`` still gives the text back.
 
     The tokens kept are those of the whole text, spans included: copied
     text is words and marks and ends in whitespace, and only a digit-led
     token crosses whitespace, so no token of the whole text reaches across
     the end of a copy. (Why the rules read them the same is in the module
-    docstring of ``verbalize``.) A read that stops within the next chunk
-    copies nothing, and after a copy the scan resumes at the chunk before
-    the stop, so each chunk is read a bounded number of times: the cost
-    stays linear."""
+    docstring of ``verbalize``.) A read that copies nothing stops no
+    further than the chunk after next, and after a copy the scan resumes
+    at the chunk before the stop, so each chunk is read a bounded number
+    of times: the cost stays linear."""
     tokens = TokenList()
     pos = 0
     if _plain is not None:
@@ -313,10 +317,6 @@ def tokenize(text: str, _plain=None) -> TokenList:
     length = len(text)
     if pos == length:  # nothing left, or the line is plain to its end
         return tokens
-    ascii_text = text.isascii()
-    # UTF-8 bytes beyond one per character so far: byte offset = pos + extra;
-    # a lone surrogate is encoded as its three bytes, as Python spells it
-    extra = 0 if ascii_text else len(tokens.leading.encode("utf-8", "surrogatepass")) - pos
     # the next anchor, looked for at the first token past the last one, and
     # the start of its chunk: no link starts before it
     anchor = anchored = -1
@@ -324,8 +324,7 @@ def tokenize(text: str, _plain=None) -> TokenList:
     # of the runs read: no address starts before ``address_end``, and no
     # bare domain before ``label_end``
     failed = label_end = address_end = -1
-    # the current chunk's start, the end of the last chunk to end in a WORD
-    chunk, after_word = pos, -1
+    chunk = pos  # the current chunk's start
 
     while pos < length:
         match = None
@@ -357,24 +356,12 @@ def tokenize(text: str, _plain=None) -> TokenList:
         if kind is None:  # a "word_run"
             kind = _classify_word_run(surface)
         if ws_end > end:  # the token ends a chunk
-            if kind is _WORD:
-                if after_word == chunk and _plain is not None:  # and so did the chunk before
-                    resume = _chunk_before(text, _plain(text, chunk).end(), ws_end)
-                    if resume > ws_end:  # the grammar read past the next chunk: copy the run into this gap
-                        ws_end = resume
-                after_word = ws_end
+            if kind is _WORD and _plain is not None:
+                stop = _plain(text, chunk).end()
+                if stop > ws_end:  # the chunk is plain: copy up to the chunk before the stop's, if any lies between
+                    ws_end = _chunk_before(text, stop, ws_end)
             chunk = ws_end
-        ws_after = text[end:ws_end]
-        if ascii_text:
-            span = (pos, end)
-        else:
-            start = pos + extra
-            if not surface.isascii():
-                extra += len(surface.encode("utf-8", "surrogatepass")) - len(surface)
-            span = (start, end + extra)
-            if not ws_after.isascii():
-                extra += len(ws_after.encode("utf-8", "surrogatepass")) - len(ws_after)
-        tokens.append(Token(surface, kind, span, ws_after))
+        tokens.append(Token(surface, kind, (pos, end), text[end:ws_end]))
         pos = ws_end
     return tokens
 

@@ -32,10 +32,11 @@ Any other line is folded, tokenized and rendered. The tokenizer reads
 the folded line with the same grammar, from its start, and copies the
 plain text it finds as it is, neither tokenized nor classified (the
 copy rule, ``tokenize``'s ``_plain``): the text before the chunk before
-where the grammar stops, into ``TokenList.leading``, and the runs after
-two chunks that end in a word, into the gap after the word's whitespace.
-The tokens it keeps are those of the whole line, and the plain chunks on
-either side of each copy stay tokenized.
+where the grammar stops, into ``TokenList.leading``, and, read again at
+the end of each chunk that ends in a word, the run after that chunk up to
+the chunk before where the grammar stops, into the gap after the word's
+whitespace. The tokens it keeps are those of the whole line, and the
+plain chunks on either side of each copy stay tokenized.
 
 One invariant makes this exact: a gap holds text other than whitespace
 only after an unmodified plain word, and before an unmodified token of a
@@ -76,7 +77,7 @@ _DIGIT_GROUP_SEP_RE = re.compile(r"[ \xa0.\-]+")  # between the digit groups of 
 _DECIMAL_MARK_RE = re.compile(r"[.,]")
 _URL_SCHEME_RE = re.compile("^" + _URL_SCHEME)
 _URL_PIECE_RE = re.compile(r"[^\W_]+|.")  # a label or one character
-_LETTER_RUN_RE = re.compile(r"[^\W\d_]+")
+_LOWER_RUN_RE = re.compile(f"[{_LC}]+")  # a word of lowercased plain text
 
 _WORDISH_KINDS = frozenset(
     {
@@ -136,13 +137,13 @@ def _line_words(line) -> frozenset[str]:
     over its words however many abbreviations it holds."""
     words = line.abbreviation_context
     if words is None:
-        # copied text is words and marks, each word a whole letter run; only a word's gap holds it
+        # copied text is plain: marks and words of the alphabet's letters; only a word's gap holds it
         plain, wordish = [line.leading], []
         for t in line:
             if t.kind in _WORDISH_KINDS:
                 wordish.append(t.text.lower())
                 plain.append(t.ws_after)
-        words = frozenset(chain(_LETTER_RUN_RE.findall(" ".join(plain).lower()), wordish))
+        words = frozenset(chain(_LOWER_RUN_RE.findall(" ".join(plain).lower()), wordish))
         line.abbreviation_context = words
     return words
 

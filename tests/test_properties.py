@@ -19,8 +19,10 @@ more. One checks that the tokenizer's plain word matches where its
 first formulation does, on every short string of a small alphabet. One
 checks that the tokenizer's master regex names the kind of a word, a
 punctuation mark or a symbol as the Python classification would. One
-checks that folding a line equals folding each of its characters.
-Examples are derandomized, so a run is reproducible.
+checks that folding a line equals folding each of its characters, and
+one that every token's span slices its text out of the folded line and,
+folded, out of the raw line, without and with the copy path. Examples
+are derandomized, so a run is reproducible.
 """
 
 import re
@@ -386,6 +388,30 @@ def test_regex_names_the_kind_the_classifier_would(text):
 @given(text=st.one_of(st.text(), st.text(alphabet="aZõäÕÄéÉñŭ .")), table=TABLES["folding"])
 def test_fold_skip_never_skips_a_fold(text, table):
     assert fold_diacritics(text, table) == "".join(table.fold_char(ch) for ch in text)
+
+
+# ------------------------------------------------- spans
+
+# letters that fold, lone surrogates, and both next to rule shapes and plain words
+SPAN_PIECES = st.one_of(
+    PIECES,
+    PLAIN_PIECES,
+    st.sampled_from(["é", "ñ", "ç", "Éclair", "Łukasz", "François", "Zoë", "\udcff", "\ud800", "\udcffkm", "x\udcff5"]),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    text=st.one_of(st.lists(SPAN_PIECES, max_size=14).map("".join), near_gate_text(), runs_between_rule_shapes()),
+    table=TABLES["folding"],
+)
+def test_spans_slice_the_raw_and_the_folded_line(config, text, table):
+    folded = fold_diacritics(text, table)
+    for tokens in tokenize(folded), tokenize(folded, _plain=config.replace(folding=table).plain_line_re.match):
+        for token in tokens:
+            start, end = token.span
+            assert folded[start:end] == token.text, (text, token)
+            assert fold_diacritics(text[start:end], table) == token.text, (text, token)
 
 
 # ------------------------------------------------- ranges

@@ -20,9 +20,9 @@ small-scope hypothesis). Six sets are run:
   strings), which must pass ``failures`` too: no config that passes
   validation puts a digit in the output;
 - every line of 6 chunks from ``CHUNKS``, joined by one space (262,144
-  lines), the fewest chunks where a copied plain run is followed by a
-  kept chunk and a stop. ``verbalize`` must equal the full path, and the
-  tokens of the copy path must give the line back;
+  lines), one more than the fewest chunks where a copied plain run is
+  followed by a kept chunk and a stop. ``verbalize`` must equal the full
+  path, and the tokens of the copy path must give the line back;
 - every run of 1-5 groups of 1-5 digits (``DIGIT_GROUPS``), each
   separator one of ``RUN_SEPARATORS``, and every run of 6-9 groups of 2-4
   digits joined by one separator throughout, each followed by each of

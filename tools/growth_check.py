@@ -55,10 +55,12 @@ PIECES = (
 # scans reach from one end of the line to the other and folding replaces
 # a letter in every unit, or one character in three in a unit of its own;
 # the spellings of abbreviation surfaces that the grammar's words exclude,
-# and plain words with runs of whitespace and marks, which a word piece takes
+# and plain words with runs of whitespace and marks, which a word piece takes;
+# and a word chunk beside rule chunks, where the grammar is read at every
+# unit and copies nothing, stopping at the next chunk or the one after it
 RUNS = (
     "5 tere tere tere ", "XIX. sajandil ja nii ", "MTÜ-le õue ja ", "x.ee ", "a@b.ee ", "é" + "a" * 30 + " ",
-    "Prof ", "ca. ", "Jne, ", "tere \t\u3000", "«Tere», ütles ta – ", "café été ",
+    "Prof ", "ca. ", "Jne, ", "tere \t\u3000", "«Tere», ütles ta – ", "café été ", "5 tere ", "Karl XII oli ",
 )
 
 

@@ -19,7 +19,7 @@ or ``none``. Then the kinds of the tokens
 of each boundary string are printed, as ``tok<TAB>repr<TAB>kinds``, its
 folding under the bundled table, as ``fold<TAB>repr<TAB>folded``, and its
 URL and e-mail tokens, as ``link<TAB>repr<TAB>links``: ``KIND 'TEXT'
-A-B`` for each, by its byte span, or ``none``. The gate, the
+A-B`` for each, by its character span, or ``none``. The gate, the
 tokenizer's groups, the top-level-domain boundary, the fold class and
 the links the tokenizer tries and rules out read the regex classes
 ``\s``, ``\S``, ``\W``, ``\d``, ``[^\W_]`` and ``[^\W\d_]``, and the URL
