@@ -37,10 +37,9 @@ stays linear.
 
 Tokenization is lossless: every non-whitespace character lands in exactly
 one token, each token records the whitespace that follows it, and
-``detokenize`` reproduces the input byte for byte. (The private arguments
-of ``tokenize`` leave plain text untokenized, and the token list keeps it
-before the first token and in the gaps after tokens' whitespace, so
-``detokenize`` reproduces that input too.)
+``detokenize`` reproduces the input byte for byte. (The private argument
+of ``tokenize`` copies runs of plain text into PLAIN tokens, which
+``detokenize`` gives back as they are.)
 """
 
 from __future__ import annotations
@@ -71,6 +70,9 @@ class TokenKind(Enum):
     CASE_SUFFIXED_ACRONYM = "case_suffixed_acronym"
     SYMBOL = "symbol"
     PUNCT = "punct"
+    # a run of plain text copied as it is, only under ``tokenize``'s private
+    # ``_plain``: no shape matches one, and no rule handles one
+    PLAIN = "plain"
 
     # members are singletons: hashing by identity keeps kind-set and
     # kind-dict lookups in C (Enum.__hash__ is a Python-level call)
@@ -81,8 +83,7 @@ class Token(Record):
     """One classified span. ``span`` is its ``(start, end)`` character
     offsets in the tokenized text; folding keeps each character's place,
     so the span of a token of a folded line slices the raw line too.
-    ``ws_after`` is the text after it that no token holds: its whitespace,
-    then, under ``tokenize``'s private ``_plain`` only, a copied plain run."""
+    ``ws_after`` is the whitespace after it."""
 
     __slots__ = ("text", "kind", "span", "ws_after")
 
@@ -98,10 +99,8 @@ class Token(Record):
 
 
 class TokenList(list):
-    """Token sequence that also remembers the text before the first token:
-    whitespace, and what was left untokenized before it (see ``tokenize``).
-    Any other text no token holds is in the ``ws_after`` of the token
-    before it."""
+    """Token sequence that also remembers the whitespace before the first
+    token; any other whitespace is in the ``ws_after`` of the token before it."""
 
     leading: str = ""
     abbreviation_context: frozenset[str] | None = None  # the line's words, once an expansion is picked
@@ -233,7 +232,8 @@ _OTHER_SHAPES = "|".join(f"(?P<{name}>{body})" for name, body, led in _SHAPES if
 # character skips them all in one test.
 _MASTER_RE = re.compile(rf"(?:(?=[+0-9])(?<!{_D})(?:{_DIGIT_LED})|{_OTHER_SHAPES})\s*")
 _KIND_OF_GROUP = {kind.value: kind for kind in TokenKind}
-_WORD = TokenKind.WORD
+_WORD, _ROMAN, _PLAIN = TokenKind.WORD, TokenKind.ROMAN_CANDIDATE, TokenKind.PLAIN
+_NO_PLAIN_AFTER = "0123456789+"  # a plain run stops at these, and at the end of the line ("" is in any string)
 
 # an acronym and its case ending, with or without a hyphen: "EAS-i", "MTÜle"
 _ATTACHED_SUFFIX_RE = re.compile(rf"([{_UC}]{{2,}})-?({_SUFFIX})")
@@ -272,14 +272,41 @@ def _word_end(text: str, pos: int) -> int:
     return end
 
 
-def _chunk_before(text: str, end: int, low: int) -> int:
-    """The start of the whitespace-delimited chunk before the one that
-    holds ``end``, scanning back no further than ``low``: back from ``end``
-    over its chunk's head, the whitespace and the chunk before. ``end``
-    itself when it is the end of the text, where no chunk is left to keep."""
-    if end == len(text):
-        return end
-    return end - _CHUNK_BACK_RE.match(text[low:end][::-1]).end()
+def _copy_end(text: str, stop: int, low: int) -> int:
+    """The end of a copy whose read of the plain-line grammar stopped at
+    ``stop``: the start of the chunk that holds the stop, scanning back no
+    further than ``low``, or ``stop`` itself when it is the end of the text.
+    The chunk before the stop's is kept, and the copy ends at its start,
+    where it is read from the stop's chunk: when the stop's chunk starts
+    with a Roman letter, as ``_roman`` reads the capitalized word before a
+    numeral, or with a character that is neither a letter nor an ASCII
+    digit, a symbol that may be dropped, as ``_join`` then glues the mark
+    before it to what follows."""
+    if stop == len(text):
+        return stop
+    back = text[low:stop][::-1]
+    start = stop - _NON_WS_RE.match(back).end()
+    first = text[start]
+    if first in "IVXLCDM" or not (first.isalpha() or first in "0123456789"):
+        start = stop - _CHUNK_BACK_RE.match(back).end()
+    return start
+
+
+def _roman_reads_next(tokens: TokenList) -> bool:
+    """Whether ``_roman`` reads the chunk after ``tokens``: they end in a
+    Roman candidate (its right cue) or in a dot joined to one (its dot cue)."""
+    if not tokens:
+        return False
+    if tokens[-1].kind is _ROMAN:
+        return True
+    return tokens[-1].text == "." and len(tokens) > 1 and tokens[-2].kind is _ROMAN and not tokens[-2].ws_after
+
+
+def _plain_token(text: str, pos: int, copy_end: int) -> Token:
+    """The PLAIN token of the run copied from ``pos`` to ``copy_end``."""
+    run = text[pos:copy_end].rstrip()
+    end = pos + len(run)
+    return Token(run, _PLAIN, (pos, end), text[end:copy_end])
 
 
 def tokenize(text: str, _plain=None) -> TokenList:
@@ -287,36 +314,36 @@ def tokenize(text: str, _plain=None) -> TokenList:
 
     ``_plain``, private to ``verbalize``, is the config's
     ``plain_line_re.match``. With it, plain text is copied as it is,
-    neither tokenized nor classified, by one rule: where one match of the
-    grammar from the start of a chunk (a run of non-whitespace) stops, the
-    text up to the start of the chunk before the one that holds the stop is
-    copied (all of it when the grammar reads to the end). The rule is
-    applied from the start of the line, copying into ``TokenList.leading``,
-    and at the end of every chunk that ends in a WORD token, copying into
-    the ``ws_after`` of that word, after its whitespace. A read there
-    copies only when it reads past the chunk after next, so the chunk
-    before a copy and the chunk after it are plain, and both are kept. A
-    gap holds text other than whitespace only after a word that ends a
-    plain chunk, and before a plain chunk or at the end of the line;
-    ``detokenize`` still gives the text back.
+    neither tokenized nor classified, into one PLAIN token per run: its
+    text runs from the run's first non-whitespace character to its last,
+    and its ``ws_after`` is the whitespace after it. A copy is read at
+    the start of the line and at a token of the ``word`` group that starts
+    a chunk (a run of non-whitespace): one match of the grammar from there,
+    and the text up to the start of the chunk that holds its stop is
+    copied (``_copy_end``, which keeps the chunk before that one where a
+    rule reads it; all of the text when the grammar reads to its end). At
+    a word, the read copies only when it stops past the word's whitespace,
+    and it is skipped where the character there is an ASCII digit or "+",
+    or the line ends, since the grammar stops there; nor is it made right
+    after a chunk that ``_roman`` reads from (``_roman_reads_next``).
 
-    The tokens kept are those of the whole text, spans included: copied
-    text is words and marks and ends in whitespace, and only a digit-led
-    token crosses whitespace, so no token of the whole text reaches across
-    the end of a copy. (Why the rules read them the same is in the module
+    The other tokens are those of the whole text, spans included: copied
+    text is whole chunks of words and marks, and only a digit-led token
+    crosses whitespace, so no token of the whole text reaches across either
+    end of a copy. (Why the rules read them the same is in the module
     docstring of ``verbalize``.) A read that copies nothing stops no
-    further than the chunk after next, and after a copy the scan resumes
-    at the chunk before the stop, so each chunk is read a bounded number
-    of times: the cost stays linear."""
+    further than the chunk after its own, and after a copy the scan
+    resumes at the stop's chunk or the one before it, so each chunk is
+    read a bounded number of times: the cost stays linear."""
     tokens = TokenList()
-    pos = 0
-    if _plain is not None:
-        pos = _chunk_before(text, _plain(text, 0).end(), 0)
-    pos = _WS_RE.match(text, pos).end()
+    pos = _WS_RE.match(text).end()
     tokens.leading = text[:pos]
     length = len(text)
-    if pos == length:  # nothing left, or the line is plain to its end
-        return tokens
+    if _plain is not None and pos < length:
+        copy_end = _copy_end(text, _plain(text, pos).end(), pos)
+        if copy_end > pos:
+            tokens.append(_plain_token(text, pos, copy_end))
+            pos = copy_end
     # the next anchor, looked for at the first token past the last one, and
     # the start of its chunk: no link starts before it
     anchor = anchored = -1
@@ -352,14 +379,17 @@ def tokenize(text: str, _plain=None) -> TokenList:
             name, end = "word_run", _word_end(text, pos)
             ws_end = _WS_RE.match(text, end).end()
         kind = _KIND_OF_GROUP.get(name)
+        if pos == chunk and kind is _WORD and _plain is not None:
+            if text[ws_end : ws_end + 1] not in _NO_PLAIN_AFTER and not _roman_reads_next(tokens):
+                stop = _plain(text, pos).end()
+                if stop > ws_end and (copy_end := _copy_end(text, stop, pos)) > pos:
+                    tokens.append(_plain_token(text, pos, copy_end))
+                    pos = chunk = copy_end
+                    continue
         surface = text[pos:end]
         if kind is None:  # a "word_run"
             kind = _classify_word_run(surface)
         if ws_end > end:  # the token ends a chunk
-            if kind is _WORD and _plain is not None:
-                stop = _plain(text, chunk).end()
-                if stop > ws_end:  # the chunk is plain: copy up to the chunk before the stop's, if any lies between
-                    ws_end = _chunk_before(text, stop, ws_end)
             chunk = ws_end
         tokens.append(Token(surface, kind, (pos, end), text[end:ws_end]))
         pos = ws_end

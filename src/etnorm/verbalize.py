@@ -29,30 +29,32 @@ byte for byte. The gate may send a line nothing would rewrite (a title,
 ``Krt``) down the full path, which reads it the same.
 
 Any other line is folded, tokenized and rendered. The tokenizer reads
-the folded line with the same grammar, from its start, and copies the
-plain text it finds as it is, neither tokenized nor classified (the
-copy rule, ``tokenize``'s ``_plain``): the text before the chunk before
-where the grammar stops, into ``TokenList.leading``, and, read again at
-the end of each chunk that ends in a word, the run after that chunk up to
-the chunk before where the grammar stops, into the gap after the word's
-whitespace. The tokens it keeps are those of the whole line, and the
-plain chunks on either side of each copy stay tokenized.
+the folded line with the same grammar and copies the plain text it finds
+as it is, neither tokenized nor classified, into one PLAIN token per run
+(the copy rule, ``tokenize``'s ``_plain``): from the start of the line,
+and from each word that starts a chunk, up to the start of the chunk
+where the grammar stops. No rule handles a PLAIN token, so ``_join``
+reads it as a one-token reading spoken as written, like the words and
+marks it stands for, and the gaps between tokens hold whitespace only.
 
-One invariant makes this exact: a gap holds text other than whitespace
-only after an unmodified plain word, and before an unmodified token of a
-plain chunk or at the end of the line. Copied text is plain, so its
-tokens are words and marks that no rule rewrites. No rule reads a plain
-chunk beyond the chunk next to its own: a rule reads at most one token
-before the one it starts at (``_roman``'s capitalized word, the token
-joined before ``_mark_at_number``'s mark), ``_roman``'s right and dot
-cues and the rules of joined tokens reach no further than the next chunk,
-and the spaced ``_ratio`` reads two tokens ahead but needs a number
-there. So the plain chunk kept on each side of a copy holds what a rule
-beside it reads, and the kept chunk before a run ends in a plain word,
-which reads nothing to its right. ``_join`` copies a gap as it is only
-between two readings next to each other that are each one token spoken
-as written. The pick of an expansion, which reads further, reads the
-words of ``leading`` and of every gap too (``_line_words``).
+This is exact. Copied text is plain, so its tokens are words and marks
+that no rule rewrites, and the tokens kept are those of the whole line.
+A rule reads its own token and the tokens joined to it (a letter
+compound, a range, a case ending, the token joined before
+``_mark_at_number``'s mark), and only two rules read a token in another
+chunk; the tokenizer keeps each such token. ``_roman`` reads the word
+before a numeral (its left cue), so the chunk before a stop chunk led by
+a Roman letter is kept, and the token after the numeral or after the dot
+joined to it (its right and dot cues), so no copy starts right after
+such a chunk. The spaced ``_ratio`` reads a colon and a number in the
+chunks after its own; neither is a word, so no copy starts there.
+``_join`` glues a mark to what follows a symbol dropped after it, so the
+chunk before a stop chunk led by a character that is neither a letter
+nor an ASCII digit is kept too. The pick of an expansion, which reads
+further, reads the words of the PLAIN tokens too (``_line_words``).
+``tools/exhaustive_check.py`` checks the claim (``cross_chunk_failures``):
+no other rule call changes its result when every token outside the
+chunks of its reading is made PLAIN.
 
 What is derived from the config is cached on the ``RuleConfig`` on first
 use: changing ``config.abbreviations`` in place after that is not
@@ -130,19 +132,19 @@ def _pick_expansion(entry, line) -> str:
 
 
 def _line_words(line) -> frozenset[str]:
-    """The lowered words of ``line``'s word-like tokens, and those of the
-    text no token holds, which ``verbalize`` copied: the context an
+    """The lowered words of ``line``'s word-like tokens, and those of its
+    PLAIN tokens, the text ``verbalize`` copied: the context an
     expansion is picked in. Built on the first abbreviation with more than
     one expansion and kept on the token list, so a line costs one pass
     over its words however many abbreviations it holds."""
     words = line.abbreviation_context
     if words is None:
-        # copied text is plain: marks and words of the alphabet's letters; only a word's gap holds it
-        plain, wordish = [line.leading], []
+        plain, wordish = [], []
         for t in line:
-            if t.kind in _WORDISH_KINDS:
+            if t.kind is TokenKind.PLAIN:  # copied text is plain: marks and words of the alphabet's letters
+                plain.append(t.text)
+            elif t.kind in _WORDISH_KINDS:
                 wordish.append(t.text.lower())
-                plain.append(t.ws_after)
         words = frozenset(chain(_LOWER_RUN_RE.findall(" ".join(plain).lower()), wordish))
         line.abbreviation_context = words
     return words
@@ -273,7 +275,8 @@ def _number_range(tokens, i, config):
 
 def _ratio(tokens, i, config):
     """A colon between numbers: a ratio, or a division when joined to
-    numbers above 999."""
+    numbers above 999. A spaced one reads the chunks after its own, a
+    colon and a number, at which no copy starts (see the module docstring)."""
     if i + 2 < len(tokens) and tokens[i + 1].text == ":" and tokens[i + 2].kind is TokenKind.CARDINAL_NUMBER:
         a, colon, b = tokens[i], tokens[i + 1], tokens[i + 2]
         spaced = not a.joined_right and not colon.joined_right
@@ -356,7 +359,10 @@ def _roman(tokens, i, config, last=None):
     an era or part keyword, or a capitalized word, to the right; or a
     capitalized word to the left. With ``last``, the numerals at ``i`` and
     ``last`` are a range, which the cues around the whole span license or
-    refuse as one."""
+    refuse as one. The cues read the chunks beside the numeral's, which the
+    tokenizer keeps: ``tokens._copy_end`` keeps the chunk before a stop
+    chunk led by a Roman letter, and no copy starts right after a chunk
+    that ends in a numeral or a dot joined to one (``_roman_reads_next``)."""
     last = i if last is None else last
     left = tokens[i - 1] if i > 0 else None
     right = tokens[last + 1] if last + 1 < len(tokens) else None
@@ -553,8 +559,8 @@ def _join(tokens: TokenList, readings: list[tuple[int, int, str]]) -> str:
         if prev_last is not None:
             gap = tokens[first - 1].ws_after
             if prev_last == first - 1 and not prev_modified and not modified:
-                sep = gap  # the only gap that can hold copied text (see the module docstring)
-            elif gap == "" and (mark or prev_mark):
+                sep = gap
+            elif gap == "" and (mark or prev_mark):  # also across a dropped symbol (see tokens._copy_end)
                 sep = ""
             else:
                 sep = " "

@@ -21,7 +21,10 @@ checks that the tokenizer's master regex names the kind of a word, a
 punctuation mark or a symbol as the Python classification would. One
 checks that folding a line equals folding each of its characters, and
 one that every token's span slices its text out of the folded line and,
-folded, out of the raw line, without and with the copy path. Examples
+folded, out of the raw line, without and with the copy path. One checks
+the copy path's tokens: each one not PLAIN is the whole line's token
+with its span, each PLAIN one is whole chunks that the gate's grammar
+reads to their end, and together they give the line back. Examples
 are derandomized, so a run is reproducible.
 """
 
@@ -33,7 +36,7 @@ from hypothesis import strategies as st
 
 from etnorm.folding import DEFAULT_PROTECTED, FoldingTable, fold_diacritics
 from etnorm.lexicon import AbbreviationEntry, Expansion, default_config
-from etnorm.tokens import _LC, _SENTENCE_PUNCT, _TLD_DOT, _UC, _VOWELS, TokenKind, _classify_word_run, tokenize
+from etnorm.tokens import _LC, _SENTENCE_PUNCT, _TLD_DOT, _UC, _VOWELS, TokenKind, _classify_word_run, detokenize, tokenize
 from etnorm.tokens import _MASTER_RE
 from etnorm.verbalize import verbalize
 from exhaustive_check import PIECES as BOUNDARY_PIECES
@@ -238,6 +241,22 @@ def runs_between_rule_shapes(draw):
 @given(text=runs_between_rule_shapes())
 def test_skipped_runs_read_as_the_whole_line(config, text):
     assert verbalize(text, config) == full_path(text, config)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(text=st.one_of(near_gate_text(), after_plain_text(), runs_between_rule_shapes()))
+def test_copy_path_keeps_the_tokens_of_the_whole_line(config, text):
+    line = fold_diacritics(text, config.folding)
+    tokens = tokenize(line, _plain=config.plain_line_re.match)
+    whole = {token.span: token for token in tokenize(line)}
+    for token in tokens:
+        start, end = token.span
+        if token.kind is TokenKind.PLAIN:  # a whole run of chunks, read by the grammar to its end
+            assert (start == 0 or line[start - 1].isspace()) and (token.ws_after or end == len(line)), (text, token)
+            assert config.plain_line_re.fullmatch(token.text + token.ws_after), (text, token)
+        else:
+            assert whole.get(token.span) == token, (text, token)
+    assert detokenize(tokens) == line, text
 
 
 # The gate as it was first written, four searches: a character outside

@@ -696,29 +696,30 @@ class TestPassThrough:
 
 
 class TestCut:
-    """A refused line is tokenized from the chunk before the one where the
-    plain prefix stops, and the text before that is copied as it is. After
-    a plain chunk that ends in a word, the plain run that follows is
-    copied too, up to the chunk before where the grammar stops again."""
+    """A refused line is tokenized from the chunk where the plain prefix
+    stops, and the text before that is copied as it is, into one PLAIN
+    token. At a word that starts a chunk, the plain run from there is
+    copied too, up to the chunk where the grammar stops again. The chunk
+    before a stop is kept where a rule reads it, and no copy starts right
+    after a chunk that ``_roman`` reads from."""
 
     def cut_at(self, text, config, expected_cut, expected):
         assert cut_of(copy_path(text, config)[1]) == expected_cut
         assert verbalize(text, config) == expected == full_path(text, config)
 
     def skipped(self, text, config):
-        """The runs ``verbalize`` copies after the cut: what each gap holds
-        after its whitespace, with the whole-line tokens checked against
-        the ones it keeps."""
+        """The runs ``verbalize`` copies after the cut: the text of each
+        PLAIN token after the first token, with the whole-line tokens
+        checked against the other ones it keeps."""
         line, tokens = copy_path(text, config)
         assert detokenize(tokens) == line
         whole = {token.span: token for token in tokenize(line)}
         runs = []
-        for token in tokens:
-            alone = whole[token.span]
-            assert (alone.text, alone.kind) == (token.text, token.kind)
-            assert token.ws_after.startswith(alone.ws_after)
-            if token.ws_after != alone.ws_after:
-                runs.append(token.ws_after[len(alone.ws_after) :])
+        for index, token in enumerate(tokens):
+            if token.kind is not TokenKind.PLAIN:
+                assert whole[token.span] == token
+            elif index:
+                runs.append(token.text)
         return runs
 
     @pytest.mark.parametrize(
@@ -730,7 +731,7 @@ class TestCut:
         ],
     )
     def test_expansion_reads_the_skipped_prefix(self, config, text, expected):
-        self.cut_at(text, config, text.index("kogu"), expected)
+        self.cut_at(text, config, text.index("5"), expected)
 
     def test_roman_left_cue_is_in_the_context_chunk(self, config):
         text = "Rootsit valitses kuningas Karl XII."
@@ -750,44 +751,64 @@ class TestCut:
     def test_whitespace_between_chunks(self, config, space):
         # kept in the prefix, spoken as a space next to a rewritten token
         text = f"Ta{space}jõi{space}5{space}liitrit."
-        self.cut_at(text, config, 3, f"Ta{space}jõi viis liitrit.")
+        self.cut_at(text, config, 7, f"Ta{space}jõi viis liitrit.")
 
     def test_spans_after_a_non_ascii_prefix(self, config):
         text = "Žürii arutas öösel «tšeki» üle, 5 km"
         rest, whole = copy_path(text, config)[1], tokenize(text)
-        assert cut_of(rest) == text.index("üle")
-        assert rest.leading == text[: text.index("üle")]
-        assert rest == whole[-len(rest):]  # text, kind, character span and whitespace
+        assert cut_of(rest) == text.index("5")
+        assert rest[0].text == text[: text.index(" 5")]
+        assert rest[1:] == whole[-len(rest) + 1 :]  # text, kind, character span and whitespace
         assert detokenize(rest) == text
 
     def test_expansion_reads_a_skipped_run(self, config):
         # the keyword "summa" is only in the run copied after the cut
         text = "Kogu 5 km oli see nii ja hiljem summa."
-        self.cut_at(text, config, 0, "Kogu viis käibemaks oli see nii ja hiljem summa.")
-        assert self.skipped(text, config) == ["see nii ja hiljem summa."]
+        self.cut_at(text, config, text.index("5"), "Kogu viis käibemaks oli see nii ja hiljem summa.")
+        assert self.skipped(text, config) == ["oli see nii ja hiljem summa."]
 
     @pytest.mark.parametrize(
         "text, expected, run",
         [
             # the dot cue, the left cue and the spaced ratio read the chunk beside a skipped run
-            ("XIX. sajandil oli see nii ja nii 5", "üheksateistkümnes sajandil oli see nii ja nii viis", "oli see nii ja "),
-            ("Karl XII oli see kuningas ja nii 5", "Karl kaheteistkümnes oli see kuningas ja nii viis", "see kuningas ja "),
-            ("10 : 20 on see ja teine 5", "kümme koolon kakskümmend on see ja teine viis", "see ja "),
+            ("XIX. sajandil oli see nii ja nii 5", "üheksateistkümnes sajandil oli see nii ja nii viis", "oli see nii ja nii"),
+            ("Karl XII oli see kuningas ja nii 5", "Karl kaheteistkümnes oli see kuningas ja nii viis", "see kuningas ja nii"),
+            ("10 : 20 on see ja teine 5", "kümme koolon kakskümmend on see ja teine viis", "on see ja teine"),
         ],
     )
     def test_context_beside_a_skipped_run(self, config, text, expected, run):
         self.cut_at(text, config, 0, expected)
         assert self.skipped(text, config) == [run]
 
+    @pytest.mark.parametrize(
+        "text, kept",
+        [
+            ("Karl XII oli see nii 5", "Karl"),  # _roman's left cue
+            ("Kuningas oli Karl XII oli see nii 5", "Karl"),  # the same, before a stop chunk led by a Roman letter
+            ("XII. sajandil oli see nii 5", "sajandil"),  # its dot cue: no copy right after "XII."
+            ("XX Tere oli see nii 5", "Tere"),  # its right cue: no copy right after "XX"
+            ("10 : 20 on see ja nii 5", ":"),  # the spaced ratio's colon: no copy starts at a mark
+            (", ½12 ja nii 5", ","),  # a mark before a dropped symbol, which glues it to "kaksteist"
+            ("Tere, ½12 ja nii 5", "Tere,"),  # the same, before a stop chunk led by the symbol
+        ],
+    )
+    def test_keep_rules(self, config, text, kept):
+        assert verbalize(text, config) == full_path(text, config)
+        line, tokens = copy_path(text, config)
+        start = line.index(kept)
+        chunk = [token for token in tokens if start <= token.span[0] < start + len(kept)]
+        assert chunk and chunk == [token for token in tokenize(line) if start <= token.span[0] < start + len(kept)]
+        assert TokenKind.PLAIN not in {token.kind for token in chunk}
+
     def test_spans_after_a_non_ascii_skipped_run(self, config):
         text = "MTÜ-le õue ja　öösel «tšeki» üle jälle ning 5 km"
-        assert self.skipped(text, config) == ["ja　öösel «tšeki» üle jälle "]
+        assert self.skipped(text, config) == ["õue ja　öösel «tšeki» üle jälle ning"]
         assert verbalize(text, config) == full_path(text, config)
 
     def test_run_longer_than_the_grammar_bound(self, config):
         # 3,000 words are 6,000 pieces of the grammar, read in one match
         text = "5 " + "tere " * 3000 + "5"
-        assert self.skipped(text, config) == ["tere " * 2998]  # all but one word after "5" and one before it
+        assert self.skipped(text, config) == ["tere " * 2999 + "tere"]  # every word between the numbers
         assert verbalize(text, config) == "viis " + "tere " * 3000 + "viis" == full_path(text, config)
 
     def test_grammar_reads_nothing_behind_its_start(self, config, tmp_path):
@@ -807,8 +828,8 @@ class TestCut:
         # "XII", ":" and "10" make a spaced ratio, "km" has two expansions
         # and "summa" is a keyword that flips it, and "Zoë" folds, so the
         # tokenizer reads the folded line afresh. Three chunks are the
-        # fewest that copy a run ("10 ja ja"), and five the fewest where a
-        # kept chunk and a stop follow one ("10 ja ja ja 10")
+        # fewest that copy a run ("10 ja ja"), and four the fewest where a
+        # kept chunk and a stop follow one ("10 ja ja XII")
         chunks = ("ja", "Karl", "summa", ":", "XII", "10", "km", "Zoë")
         prefixes = runs = 0
         for parts in itertools.product(chunks, repeat=5):
@@ -817,8 +838,8 @@ class TestCut:
             line, tokens = copy_path(text, config)
             assert detokenize(tokens) == line, text
             prefixes += bool(cut_of(tokens))
-            runs += any(token.ws_after.strip() for token in tokens)
-        assert (prefixes, runs) == (9675, 9480)  # lines that copy a prefix, and a run
+            runs += any(token.kind is TokenKind.PLAIN for token in tokens[1:])
+        assert (prefixes, runs) == (14795, 10060)  # lines that copy a prefix, and a run
 
     def test_lone_surrogate(self, config):
         assert verbalize("\udcff", config) == ""
@@ -841,11 +862,11 @@ class TestRawLineGate:
     def test_lowercase_letters_protected(self, config):
         lowercase = config.replace(folding=FoldingTable(frozenset("õäöüšž")))
         self.read("Õun ja kohv", lowercase, None, "Oun ja kohv")
-        self.read("Õun maksis 5 eurot", lowercase, 4, "Oun maksis viis eurot")
+        self.read("Õun maksis 5 eurot", lowercase, 11, "Oun maksis viis eurot")
 
     def test_bundled_folding(self, config):
         self.read("Näitleja François saabus Tallinna.", config, None, "Näitleja Francois saabus Tallinna.")
-        self.read("Émile ostis 5 kg.", config, 6, "Emile ostis viis kilogrammi.")
+        self.read("Émile ostis 5 kg.", config, 12, "Emile ostis viis kilogrammi.")
 
 
 @pytest.mark.parametrize("unit, count", [("½", 20000), ("b½", 10000)])

@@ -14,15 +14,18 @@ small-scope hypothesis). Six sets are run:
   ``_LINK_RE`` matches exactly the URL or e-mail token there or nothing
   (``link_failures``, what deciding links at the token rests on), the
   plain-line grammar stops where its first formulation
-  (``reference_plain_line_re``) does, and folding equals ``fold_char``
-  character by character;
+  (``reference_plain_line_re``) does, folding equals ``fold_char``
+  character by character, and each rule call of the full path reads no
+  token outside the chunks of its reading but where the copy path keeps
+  that token (``cross_chunk_failures``);
 - every string of 3 pieces under each of ``other_configs`` (5 x 27,000
   strings), which must pass ``failures`` too: no config that passes
   validation puts a digit in the output;
-- every line of 6 chunks from ``CHUNKS``, joined by one space (262,144
-  lines), one more than the fewest chunks where a copied plain run is
-  followed by a kept chunk and a stop. ``verbalize`` must equal the full
-  path, and the tokens of the copy path must give the line back;
+- every line of 6 chunks from ``CHUNKS``, joined by one space (531,441
+  lines), two more than the fewest chunks where a copied plain run is
+  followed by a kept chunk and a stop (``10 ja ja XII``). ``verbalize``
+  must equal the full path, the tokens of the copy path must give the
+  line back, and the line must pass ``cross_chunk_failures``;
 - every run of 1-5 groups of 1-5 digits (``DIGIT_GROUPS``), each
   separator one of ``RUN_SEPARATORS``, and every run of 6-9 groups of 2-4
   digits joined by one separator throughout, each followed by each of
@@ -60,8 +63,9 @@ from etnorm.folding import FoldingTable, fold_diacritics  # noqa: E402
 from etnorm.lexicon import default_config  # noqa: E402
 from etnorm.tokens import _LC, _PUNCT, _TLD_DOT, _UC, _VOWELS  # noqa: E402
 from etnorm.tokens import _D, _DOMAIN_RUN, _LINK_RE, _MASTER_RE, _THOUSANDS, _URL_PREFIX  # noqa: E402
-from etnorm.tokens import TokenKind, detokenize, tokenize  # noqa: E402
-from etnorm.verbalize import _join, _render_tokens, verbalize  # noqa: E402
+from etnorm.tokens import TokenKind, TokenList, detokenize, tokenize  # noqa: E402
+from etnorm.verbalize import _RULES, _join, _line_words, _number_range, _ratio, _render_tokens, _roman  # noqa: E402
+from etnorm.verbalize import verbalize  # noqa: E402
 
 # words: plain, capitalized, an abbreviation with two expansions, lone
 # letters of both cases, a spelled acronym and a Roman numeral; numbers of
@@ -78,8 +82,9 @@ PIECES = (
 
 # a plain word; the left cue of a Roman numeral and the numeral; a spaced
 # ratio; an abbreviation with two expansions and a keyword that flips it;
-# a word that folds, so the gate reads the line again
-CHUNKS = ("ja", "Karl", "summa", ":", "XII", "10", "km", "Zoë")
+# a word that folds, so the gate reads the line again; a symbol that is
+# dropped, before which a mark is glued to what follows
+CHUNKS = ("ja", "Karl", "summa", ":", "XII", "10", "km", "Zoë", "½")
 
 _ASCII_DIGITS = frozenset("0123456789")
 _LINK_KINDS = (TokenKind.URL, TokenKind.EMAIL)
@@ -135,19 +140,59 @@ def reference_plain_line_re(config):
 
 
 def copy_path(text, config):
-    """The line ``verbalize`` tokenizes, ``text`` folded, and the tokens it
-    keeps there: none when the line is plain to its end."""
+    """The line ``verbalize`` tokenizes, ``text`` folded, and its tokens
+    there, each run of plain text copied into one PLAIN token: one token
+    when the line is plain to its end."""
     line = fold_diacritics(text, config.folding)
     return line, tokenize(line, _plain=config.plain_line_re.match)
 
 
 def cut_of(tokens):
     """Where the copy path starts keeping tokens: None when it keeps none
-    (the line is plain), else the end of the copied text, or 0 when that
-    is only whitespace."""
+    (the line is empty, or plain and copied whole), else the start of the
+    first token after the PLAIN token that a copy from the start of the
+    line makes, or 0 when no such copy is made."""
     if not tokens:
         return None
-    return len(tokens.leading) if tokens.leading.strip() else 0
+    if tokens[0].kind is not TokenKind.PLAIN:
+        return 0
+    return tokens[1].span[0] if len(tokens) > 1 else None
+
+
+def may_read_across(rule, tokens, i) -> bool:
+    """Whether ``rule`` at ``tokens[i]`` is one of the reads across chunks
+    that the copy path keeps the tokens for: ``_roman``'s cues, also through
+    ``_number_range`` on a Roman numeral, and the spaced ``_ratio``."""
+    return (
+        rule is _roman
+        or (rule is _number_range and tokens[i].kind is TokenKind.ROMAN_CANDIDATE)
+        or (rule is _ratio and not tokens[i].joined_right)
+    )
+
+
+def cross_chunk_failures(tokens, readings, config) -> list[str]:
+    """The rule calls of the full path, at the first token of each reading,
+    whose result changes when every token outside the chunks of that
+    reading is re-kinded to PLAIN, other than ``may_read_across``. The
+    words of the whole line, which an expansion is picked with, are read
+    as they were."""
+    chunk_of, chunk = [], 0
+    for token in tokens:
+        chunk_of.append(chunk)
+        chunk += token.ws_after != ""
+    context = _line_words(tokens)
+    failed = []
+    for first, last, _ in readings:
+        own = range(chunk_of[first], chunk_of[last] + 1)
+        rekinded = TokenList(t if chunk_of[j] in own else t.replace(kind=TokenKind.PLAIN) for j, t in enumerate(tokens))
+        rekinded.abbreviation_context = context
+        for rule in _RULES.get(tokens[first].kind, ()):
+            hit = rule(tokens, first, config)
+            if hit != rule(rekinded, first, config) and not may_read_across(rule, tokens, first):
+                failed.append(f"{rule.__name__} at token {first} reads outside its chunks")
+            if hit is not None:
+                break
+    return failed
 
 
 def link_failures(text, config) -> list[str]:
@@ -289,6 +334,7 @@ def failures(text, config) -> list[str]:
         failed.append("differs from the full path")
     if not tiles(tokens, readings):
         failed.append("readings do not tile")
+    failed += cross_chunk_failures(tokens, readings, config)
     if detokenize(tokenize(text)) != text:
         failed.append("round trip")
     failed += link_failures(text, config)
@@ -313,7 +359,7 @@ def copy_failures(text, config) -> list[str]:
     line, tokens = copy_path(text, config)
     if detokenize(tokens) != line:
         failed.append("copy path round trip")
-    return failed
+    return failed + cross_chunk_failures(*full_readings(text, config), config)
 
 
 def other_configs(config):

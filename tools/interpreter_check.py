@@ -7,15 +7,15 @@ of the news, dense and longline benchmark workloads for seeds 1 to 3, as
 built by ``perfbench/workloads.py``, as ``WORKLOAD:SEED:INDEX<TAB>spoken
 form``. Then the decision ``verbalize`` makes on each raw gold line is
 printed, as ``gate<TAB>ID<TAB>decision``, and on a fixed list of boundary
-strings, as ``gate<TAB>repr<TAB>decision``: ``pass``, or ``cut N`` when
-the tokenizer copies the text before offset ``N`` and keeps tokens from
-there on (0 when only whitespace is copied), led by ``folded, `` when the
-raw line is not plain and folding changed it, so a moved cut shows in a
-diff. Then the plain runs that ``verbalize`` copies untokenized
-after the cut of each boundary string, each held in the gap after a
-token's whitespace, are printed, as ``skip<TAB>repr<TAB>runs``:
-``skip A-B`` for each run, by character offsets into the line it reads,
-or ``none``. Then the kinds of the tokens
+strings, as ``gate<TAB>repr<TAB>decision``: ``pass`` (also for a line the
+tokenizer copies whole), or ``cut N`` when it copies the text before
+offset ``N`` into a PLAIN token and keeps tokens from there on (0 when it
+copies nothing from the line's start), led by ``folded, `` when the raw
+line is not plain and folding changed it, so a moved cut shows in a
+diff. Then the plain runs that ``verbalize`` copies untokenized after
+the cut of each boundary string, each a PLAIN token, are printed, as
+``skip<TAB>repr<TAB>runs``: ``skip A-B`` for each run, by its character
+span in the line it reads, or ``none``. Then the kinds of the tokens
 of each boundary string are printed, as ``tok<TAB>repr<TAB>kinds``, its
 folding under the bundled table, as ``fold<TAB>repr<TAB>folded``, and its
 URL and e-mail tokens, as ``link<TAB>repr<TAB>links``: ``KIND 'TEXT'
@@ -97,12 +97,7 @@ def gate(text: str) -> str:
 
 def skips(text: str) -> str:
     tokens = copy_path(text, default_config())[1]
-    runs, pos = [], len(tokens.leading)
-    for token in tokens:
-        pos += len(token.text) + len(token.ws_after)
-        run = token.ws_after.lstrip()  # a gap holds its whitespace, then the run copied after it
-        if run:
-            runs.append(f"skip {pos - len(run)}-{pos}")
+    runs = [f"skip {t.span[0]}-{t.span[1]}" for t in tokens[1:] if t.kind is TokenKind.PLAIN]
     return ", ".join(runs) or "none"
 
 
