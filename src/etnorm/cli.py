@@ -125,7 +125,6 @@ def _cmd_normalize(args) -> int:
 
 def _cmd_score(args) -> int:
     import json
-    from dataclasses import asdict
     from .scoring import improvement, load_gold, load_hypotheses, score_corpus
     try:
         gold = load_gold(args.gold)
@@ -134,7 +133,7 @@ def _cmd_score(args) -> int:
     except ValueError as exc:
         raise CliError(str(exc)) from None
     if args.format == "json":
-        payload = asdict(report)
+        payload = {**vars(report), "per_sentence": [vars(s) for s in report.per_sentence]}
         if base is not None:
             payload["baseline_percent"] = base.percent
             payload["improvement"] = improvement(base, report)
@@ -244,9 +243,8 @@ def _print_likert(records, args) -> None:
 def _print_icc(matrix, args) -> None:
     """inter-rater agreement ICC(2,k)"""
     import json
-    from dataclasses import asdict
     from .stats import icc2k
-    payload = asdict(icc2k(matrix))
+    payload = vars(icc2k(matrix))
     if args.format == "json":
         print(json.dumps(payload, ensure_ascii=False, indent=2))
     else:

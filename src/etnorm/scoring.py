@@ -10,33 +10,22 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
 
-from .textfiles import check_utf8, open_text
+from .textfiles import Record, check_utf8, open_text
 
 
-@dataclass(frozen=True)
-class AbbrevSpan:
-    surface: str
-    expected_mode: str  # "word" | "spellout"
-    acceptable: tuple[str, ...] = ()
-
-    def __post_init__(self):
+class AbbrevSpan(Record, frozen=True):
+    def __init__(self, surface: str, expected_mode: str, acceptable: tuple[str, ...] = ()):
+        self._fill(locals())
         if self.expected_mode not in ("word", "spellout"):
             raise ValueError(f"expected_mode must be word|spellout, got {self.expected_mode!r}")
         if not all(isinstance(reading, str) for reading in self.acceptable):
             raise ValueError(f"span {self.surface!r}: acceptable readings must be strings")
 
 
-@dataclass(frozen=True)
-class GoldRecord:
-    id: str
-    raw: str
-    gold: str
-    abbrev_spans: tuple[AbbrevSpan, ...] = ()
-    category: str = ""
-
-    def __post_init__(self):
+class GoldRecord(Record, frozen=True):
+    def __init__(self, id: str, raw: str, gold: str, abbrev_spans: tuple[AbbrevSpan, ...] = (), category: str = ""):
+        self._fill(locals())
         if not self.gold:
             raise ValueError(f"record {self.id!r}: empty gold text")
         for span in self.abbrev_spans:
@@ -46,21 +35,17 @@ class GoldRecord:
                 )
 
 
-@dataclass(frozen=True)
-class SentenceScore:
-    id: str
-    matched: bool
-    diff: str = ""
+class SentenceScore(Record, frozen=True):
+    def __init__(self, id: str, matched: bool, diff: str = ""):
+        self._fill(locals())
 
 
-@dataclass(frozen=True)
-class ScoreReport:
-    total: int
-    matched: int
-    percent: int
-    minus_points: int
-    plus_points: int
-    per_sentence: tuple[SentenceScore, ...] = field(default_factory=tuple)
+class ScoreReport(Record, frozen=True):
+    def __init__(
+        self, total: int, matched: int, percent: int, minus_points: int, plus_points: int,
+        per_sentence: tuple[SentenceScore, ...] = (),
+    ):
+        self._fill(locals())
 
     def summary(self) -> str:
         return f"{self.matched} lauset ehk {self.percent}%"

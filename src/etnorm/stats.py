@@ -5,8 +5,9 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from enum import Enum
+
+from .textfiles import Record
 
 VOICE_TYPES = ("Kõnekorpus", "DeepVoice3", "DeepVoice3-vana", "HTS", "Google")
 DOMAINS = ("uudised", "ilukirjandus")
@@ -29,16 +30,9 @@ class ErrorCategory(Enum):
     SYMBOL_NUMBER_ERRORS = "symbol_number_errors"
 
 
-@dataclass(frozen=True)
-class RatingRecord:
-    rater: str
-    sentence: str
-    voice: str
-    voice_type: str
-    domain: str
-    score: float
-
-    def __post_init__(self):
+class RatingRecord(Record, frozen=True):
+    def __init__(self, rater: str, sentence: str, voice: str, voice_type: str, domain: str, score: float):
+        self._fill(locals())
         if self.score not in _VALID_SCORES:
             raise ValueError(f"score must be in 1..5 at 0.5 steps, got {self.score}")
         if self.voice_type not in VOICE_TYPES:
@@ -47,58 +41,36 @@ class RatingRecord:
             raise ValueError(f"unknown domain {self.domain!r}")
 
 
-@dataclass(frozen=True)
-class AnnotationRecord:
-    annotator: str
-    sentence: str
-    voice: str
-    flags: frozenset[ErrorCategory] = frozenset()
-
-    def __post_init__(self):
+class AnnotationRecord(Record, frozen=True):
+    def __init__(self, annotator: str, sentence: str, voice: str, flags: frozenset[ErrorCategory] = frozenset()):
+        self._fill(locals())
         for flag in self.flags:
             if not isinstance(flag, ErrorCategory):
                 raise ValueError(f"unknown error category {flag!r}")
 
 
-@dataclass(frozen=True)
-class LikertRecord:
-    rater: str
-    voice: str
-    text_kind: str
-    score: int
-
-    def __post_init__(self):
+class LikertRecord(Record, frozen=True):
+    def __init__(self, rater: str, voice: str, text_kind: str, score: int):
+        self._fill(locals())
         if not isinstance(self.score, int) or not 1 <= self.score <= 7:
             raise ValueError(f"Likert score must be an integer in 1..7, got {self.score}")
         if self.text_kind not in TEXT_KINDS:
             raise ValueError(f"unknown text kind {self.text_kind!r}")
 
 
-@dataclass(frozen=True)
-class MosResult:
-    voice: str
-    n: int
-    mos: float
-    ci_half_width: float
-    domain: str | None = None
+class MosResult(Record, frozen=True):
+    def __init__(self, voice: str, n: int, mos: float, ci_half_width: float, domain: str | None = None):
+        self._fill(locals())
 
 
-@dataclass(frozen=True)
-class LikertSummary:
-    voice: str
-    text_kind: str
-    n: int
-    mean: float
-    sd: float
+class LikertSummary(Record, frozen=True):
+    def __init__(self, voice: str, text_kind: str, n: int, mean: float, sd: float):
+        self._fill(locals())
 
 
-@dataclass(frozen=True)
-class IccResult:
-    icc: float
-    f_value: float
-    df1: int
-    df2: int
-    p_value: float
+class IccResult(Record, frozen=True):
+    def __init__(self, icc: float, f_value: float, df1: int, df2: int, p_value: float):
+        self._fill(locals())
 
 
 def mos(records, by=("voice",), ci_multiplier: float = 1.96) -> list[MosResult]:

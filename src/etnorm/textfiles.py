@@ -1,5 +1,5 @@
 """Reading the text files etnorm reads: opening, decoding, line numbers
-and the form of every fault; and ``Record``, the base of etnorm's records.
+and the form of every fault; and ``Record``, the base of every etnorm record.
 
 ``open_text`` opens every file as UTF-8 and reads a byte that is not UTF-8
 as a lone surrogate, so ``check_utf8`` can name the line that holds it
@@ -19,12 +19,13 @@ class ConfigError(ValueError):
 
 
 class Record:
-    """Base of etnorm's records, whose fields are the parameters of their
+    """The base of every etnorm record, whose fields are the parameters of its
     ``__init__``: ``==`` compares the type and the fields, and the repr shows
     them. ``replace(**changes)`` builds a new record through ``__init__``, so
     its checks run again and nothing derived is carried over. A ``frozen=True``
     record refuses assignment, hashes by its fields and stores them with
-    ``_fill(locals())``. (Importing ``dataclasses`` would slow each cold start.)"""
+    ``_fill(locals())``, in field order. (It needs no module: each one
+    imported slows a cold start.)"""
 
     __slots__ = ()
 

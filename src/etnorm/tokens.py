@@ -293,13 +293,10 @@ def _copy_end(text: str, stop: int, low: int) -> int:
 
 
 def _roman_reads_next(tokens: TokenList) -> bool:
-    """Whether ``_roman`` reads the chunk after ``tokens``: they end in a
-    Roman candidate (its right cue) or in a dot joined to one (its dot cue)."""
-    if not tokens:
-        return False
-    if tokens[-1].kind is _ROMAN:
-        return True
-    return tokens[-1].text == "." and len(tokens) > 1 and tokens[-2].kind is _ROMAN and not tokens[-2].ws_after
+    """Whether ``_roman`` reads the token after ``tokens`` as a word: they
+    end in a Roman candidate (its right cue). Its dot cue reads only a first
+    letter, which a copy keeps (see ``verbalize._roman``)."""
+    return bool(tokens) and tokens[-1].kind is _ROMAN
 
 
 def _plain_token(text: str, pos: int, copy_end: int) -> Token:
@@ -325,7 +322,8 @@ def tokenize(text: str, _plain=None) -> TokenList:
     a word, the read copies only when it stops past the word's whitespace,
     and it is skipped where the character there is an ASCII digit or "+",
     or the line ends, since the grammar stops there; nor is it made right
-    after a chunk that ``_roman`` reads from (``_roman_reads_next``).
+    after a Roman numeral, whose right cue reads the next token
+    (``_roman_reads_next``).
 
     The other tokens are those of the whole text, spans included: copied
     text is whole chunks of words and marks, and only a digit-led token

@@ -42,12 +42,14 @@ that no rule rewrites, and the tokens kept are those of the whole line.
 A rule reads its own token and the tokens joined to it (a letter
 compound, a range, a case ending, the token joined before
 ``_mark_at_number``'s mark), and only two rules read a token in another
-chunk; the tokenizer keeps each such token. ``_roman`` reads the word
-before a numeral (its left cue), so the chunk before a stop chunk led by
-a Roman letter is kept, and the token after the numeral or after the dot
-joined to it (its right and dot cues), so no copy starts right after
-such a chunk. The spaced ``_ratio`` reads a colon and a number in the
-chunks after its own; neither is a word, so no copy starts there.
+chunk; the tokenizer keeps each such token that a copy would change.
+``_roman`` reads the word before a numeral (its left cue), so the chunk
+before a stop chunk led by a Roman letter is kept, and the token after
+the numeral (its right cue), so no copy starts right after a numeral.
+Its dot cue reads only the first letter of the token after a dot joined
+to the numeral, which a PLAIN token there shares with the word it starts
+at. The spaced ``_ratio`` reads a colon and a number in the chunks after
+its own; neither is a word, so no copy starts there.
 ``_join`` glues a mark to what follows a symbol dropped after it, so the
 chunk before a stop chunk led by a character that is neither a letter
 nor an ASCII digit is kept too. The pick of an expansion, which reads
@@ -361,8 +363,10 @@ def _roman(tokens, i, config, last=None):
     ``last`` are a range, which the cues around the whole span license or
     refuse as one. The cues read the chunks beside the numeral's, which the
     tokenizer keeps: ``tokens._copy_end`` keeps the chunk before a stop
-    chunk led by a Roman letter, and no copy starts right after a chunk
-    that ends in a numeral or a dot joined to one (``_roman_reads_next``)."""
+    chunk led by a Roman letter, and no copy starts right after a numeral
+    (``_roman_reads_next``). The dot cue needs no rule: it reads the first
+    letter of the token after the dot, and a PLAIN token there starts with
+    the word it replaces, as a copy starts at a word that starts a chunk."""
     last = i if last is None else last
     left = tokens[i - 1] if i > 0 else None
     right = tokens[last + 1] if last + 1 < len(tokens) else None

@@ -247,7 +247,16 @@ class TestColdStart:
         assert proc.stdout.decode("utf-8") == "Tere, viis kilomeetrit!\n"
         assert proc.stderr.decode().strip() == "[]"
 
-    def test_normalize_loads_no_dataclasses_or_inspect(self):
+    @pytest.mark.parametrize(
+        "argv, first_line",
+        [
+            (["normalize"], "Tere, viis kilomeetrit!"),
+            (["score", str(DATA_DIR / "score_gold.jsonl"), str(DATA_DIR / "score_hyp.tsv")], "3 lauset ehk 50%"),
+            (["stats", "icc", str(DATA_DIR / "stats_matrix.tsv"), "--format", "json"], "{"),
+        ],
+        ids=["normalize", "score", "stats icc"],
+    )
+    def test_command_loads_no_dataclasses_or_inspect(self, argv, first_line):
         # the two cost a cold start more than etnorm's own modules; site may
         # load modules first, so only those loaded after it count
         code = (
@@ -255,12 +264,12 @@ class TestColdStart:
             "before = set(sys.modules)\n"
             "import etnorm\n"
             "from etnorm.cli import main\n"
-            "assert main(['normalize']) == 0\n"
+            f"assert main({argv!r}) == 0\n"
             "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)), file=sys.stderr)\n"
         )
         proc = run_fresh(code, stdin="Tere, 5 km!\n".encode("utf-8"))
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.decode("utf-8") == "Tere, viis kilomeetrit!\n"
+        assert proc.stdout.decode("utf-8").splitlines()[0] == first_line
         assert proc.stderr.decode().strip() == "[]"
 
     def test_config_keys_are_load_config_parameters(self):
@@ -351,21 +360,28 @@ class TestScore:
         assert lines[2] == "plusspunkte: 1"
 
     def test_json_report(self, capsys):
+        # the report's fields in their order, each sentence's too, then the
+        # baseline's; data/cli_expected.txt pins the bytes
         code, out, _ = run(
             capsys,
             [
                 "score",
                 str(DATA_DIR / "score_gold.jsonl"),
                 str(DATA_DIR / "score_hyp.tsv"),
+                "--baseline",
+                str(DATA_DIR / "score_baseline.tsv"),
                 "--format",
                 "json",
             ],
         )
         assert code == 0
         payload = json.loads(out)
-        assert payload["percent"] == 50
-        assert payload["minus_points"] == 1
-        assert len(payload["per_sentence"]) == 6
+        assert list(payload) == [
+            "total", "matched", "percent", "minus_points", "plus_points", "per_sentence", "baseline_percent",
+            "improvement",
+        ]
+        assert [list(sentence) for sentence in payload["per_sentence"]] == [["id", "matched", "diff"]] * 6
+        assert (payload["percent"], payload["minus_points"], payload["improvement"]) == (50, 1, 33)
 
     def test_improvement_with_baseline(self, capsys):
         code, out, _ = run(

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from etnorm import FoldingTable, Token, TokenKind, numwords, textfiles, verbalize
+from etnorm import FoldingTable, Token, TokenKind, numwords, scoring, stats, textfiles, verbalize
 from etnorm.lexicon import (
     AbbreviationEntry,
     ConfigError,
@@ -198,12 +198,30 @@ def _records():
         "AbbreviationEntry": entry,
         "Expansion": entry.expansions[0],
         "Token": Token("km", TokenKind.WORD, (0, 2), " "),
+        **_instrument_records(),
+    }
+
+
+def _instrument_records():
+    span = scoring.AbbrevSpan("km", "word", ("kilomeetrit",))
+    sentence = scoring.SentenceScore("a", False, "expected 'viis kilomeetrit', got 'viis km'")
+    return {
+        "AbbrevSpan": span,
+        "GoldRecord": scoring.GoldRecord("a", "Ta sõitis 5 km.", "Ta sõitis viis kilomeetrit.", (span,), "uudis"),
+        "SentenceScore": sentence,
+        "ScoreReport": scoring.ScoreReport(1, 0, 0, 1, 0, (sentence,)),
+        "RatingRecord": stats.RatingRecord("r1", "s1", "Mari", "HTS", "uudised", 4.5),
+        "AnnotationRecord": stats.AnnotationRecord("a1", "s1", "Mari", frozenset({stats.ErrorCategory.VOLUME_PROBLEMS})),
+        "LikertRecord": stats.LikertRecord("r1", "Mari", "uudis", 6),
+        "MosResult": stats.MosResult("Mari", 2, 4.25, 0.49, "uudised"),
+        "LikertSummary": stats.LikertSummary("Mari", "uudis", 2, 5.0, 1.41),
+        "IccResult": stats.IccResult(0.8, 5.0, 3, 6, 0.03),
     }
 
 
 class TestRecords:
-    """The records build a changed copy with ``replace`` through their
-    ``__init__``, as ``dataclasses.replace`` did."""
+    """Every etnorm record builds a changed copy with ``replace`` through
+    its ``__init__``, as ``dataclasses.replace`` did."""
 
     @pytest.mark.parametrize("name", _records())
     def test_replace_with_no_change_is_equal(self, name):
@@ -228,6 +246,7 @@ class TestRecords:
 
     def test_hash_is_over_the_fields(self):
         assert hash(FoldingTable(frozenset("õ"))) == hash(FoldingTable(frozenset("õ")))
+        assert hash(_records()["ScoreReport"]) == hash(_records()["ScoreReport"])
         with pytest.raises(TypeError):  # its tables are dicts
             hash(default_config())
         with pytest.raises(TypeError):  # mutable
@@ -244,6 +263,8 @@ class TestRecords:
             config.replace(title_min_length=3)
         with pytest.raises(ConfigError, match="weight must be > 0"):
             config.abbreviations["km"].replace(expansions=(Expansion("x", (), 0.0),))
+        with pytest.raises(ValueError, match="empty gold text"):
+            _records()["GoldRecord"].replace(gold="")
 
     def test_replace_derives_again(self, config):
         # the parent's gate pattern is built; the new config must build its own
