@@ -787,6 +787,7 @@ class TestCut:
         [
             ("Karl XII oli see nii 5", "Karl"),  # _roman's left cue
             ("Kuningas oli Karl XII oli see nii 5", "Karl"),  # the same, before a stop chunk led by a Roman letter
+            ("XII. sajandil oli see nii 5", "sajandil"),  # its dot cue, which needs no keep rule (below)
             ("XX Tere oli see nii 5", "Tere"),  # its right cue: no copy right after "XX"
             ("10 : 20 on see ja nii 5", ":"),  # the spaced ratio's colon: no copy starts at a mark
             (", ½12 ja nii 5", ","),  # a mark before a dropped symbol, which glues it to "kaksteist"
@@ -798,6 +799,11 @@ class TestCut:
         line, tokens = copy_path(text, config)
         start = line.index(kept)
         chunk = [token for token in tokens if start <= token.span[0] < start + len(kept)]
+        if kept == "sajandil":
+            # the dot cue reads only the first letter of the word after "XII.",
+            # which a copy that starts at that word keeps
+            assert chunk and chunk[0].kind is TokenKind.PLAIN and chunk[0].text.startswith(kept)
+            return
         assert chunk and chunk == [token for token in tokenize(line) if start <= token.span[0] < start + len(kept)]
         assert TokenKind.PLAIN not in {token.kind for token in chunk}
 
