@@ -14,7 +14,7 @@ from itertools import chain
 
 from .folding import FoldingTable
 from .numwords import NumberLexicon, default_lexicon, load_lexicon
-from .textfiles import ConfigError, Record, read_data
+from .textfiles import ConfigError, Record, read_data, read_keyed
 from .tokens import _LC, _SENTENCE_PUNCT, _TLD, _UC, _VOWELS, _plain_words
 
 _DIGIT_RE = re.compile("[0-9]")  # ASCII digits only: the output may hold other scripts' digits
@@ -110,10 +110,9 @@ class RuleConfig(Record, frozen=True):
         return re.compile(f"(?:{'|'.join(pieces)})*+")
 
 
-def _load_pairs(bundled: str, path, shape: str):
-    """The lines of a two-column data file, each ``shape``: a key of one
-    character, a tab and its value. Every lookup in these tables is by one
-    character, so a longer key could never be found."""
+def _load_pairs(bundled: str, path, shape: str, key=str) -> dict[str, str]:
+    """The values of a file of ``shape`` lines, by ``key`` of each line's key:
+    one character, as every lookup is by one, then a tab and the value."""
 
     def pair(line: str) -> tuple[str, str]:
         parts = line.strip().split("\t")
@@ -123,13 +122,12 @@ def _load_pairs(bundled: str, path, shape: str):
             raise ValueError(f"expected one character before the tab, got {parts[0]!r}")
         return parts[0], parts[1]
 
-    return read_data(path, pair, bundled)
+    return read_keyed(path, pair, bundled, key)
 
 
 def load_letter_names(path=None) -> dict[str, str]:
     """Letter-name table keyed by uppercase letter; lowercase shares the name."""
-    pairs = _load_pairs("letter_names.txt", path, "LETTER<TAB>name")
-    return {letter.upper(): name for letter, name in pairs}
+    return _load_pairs("letter_names.txt", path, "LETTER<TAB>name", str.upper)
 
 
 def _abbreviation_line(line: str) -> tuple[str, tuple[Expansion, ...], list[str]]:
@@ -174,7 +172,7 @@ def load_abbreviations(path=None) -> dict[str, AbbreviationEntry]:
 
 
 def load_symbols(path=None) -> dict[str, str]:
-    return dict(_load_pairs("symbols.txt", path, "SYMBOL<TAB>spoken form"))
+    return _load_pairs("symbols.txt", path, "SYMBOL<TAB>spoken form")
 
 
 def load_roman_context(path=None) -> tuple[str, ...]:

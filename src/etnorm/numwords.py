@@ -19,7 +19,7 @@ from collections.abc import Mapping
 from functools import cached_property, lru_cache
 from types import MappingProxyType
 
-from .textfiles import ConfigError, Record, read_data
+from .textfiles import ConfigError, Record, read_keyed
 
 NOMINATIVE = "nominative"
 GENITIVE = "genitive"
@@ -95,7 +95,7 @@ def _key_value(line: str) -> tuple[str, str]:
 
 def load_lexicon(path=None) -> NumberLexicon:
     """Load a number lexicon from a key=value file (bundled one by default)."""
-    words = dict(read_data(path, _key_value, "number_lexicon.txt"))  # an unknown key is refused at its line
+    words = read_keyed(path, _key_value, "number_lexicon.txt")  # an unknown or repeated key is refused at its line
     try:
         return NumberLexicon(MappingProxyType(words))
     except ConfigError as error:

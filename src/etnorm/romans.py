@@ -9,19 +9,14 @@ from __future__ import annotations
 
 import re
 
-_SHAPE_RE = re.compile(r"[IVXLCDM]+")
 _STRICT_RE = re.compile(r"M{0,3}(CM|CD|D?C{0,3})(XC|XL|L?X{0,3})(IX|IV|V?I{0,3})")
 _VALUES = {"I": 1, "V": 5, "X": 10, "L": 50, "C": 100, "D": 500, "M": 1000}
-
-
-def is_roman_shaped(token: str) -> bool:
-    """True when the token consists solely of the letters IVXLCDM."""
-    return _SHAPE_RE.fullmatch(token) is not None
+LETTERS = "".join(_VALUES)
 
 
 def roman_value(token: str) -> int | None:
     """Integer value of a strictly well-formed Roman numeral, else None."""
-    if not token or not _STRICT_RE.fullmatch(token):
+    if not token or token.strip(LETTERS) or not _STRICT_RE.fullmatch(token):  # a cheap test for other letters first
         return None
     total = 0
     for i, ch in enumerate(token):

@@ -100,3 +100,17 @@ def read_data(path, parse, bundled: str = ""):
             except ValueError as exc:
                 raise ConfigError(f"{name}:{lineno}: {exc}") from None
             yield record
+
+
+def read_keyed(path, parse, bundled: str, key=str) -> dict:
+    """``read_data`` of a file whose ``parse`` reads each line as ``(name, value)``:
+    the values by ``key(name)``. A key that repeats is refused at its line."""
+    seen = set()
+
+    def entry(line: str) -> tuple:
+        name, value = parse(line)
+        if key(name) in seen:
+            raise ValueError(f"repeated key {name!r}")
+        seen.add(key(name))
+        return key(name), value
+    return dict(read_data(path, entry, bundled))

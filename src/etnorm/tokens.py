@@ -5,13 +5,13 @@ Each token is one match, read one way: the named group that matched gives
 its kind and end, the match's end that of the whitespace after it.
 ``_LINK_RE`` reads URLs and e-mail addresses, ``_MASTER_RE`` every other
 shape (phone numbers, dates, times, decimals, grouped digits, ordinal
-dots, plain numbers, plain words, acronyms with a case ending, word runs,
-sentence punctuation, symbols), one group each, in priority order; no
-shape has a Python check after its pattern. A word run, the one group that
-names no kind, is classified afterwards (case-suffixed acronym, Roman
-candidate, uppercase sequence, mixed case, lowercase consonant cluster, or
-a word such as ``Łukasz`` or ``a``), and one led by a letter outside the
-alphabet is matched as a symbol and extended in Python.
+dots, plain numbers, plain words, capitals with a hyphenated case ending,
+word runs, sentence punctuation, symbols), one group each, in priority
+order; no shape has a Python check after its pattern. A word run, the one
+group that names no kind, is classified afterwards (capitals, numeral or
+not, with or without a case ending; mixed case, lowercase consonants, or a
+word such as ``Łukasz``); one led by a letter outside the alphabet is
+matched as a symbol and extended in Python.
 
 A link is decided at the token, as the loop reaches it. Every URL and
 address starts with an address character and holds an anchor (``://``,
@@ -48,7 +48,7 @@ import re
 from enum import Enum
 
 from .folding import ALPHABET
-from .romans import is_roman_shaped
+from .romans import LETTERS as _ROMAN_LETTERS, roman_value
 from .textfiles import Record
 
 
@@ -60,14 +60,12 @@ class TokenKind(Enum):
     CARDINAL_NUMBER = "cardinal_number"
     DECIMAL_NUMBER = "decimal_number"
     DIGIT_GROUP_SEQ = "digit_group_seq"
-    ROMAN_CANDIDATE = "roman_candidate"
     DATE_LIKE = "date_like"
     TIME_LIKE = "time_like"
     URL = "url"
     EMAIL = "email"
     PHONE = "phone"
     ORDINAL_DOT = "ordinal_dot"
-    CASE_SUFFIXED_ACRONYM = "case_suffixed_acronym"
     SYMBOL = "symbol"
     PUNCT = "punct"
     # a run of plain text copied as it is, only under ``tokenize``'s private
@@ -212,7 +210,8 @@ _SHAPES = (
     ("ordinal_dot", rf"{_D}{{1,6}}\.(?=[–-]|\s+[{_LC}])", True),
     ("cardinal_number", rf"{_D}{{1,6}}(?!{_D})", True),
     ("word", "|".join(_plain_words(_UC + _LC, _LC)), False),
-    ("case_suffixed_acronym", rf"[{_UC}]{{2,}}-(?:{_SUFFIX})(?![^\W\d_])", False),
+    # a run of capitals and a case ending after a hyphen: "EAS-i", "XIV-le"
+    ("uppercase_seq", rf"[{_UC}]{{2,}}-(?:{_SUFFIX})(?![^\W\d_])", False),
     # A word run is letters plus ASCII digits, led by a letter. One made of
     # the alphabet's letters matches here whole. Before a rarer letter, or
     # a non-decimal numeric such as "²" or "Ⅻ" that ends the run, it
@@ -232,7 +231,7 @@ _OTHER_SHAPES = "|".join(f"(?P<{name}>{body})" for name, body, led in _SHAPES if
 # character skips them all in one test.
 _MASTER_RE = re.compile(rf"(?:(?=[+0-9])(?<!{_D})(?:{_DIGIT_LED})|{_OTHER_SHAPES})\s*")
 _KIND_OF_GROUP = {kind.value: kind for kind in TokenKind}
-_WORD, _ROMAN, _PLAIN = TokenKind.WORD, TokenKind.ROMAN_CANDIDATE, TokenKind.PLAIN
+_WORD, _UPPERCASE, _PLAIN = TokenKind.WORD, TokenKind.UPPERCASE_SEQ, TokenKind.PLAIN
 _NO_PLAIN_AFTER = "0123456789+"  # a plain run stops at these, and at the end of the line ("" is in any string)
 
 # an acronym and its case ending, with or without a hyphen: "EAS-i", "MTÜle"
@@ -241,18 +240,13 @@ _HAS_LOWER_UPPER_RE = re.compile(rf"[{_LC}][{_UC}]")
 
 
 def _classify_word_run(surface: str) -> TokenKind:
-    if not surface[0].islower():  # both shapes below start with a capital
-        if _ATTACHED_SUFFIX_RE.fullmatch(surface):
-            return TokenKind.CASE_SUFFIXED_ACRONYM
-        if is_roman_shaped(surface):
-            return TokenKind.ROMAN_CANDIDATE
     if surface.isalpha():
-        if surface.isupper():
-            return TokenKind.UPPERCASE_SEQ
         if surface.islower():
             if len(surface) >= 2 and _VOWELS.isdisjoint(surface):
                 return TokenKind.LOWERCASE_CONSONANTS
             return TokenKind.WORD
+        if surface.isupper() or _ATTACHED_SUFFIX_RE.fullmatch(surface):  # no lowercase run pays the regex
+            return _UPPERCASE
         if _HAS_LOWER_UPPER_RE.search(surface):
             return TokenKind.MIXED_CASE
         if surface[0].isupper() and surface[1:].islower():
@@ -287,16 +281,16 @@ def _copy_end(text: str, stop: int, low: int) -> int:
     back = text[low:stop][::-1]
     start = stop - _NON_WS_RE.match(back).end()
     first = text[start]
-    if first in "IVXLCDM" or not (first.isalpha() or first in "0123456789"):
+    if first in _ROMAN_LETTERS or not (first.isalpha() or first in "0123456789"):
         start = stop - _CHUNK_BACK_RE.match(back).end()
     return start
 
 
 def _roman_reads_next(tokens: TokenList) -> bool:
-    """Whether ``_roman`` reads the token after ``tokens`` as a word: they
-    end in a Roman candidate (its right cue). Its dot cue reads only a first
+    """Whether ``_roman`` reads the token after ``tokens`` as a word: they end
+    in a Roman numeral (its right cue). Its dot cue reads only a first
     letter, which a copy keeps (see ``verbalize._roman``)."""
-    return bool(tokens) and tokens[-1].kind is _ROMAN
+    return bool(tokens) and tokens[-1].kind is _UPPERCASE and roman_value(tokens[-1].text) is not None
 
 
 def _plain_token(text: str, pos: int, copy_end: int) -> Token:

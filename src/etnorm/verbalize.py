@@ -83,16 +83,7 @@ _URL_SCHEME_RE = re.compile("^" + _URL_SCHEME)
 _URL_PIECE_RE = re.compile(r"[^\W_]+|.")  # a label or one character
 _LOWER_RUN_RE = re.compile(f"[{_LC}]+")  # a word of lowercased plain text
 
-_WORDISH_KINDS = frozenset(
-    {
-        TokenKind.WORD,
-        TokenKind.UPPERCASE_SEQ,
-        TokenKind.MIXED_CASE,
-        TokenKind.LOWERCASE_CONSONANTS,
-        TokenKind.CASE_SUFFIXED_ACRONYM,
-        TokenKind.ROMAN_CANDIDATE,
-    }
-)
+_WORDISH_KINDS = frozenset({TokenKind.WORD, TokenKind.UPPERCASE_SEQ, TokenKind.MIXED_CASE, TokenKind.LOWERCASE_CONSONANTS})
 # tokens read out as numbers, between which a joined dot or comma is spoken
 _NUMBER_KINDS = frozenset(
     {TokenKind.CARDINAL_NUMBER, TokenKind.DECIMAL_NUMBER, TokenKind.DIGIT_GROUP_SEQ,
@@ -212,7 +203,10 @@ def _safe_spell(token: str, config: RuleConfig, suffix: str | None = None) -> st
         return token + (suffix or "")
 
 
-def _render_uppercase(surface: str, config: RuleConfig, line: TokenList, suffix: str | None = None) -> str:
+def _render_uppercase(surface: str, config: RuleConfig, line: TokenList) -> str:
+    suffix = None
+    if not surface.isupper():  # a case ending attached to the run: "MTÜle", "EAS-i"
+        surface, suffix = _ATTACHED_SUFFIX_RE.fullmatch(surface).groups()
     entry = config.abbreviations.get(surface)
     spoken = None if entry is None else _read_entry(surface, entry, config, line, suffix)
     if spoken is not None:
@@ -262,14 +256,14 @@ def _letter_compound(tokens, i, config):
 def _number_range(tokens, i, config):
     """A hyphen or en dash joined to two numbers of ``_RANGE_KINDS`` reads
     "a kuni b": "5-7", "5.–7.", "10:30-11:00". Each number is read by the
-    last rule of its kind, two Roman numerals ("XIX-XX sajand") by ``_roman``
-    as one span; a Roman and an Arabic numeral are no range."""
+    last rule of its kind, two runs of capitals by ``_roman`` as one span of
+    numerals ("XIX-XX sajand"); a run of capitals and a number are no range."""
     if not tokens[i].joined_right or i + 2 >= len(tokens):
         return None
     a, dash, b = tokens[i], tokens[i + 1], tokens[i + 2]
     if dash.text not in ("-", "–") or not dash.joined_right or not {a.kind, b.kind} <= _RANGE_KINDS:
         return None
-    if TokenKind.ROMAN_CANDIDATE in (a.kind, b.kind):
+    if TokenKind.UPPERCASE_SEQ in (a.kind, b.kind):
         return _roman(tokens, i, config, i + 2) if a.kind is b.kind else None
     left = _RULES[a.kind][-1](tokens, i, config)[1]
     return i + 2, f"{left} kuni {_RULES[b.kind][-1](tokens, i + 2, config)[1]}"
@@ -355,19 +349,25 @@ def _mark_at_number(tokens, i, config):
 
 
 def _roman(tokens, i, config, last=None):
-    """A Roman numeral reads as an ordinal when it is well formed, at most
-    ``MAX_ORDINAL``, no dictionary surface and has a context cue: a joined dot
-    before a lowercase word, which is its ordinal mark and is read with it;
-    an era or part keyword, or a capitalized word, to the right; or a
+    """Capitals read as an ordinal when they are a well-formed Roman numeral, at
+    most ``MAX_ORDINAL`` and no dictionary surface, and have a context cue: a
+    joined dot before a lowercase word, which is its ordinal mark and is read
+    with it; an era or part keyword, or a capitalized word, to the right; or a
     capitalized word to the left. With ``last``, the numerals at ``i`` and
-    ``last`` are a range, which the cues around the whole span license or
-    refuse as one. The cues read the chunks beside the numeral's, which the
-    tokenizer keeps: ``tokens._copy_end`` keeps the chunk before a stop
-    chunk led by a Roman letter, and no copy starts right after a numeral
+    ``last`` are a range, which the cues around the whole span license or refuse
+    as one. The cues read the chunks beside the numeral's, which the tokenizer
+    keeps: ``tokens._copy_end`` keeps the chunk before a stop chunk led by a
+    Roman letter, and no copy starts right after a numeral
     (``_roman_reads_next``). The dot cue needs no rule: it reads the first
-    letter of the token after the dot, and a PLAIN token there starts with
-    the word it replaces, as a copy starts at a word that starts a chunk."""
-    last = i if last is None else last
+    letter of the token after the dot, and a PLAIN token there starts with the
+    word it replaces, as a copy starts at a word that starts a chunk."""
+    values = [roman_value(tokens[i].text)]
+    if last is None:
+        last = i
+    else:
+        values.append(roman_value(tokens[last].text))
+    if None in values:  # no numeral: turned away before any cue is read
+        return None
     left = tokens[i - 1] if i > 0 else None
     right = tokens[last + 1] if last + 1 < len(tokens) else None
     dot_cue = (
@@ -389,24 +389,13 @@ def _roman(tokens, i, config, last=None):
         )
         or (left is not None and left.kind is TokenKind.WORD and left.text[:1].isupper())
     )
-    if not cue:
+    if not cue or max(values) > numwords.MAX_ORDINAL or any(tokens[j].text in config.abbreviations for j in (i, last)):
         return None
-    spoken = []
-    for j in sorted({i, last}):
-        value = roman_value(tokens[j].text)
-        if value is None or value > numwords.MAX_ORDINAL or tokens[j].text in config.abbreviations:
-            return None
-        spoken.append(ordinal(value, NOMINATIVE, config.numbers))
-    return (last + 1 if dot_cue else last), " kuni ".join(spoken)
+    return (last + 1 if dot_cue else last), " kuni ".join(ordinal(v, NOMINATIVE, config.numbers) for v in values)
 
 
 def _uppercase(tokens, i, config):
     return i, _render_uppercase(tokens[i].text, config, tokens)
-
-
-def _suffixed_acronym(tokens, i, config):
-    acronym, suffix = _ATTACHED_SUFFIX_RE.fullmatch(tokens[i].text).groups()
-    return i, _render_uppercase(acronym, config, tokens, suffix)
 
 
 def _abbreviation(tokens, i, config):
@@ -511,13 +500,11 @@ def _symbol(tokens, i, config):
 # that applies is used. A token no rule applies to passes through.
 _RULES = {
     TokenKind.WORD: (_letter_compound, _abbreviation, _lone_letter),
-    TokenKind.UPPERCASE_SEQ: (_letter_compound, _uppercase),
-    TokenKind.ROMAN_CANDIDATE: (_number_range, _letter_compound, _roman, _uppercase),
+    TokenKind.UPPERCASE_SEQ: (_number_range, _letter_compound, _roman, _uppercase),
     TokenKind.CARDINAL_NUMBER: (_number_range, _ratio, _case_ending, _cardinal),
     TokenKind.ORDINAL_DOT: (_number_range, _ordinal),
     TokenKind.PUNCT: (_mark_at_number,),
     TokenKind.LOWERCASE_CONSONANTS: (_abbreviation, _spelled),
-    TokenKind.CASE_SUFFIXED_ACRONYM: (_suffixed_acronym,),
     TokenKind.MIXED_CASE: (_mixed_case,),
     TokenKind.DECIMAL_NUMBER: (_number_range, _decimal),
     TokenKind.DIGIT_GROUP_SEQ: (_number_range, _grouped),
@@ -528,7 +515,7 @@ _RULES = {
     TokenKind.EMAIL: (_link,),
     TokenKind.SYMBOL: (_symbol,),
 }
-# the kinds a range joins; of each but the Roman kind, the last rule never declines
+# the kinds a range joins; of each but a run of capitals, the last rule never declines
 _RANGE_KINDS = frozenset(kind for kind, rules in _RULES.items() if _number_range in rules)
 
 

@@ -104,6 +104,14 @@ class TestNormalize:
         assert code == 1
         assert "letters.txt:1" in err
 
+    def test_repeated_data_key_reports_its_line(self, capsys, tmp_path, monkeypatch):
+        letters = tmp_path / "letters.txt"
+        letters.write_text("A\taa\nA\tEKS\n", encoding="utf-8")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"letter_names": str(letters)}), encoding="utf-8")
+        code, out, err = run(capsys, ["normalize", "--config", str(config)], stdin="tere\n", monkeypatch=monkeypatch)
+        assert (code, out, err) == (1, "", f"etnorm: {config}: {letters}:2: repeated key 'A'\n")
+
     @pytest.mark.parametrize(
         "payload, message",
         [

@@ -1,4 +1,5 @@
 import copy
+import re
 import sys
 from pathlib import Path
 
@@ -186,6 +187,20 @@ class TestFileParsing:
         path.write_text(line, encoding="utf-8")
         with pytest.raises(ConfigError, match="pairs.txt:2: expected one character before the tab"):
             load(path)
+
+    @pytest.mark.parametrize("text, key", [("A\taa\nB\tbee\nA\tEKS\n", "A"), ("A\taa\nB\tbee\na\tEKS\n", "a")])
+    def test_repeated_letter_rejected_at_its_line(self, tmp_path, text, key):
+        # the table keys by uppercase, so a letter counts once in either case
+        path = tmp_path / "letters.txt"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}:3: repeated key '{key}'$"):
+            load_letter_names(path)
+
+    def test_repeated_symbol_rejected_at_its_line(self, tmp_path):
+        path = tmp_path / "symbols.txt"
+        path.write_text("%\tprotsenti\n# comment\n%\tprotsent\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}:3: repeated key '%'$"):
+            load_symbols(path)
 
 
 def _records():

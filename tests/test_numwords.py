@@ -357,6 +357,14 @@ class TestLexiconLoading:
         with pytest.raises(ConfigError, match="bad.txt:2"):
             load_lexicon(path)
 
+    def test_repeated_key_reported_with_location(self, tmp_path):
+        # the last entry once won silently
+        path = tmp_path / "lexicon.txt"
+        path.write_text(BUNDLED + "unit.5=VIIS\n", encoding="utf-8")
+        lineno = len(BUNDLED.splitlines()) + 1
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}:{lineno}: repeated key 'unit.5'$"):
+            load_lexicon(path)
+
     def test_empty_value_reported_with_location(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("unit.0=null\nunit.1 = \n", encoding="utf-8")
@@ -389,8 +397,9 @@ class TestTablesFollowTheLexicon:
 
     def test_lexicon_loaded_from_file(self, tmp_path):
         self._assert_default_unchanged()  # the default tables exist before the other lexicon
-        path = tmp_path / "lexicon.txt"  # a key given again takes its last value
-        path.write_text(BUNDLED + "".join(f"{key}={word}\n" for key, word in self.CHANGES.items()), encoding="utf-8")
+        path = tmp_path / "lexicon.txt"  # the bundled file with the changed keys' lines replaced
+        kept = "".join(f"{line}\n" for line in BUNDLED.splitlines() if line.partition("=")[0] not in self.CHANGES)
+        path.write_text(kept + "".join(f"{key}={word}\n" for key, word in self.CHANGES.items()), encoding="utf-8")
         self._check(load_lexicon(path))
         self._assert_default_unchanged()
 

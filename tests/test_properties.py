@@ -385,9 +385,10 @@ def test_word_group_matches_where_its_first_formulation_does():
             assert word_end == (reference.end() if reference else None), (text, pos)
 
 
-# letters of both cases, with and without a vowel, ASCII and other digits,
-# a numeric that ends a word run and combining marks
-WORD_RUN_CHARS = "aeikpslõüEKIPLÕÜzĲé" + "0123456789" + "٣²" + "\u0301\u0308"
+# letters of both cases, with and without a vowel, the Roman letters (so a
+# numeral with a glued ending is drawn), ASCII and other digits, a numeric
+# that ends a word run and combining marks
+WORD_RUN_CHARS = "aeikpslõüEKIPLÕÜVXCDMzĲé" + "0123456789" + "٣²" + "\u0301\u0308"
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)

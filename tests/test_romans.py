@@ -1,6 +1,6 @@
 import pytest
 
-from etnorm.romans import is_roman_shaped, roman_value
+from etnorm.romans import roman_value
 
 
 @pytest.mark.parametrize(
@@ -34,13 +34,6 @@ def test_valid_numerals(token, value):
 )
 def test_invalid_numerals(token):
     assert roman_value(token) is None
-
-
-def test_roman_shaped():
-    assert is_roman_shaped("DVD")
-    assert is_roman_shaped("MMXX")
-    assert not is_roman_shaped("DVDs")
-    assert not is_roman_shaped("")
 
 
 def test_values_round_trip_against_composition():

@@ -18,14 +18,14 @@ class TestClassification:
     def test_empty_input(self):
         assert list(tokenize("")) == []
 
-    def test_case_suffixed_acronym_single_token(self):
+    def test_glued_case_ending_single_token(self):
         tokens = tokenize("MTÜle")
         assert len(tokens) == 1
-        assert tokens[0].kind == TokenKind.CASE_SUFFIXED_ACRONYM
+        assert tokens[0].kind == TokenKind.UPPERCASE_SEQ
 
     def test_case_suffixed_with_hyphen(self):
         tokens = tokenize("EAS-i")
-        assert [t.kind for t in tokens] == [TokenKind.CASE_SUFFIXED_ACRONYM]
+        assert [t.kind for t in tokens] == [TokenKind.UPPERCASE_SEQ]
 
     @pytest.mark.parametrize(
         "text, tail",
@@ -36,7 +36,7 @@ class TestClassification:
         assert kinds(text) == [(acronym, TokenKind.UPPERCASE_SEQ), ("-", TokenKind.PUNCT), tail]
 
     def test_case_ending_boundaries(self):
-        A = TokenKind.CASE_SUFFIXED_ACRONYM
+        A = TokenKind.UPPERCASE_SEQ
         assert kinds("NATOx") == [("NATOx", TokenKind.MIXED_CASE)]
         assert kinds("EAS-idele") == [("EAS-idele", A)]
         assert kinds("RMK-ks") == [("RMK-ks", A)]
@@ -54,9 +54,12 @@ class TestClassification:
         assert all(t.joined_right for t in tokens[:-1])
 
     def test_roman_candidate_shapes(self):
-        assert kinds("DVD")[0][1] == TokenKind.ROMAN_CANDIDATE
-        assert kinds("XVIII")[0][1] == TokenKind.ROMAN_CANDIDATE
-        assert kinds("MM")[0][1] == TokenKind.ROMAN_CANDIDATE
+        # a kind says what a run is made of; whether it is a numeral is ``_roman``'s to decide
+        assert kinds("DVD")[0][1] == TokenKind.UPPERCASE_SEQ
+        assert kinds("XVIII")[0][1] == TokenKind.UPPERCASE_SEQ
+        assert kinds("MM")[0][1] == TokenKind.UPPERCASE_SEQ
+        assert kinds("XIVle") == [("XIVle", TokenKind.UPPERCASE_SEQ)]
+        assert kinds("XIV-le") == [("XIV-le", TokenKind.UPPERCASE_SEQ)]
 
     def test_uppercase_and_word(self):
         assert kinds("NATO")[0][1] == TokenKind.UPPERCASE_SEQ

@@ -98,7 +98,11 @@ class TestExpandRoman:
 
     def test_whole_stoplist_blocked_in_every_context(self, config):
         # every Roman-shaped surface of the dictionary is read as it says
-        listed = [s for s in config.abbreviations if tokenize(s)[0].kind is TokenKind.ROMAN_CANDIDATE]
+        roman_letters = set("IVXLCDM")
+        listed = [
+            s for s in config.abbreviations
+            if tokenize(s)[0].kind is TokenKind.UPPERCASE_SEQ and set(s) <= roman_letters
+        ]
         assert {"MM", "CV", "DVD"} <= set(listed)
         for token in listed:
             spelled = spell_letters(token, config.letter_names)
@@ -121,6 +125,29 @@ class TestExpandRoman:
 
     def test_invalid_shape_never_reads(self, config):
         assert verbalize("IIII sajand", config) == "ii-ii-ii-ii sajand"
+
+
+@pytest.mark.parametrize(
+    "line, spoken",
+    [
+        # a run of capitals with an ending, hyphenated or glued, numeral or not, is spelled with it
+        ("Karl XIV-le", "Karl iks-ii-veele"),
+        ("Karl XIVle", "Karl iks-ii-veele"),
+        ("CVsid", "tsee-veesid"),
+        ("NATOsse  ja", "NATOsse  ja"),  # read as a word, its spacing kept
+        ("UNESCOsse", "UNESCOsse"),
+        ("ERR-ile", "ee-err-errile"),
+        ("EAS-i5", "ee-aa-essi viis"),
+        ("I-rühm", "I-rühm"),  # a letter compound, not a numeral
+        ("XX saj", "iks-iks saj"),  # no cue: spelled
+        ("DVD ja CD", "dee-vee-dee ja tsee-dee"),
+        ("Karl XIX-XX sajandil", "Karl üheksateistkümnes kuni kahekümnes sajandil"),
+        # a numeral with an ending ends no range: the hyphen stays glued between readings, as it reads now
+        ("Karl XIX-XXle", "Karl üheksateistkümnes-iks-iksle"),
+    ],
+)
+def test_capital_runs(config, line, spoken):
+    assert verbalize(line, config) == spoken
 
 
 class TestExpandAbbreviation:
@@ -806,6 +833,13 @@ class TestCut:
             return
         assert chunk and chunk == [token for token in tokenize(line) if start <= token.span[0] < start + len(kept)]
         assert TokenKind.PLAIN not in {token.kind for token in chunk}
+
+    @pytest.mark.parametrize("capitals", ["DVD", "IIII", "NATO"])
+    def test_copy_starts_right_after_capitals_that_are_no_numeral(self, config, capitals):
+        # _roman turns them away before it reads a cue, so no right cue keeps "Tere"
+        text = f"{capitals} Tere oli see nii 5"
+        assert verbalize(text, config) == full_path(text, config)
+        assert self.skipped(text, config) == ["Tere oli see nii"]
 
     def test_spans_after_a_non_ascii_skipped_run(self, config):
         text = "MTÜ-le õue ja　öösel «tšeki» üle jälle ning 5 km"

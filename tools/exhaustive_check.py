@@ -162,10 +162,10 @@ def cut_of(tokens):
 def may_read_across(rule, tokens, i) -> bool:
     """Whether ``rule`` at ``tokens[i]`` is one of the reads across chunks
     that the copy path keeps the tokens for: ``_roman``'s cues, also through
-    ``_number_range`` on a Roman numeral, and the spaced ``_ratio``."""
+    ``_number_range`` on a run of capitals, and the spaced ``_ratio``."""
     return (
         rule is _roman
-        or (rule is _number_range and tokens[i].kind is TokenKind.ROMAN_CANDIDATE)
+        or (rule is _number_range and tokens[i].kind is TokenKind.UPPERCASE_SEQ)
         or (rule is _ratio and not tokens[i].joined_right)
     )
 

@@ -69,7 +69,8 @@ SEEDS = (1, 2, 3)
 # that the tokenizer reads as word runs, plain runs after a stop,
 # between chunks split by whitespace outside ASCII, letters that fold
 # beside numerics and at both ends of a line, top-level-domain dots and
-# "@" beside whitespace outside ASCII, and surfaces in each case before a word
+# "@" beside whitespace outside ASCII, surfaces in each case before a word,
+# and runs of capitals, numerals or not, with and without a case ending
 BOUNDARY = (
     "ptk", "spp", "tv", "iPhone", "eCoop", "Tallinn.ee", "linnas.EE", "Y", "e-post", "Dr", "KM", "Łukasz",
     "Krt", "Tere, maailm!", "Žürii arutas «tšeki» üle – jälle…", "Café", "", " \t", "\xa0tere\u2028öö\u3000",
@@ -85,6 +86,8 @@ BOUNDARY = (
     "vaata err.ee\u2028ja x.com\x85siis", "err\u2028.ee", "err.ee\x85", "info@eki.ee\u2028a@b.ee",
     "kiri\x85@eki.ee", "a@\u2028b.ee", "\x85x.ee\u2028y@z.ee\x85",
     "Prof ja", "Jne ja", "cA ja", "JNE ja",
+    "Karl XIV-le", "Karl XIVle", "CVsid", "NATOsse  ja", "UNESCOsse", "ERR-ile", "EAS-i5", "I-rühm",
+    "XX saj", "DVD ja CD", "Karl XIX-XX sajandil", "Karl XIX-XXle",
 )
 
 
