@@ -38,7 +38,7 @@ import sys
 import warnings
 
 from .lexicon import default_config, load_config
-from .textfiles import check_utf8, open_text
+from .textfiles import ascii_number, check_utf8, open_text
 from .verbalize import verbalize
 
 
@@ -71,7 +71,7 @@ def _load_cli_config(path):
     if unknown:
         raise CliError(f"{path}: unknown config keys: {', '.join(sorted(unknown))}")
     for key, value in payload.items():
-        if _CONFIG_KEYS[key] != key and not isinstance(value, (str, type(None))):
+        if not isinstance(value, (str, type(None))):
             raise CliError(f"{path}: {key}: expected a file path")
     try:
         return load_config(**{_CONFIG_KEYS[key]: value for key, value in payload.items()})
@@ -199,6 +199,7 @@ def _categories(cell: str) -> frozenset[ErrorCategory]:
     return frozenset(flags)
 
 
+@ascii_number
 def _rating(cell: str) -> float:
     value = float(cell)
     if not math.isfinite(value):
@@ -257,7 +258,7 @@ def _print_icc(matrix, args) -> None:
 # report printed from the records; its docstring is help)
 _STATS = {
     "mos": (
-        dict(rater=str, sentence=str, voice=str, voice_type=str, domain=str, score=float),
+        dict(rater=str, sentence=str, voice=str, voice_type=str, domain=str, score=ascii_number(float)),
         "RatingRecord",
         _print_mos,
     ),
@@ -267,7 +268,7 @@ _STATS = {
         _print_errors,
     ),
     "likert": (
-        dict(rater=str, voice=str, text_kind=str, score=int),
+        dict(rater=str, voice=str, text_kind=str, score=ascii_number(int)),
         "LikertRecord",
         _print_likert,
     ),
@@ -301,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_norm = sub.add_parser("normalize", help="verbalize text line by line")
-    p_norm.add_argument("--config", help="JSON config with data file paths and options")
+    p_norm.add_argument("--config", help="JSON config naming data files")
     p_norm.add_argument("--input", help="input file (default: stdin)")
     p_norm.add_argument("--output", help="output file (default: stdout)")
     p_norm.set_defaults(func=_cmd_normalize)

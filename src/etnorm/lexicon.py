@@ -14,7 +14,7 @@ from itertools import chain
 
 from .folding import FoldingTable
 from .numwords import NumberLexicon, default_lexicon, load_lexicon
-from .textfiles import ConfigError, Record, read_data, read_keyed
+from .textfiles import ConfigError, Record, ascii_number, read_data, read_keyed
 from .tokens import _LC, _SENTENCE_PUNCT, _TLD, _UC, _VOWELS, _plain_words
 
 _DIGIT_RE = re.compile("[0-9]")  # ASCII digits only: the output may hold other scripts' digits
@@ -45,16 +45,11 @@ class RuleConfig(Record, frozen=True):
 
     def __init__(
         self, letter_names: dict[str, str], abbreviations: dict[str, AbbreviationEntry], symbols: dict[str, str],
-        roman_context_stems: tuple[str, ...], title_min_length: int = 6, digit_group_threshold: int = 7,
-        folding: FoldingTable | None = None, numbers: NumberLexicon | None = None,
+        roman_context_stems: tuple[str, ...], folding: FoldingTable | None = None, numbers: NumberLexicon | None = None,
     ):
         folding = FoldingTable() if folding is None else folding
         numbers = default_lexicon() if numbers is None else numbers
         self._fill(locals())
-        for name, least in (("title_min_length", 4), ("digit_group_threshold", 7)):
-            value = getattr(self, name)
-            if type(value) is not int or value < least:  # a bool or a float is refused too
-                raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
         for letter, name in self.letter_names.items():
             if name == "":  # a name that is no string is refused below
                 raise ConfigError(f"empty letter name for {letter!r}")
@@ -135,23 +130,30 @@ def _abbreviation_line(line: str) -> tuple[str, tuple[Expansion, ...], list[str]
     parts = line.split("\t")
     if len(parts) < 2:
         raise ValueError("expected at least surface<TAB>expansion")
+    if len(parts) > 5:
+        raise ValueError(f"expected at most 5 fields, got {len(parts)}")
     parts += [""] * (5 - len(parts))
-    surface, expansion, keywords, weight, flag_field = (p.strip() for p in parts[:5])
+    surface, expansion, keywords, weight, flag_field = (p.strip() for p in parts)
     if not surface:
         raise ValueError("empty surface")
-    expansions = ()
-    if expansion:
-        try:
-            parsed_weight = float(weight) if weight else 1.0
-        except ValueError:
-            raise ValueError(f"bad weight {weight!r}") from None
-        kw = tuple(k.strip().lower() for k in keywords.split(",") if k.strip())
-        expansions = (Expansion(expansion, kw, parsed_weight),)
     flags = [f.strip() for f in flag_field.split(",") if f.strip()]
     for flag in flags:
         if flag not in ("word", "spellout"):
             raise ValueError(f"unknown flag {flag!r}")
-    return surface, expansions, flags
+    if not expansion:
+        if keywords or weight:
+            raise ValueError(f"abbreviation {surface!r}: keywords or a weight without an expansion")
+        if not flags:
+            raise ValueError(f"abbreviation {surface!r} has no expansion and no flag")
+        return surface, (), flags
+    try:
+        parsed_weight = ascii_number(float)(weight or "1")
+        if not parsed_weight > 0:  # NaN is refused too
+            raise ValueError
+    except ValueError:
+        raise ValueError(f"abbreviation {surface!r}: weight must be a number above 0, got {weight!r}") from None
+    kw = tuple(k.strip().lower() for k in keywords.split(",") if k.strip())
+    return surface, (Expansion(expansion, kw, parsed_weight),), flags
 
 
 def load_abbreviations(path=None) -> dict[str, AbbreviationEntry]:
@@ -186,8 +188,6 @@ def load_config(
     roman_context_path=None,
     number_lexicon_path=None,
     folding_protected_path=None,
-    title_min_length: int = 6,
-    digit_group_threshold: int = 7,
 ) -> RuleConfig:
     """Assemble a RuleConfig; any path left as None uses the bundled data."""
     folding = FoldingTable.from_protected_file(folding_protected_path) if folding_protected_path else None
@@ -197,8 +197,6 @@ def load_config(
         abbreviations=load_abbreviations(abbreviations_path),
         symbols=load_symbols(symbols_path),
         roman_context_stems=load_roman_context(roman_context_path),
-        title_min_length=title_min_length,
-        digit_group_threshold=digit_group_threshold,
         folding=folding,
         numbers=numbers,
     )

@@ -79,6 +79,16 @@ def check_utf8(text: str) -> str:
     return text
 
 
+def ascii_number(parse):
+    """``parse`` of a text that holds only ASCII and no ``_``: ``int`` and
+    ``float`` would read ``4_0`` as 40 and the digits of other scripts."""
+    def read(text: str):
+        if "_" in text or not text.isascii():
+            raise ValueError(f"not a number in ASCII digits: {text!r}")
+        return parse(text)
+    return read
+
+
 def read_data(path, parse, bundled: str = ""):
     """``parse(line)`` for each line of the data file at ``path`` (the
     bundled file ``bundled`` when ``path`` is None) that is neither blank

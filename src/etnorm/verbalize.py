@@ -79,6 +79,7 @@ from .tokens import TokenKind, TokenList, tokenize
 _SEGMENT_RE = re.compile(rf"[{_UC}]+(?![{_LC}])|[{_UC}][{_LC}]+|[{_LC}]+|[0-9]+|[^\W\d_]+")
 _DIGIT_GROUP_SEP_RE = re.compile(r"[ \xa0.\-]+")  # between the digit groups of a phone number or ID
 _DECIMAL_MARK_RE = re.compile(r"[.,]")
+_TITLE_MIN_LENGTH = 6  # a run of capitals this long is a word set in capitals; a shorter one is an acronym
 _URL_SCHEME_RE = re.compile("^" + _URL_SCHEME)
 _URL_PIECE_RE = re.compile(r"[^\W_]+|.")  # a label or one character
 _LOWER_RUN_RE = re.compile(f"[{_LC}]+")  # a word of lowercased plain text
@@ -211,7 +212,7 @@ def _render_uppercase(surface: str, config: RuleConfig, line: TokenList) -> str:
     spoken = None if entry is None else _read_entry(surface, entry, config, line, suffix)
     if spoken is not None:
         return spoken
-    if len(surface) >= config.title_min_length:  # a word set in capitals; any other run is spelled
+    if len(surface) >= _TITLE_MIN_LENGTH:
         return surface + (suffix or "")
     return _safe_spell(surface, config, suffix)
 
@@ -429,16 +430,12 @@ def _decimal(tokens, i, config):
 
 def _grouped(tokens, i, config):
     """Digits grouped by thousands ("2 500 000", "1.000.000") read as a
-    cardinal; a run of digits with no separator reads as one only below
-    ``digit_group_threshold`` digits. Either is read digit by digit when it
-    starts with 0 or is above ``MAX_CARDINAL``."""
+    cardinal, or digit by digit when they start with 0 or are above
+    ``MAX_CARDINAL``. A run with no separator, which the tokenizer makes
+    this kind only from 7 digits on, is read digit by digit."""
     text = tokens[i].text
     digits_only = _DIGIT_GROUP_SEP_RE.sub("", text)
-    if (
-        digits_only[0] == "0"
-        or len(digits_only) > _CARDINAL_DIGITS
-        or (digits_only == text and len(digits_only) >= config.digit_group_threshold)
-    ):
+    if digits_only == text or digits_only[0] == "0" or len(digits_only) > _CARDINAL_DIGITS:
         return i, verbalize_digit_sequence(text, config)
     return i, cardinal(int(digits_only), NOMINATIVE, config.numbers)
 

@@ -66,8 +66,11 @@ class TestNormalize:
         assert outputs[0] == outputs[1]
 
     def test_config_overrides(self, capsys, tmp_path, monkeypatch):
+        # PARK, too short a run of capitals to read as written, is spelled unless a dictionary flags it
+        abbreviations = tmp_path / "abbreviations.tsv"
+        abbreviations.write_text("PARK\t\t\t\tword\n", encoding="utf-8")
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({"title_min_length": 4}), encoding="utf-8")
+        config.write_text(json.dumps({"abbreviations": str(abbreviations)}), encoding="utf-8")
         code, out, _ = run(
             capsys,
             ["normalize", "--config", str(config)],
@@ -115,8 +118,8 @@ class TestNormalize:
     @pytest.mark.parametrize(
         "payload, message",
         [
-            ('["title_min_length", 4]'.encode(), "config must be a JSON object"),
-            (b'{"title_min_length": 4\xff}', "input is not valid UTF-8"),
+            ('["symbols", "symbols.txt"]'.encode(), "config must be a JSON object"),
+            (b'{"symbols": "symbols.txt"\xff}', "input is not valid UTF-8"),
         ],
         ids=["array", "not_utf8"],
     )
@@ -151,6 +154,22 @@ class TestNormalize:
         code, out, err = run(capsys, ["normalize", "--config", str(config)], stdin="tere\n", monkeypatch=monkeypatch)
         assert (code, out, err) == (1, "", f"etnorm: {config}: unknown config keys: roman_stoplist\n")
 
+    @pytest.mark.parametrize("key, value", [("title_min_length", 4), ("digit_group_threshold", 7)])
+    def test_removed_option_key_rejected(self, capsys, tmp_path, monkeypatch, key, value):
+        # their defaults are now fixed: a config drops the key
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({key: value}), encoding="utf-8")
+        code, out, err = run(capsys, ["normalize", "--config", str(config)], stdin="tere\n", monkeypatch=monkeypatch)
+        assert (code, out, err) == (1, "", f"etnorm: {config}: unknown config keys: {key}\n")
+
+    def test_abbreviation_fault_named_by_file_and_line(self, capsys, tmp_path, monkeypatch):
+        abbreviations = tmp_path / "ab.tsv"
+        abbreviations.write_text("# surface\texpansion\nkm\t\tsõitis\t1.5\t\n", encoding="utf-8")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"abbreviations": str(abbreviations)}), encoding="utf-8")
+        code, out, err = run(capsys, ["normalize", "--config", str(config)], stdin="tere\n", monkeypatch=monkeypatch)
+        fault = "abbreviation 'km': keywords or a weight without an expansion"
+        assert (code, out, err) == (1, "", f"etnorm: {config}: {abbreviations}:2: {fault}\n")
 
     def test_failing_line_named_and_stream_goes_on(self, capsys, monkeypatch):
         def flaky(text, config):
@@ -644,6 +663,26 @@ DIAGNOSTICS = {
         ["stats", "likert", "l.csv"],
         "l.csv:2: Likert score must be an integer in 1..7, got 9",
     ),
+    "mos_score_with_underscore": (
+        {"r3.csv": RATINGS_HEADER + "r1,s1,Mari,HTS,uudised,4_0\n"},
+        ["stats", "mos", "r3.csv"],
+        "r3.csv:2: not a number in ASCII digits: '4_0'",
+    ),
+    "mos_score_in_other_digits": (
+        {"r4.csv": RATINGS_HEADER + "r1,s1,Mari,HTS,uudised,\u0664\n"},
+        ["stats", "mos", "r4.csv"],
+        "r4.csv:2: not a number in ASCII digits: '\u0664'",
+    ),
+    "icc_cell_with_underscore": (
+        {"m3.csv": "target,r1,r2\nt1,1_0,2\nt2,2,2\n"},
+        ["stats", "icc", "m3.csv"],
+        "m3.csv:2: not a number in ASCII digits: '1_0'",
+    ),
+    "likert_score_with_underscore": (
+        {"l.csv": "rater,voice,text_kind,score\nr1,Mari,uudis,0_5\n"},
+        ["stats", "likert", "l.csv"],
+        "l.csv:2: not a number in ASCII digits: '0_5'",
+    ),
     "likert_score_not_an_integer": (
         {"l.csv": "rater,voice,text_kind,score\nr1,Mari,uudis,4.5\n"},
         ["stats", "likert", "l.csv"],
@@ -735,15 +774,13 @@ def test_empty_table_named_as_stdin(capsys, monkeypatch):
 @pytest.mark.parametrize(
     "payload, message",
     [
-        ({"title_min_length": "x"}, "title_min_length must be an integer >= 4, got 'x'"),
-        ({"digit_group_threshold": None}, "digit_group_threshold must be an integer >= 7, got None"),
         ({"abbreviations": ["a"]}, "abbreviations: expected a file path"),
-        # an integer path would be opened as a file descriptor
+        # an integer path would be opened as a file descriptor, True as stdout
         ({"letter_names": 5}, "letter_names: expected a file path"),
-        ({"title_min_length": 4.5}, "title_min_length must be an integer >= 4, got 4.5"),
-        ({"title_min_length": True}, "title_min_length must be an integer >= 4, got True"),
+        ({"symbols": 4.5}, "symbols: expected a file path"),
+        ({"roman_context": True}, "roman_context: expected a file path"),
     ],
-    ids=["string", "null", "list_path", "integer_path", "float", "bool"],
+    ids=["list_path", "integer_path", "float", "bool"],
 )
 def test_mistyped_config_value_named(capsys, tmp_path, monkeypatch, payload, message):
     config = tmp_path / "config.json"
@@ -761,7 +798,7 @@ DATA_FILE_KEYS = [
 
 
 def test_data_file_keys_are_every_path_option():
-    assert DATA_FILE_KEYS == [key for key, param in cli._CONFIG_KEYS.items() if param != key]
+    assert DATA_FILE_KEYS == list(cli._CONFIG_KEYS)
 
 
 @pytest.mark.parametrize("key", DATA_FILE_KEYS)
@@ -835,7 +872,7 @@ BOM_CASES = {
     },
     "gold": (SCORE_FILES, SCORE, None),
     "hypotheses": (dict(reversed(SCORE_FILES.items())), SCORE, None),
-    "config": ({"config.json": json.dumps({"title_min_length": 4})}, WITH_CONFIG, "PARK"),
+    "config": ({"config.json": json.dumps({"symbols": None})}, WITH_CONFIG, "5 %"),
     "stats": ({"ratings.csv": RATINGS_TABLE}, ["stats", "mos", "ratings.csv"], None),
 }
 
@@ -863,7 +900,7 @@ def test_byte_order_mark_on_real_stdin_is_skipped():
 SCORES = [f"{half / 2:.1f}" for half in range(2, 11)]
 # each list leads with one of every kind of fault, as Hypothesis draws
 # the leading values most
-RATINGS = ["nan", "x", "inf", "", "-inf", "4,5", "½", "NaN", "1e"]
+RATINGS = ["nan", "x", "inf", "", "-inf", "4,5", "½", "NaN", "1e", "1_0", "\u0664"]
 # subcommand -> column -> (valid cells, cells its parser or record rejects)
 TABLES = {
     "mos": {
@@ -872,7 +909,7 @@ TABLES = {
         "voice": (["Mari", "Tõnu"], []),
         "voice_type": (["HTS", "DeepVoice3", "Kõnekorpus"], ["hts", "Vocoder"]),
         "domain": (["uudised", "ilukirjandus"], ["n", "Uudised"]),
-        "score": (SCORES, ["5.5", "nan", "x", "4.2", "inf", "0", "", "-1", "Infinity"]),
+        "score": (SCORES, ["5.5", "nan", "x", "4.2", "inf", "0", "", "-1", "Infinity", "4_0", "\u0664"]),
     },
     "errors": {
         "annotator": (["a", "b"], []),
@@ -887,7 +924,7 @@ TABLES = {
         "rater": (["r1", "r2"], []),
         "voice": (["Mari", "Tõnu"], []),
         "text_kind": (["uudis", "ilukirjandus"], ["uudised", "x"]),
-        "score": ([str(s) for s in range(1, 8)], ["8", "4.5", "x", "nan", "0", "", "-1", "1e3"]),
+        "score": ([str(s) for s in range(1, 8)], ["8", "4.5", "x", "nan", "0", "", "-1", "1e3", "0_5", "\u0664"]),
     },
     "icc": {
         "target": (["t1", "t2"], []),

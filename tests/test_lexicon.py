@@ -31,10 +31,6 @@ class TestDefaults:
     def test_spoken_acronyms_include_nato(self, config):
         assert config.abbreviations["NATO"].speak_as_word
 
-    def test_default_thresholds(self, config):
-        assert config.title_min_length == 6
-        assert config.digit_group_threshold == 7
-
     def test_km_entry_has_two_weighted_expansions(self, config):
         entry = config.abbreviations["km"]
         assert len(entry.expansions) == 2
@@ -72,13 +68,6 @@ class TestValidation:
         for weight in (0.0, float("nan")):  # a data file's "nan" parses to NaN
             with pytest.raises(ConfigError):
                 AbbreviationEntry("xx", (Expansion("midagi", (), weight),))
-
-    def test_threshold_floors(self, config):
-        with pytest.raises(ConfigError):
-            config.replace(title_min_length=3)
-        for value in (4, 5, 6):  # runs of 5-6 digits are cardinals, so these read as 7
-            with pytest.raises(ConfigError):
-                config.replace(digit_group_threshold=value)
 
     def test_letter_name_must_not_be_empty(self, config):
         with pytest.raises(ConfigError, match="empty letter name for 'A'"):
@@ -119,12 +108,6 @@ class TestValidation:
     def test_bundled_config_loads(self):
         assert load_config() == default_config()
 
-    @pytest.mark.parametrize("value", [6.0, 4.5, True, "6", None])
-    @pytest.mark.parametrize("option", ["title_min_length", "digit_group_threshold"])
-    def test_thresholds_must_be_integers(self, config, option, value):
-        with pytest.raises(ConfigError, match=f"{option} must be an integer"):
-            config.replace(**{option: value})
-
 
 class TestFileParsing:
     def test_duplicate_surfaces_merge_in_order(self, tmp_path):
@@ -150,8 +133,26 @@ class TestFileParsing:
 
     @pytest.mark.parametrize(
         "line, message",
-        [("xx\n", "expected at least surface<TAB>expansion"), (" \tmidagi\n", "empty surface")],
-        ids=["one_column", "empty_surface"],
+        [
+            ("xx\n", "expected at least surface<TAB>expansion"),
+            (" \tmidagi\n", "empty surface"),
+            ("xx\tmidagi\t\t1.0\tword\tx\n", "expected at most 5 fields, got 6"),
+            ("xx\tmidagi\t\t0\t\n", "abbreviation 'xx': weight must be a number above 0, got '0'"),
+            ("xx\tmidagi\t\tnan\t\n", "abbreviation 'xx': weight must be a number above 0, got 'nan'"),
+            ("xx\tmidagi\t\t-1\t\n", "abbreviation 'xx': weight must be a number above 0, got '-1'"),
+            ("xx\tmidagi\t\t1_5\t\n", "abbreviation 'xx': weight must be a number above 0, got '1_5'"),
+            ("xx\tmidagi\t\t\u0662\t\n", "abbreviation 'xx': weight must be a number above 0, got '\u0662'"),
+            ("xx\t\tsõitis\t\tword\n", "abbreviation 'xx': keywords or a weight without an expansion"),
+            ("xx\t\t\tabc\tword\n", "abbreviation 'xx': keywords or a weight without an expansion"),
+            ("xx\t\tsõitis\t1.5\t\n", "abbreviation 'xx': keywords or a weight without an expansion"),
+            ("xx\t\t\t\t\n", "abbreviation 'xx' has no expansion and no flag"),
+        ],
+        ids=[
+            "one_column", "empty_surface", "six_fields", "zero_weight", "nan_weight", "negative_weight",
+            "underscored_weight", "other_script_weight",
+            "keywords_without_expansion", "weight_without_expansion", "no_expansion_with_keywords",
+            "no_expansion_no_flag",
+        ],
     )
     def test_malformed_line_reported(self, tmp_path, line, message):
         path = tmp_path / "abbr.tsv"
@@ -162,7 +163,7 @@ class TestFileParsing:
     def test_bad_weight_reported(self, tmp_path):
         path = tmp_path / "abbr.tsv"
         path.write_text("xx\tmidagi\t\tpalju\t\n", encoding="utf-8")
-        with pytest.raises(ConfigError, match="abbr.tsv:1"):
+        with pytest.raises(ConfigError, match="abbr.tsv:1: abbreviation 'xx': weight must be a number above 0"):
             load_abbreviations(path)
 
     def test_letter_names_require_two_columns(self, tmp_path):
@@ -274,8 +275,8 @@ class TestRecords:
         assert not hasattr(token, "__dict__")
 
     def test_replace_checks_again(self, config):
-        with pytest.raises(ConfigError, match="title_min_length"):
-            config.replace(title_min_length=3)
+        with pytest.raises(ConfigError, match="empty letter name"):
+            config.replace(letter_names={"A": ""})
         with pytest.raises(ConfigError, match="weight must be > 0"):
             config.abbreviations["km"].replace(expansions=(Expansion("x", (), 0.0),))
         with pytest.raises(ValueError, match="empty gold text"):
@@ -297,4 +298,4 @@ class TestRecords:
 
     @pytest.mark.skipif(sys.version_info < (3, 13), reason="copy.replace is new in Python 3.13")
     def test_copy_replace(self, config):
-        assert copy.replace(config, title_min_length=8) == config.replace(title_min_length=8)
+        assert copy.replace(config, symbols={}) == config.replace(symbols={})

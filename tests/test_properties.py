@@ -1,6 +1,6 @@
-"""Property tests: ``verbalize`` is total on digit-heavy text under every
-legal ``title_min_length`` and ``digit_group_threshold``, and under data
-tables and folding sets that pass validation.
+"""Property tests: ``verbalize`` is total on digit-heavy text under the
+bundled config, and under data tables and folding sets that pass
+validation.
 
 Each property checks that the call does not raise, that no ASCII digit
 is left in the output, and that a second call gives the same output.
@@ -57,29 +57,23 @@ PIECES = st.one_of(
     st.sampled_from(["km", "ks", "-ks", "MTÜ", "EAS-i", "XII", "Karl", "a", "B", "www.", ".ee", "@"]),
 )
 
-OPTIONS = {
-    "title_min_length": st.integers(min_value=4),
-    "digit_group_threshold": st.integers(min_value=7),
-}
 
-
-def check(config, text, options):
-    configured = config.replace(**options)
-    out = verbalize(text, configured)
-    assert not ASCII_DIGIT.search(out), (text, options, out)
-    assert verbalize(text, configured) == out
+def check(config, text):
+    out = verbalize(text, config)
+    assert not ASCII_DIGIT.search(out), (text, out)
+    assert verbalize(text, config) == out
 
 
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
-@given(text=st.text(alphabet=DIGIT_HEAVY, max_size=40), options=st.fixed_dictionaries(OPTIONS))
-def test_digit_heavy_characters(config, text, options):
-    check(config, text, options)
+@given(text=st.text(alphabet=DIGIT_HEAVY, max_size=40))
+def test_digit_heavy_characters(config, text):
+    check(config, text)
 
 
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
-@given(pieces=st.lists(PIECES, max_size=12), options=st.fixed_dictionaries(OPTIONS))
-def test_digit_heavy_pieces(config, pieces, options):
-    check(config, "".join(pieces), options)
+@given(pieces=st.lists(PIECES, max_size=12))
+def test_digit_heavy_pieces(config, pieces):
+    check(config, "".join(pieces))
 
 
 # ------------------------------------------------- data tables and folding
@@ -120,7 +114,6 @@ TABLES = {
     "folding": st.sets(st.sampled_from(sorted(DEFAULT_PROTECTED) + list("éñç"))).map(
         lambda kept: FoldingTable(frozenset(kept))
     ),
-    **OPTIONS,
 }
 
 

@@ -65,12 +65,11 @@ class TestSpellLetters:
 class TestClassifyUppercase:
     def test_spec_examples(self, config):
         assert verbalize("PARIIS", config) == "PARIIS"  # a title set in capitals
+        assert verbalize("TALLIN", config) == "TALLIN"  # 6 capitals, the shortest title
         assert verbalize("NATO", config) == "NATO"  # a spoken acronym
         assert verbalize("EAS", config) == "ee-aa-ess"  # spelled
-
-    def test_length_threshold_is_configurable(self, config):
-        assert verbalize("PARK", config) == "pee-aa-err-kaa"
-        assert verbalize("PARK", config.replace(title_min_length=4)) == "PARK"
+        assert verbalize("PARK", config) == "pee-aa-err-kaa"  # a word, but too short for a title
+        assert verbalize("ABCDE", config) == "aa-bee-tsee-dee-ee"  # 5 capitals, the longest spelled
 
 
 # a Roman numeral with nothing around it, with each kind of cue, and with
@@ -330,18 +329,19 @@ class TestGroupedNumber:
             ("0 500 000", "null, viis null null, null null null"),  # a leading zero
             ("5000000", "viis null null null null null null"),  # no separator: the threshold holds
             ("5123456", "viis üks kaks kolm neli viis kuus"),
+            ("1234567", "üks kaks kolm neli viis kuus seitse"),  # 7 digits, the shortest such run
         ],
     )
     def test_read_digit_by_digit(self, config, text, expected):
         assert verbalize(text, config) == expected
 
     def test_threshold_governs_only_runs_without_separators(self, config):
-        assert verbalize("1 234 567", config.replace(digit_group_threshold=7)) == (
+        # the same 7 digits are a cardinal when grouped and a digit run when not
+        assert verbalize("1 234 567", config) == (
             "miljon kakssada kolmkümmend neli tuhat viissada kuuskümmend seitse"
         )
-        assert verbalize("1234567", config.replace(digit_group_threshold=8)) == (
-            "miljon kakssada kolmkümmend neli tuhat viissada kuuskümmend seitse"
-        )
+        assert verbalize("1234567", config) == "üks kaks kolm neli viis kuus seitse"
+        assert verbalize("123456", config) == "sada kakskümmend kolm tuhat nelisada viiskümmend kuus"
 
 
 class TestMixedCase:
@@ -469,19 +469,19 @@ class TestVerbalizeEndToEnd:
         assert verbalize("20ks", config) == "kahekümneks"
 
     @pytest.mark.parametrize(
-        "text, options",
+        "text",
         [
-            ("C20236028428", {}),  # mixed case with an over-limit digit run
-            ("12345678901234567890,5", {}),  # decimal with an over-limit integer part
-            ("5 000 000 000", {"digit_group_threshold": 11}),  # grouped, below the threshold
+            "C20236028428",  # mixed case with an over-limit digit run
+            "12345678901234567890,5",  # decimal with an over-limit integer part
+            "5 000 000 000",  # grouped by thousands
             # too long for int(): read without being parsed
-            pytest.param("a" + "1" * 5000, {}, id="mixed-case-5000-digits"),
-            pytest.param("0" * 5000 + "1,5", {}, id="decimal-5000-leading-zeros"),
-            pytest.param("1" * 5000 + ",5", {}, id="decimal-5000-digits"),
+            pytest.param("a" + "1" * 5000, id="mixed-case-5000-digits"),
+            pytest.param("0" * 5000 + "1,5", id="decimal-5000-leading-zeros"),
+            pytest.param("1" * 5000 + ",5", id="decimal-5000-digits"),
         ],
     )
-    def test_numbers_above_max_cardinal_read_digit_by_digit(self, config, text, options):
-        out = verbalize(text, config.replace(**options))
+    def test_numbers_above_max_cardinal_read_digit_by_digit(self, config, text):
+        out = verbalize(text, config)
         assert out
         assert not any(ch.isdigit() for ch in out), out
 

@@ -363,13 +363,13 @@ def copy_failures(text, config) -> list[str]:
 
 
 def other_configs(config):
-    """The bundled config with one table emptied or one option at its
-    least: the variants whose output must hold no digit either."""
+    """The bundled config with one table emptied: the variants whose
+    output must hold no digit either."""
     return {
         "no symbols": config.replace(symbols={}),
         "no letter names": config.replace(letter_names={}),
         "no protected letters": config.replace(folding=FoldingTable(frozenset())),
-        "the minimum options": config.replace(title_min_length=4, digit_group_threshold=7),
+        "no Roman context": config.replace(roman_context_stems=()),
         "no abbreviations": config.replace(abbreviations={}),
     }
 
