@@ -71,6 +71,13 @@ class TestClassifyUppercase:
         assert verbalize("PARK", config) == "pee-aa-err-kaa"  # a word, but too short for a title
         assert verbalize("ABCDE", config) == "aa-bee-tsee-dee-ee"  # 5 capitals, the longest spelled
 
+    def test_length_threshold_is_configurable(self, config):
+        # the length is fixed; the dictionary still makes a shorter word read as written
+        assert verbalize("PARK", config) == "pee-aa-err-kaa"
+        entry = AbbreviationEntry("PARK", speak_as_word=True)
+        listed = config.replace(abbreviations={**config.abbreviations, "PARK": entry})
+        assert verbalize("PARK", listed) == "PARK"
+
 
 # a Roman numeral with nothing around it, with each kind of cue, and with
 # a word that is no cue; "{}" stands for the numeral
